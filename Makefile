@@ -1,4 +1,4 @@
-.PHONY: all build test bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
+.PHONY: all build test benchmark bench-compare bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
 
 all: build
 
@@ -7,6 +7,17 @@ build:
 
 test:
 	dune runtest
+
+# The two-clock workload benchmark (simulated + host metrics for
+# c10k_naive, c10k_ring_opt, postmark_smp4 and cosy_db); extra flags go
+# in ARGS, e.g. `make benchmark ARGS="--runs 5 -o A.json"`.
+benchmark:
+	dune exec --root . benchmark/main.exe -- $(ARGS)
+
+# Judge benchmark run B against run A under BENCHMARK.json's bounds:
+# `make bench-compare A=A.json B=B.json`.
+bench-compare:
+	dune exec --root . benchmark/main.exe -- compare $(A) $(B)
 
 # Every experiment end to end at tiny scale (including E12 ring_batch),
 # plus the BENCH_kstats.json artifact.

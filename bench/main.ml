@@ -721,7 +721,7 @@ let e12 () =
     let (), tm =
       Ksim.Kernel.timed k (fun () ->
           List.iter
-            (fun r -> ignore (Core.Syscall.dispatch (Core.sys t_sync) r))
+            (fun r -> ignore (Core.Syscall.invoke (Core.sys t_sync) r))
             (mk_reqs ()))
     in
     (tm, Ksim.Kernel.crossings k - c0)
@@ -840,16 +840,37 @@ let e13 () =
 
 (* ----------------------------------------------------------------- E14 *)
 
+(* The four C10K serving variants E14–E18 sweep, in print order. *)
+let net_variants =
+  [ Workloads.Webserver.Net_naive; Workloads.Webserver.Net_consolidated;
+    Workloads.Webserver.Net_sendfile; Workloads.Webserver.Net_ring ]
+
+(* One single-CPU webserver cell: boot [cfg], run [prepare] on the fresh
+   system, set up variant [v] for [conns] connections, run [arm], then
+   serve.  [core_ring] routes Net_ring's submission ring through
+   [Core.ring] so the booted admission stage attaches to it. *)
+let net_cell ?(prepare = ignore) ?(arm = ignore) ?(core_ring = false)
+    ?(shed = false) cfg v ~conns =
+  let t = Core.boot_with cfg in
+  prepare t;
+  let sys = Core.sys t in
+  let config =
+    { Workloads.Webserver.net_default_config with
+      variant = v;
+      conns;
+      shed;
+      make_ring = (if core_ring then Some (fun _ -> Core.ring t) else None) }
+  in
+  Workloads.Webserver.net_setup ~config sys;
+  arm t;
+  (t, Workloads.Webserver.run_net ~config sys)
+
 let e14 () =
   header "E14" "C10K serving over knet: crossings and copies per data path"
     "no direct number — §2.2 (consolidation) and §2.3 (shared buffers / \
      zero-copy) applied to a socket workload; claim under test is that \
      sendfile and ring batching beat naive read+send on both boundary \
      crossings and copied bytes, at byte-identical response streams";
-  let variants =
-    [ Workloads.Webserver.Net_naive; Workloads.Webserver.Net_consolidated;
-      Workloads.Webserver.Net_sendfile; Workloads.Webserver.Net_ring ]
-  in
   let conn_counts = if !smoke then [ sc 200; sc 2_000 ] else [ 100; 1_000; 10_000 ] in
   let cpu_counts = [ 1; 4 ] in
   pf "  %5s %6s %-13s %7s %6s %10s %12s %9s %9s %9s\n" "ncpus" "conns"
@@ -938,7 +959,7 @@ let e14 () =
                    ncpus conns
                    (Workloads.Webserver.net_variant_name v)
                    served completed drops crossings copied sent p50 p99 digest))
-            variants)
+            net_variants)
         conn_counts)
     cpu_counts;
   (* the paper's claims, at the largest population on one CPU *)
@@ -970,19 +991,11 @@ let e15 () =
      cheap enough to leave on; claim under test is that full span \
      tracing of the 10k-connection sweep costs <2% cycles enabled and \
      exactly 0 disabled";
-  let variants =
-    [ Workloads.Webserver.Net_naive; Workloads.Webserver.Net_consolidated;
-      Workloads.Webserver.Net_sendfile; Workloads.Webserver.Net_ring ]
-  in
   let conns = sc 10_000 in
   let run_cell v ~trace =
-    let t = Core.boot_with { Core.Config.default with trace = Some trace } in
-    let sys = Core.sys t in
-    let config =
-      { Workloads.Webserver.net_default_config with variant = v; conns }
+    let t, _ =
+      net_cell { Core.Config.default with trace = Some trace } v ~conns
     in
-    Workloads.Webserver.net_setup ~config sys;
-    ignore (Workloads.Webserver.run_net ~config sys);
     (Ksim.Kernel.now (Core.kernel t), Core.perf t)
   in
   pf "  %-13s %6s %14s %14s %9s %10s %8s\n" "variant" "conns" "cycles(off)"
@@ -1013,7 +1026,7 @@ let e15 () =
       in
       kperf_rows := row :: !kperf_rows;
       add_row "E15" row)
-    variants;
+    net_variants;
   (* the self-profile of the naive variant: where its cycles went *)
   (match List.assoc_opt "naive" !top_tables with
   | Some rows ->
@@ -1086,22 +1099,14 @@ let e16 () =
      costs <2% on the C10K sweep, disabled admission is cycle-identical, \
      and verified batches/compounds beat the watchdog path by >=1.2x";
   (* --- part 1: SFI gate overhead on the E14 webserver variants ------- *)
-  let variants =
-    [ Workloads.Webserver.Net_naive; Workloads.Webserver.Net_consolidated;
-      Workloads.Webserver.Net_sendfile; Workloads.Webserver.Net_ring ]
-  in
   let conns = sc 10_000 in
   let run_cell v ~verify ~automaton =
-    let t = Core.boot_with { Core.Config.default with verify } in
-    (match (automaton, Core.kverify t) with
-    | Some a, Some kv -> Core.Verify.set_automaton kv (Some a)
-    | _ -> ());
-    let sys = Core.sys t in
-    let config =
-      { Workloads.Webserver.net_default_config with variant = v; conns }
+    let prepare t =
+      match (automaton, Core.kverify t) with
+      | Some a, Some kv -> Core.Verify.set_automaton kv (Some a)
+      | _ -> ()
     in
-    Workloads.Webserver.net_setup ~config sys;
-    ignore (Workloads.Webserver.run_net ~config sys);
+    let t, _ = net_cell ~prepare { Core.Config.default with verify } v ~conns in
     (Ksim.Kernel.now (Core.kernel t), Core.kverify t)
   in
   pf "  %-13s %6s %14s %14s %9s %10s %6s\n" "variant" "conns" "cycles(off)"
@@ -1111,14 +1116,10 @@ let e16 () =
       let name = Workloads.Webserver.net_variant_name v in
       (* learn the automaton from a recorded run of the same workload *)
       let automaton =
-        let t = Core.boot_with Core.Config.default in
-        let rec_ = Core.trace t in
-        let config =
-          { Workloads.Webserver.net_default_config with variant = v; conns }
-        in
-        Workloads.Webserver.net_setup ~config (Core.sys t);
-        ignore (Workloads.Webserver.run_net ~config (Core.sys t));
-        Core.Verify.learn rec_
+        let rec_ = ref None in
+        let prepare t = rec_ := Some (Core.trace t) in
+        ignore (net_cell ~prepare Core.Config.default v ~conns);
+        Core.Verify.learn (Option.get !rec_)
       in
       let off, _ = run_cell v ~verify:None ~automaton:None in
       (* gate installed but no automaton set: must be cycle-identical *)
@@ -1143,7 +1144,7 @@ let e16 () =
             \"cycles_off\":%d,\"cycles_armed_empty\":%d,\"cycles_on\":%d,\
             \"overhead_pct\":%.4f,\"checked\":%d,\"violations\":%d}"
            name conns off off_armed on overhead checked viol))
-    variants;
+    net_variants;
   (* --- part 2: verified admission vs the dynamic watchdog path ------- *)
   let file_reqs total =
     Ksyscall.Syscall.Mkdir { path = "/r" }
@@ -1230,7 +1231,7 @@ let e17 () =
   let loop_cell ?(detach = false) cfg =
     let t = Core.boot_with cfg in
     let cx = Core.cosy t in
-    if detach then Cosy.Cosy_exec.set_optimizer cx None;
+    if detach then Cosy.Cosy_exec.set_admission cx None;
     let compound = getpid_compound iters in
     let slots, tm =
       Ksim.Kernel.timed (Core.kernel t) (fun () ->
@@ -1388,30 +1389,12 @@ let e17 () =
        first steady (Core.Opt.hits ko) (Core.Opt.misses ko)
        (Core.Opt.compiles ko));
   (* --- part 2: the E14 webserver sweep, optimizer off vs on ---------- *)
-  let variants =
-    [ Workloads.Webserver.Net_naive; Workloads.Webserver.Net_consolidated;
-      Workloads.Webserver.Net_sendfile; Workloads.Webserver.Net_ring ]
-  in
   let conns = sc 10_000 in
-  let net_cell v cfg =
-    let t = Core.boot_with cfg in
-    let sys = Core.sys t in
+  let opt_cell v cfg =
+    let t, r = net_cell ~core_ring:true cfg v ~conns in
     let kernel = Core.kernel t in
-    let config =
-      { Workloads.Webserver.net_default_config with
-        variant = v;
-        conns;
-        (* route the Net_ring submission ring through Core.ring so the
-           booted system's admission/optimization wiring attaches *)
-        make_ring = Some (fun _ -> Core.ring t) }
-    in
-    Workloads.Webserver.net_setup ~config sys;
-    let r = Workloads.Webserver.run_net ~config sys in
-    let copied =
-      Ksim.Kernel.bytes_from_user kernel + Ksim.Kernel.bytes_to_user kernel
-    in
     ( Ksim.Kernel.now kernel,
-      copied,
+      Ksim.Kernel.bytes_from_user kernel + Ksim.Kernel.bytes_to_user kernel,
       r.Workloads.Webserver.n_digest,
       Core.stats t )
   in
@@ -1420,8 +1403,8 @@ let e17 () =
   List.iter
     (fun v ->
       let name = Workloads.Webserver.net_variant_name v in
-      let off_cy, off_copied, off_dig, _ = net_cell v verify_cfg in
-      let on_cy, on_copied, on_dig, stats = net_cell v opt_cfg in
+      let off_cy, off_copied, off_dig, _ = opt_cell v verify_cfg in
+      let on_cy, on_copied, on_dig, stats = opt_cell v opt_cfg in
       let fused = find_counter stats "ring.opt.fused_pairs" in
       let cq_saved = find_counter stats "ring.opt.cq_bytes_saved" in
       let r = float_of_int off_cy /. float_of_int (max 1 on_cy) in
@@ -1441,7 +1424,7 @@ let e17 () =
             \"fused_pairs\":%d,\"cq_bytes_saved\":%d}"
            name conns off_cy on_cy r off_copied on_copied (off_dig = on_dig)
            fused cq_saved))
-    variants
+    net_variants
 
 (* -------------------------------------- E18: resilience under injected faults *)
 
@@ -1464,24 +1447,15 @@ let e18 () =
      failures; claim under test is that retry/backoff keeps every \
      data-path variant byte-identical under fault rates up to 1-in-4, \
      and that the disarmed fault engine costs zero cycles";
-  let variants =
-    [ Workloads.Webserver.Net_naive; Workloads.Webserver.Net_consolidated;
-      Workloads.Webserver.Net_sendfile; Workloads.Webserver.Net_ring ]
-  in
   let conns = sc 1_000 in
   let rates = [ 0; 64; 16; 4 ] in  (* 0 = disarmed; else Every_nth n *)
   let run_cell v ~rate ~shed =
-    let t = Core.boot_with Core.Config.default in
-    let sys = Core.sys t in
-    let config =
-      { Workloads.Webserver.net_default_config with variant = v; conns; shed }
+    let arm t =
+      if rate > 0 then
+        Kfault.arm (Core.fault t)
+          [ { Kfault.site = "net.wire_drop"; trigger = Kfault.Every_nth rate } ]
     in
-    Workloads.Webserver.net_setup ~config sys;
-    if rate > 0 then
-      Kfault.arm (Core.fault t)
-        [ { Kfault.site = "net.wire_drop"; trigger = Kfault.Every_nth rate } ];
-    let r = Workloads.Webserver.run_net ~config sys in
-    (t, r)
+    net_cell ~arm ~shed Core.Config.default v ~conns
   in
   pf "  %-13s %5s %5s %6s %9s %7s %6s %11s %14s %7s\n" "variant" "nth" "shed"
     "compl" "retrans" "backoff" "shed#" "cycles" "vs clean" "digest";
@@ -1552,7 +1526,7 @@ let e18 () =
       in
       kfault_rows := row :: !kfault_rows;
       add_row "E18" row)
-    variants;
+    net_variants;
   let oc = open_out "BENCH_kfault.json" in
   output_string oc "{\"experiment\":\"E18\",\"rows\":[";
   List.iteri

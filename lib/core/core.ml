@@ -87,6 +87,13 @@ module Config = struct
     }
 end
 
+(* The admission stage every {!cosy} and {!ring} instance gets. *)
+type admission = {
+  admit_compound :
+    Cosy.Cosy_exec.t -> Cosy.Compound.t -> Cosy.Cosy_exec.admission;
+  admit_ring : Ksyscall.Syscall.req list -> Kring.plan option;
+}
+
 type t = {
   cfg : Config.t;
   kernel : Ksim.Kernel.t;
@@ -98,6 +105,7 @@ type t = {
   kverify : Kverify.t option;
   kopt : Kopt.t option;
   kcrash : Kcrash.t option;
+  admission : admission option;
   mutable dispatcher : Kmonitor.Dispatcher.t option;
 }
 
@@ -228,6 +236,21 @@ let boot_with ?image (cfg : Config.t) =
       in
       Some (Kopt.create kv sys)
   in
+  (* the one place kopt is chosen over kverify: the optimizer subsumes
+     plain admission (it runs kverify itself with identical charges), so
+     installing both would charge admission twice per program *)
+  let admission =
+    match (kopt, kv) with
+    | Some ko, _ ->
+        Some
+          { admit_compound = Kopt.admit_compound ko;
+            admit_ring = Kopt.ring_plan ko }
+    | None, Some kv ->
+        Some
+          { admit_compound = Kverify.admit_compound kv;
+            admit_ring = Kverify.admit_ring kv }
+    | None, None -> None
+  in
   (* kcrash: oops containment at the kill sites, plus Kefence
      bookkeeping teardown so no guardian PTE outlives its owner *)
   let kc =
@@ -255,6 +278,7 @@ let boot_with ?image (cfg : Config.t) =
       kverify = kv;
       kopt;
       kcrash = kc;
+      admission;
       dispatcher = None;
     }
   in
@@ -301,27 +325,20 @@ let disable_monitoring t =
       t.dispatcher <- None
   | None -> ()
 
-(* A Cosy kernel extension bound to this system.  On a verifying system
-   the kverify admission checker attaches automatically, so verified
-   compounds run watchdog-elided. *)
+(* A Cosy kernel extension bound to this system.  On a verifying or
+   optimizing system the admission stage attaches automatically, so
+   admitted compounds run watchdog-elided (or compiled). *)
 let cosy ?shared_size ?policy ?user_program t =
   let cx = Cosy.Cosy_exec.create ?shared_size ?policy ?user_program t.sys in
-  (* the optimizer subsumes plain admission (it runs kverify itself);
-     attaching both would charge admission twice per compound *)
-  (match (t.kopt, t.kverify) with
-  | Some ko, _ -> Kopt.attach ko cx
-  | None, Some kv -> Kverify.attach_cosy kv cx
-  | None, None -> ());
+  Cosy.Cosy_exec.set_admission cx
+    (Option.map (fun a -> a.admit_compound cx) t.admission);
   cx
 
 (* A batched submission/completion ring bound to this system; same
    automatic admission wiring as {!cosy}. *)
 let ring ?sq_entries ?cq_entries ?shared_size ?policy t =
   let r = Kring.create ?sq_entries ?cq_entries ?shared_size ?policy t.sys in
-  (match (t.kopt, t.kverify) with
-  | Some ko, _ -> Kopt.attach_ring ko r
-  | None, Some kv -> Kring.set_verifier r (Some (Kverify.ring_verifier kv))
-  | None, None -> ());
+  Kring.set_admission r (Option.map (fun a -> a.admit_ring) t.admission);
   (* a contained oops discards the dying process's in-flight batches *)
   (match t.kcrash with
   | Some kc -> Kcrash.add_reaper kc (fun ~pid:_ -> Kring.discard_pending r)

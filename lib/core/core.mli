@@ -59,12 +59,12 @@ module Config : sig
     verify : Kverify.policy option;
         (** [Some p]: boot with a {!Kverify.t} installed as the dispatch
             gate under policy [p] (set an automaton to start enforcing)
-            and auto-attach admission checkers to {!cosy} and {!ring}
+            and install kverify admission on {!cosy} and {!ring}
             instances.  [None] (default): kverify entirely absent —
             zero cost, bit-for-bit identical execution. *)
     optimize : bool;
-        (** [true]: boot with a {!Kopt.t} that {!cosy} and {!ring}
-            attach instead of plain kverify admission — admitted
+        (** [true]: boot with a {!Kopt.t} whose admission {!cosy} and
+            {!ring} install instead of plain kverify admission — admitted
             programs compile into cached specialized plans (observably
             identical execution, cheaper accounting).  Implies a
             kverify instance: when [verify] is [None] one is created
@@ -182,7 +182,9 @@ val enable_monitoring : ?ring:bool -> t -> Kmonitor.Dispatcher.t
 
 val disable_monitoring : t -> unit
 
-(** A Cosy kernel extension bound to this system. *)
+(** A Cosy kernel extension bound to this system, with the system's
+    admission stage installed: kopt's when booted with [optimize],
+    else kverify's when booted with [verify], else none. *)
 val cosy :
   ?shared_size:int ->
   ?policy:Cosy.Cosy_safety.policy ->
@@ -191,7 +193,8 @@ val cosy :
   Cosy.Cosy_exec.t
 
 (** A batched submission/completion ring bound to this system (costs
-    the one-time setup crossing). *)
+    the one-time setup crossing), with the same admission stage as
+    {!cosy}. *)
 val ring :
   ?sq_entries:int ->
   ?cq_entries:int ->

@@ -9,6 +9,18 @@ exception Exec_error of string
 
 module Syscall = Ksyscall.Syscall
 
+(* What admission decided about a submitted compound.  [Dynamic]: run
+   it under the watchdog at the full per-op cost.  [Verified]: its loops
+   were proven bounded, so it runs on the cheaper per-op cost with the
+   watchdog elided.  [Compiled run]: it was admitted and compiled (or
+   found in a compiled-program cache); the thunk executes the
+   specialized program — observably identical results, cheaper
+   accounting — and returns (slots, ops executed, back-edges). *)
+type admission =
+  | Dynamic
+  | Verified
+  | Compiled of (unit -> int array * int * int)
+
 type t = {
   sys : Ksyscall.Systable.t;
   shared : Shared_buffer.t;
@@ -25,20 +37,11 @@ type t = {
   mutable ops_executed : int;
   mutable backedges : int;
   mutable user_calls : int;
-  (* kverify admission: when set, each submitted compound is statically
-     checked before execution; compounds that verify run with the
-     watchdog elided on the cheaper per-op cost.  [None] (the default)
-     is today's dynamic-only safety, bit-for-bit. *)
-  mutable verifier : (Compound.t -> bool) option;
+  (* the admission stage: when set, each submitted compound is judged
+     before the interpreter runs (see [admission]).  [None] (the
+     default) is today's dynamic-only safety, bit-for-bit. *)
+  mutable admit : (Compound.t -> admission) option;
   mutable watchdog_elisions : int;
-  (* kopt: when set, each submitted compound is offered to the optimizer
-     before the interpreter runs.  [Some run] means the compound was
-     admitted and compiled (or found in the compiled-program cache): the
-     thunk executes the specialized plan — observably identical results,
-     cheaper accounting — and returns (slots, ops executed, back-edges).
-     [None] falls back to the dynamic path below. *)
-  mutable optimizer :
-    (Compound.t -> (unit -> int array * int * int) option) option;
 }
 
 let create ?(shared_size = 65536) ?policy ?user_program sys =
@@ -81,15 +84,13 @@ let create ?(shared_size = 65536) ?policy ?user_program sys =
     ops_executed = 0;
     backedges = 0;
     user_calls = 0;
-    verifier = None;
+    admit = None;
     watchdog_elisions = 0;
-    optimizer = None;
   }
 
 let shared t = t.shared
 let safety t = t.safety
-let set_verifier t v = t.verifier <- v
-let set_optimizer t o = t.optimizer <- o
+let set_admission t a = t.admit <- a
 let watchdog_elisions t = t.watchdog_elisions
 
 (* Read a NUL-terminated string argument: immediate or from the shared
@@ -294,26 +295,19 @@ let submit t compound =
   Ksim.Kernel.enter_kernel kernel;
   Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.cosy_submit;
   Cosy_safety.arm t.safety;
-  (* kopt: an installed optimizer subsumes plain admission — it consults
-     kverify itself (charging identical admission costs), compiles the
-     admitted compound into a specialized program (or pulls it from the
-     per-process cache), and hands back an execution thunk.  [None]
-     (rejected, or analysis produced nothing usable) falls back to the
-     dynamic path below exactly as a rejected compound would. *)
-  let optimized =
-    match t.optimizer with None -> None | Some o -> o compound
+  (* admission: judge the compound before running a single op, inside
+     the kernel stay with the watchdog armed.  The hook charges its own
+     costs; anything it does not admit (including every compound when no
+     hook is installed) takes today's dynamic path. *)
+  let admission =
+    match t.admit with None -> Dynamic | Some admit -> admit compound
   in
-  (* kverify admission: statically check the compound before running a
-     single op.  A verified compound executes on the cheaper per-op cost
-     with the watchdog elided; anything else (including every compound
-     when no verifier is installed) takes today's dynamic path. *)
   let verified =
-    match (optimized, t.verifier) with
-    | Some _, _ | None, None -> false
-    | None, Some v ->
-        let ok = v compound in
-        if ok then t.watchdog_elisions <- t.watchdog_elisions + 1;
-        ok
+    match admission with
+    | Dynamic -> false
+    | Verified | Compiled _ ->
+        t.watchdog_elisions <- t.watchdog_elisions + 1;
+        true
   in
   let per_op_cost =
     if verified then cost.Ksim.Cost_model.cosy_exec_op_verified
@@ -326,18 +320,15 @@ let submit t compound =
   in
   let result =
     try
-      match optimized with
-      | Some run ->
-          (* the compiled program was admitted: like the verified path,
-             its loops are proven bounded, so the watchdog is elided *)
-          t.watchdog_elisions <- t.watchdog_elisions + 1;
+      match admission with
+      | Compiled run ->
           let slots, ops_run, backedges = run () in
           t.ops_executed <- t.ops_executed + ops_run;
           Kstats.add t.kstats t.st_ops ops_run;
           t.backedges <- t.backedges + backedges;
           Kstats.add t.kstats t.st_backedges backedges;
           slots
-      | None ->
+      | Dynamic | Verified ->
       let ops, slot_count =
         Compound.decode ~clock ~per_op:cost.Ksim.Cost_model.cosy_decode_op
           compound

@@ -409,34 +409,29 @@ let run_plan t cx (plan : Plan.t) =
   done;
   (slots, !ops_run, !backedges)
 
-(* --- attach points ------------------------------------------------------- *)
+(* --- admission hooks ----------------------------------------------------- *)
 
-let attach t cx =
+let admit_compound t cx =
   let shared_size = Sbuf.size (Cx.shared cx) in
-  Cx.set_optimizer cx
-    (Some
-       (fun compound ->
-         match try_plan t ~shared_size compound with
-         | None -> None
-         | Some plan -> Some (fun () -> run_plan t cx plan)))
+  fun compound ->
+    match try_plan t ~shared_size compound with
+    | None -> Cx.Dynamic
+    | Some plan -> Cx.Compiled (fun () -> run_plan t cx plan)
 
 let ring_plan t reqs =
-  if Kverify.ring_verifier t.kv reqs then begin
-    let arr = Array.of_list reqs in
-    let n = Array.length arr in
-    let fuse = Array.make n false in
-    let i = ref 0 in
-    while !i < n - 1 do
-      match (arr.(!i), arr.(!i + 1)) with
-      | Syscall.Recv { sock = s1; _ }, Syscall.Send { sock = s2; _ }
-        when s1 = s2 ->
-          fuse.(!i) <- true;
-          i := !i + 2
-      | _ -> incr i
-    done;
-    Some { Kring.fuse_next = fuse; coalesce_cq = true }
-  end
-  else None
-
-let attach_ring t ring =
-  Kring.set_optimizer ring (Some (fun reqs -> ring_plan t reqs))
+  match Kverify.admit_ring t.kv reqs with
+  | None -> None
+  | Some _ ->
+      let arr = Array.of_list reqs in
+      let n = Array.length arr in
+      let fuse = Array.make n false in
+      let i = ref 0 in
+      while !i < n - 1 do
+        match (arr.(!i), arr.(!i + 1)) with
+        | Syscall.Recv { sock = s1; _ }, Syscall.Send { sock = s2; _ }
+          when s1 = s2 ->
+            fuse.(!i) <- true;
+            i := !i + 2
+        | _ -> incr i
+      done;
+      Some { Kring.fuse_next = fuse; coalesce_cq = true }

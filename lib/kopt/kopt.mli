@@ -35,18 +35,18 @@ type t
     FIFO eviction). *)
 val create : ?cache_capacity:int -> Kverify.t -> Ksyscall.Systable.t -> t
 
-(** Install this optimizer on a Cosy extension
-    ([Cosy_exec.set_optimizer]).  Subsumes [Kverify.attach_cosy]: the
-    optimizer runs admission itself with identical charges. *)
-val attach : t -> Cosy.Cosy_exec.t -> unit
+(** The Cosy admission hook for [Cosy_exec.set_admission], in place of
+    [Kverify.admit_compound]: the optimizer runs admission itself with
+    identical charges, so installing both would charge it twice.  An
+    admitted compound comes back [Compiled] (from the cache or freshly
+    compiled); a rejected one [Dynamic]. *)
+val admit_compound :
+  t -> Cosy.Cosy_exec.t -> Cosy.Compound.t -> Cosy.Cosy_exec.admission
 
-(** Install this optimizer on a kring ([Kring.set_optimizer]): admitted
-    batches drain with recv→send pairs fused and the completion-region
-    copy-out coalesced away. *)
-val attach_ring : t -> Kring.t -> unit
-
-(** The ring-batch half of the optimizer, exposed for direct use:
-    admission (with charges) plus the batch plan, or [None] if the
+(** The kring admission hook for [Kring.set_admission], in place of
+    [Kverify.admit_ring]: admission (with identical charges) plus a
+    batch plan that fuses adjacent same-socket recv→send pairs and
+    coalesces the completion-region copy-out away, or [None] if the
     batch did not verify. *)
 val ring_plan : t -> Ksyscall.Syscall.req list -> Kring.plan option
 
@@ -54,7 +54,7 @@ val ring_plan : t -> Ksyscall.Syscall.req list -> Kring.plan option
     [kopt_cache_probe] always, admission + [kopt_compile_op] per op on a
     miss that verifies.  [None] means the compound was rejected — the
     caller should fall back to the dynamic path.  Exposed for tests and
-    tools; {!attach} wires it into submit. *)
+    tools; {!admit_compound} wires it into submit. *)
 val try_plan : t -> shared_size:int -> Cosy.Compound.t -> Plan.t option
 
 (** {1 Counters} (cache counters mirrored in kstats) *)

@@ -22,7 +22,8 @@ type completion = {
   reply : Syscall.reply;
 }
 
-(* What the kopt optimizer decides about an admitted batch.
+(* What admission decides about an accepted batch.  The empty plan
+   (no fused pairs, no coalescing) is plain verified admission.
    [fuse_next.(i)] marks batch position [i] as the first half of a
    splice-style pair (recv→send on one socket): both entries drain
    under a single [kopt_fused_op] dispatch charge instead of two
@@ -45,16 +46,12 @@ type t = {
   cq : completion Queue.t;
   mutable sq_bytes : int;             (* bump pointer into [shared] *)
   mutable next_seq : int;
-  (* kverify admission: when set, each batch's decoded requests are
-     statically checked before execution; batches that verify drain on
-     the cheap parse-in-place path (no per-entry copy_from_user, no
-     watchdog).  [None] (the default) is today's path, bit-for-bit. *)
-  mutable verifier : (Syscall.req list -> bool) option;
+  (* the admission stage: when set, each batch's decoded requests are
+     judged before execution; [Some plan] drains on the cheap
+     parse-in-place path (no per-entry copy_from_user, no watchdog).
+     [None] (the default) is today's path, bit-for-bit. *)
+  mutable admit : (Syscall.req list -> plan option) option;
   mutable watchdog_elisions : int;
-  (* kopt: when set, takes precedence over [verifier] — the optimizer
-     runs admission itself (charging identically) and returns the batch
-     plan, or [None] to fall back to the dynamic path. *)
-  mutable optimizer : (Syscall.req list -> plan option) option;
   mutable opt_fused : int;
   mutable opt_cq_saved : int;
   kstats : Kstats.t;
@@ -94,9 +91,8 @@ let create ?(sq_entries = 64) ?cq_entries ?(shared_size = 65536) ?policy sys =
       cq = Queue.create ();
       sq_bytes = 0;
       next_seq = 0;
-      verifier = None;
+      admit = None;
       watchdog_elisions = 0;
-      optimizer = None;
       opt_fused = 0;
       opt_cq_saved = 0;
       kstats;
@@ -137,8 +133,7 @@ let discard_pending t =
 let sq_entries t = t.sq_entries
 let cq_entries t = t.cq_entries
 let shared t = t.shared
-let set_verifier t v = t.verifier <- v
-let set_optimizer t o = t.optimizer <- o
+let set_admission t a = t.admit <- a
 let watchdog_elisions t = t.watchdog_elisions
 let fused_pairs t = t.opt_fused
 let cq_bytes_saved t = t.opt_cq_saved
@@ -199,49 +194,32 @@ let enter t =
     Ksim.Kernel.enter_kernel kernel;
     Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.cosy_submit;
     Cosy.Cosy_safety.arm t.safety;
-    (* kverify admission: statically check the queued requests before
-       the first one executes.  The verifier charges its own per-entry
-       admission cost; a batch that verifies drains parse-in-place from
-       the sealed SQ region — no per-entry copy_from_user, the cheap
-       [ring_verified_op] instead of a decode, and the watchdog elided
-       (a straight-line batch of validated requests cannot run away).
-       Any batch the verifier rejects — or that fails to decode at
-       admission — falls back to today's watchdog path bit-for-bit. *)
-    let decoded =
-      if t.verifier = None && t.optimizer = None then None
-      else
-        match
-          Queue.fold
-            (fun acc (_, off, len) ->
-              let wire = Cosy.Shared_buffer.read t.shared ~off ~len in
-              let req, (_ : int) = Syscall.decode_req wire ~off:0 in
-              req :: acc)
-            [] t.sq
-        with
-        | reqs -> Some (List.rev reqs)
-        | exception _ -> None
-    in
-    (* kopt: the optimizer subsumes plain admission (it consults kverify
-       itself, with identical charges) and additionally plans fused
-       recv→send pairs and completion-region coalescing. *)
+    (* admission: judge the queued requests before the first one
+       executes.  The hook charges its own per-entry admission cost; an
+       admitted batch drains parse-in-place from the sealed SQ region —
+       no per-entry copy_from_user, the cheap [ring_verified_op] instead
+       of a decode, and the watchdog elided (a straight-line batch of
+       validated requests cannot run away) — plus whatever fusion and
+       coalescing its plan asks for.  Any batch the hook rejects — or
+       that fails to decode at admission — falls back to today's
+       watchdog path bit-for-bit. *)
     let batch_plan =
-      match (t.optimizer, decoded) with
-      | Some o, Some reqs -> o reqs
-      | _ -> None
+      match t.admit with
+      | None -> None
+      | Some admit -> (
+          match
+            Queue.fold
+              (fun acc (_, off, len) ->
+                let wire = Cosy.Shared_buffer.read t.shared ~off ~len in
+                let req, (_ : int) = Syscall.decode_req wire ~off:0 in
+                req :: acc)
+              [] t.sq
+          with
+          | reqs -> admit (List.rev reqs)
+          | exception _ -> None)
     in
-    let verified =
-      match batch_plan with
-      | Some _ ->
-          t.watchdog_elisions <- t.watchdog_elisions + 1;
-          true
-      | None -> (
-          match (t.verifier, decoded) with
-          | Some v, Some reqs ->
-              let ok = v reqs in
-              if ok then t.watchdog_elisions <- t.watchdog_elisions + 1;
-              ok
-          | _ -> false)
-    in
+    let verified = Option.is_some batch_plan in
+    if verified then t.watchdog_elisions <- t.watchdog_elisions + 1;
     Kstats.incr t.kstats t.st_enters;
     let completed = ref 0 in
     let out_bytes = ref 0 in

@@ -55,16 +55,12 @@ val reap_all : t -> completion list
     reap: completions for every request, in submission order. *)
 val run_batch : t -> Ksyscall.Syscall.req list -> completion list
 
-(** Install/remove the kverify admission checker.  With a verifier set,
-    {!enter} statically checks the queued requests before executing any
-    of them: a batch that verifies drains on the cheap parse-in-place
-    path (no per-entry copy_from_user, [ring_verified_op] instead of a
-    decode, watchdog elided — preemption checkpoints still run); a batch
-    that doesn't falls back to today's watchdog path bit-for-bit.
-    [None] (the default) disables admission entirely. *)
-val set_verifier : t -> (Ksyscall.Syscall.req list -> bool) option -> unit
-
-(** The kopt optimizer's decision about an admitted batch. *)
+(** What admission decided about an accepted batch.  Every admitted
+    batch drains on the cheap parse-in-place path: no per-entry
+    copy_from_user, [ring_verified_op] instead of a decode, watchdog
+    elided (preemption checkpoints still run).  The empty plan
+    [{ fuse_next = [||]; coalesce_cq = false }] asks for nothing more —
+    plain verified admission. *)
 type plan = {
   fuse_next : bool array;
       (** [fuse_next.(i)]: batch position [i] starts a splice-style pair
@@ -78,11 +74,13 @@ type plan = {
           [ring.opt.cq_bytes_saved] instead of the copy counters. *)
 }
 
-(** Install/remove the kopt batch optimizer.  Takes precedence over the
-    verifier: the optimizer runs admission itself (with identical
-    charges) and returns the batch {!plan}, or [None] to fall back to
-    the plain (verifier/dynamic) path bit-for-bit. *)
-val set_optimizer :
+(** Install/remove the admission hook.  {!enter} decodes the queued
+    requests and hands them to the hook before executing any of them;
+    the hook charges its own admission costs.  [Some plan] admits the
+    batch under that {!plan}; [None] — or a batch that fails to decode —
+    falls back to today's watchdog path bit-for-bit.  [None] as the hook
+    (the default) disables admission entirely. *)
+val set_admission :
   t -> (Ksyscall.Syscall.req list -> plan option) option -> unit
 
 (** Batches admitted on the watchdog-elided path so far. *)

@@ -14,8 +14,7 @@
 
    Interposition (kverify's syscall-flow gate) therefore happens in
    exactly one place, whichever way a request reaches the kernel.  The
-   per-call functions below are thin builders over [invoke]; [dispatch]
-   and [dispatch_in_kernel] survive as aliases so callers don't churn.
+   per-call functions below are thin builders over [invoke].
 
    These are the "expensive" calls whose overhead the paper's both
    techniques — consolidation (§2.2) and Cosy (§2.3) — exist to avoid;
@@ -37,7 +36,7 @@ let path_bytes = Syscall.path_bytes
 
 (* The in-kernel half of every syscall: map a typed request to its
    service routine.  Precondition: kernel mode.  No boundary or copy
-   accounting happens here — [dispatch] (one crossing per call) and
+   accounting happens here — [invoke] (one crossing per call) and
    Kring.enter (one crossing per batch) layer that on differently. *)
 let service sys (req : Syscall.req) : Syscall.reply =
   let open Syscall in
@@ -283,10 +282,6 @@ let invoke ?(origin = Plain) sys (req : Syscall.req) : Syscall.reply =
       Kperf.span_end perf ~pid span;
       reply
 
-(* Historical entry points, now thin aliases over the choke point. *)
-let dispatch sys req = invoke ~origin:Plain sys req
-let dispatch_in_kernel sys req = invoke ~origin:Ring sys req
-
 (* --- reply extractors --------------------------------------------------- *)
 
 (* The builders preserve the historical per-call result types; a shape
@@ -343,86 +338,86 @@ let int_bytes_ok = function
 
 (* --- thin per-call builders --------------------------------------------- *)
 
-let sys_open sys ~path ~flags = int_ok (dispatch sys (Syscall.Open { path; flags }))
-let sys_close sys ~fd = unit_ok (dispatch sys (Syscall.Close { fd }))
-let sys_read sys ~fd ~len = bytes_ok (dispatch sys (Syscall.Read { fd; len }))
-let sys_write sys ~fd ~data = int_ok (dispatch sys (Syscall.Write { fd; data }))
+let sys_open sys ~path ~flags = int_ok (invoke sys (Syscall.Open { path; flags }))
+let sys_close sys ~fd = unit_ok (invoke sys (Syscall.Close { fd }))
+let sys_read sys ~fd ~len = bytes_ok (invoke sys (Syscall.Read { fd; len }))
+let sys_write sys ~fd ~data = int_ok (invoke sys (Syscall.Write { fd; data }))
 
 let sys_pread sys ~fd ~off ~len =
-  bytes_ok (dispatch sys (Syscall.Pread { fd; off; len }))
+  bytes_ok (invoke sys (Syscall.Pread { fd; off; len }))
 
 let sys_pwrite sys ~fd ~off ~data =
-  int_ok (dispatch sys (Syscall.Pwrite { fd; off; data }))
+  int_ok (invoke sys (Syscall.Pwrite { fd; off; data }))
 
 let sys_lseek sys ~fd ~off ~whence =
-  int_ok (dispatch sys (Syscall.Lseek { fd; off; whence }))
+  int_ok (invoke sys (Syscall.Lseek { fd; off; whence }))
 
-let sys_stat sys ~path = stat_ok (dispatch sys (Syscall.Stat { path }))
-let sys_fstat sys ~fd = stat_ok (dispatch sys (Syscall.Fstat { fd }))
-let sys_readdir sys ~path = dirents_ok (dispatch sys (Syscall.Readdir { path }))
-let sys_mkdir sys ~path = int_ok (dispatch sys (Syscall.Mkdir { path }))
-let sys_unlink sys ~path = unit_ok (dispatch sys (Syscall.Unlink { path }))
-let sys_rename sys ~src ~dst = unit_ok (dispatch sys (Syscall.Rename { src; dst }))
-let sys_fsync sys ~fd = unit_ok (dispatch sys (Syscall.Fsync { fd }))
+let sys_stat sys ~path = stat_ok (invoke sys (Syscall.Stat { path }))
+let sys_fstat sys ~fd = stat_ok (invoke sys (Syscall.Fstat { fd }))
+let sys_readdir sys ~path = dirents_ok (invoke sys (Syscall.Readdir { path }))
+let sys_mkdir sys ~path = int_ok (invoke sys (Syscall.Mkdir { path }))
+let sys_unlink sys ~path = unit_ok (invoke sys (Syscall.Unlink { path }))
+let sys_rename sys ~src ~dst = unit_ok (invoke sys (Syscall.Rename { src; dst }))
+let sys_fsync sys ~fd = unit_ok (invoke sys (Syscall.Fsync { fd }))
 
-(* getpid cannot fail; routed through [dispatch] like everything else so
+(* getpid cannot fail; routed through [invoke] like everything else so
    it shows up in the latency histograms. *)
 let sys_getpid sys =
-  match int_ok (dispatch sys Syscall.Getpid) with
+  match int_ok (invoke sys Syscall.Getpid) with
   | Ok pid -> pid
   | Error _ -> assert false
 
 (* --- consolidated wrappers (E1/E2) ------------------------------------- *)
 
 let sys_readdirplus sys ~path =
-  dirents_stats_ok (dispatch sys (Syscall.Readdirplus { path }))
+  dirents_stats_ok (invoke sys (Syscall.Readdirplus { path }))
 
 let sys_open_read_close sys ~path ~maxlen =
-  bytes_ok (dispatch sys (Syscall.Open_read_close { path; maxlen }))
+  bytes_ok (invoke sys (Syscall.Open_read_close { path; maxlen }))
 
 let sys_open_write_close sys ~path ~data ~flags =
-  int_ok (dispatch sys (Syscall.Open_write_close { path; data; flags }))
+  int_ok (invoke sys (Syscall.Open_write_close { path; data; flags }))
 
 let sys_sendfile sys ~fd ~off ~len =
-  int_ok (dispatch sys (Syscall.Sendfile { fd; off; len }))
+  int_ok (invoke sys (Syscall.Sendfile { fd; off; len }))
 
 let sys_open_fstat sys ~path ~flags =
-  fd_stat_ok (dispatch sys (Syscall.Open_fstat { path; flags }))
+  fd_stat_ok (invoke sys (Syscall.Open_fstat { path; flags }))
 
 (* --- socket wrappers (knet) --------------------------------------------- *)
 
 let sys_socket sys =
-  match int_ok (dispatch sys Syscall.Socket) with
+  match int_ok (invoke sys Syscall.Socket) with
   | Ok fd -> fd
   | Error _ -> assert false
 
-let sys_bind sys ~sock ~port = unit_ok (dispatch sys (Syscall.Bind { sock; port }))
+let sys_bind sys ~sock ~port = unit_ok (invoke sys (Syscall.Bind { sock; port }))
 
 let sys_listen sys ~sock ~backlog =
-  unit_ok (dispatch sys (Syscall.Listen { sock; backlog }))
+  unit_ok (invoke sys (Syscall.Listen { sock; backlog }))
 
-let sys_accept sys ~sock = int_ok (dispatch sys (Syscall.Accept { sock }))
-let sys_recv sys ~sock ~len = bytes_ok (dispatch sys (Syscall.Recv { sock; len }))
-let sys_send sys ~sock ~data = int_ok (dispatch sys (Syscall.Send { sock; data }))
+let sys_accept sys ~sock = int_ok (invoke sys (Syscall.Accept { sock }))
+let sys_recv sys ~sock ~len = bytes_ok (invoke sys (Syscall.Recv { sock; len }))
+let sys_send sys ~sock ~data = int_ok (invoke sys (Syscall.Send { sock; data }))
 
 let sys_epoll_create sys =
-  match int_ok (dispatch sys Syscall.Epoll_create) with
+  match int_ok (invoke sys Syscall.Epoll_create) with
   | Ok fd -> fd
   | Error _ -> assert false
 
 let sys_epoll_ctl sys ~ep ~sock ~add ~mask ~cookie =
-  unit_ok (dispatch sys (Syscall.Epoll_ctl { ep; sock; add; mask; cookie }))
+  unit_ok (invoke sys (Syscall.Epoll_ctl { ep; sock; add; mask; cookie }))
 
 let sys_epoll_wait sys ~ep ~max =
-  ready_ok (dispatch sys (Syscall.Epoll_wait { ep; max }))
+  ready_ok (invoke sys (Syscall.Epoll_wait { ep; max }))
 
 let sys_accept_recv sys ~sock ~len =
-  fd_bytes_ok (dispatch sys (Syscall.Accept_recv { sock; len }))
+  fd_bytes_ok (invoke sys (Syscall.Accept_recv { sock; len }))
 
 let sys_recv_send sys ~sock ~len ~data =
-  int_bytes_ok (dispatch sys (Syscall.Recv_send { sock; len; data }))
+  int_bytes_ok (invoke sys (Syscall.Recv_send { sock; len; data }))
 
 let sys_sendfile_sock sys ~sock ~fd ~off ~len =
-  int_ok (dispatch sys (Syscall.Sendfile_sock { sock; fd; off; len }))
+  int_ok (invoke sys (Syscall.Sendfile_sock { sock; fd; off; len }))
 
 let dirents_bytes = Syscall.dirents_bytes

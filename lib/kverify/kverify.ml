@@ -109,7 +109,7 @@ let gate t : Systable.gate =
 let install t sys = Systable.set_gate sys (gate t)
 let uninstall _t sys = Systable.clear_gate sys
 
-(* --- static admission verifiers ----------------------------------------- *)
+(* --- static admission ----------------------------------------------------- *)
 
 let admitted t ~ops =
   Ksim.Sim_clock.advance (Kernel.clock t.kernel)
@@ -120,8 +120,8 @@ let admitted t ~ops =
 (* One admission pass costs [verify_admit_op] per op — charged whether or
    not the program verifies (the checker read every op either way).  The
    verdict form returns the checker's analysis facts, which kopt needs
-   to compile the admitted program; the bool form is what plain
-   (non-optimizing) admission installs. *)
+   to compile the admitted program; the admission hooks below are what
+   plain (non-optimizing) admission installs. *)
 let compound_verdict t ~shared_size compound =
   match Checker.verify_compound ~shared_size compound with
   | Checker.Verified { ops; _ } as v ->
@@ -133,23 +133,25 @@ let compound_verdict t ~shared_size compound =
         * (Kernel.cost t.kernel).Ksim.Cost_model.verify_admit_op);
       v
 
-let compound_verifier t ~shared_size compound =
-  Checker.is_verified (compound_verdict t ~shared_size compound)
+let admit_compound t cx =
+  let shared_size = Cosy.Shared_buffer.size (Cosy.Cosy_exec.shared cx) in
+  fun compound ->
+    if Checker.is_verified (compound_verdict t ~shared_size compound) then
+      Cosy.Cosy_exec.Verified
+    else Cosy.Cosy_exec.Dynamic
 
-let ring_verifier t reqs =
+(* Plain ring admission is the empty plan: verified pricing, nothing
+   fused, the completion copy-out still charged. *)
+let admit_ring t reqs =
   match Checker.verify_reqs reqs with
   | Checker.Verified { ops; _ } ->
       admitted t ~ops;
-      true
+      Some { Kring.fuse_next = [||]; coalesce_cq = false }
   | Checker.Rejected _ ->
       Ksim.Sim_clock.advance (Kernel.clock t.kernel)
         (List.length reqs
         * (Kernel.cost t.kernel).Ksim.Cost_model.verify_admit_op);
-      false
-
-let attach_cosy t cx =
-  let shared_size = Cosy.Shared_buffer.size (Cosy.Cosy_exec.shared cx) in
-  Cosy.Cosy_exec.set_verifier cx (Some (compound_verifier t ~shared_size))
+      None
 
 (* --- learning ----------------------------------------------------------- *)
 

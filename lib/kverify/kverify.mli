@@ -56,25 +56,25 @@ val install : t -> Ksyscall.Systable.t -> unit
 
 val uninstall : t -> Ksyscall.Systable.t -> unit
 
-(** {1 Static admission} — both verifiers charge
-    [Cost_model.verify_admit_op] per op/request and bump
-    [kverify.watchdog_elided] on success. *)
+(** {1 Static admission} — every admission pass charges
+    [Cost_model.verify_admit_op] per op/request, verified or not, and
+    bumps [kverify.watchdog_elided] on success. *)
 
-(** Attach the compound checker to a Cosy extension
-    ([Cosy_exec.set_verifier]). *)
-val attach_cosy : t -> Cosy.Cosy_exec.t -> unit
+(** The Cosy admission hook for [Cosy_exec.set_admission], bounded by
+    the extension's shared buffer: [Verified] when the compound checks,
+    [Dynamic] otherwise. *)
+val admit_compound :
+  t -> Cosy.Cosy_exec.t -> Cosy.Compound.t -> Cosy.Cosy_exec.admission
 
-(** Batch verifier for [Kring.set_verifier]. *)
-val ring_verifier : t -> Ksyscall.Syscall.req list -> bool
+(** The kring admission hook for [Kring.set_admission]: a batch that
+    checks gets the empty plan (verified pricing, nothing fused, the
+    completion copy-out still charged); anything else [None]. *)
+val admit_ring : t -> Ksyscall.Syscall.req list -> Kring.plan option
 
-(** Compound verifier with an explicit shared-buffer bound (what
-    {!attach_cosy} installs). *)
-val compound_verifier : t -> shared_size:int -> Cosy.Compound.t -> bool
-
-(** Like {!compound_verifier} (same admission charges and counters) but
-    returning the full {!Checker.verdict}, whose [Verified] payload
-    carries the analysis facts (proven counted loops) the kopt
-    optimizer compiles against. *)
+(** One compound admission pass (same charges and counters as
+    {!admit_compound}) returning the full {!Checker.verdict}, whose
+    [Verified] payload carries the analysis facts (proven counted loops)
+    the kopt optimizer compiles against. *)
 val compound_verdict :
   t -> shared_size:int -> Cosy.Compound.t -> Checker.verdict
 

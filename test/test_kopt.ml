@@ -3,7 +3,7 @@
    execution observably identical to the interpreter — same result
    slots, shared-buffer bytes, file contents and errno values — while
    only the cycle accounting improves.  Plus the compiled-program
-   cache, the ring-batch plan, and the detached-optimizer identity. *)
+   cache, the ring-batch plan, and the detached-admission identity. *)
 
 module Op = Cosy.Cosy_op
 module Compound = Cosy.Compound
@@ -400,35 +400,67 @@ let test_rejected_compound_not_planned () =
     (Kopt.try_plan ko ~shared_size c = None);
   Alcotest.(check int) "nothing compiled" 0 (Core.Opt.compiles ko)
 
-(* --- the detached-optimizer identity ------------------------------------- *)
+(* --- the detached-admission identity ------------------------------------- *)
 
-let test_detached_optimizer_identity () =
+(* what a run actually recorded: the zero-valued metrics kverify and
+   kopt register at boot are not part of the comparison *)
+let recorded t =
+  List.filter
+    (fun (_, v) ->
+      match v with
+      | Kstats.Counter_v 0 | Kstats.Gauge_v { value = 0; max = 0 } -> false
+      | Kstats.Hist_v { Kstats.v_count = 0; _ } -> false
+      | _ -> true)
+    (Kstats.dump (Core.stats t))
+
+let test_detached_admission_identity () =
+  (* Cosy: an optimizing system whose extension has no admission stage
+     runs the dynamic path exactly like a system without kopt *)
   let compound = Compound.encode ~slot_count:4 (getpid_loop 100) in
   let _, r1, s1, cy1 = run_one Core.Config.default compound in
   let t = Core.boot_with { Core.Config.default with optimize = true } in
   let cx = Core.cosy ~shared_size t in
-  Exec.set_optimizer cx None;
-  let r2 = Ok (Exec.submit cx compound) in
-  ignore r2;
-  let (), tm =
-    Ksim.Kernel.timed (Core.kernel t) (fun () -> ignore (Exec.submit cx compound))
+  Exec.set_admission cx None;
+  let slots, tm =
+    Ksim.Kernel.timed (Core.kernel t) (fun () -> Exec.submit cx compound)
   in
-  ignore tm;
-  (* measure a fresh detached run on its own clock for exact identity *)
-  let t3 = Core.boot_with { Core.Config.default with optimize = true } in
-  let cx3 = Core.cosy ~shared_size t3 in
-  Exec.set_optimizer cx3 None;
-  let slots3 = ref [||] in
-  let (), tm3 =
-    Ksim.Kernel.timed (Core.kernel t3) (fun () ->
-        slots3 := Exec.submit cx3 compound)
-  in
-  Alcotest.(check (result (array int) string)) "slots" r1 (Ok !slots3);
+  Alcotest.(check (result (array int) string)) "slots" r1 (Ok slots);
   Alcotest.(check bool) "shared" true
     (s1
-    = Cosy.Shared_buffer.read_string (Exec.shared cx3) ~off:0 ~len:shared_size);
+    = Cosy.Shared_buffer.read_string (Exec.shared cx) ~off:0 ~len:shared_size);
   Alcotest.(check int) "cycle-identical to a system without kopt" cy1
-    tm3.Ksim.Kernel.elapsed
+    tm.Ksim.Kernel.elapsed;
+  (* kring: same identity, kstats included *)
+  let reqs =
+    List.concat
+      (List.init 8 (fun _ ->
+           [ Ksyscall.Syscall.Getpid; Ksyscall.Syscall.Readdir { path = "/" } ]))
+  in
+  let ring_run cfg ~detach =
+    Kstats.default_enabled := true;
+    let t =
+      Fun.protect
+        ~finally:(fun () -> Kstats.default_enabled := false)
+        (fun () -> Core.boot_with cfg)
+    in
+    let ring = Core.ring t in
+    if detach then Kring.set_admission ring None;
+    let replies =
+      List.map (fun c -> c.Kring.reply) (Kring.run_batch ring reqs)
+    in
+    (replies, Ksim.Kernel.now (Core.kernel t), recorded t)
+  in
+  let r_base, cy_base, st_base = ring_run Core.Config.default ~detach:false in
+  let r_det, cy_det, st_det =
+    ring_run { Core.Config.default with optimize = true } ~detach:true
+  in
+  Alcotest.(check bool) "ring replies" true (r_base = r_det);
+  Alcotest.(check int) "ring cycle-identical to a system without kopt" cy_base
+    cy_det;
+  Alcotest.(check bool) "ring kstats recorded" true (st_base <> []);
+  Alcotest.(check (list string)) "ring kstats names" (List.map fst st_base)
+    (List.map fst st_det);
+  Alcotest.(check bool) "ring kstats identical" true (st_base = st_det)
 
 (* --- the ring half -------------------------------------------------------- *)
 
@@ -612,6 +644,6 @@ let () =
       ( "identity",
         [
           Alcotest.test_case "detached optimizer is free" `Quick
-            test_detached_optimizer_identity;
+            test_detached_admission_identity;
         ] );
     ]

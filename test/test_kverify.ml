@@ -358,20 +358,37 @@ let test_rejected_compound_same_results () =
   Alcotest.(check int) "fell back to the watchdog path" 0 elided
 
 let test_verified_ring_cheaper_same_replies () =
-  let reqs = List.init 64 (fun _ -> Ksyscall.Syscall.Getpid) in
+  (* readdir replies carry payload bytes, so a coalesced completion
+     copy-out would show in [bytes_to_user] *)
+  let reqs =
+    List.concat
+      (List.init 32 (fun _ ->
+           [ Ksyscall.Syscall.Getpid; Ksyscall.Syscall.Readdir { path = "/" } ]))
+  in
   let run t =
+    ignore (Core.ok (Core.Syscall.sys_mkdir (Core.sys t) ~path:"/d"));
     let ring = Core.ring t in
     let replies =
       List.map (fun c -> c.Kring.reply) (Kring.run_batch ring reqs)
     in
-    (replies, Kring.watchdog_elisions ring, Ksim.Kernel.now (Core.kernel t))
+    let k = Core.kernel t in
+    ( replies,
+      ring,
+      Ksim.Kernel.now k,
+      Ksim.Kernel.bytes_to_user k )
   in
-  let r_off, el_off, cy_off = run (boot ()) in
-  let r_on, el_on, cy_on = run (boot ~policy:Core.Verify.Log ()) in
+  let r_off, ring_off, cy_off, out_off = run (boot ()) in
+  let r_on, ring_on, cy_on, out_on = run (boot ~policy:Core.Verify.Log ()) in
   Alcotest.(check bool) "same replies" true (r_off = r_on);
-  Alcotest.(check int) "no elision off" 0 el_off;
-  Alcotest.(check int) "elided on" 1 el_on;
-  Alcotest.(check bool) "verified batch cheaper" true (cy_on < cy_off)
+  Alcotest.(check int) "no elision off" 0 (Kring.watchdog_elisions ring_off);
+  Alcotest.(check int) "elided on" 1 (Kring.watchdog_elisions ring_on);
+  Alcotest.(check bool) "verified batch cheaper" true (cy_on < cy_off);
+  (* verify-only admission is the empty plan: nothing fused, nothing
+     coalesced, the completion copy-out charged exactly as unverified *)
+  Alcotest.(check int) "no fused pairs" 0 (Kring.fused_pairs ring_on);
+  Alcotest.(check int) "no CQ bytes saved" 0 (Kring.cq_bytes_saved ring_on);
+  Alcotest.(check bool) "replies carry payload" true (out_off > 0);
+  Alcotest.(check int) "same bytes copied to user" out_off out_on
 
 (* --- disabled verifier is bit-for-bit free ------------------------------ *)
 
