@@ -1,4 +1,4 @@
-.PHONY: all build test benchmark bench-compare bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
+.PHONY: all build test benchmark bench-compare bench-same bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
 
 all: build
 
@@ -23,6 +23,26 @@ bench-compare:
 # plus the BENCH_kstats.json artifact.
 bench-smoke:
 	dune exec bench/main.exe -- smoke
+
+# Byte-identity check for refactors that must not move a simulated
+# number: export revision BASE into a throwaway directory under
+# $(TMPDIR), run the smoke bench there and here, and compare stdout and
+# the four BENCH_*.json artifacts.  Exits 1 on any difference:
+# `make bench-same BASE=HEAD~1`.  Not part of `check` (it needs BASE).
+TMPDIR ?= /tmp
+BENCH_ARTIFACTS = BENCH_kstats.json BENCH_kperf.json BENCH_kfault.json BENCH_kcrash.json
+bench-same:
+	@test -n "$(BASE)" || { echo "usage: make bench-same BASE=<rev>"; exit 2; }
+	@base=$$(mktemp -d "$(TMPDIR)/bench-same.XXXXXX") && \
+	trap 'rm -rf "$$base"' EXIT && \
+	git archive "$(BASE)" | tar -x -C "$$base" && \
+	(cd "$$base" && dune exec --root . bench/main.exe -- smoke > smoke.out) && \
+	dune exec --root . bench/main.exe -- smoke > "$$base/smoke.here" && \
+	status=0 && \
+	{ cmp "$$base/smoke.out" "$$base/smoke.here" || status=1; } && \
+	for f in $(BENCH_ARTIFACTS); do cmp "$$base/$$f" "$$f" || status=1; done; \
+	if [ $$status = 0 ]; then echo "bench-same: identical to $(BASE)"; fi; \
+	exit $$status
 
 # The C10K serving experiment at full scale: 100/1k/10k connections,
 # four serving variants, 1 and 4 CPUs.  Takes a few minutes.

@@ -354,27 +354,26 @@ let trace t =
 (* A periodic kstats snapshot feed into the monitoring event stream. *)
 let stats_feed ?interval t = Kmonitor.Stats_feed.create ?interval t.kernel
 
-(* Mirror kperf span begin/end into the monitoring event stream. *)
+let span_begin = Ksim.Instrument.custom "kperf-span-begin"
+let span_end = Ksim.Instrument.custom "kperf-span-end"
+
+(* Mirror kperf span begin/end into the monitoring event stream through
+   the tracer's sink.  Instants stay out: they would double every
+   context switch in the stream. *)
 let perf_feed t =
-  let b = Kmonitor.Perf_bridge.create t.kernel in
-  Kmonitor.Perf_bridge.attach b;
-  b
-
-(* Mirror kfault fires into the monitoring event stream. *)
-let fault_feed t =
-  let f = Kmonitor.Fault_feed.create t.kernel in
-  Kmonitor.Fault_feed.attach f;
-  f
-
-(* Mirror kcrash events (oops/power-loss/recovery) into the monitoring
-   event stream; [None] when the system booted without a crash config. *)
-let crash_feed t =
-  Option.map
-    (fun kc ->
-      let f = Kmonitor.Crash_feed.create t.kernel kc in
-      Kmonitor.Crash_feed.attach f;
-      f)
-    t.kcrash
+  Kperf.set_sink (perf t)
+    (Some
+       (fun (ev : Kperf.event) ->
+         let emit kind =
+           Ksim.Instrument.emit ~pid:ev.Kperf.ev_pid ~obj:ev.Kperf.ev_id
+             ~value:ev.Kperf.ev_arg ~kind
+             ~file:(ev.Kperf.ev_cat ^ ":" ^ ev.Kperf.ev_name)
+             ~line:ev.Kperf.ev_cpu ()
+         in
+         match ev.Kperf.ev_kind with
+         | Kperf.Begin | Kperf.Async_begin -> emit span_begin
+         | Kperf.End | Kperf.Async_end -> emit span_end
+         | Kperf.Instant -> ()))
 
 (* The /proc-style metrics report for this system. *)
 let pp_stats ppf t = Kstats.pp_report ppf (stats t)

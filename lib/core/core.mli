@@ -210,20 +210,12 @@ val trace : t -> Ktrace.Recorder.t
     (requires {!enable_monitoring} for the events to flow). *)
 val stats_feed : ?interval:int -> t -> Kmonitor.Stats_feed.t
 
-(** Mirror kperf span begin/end events into the monitoring event stream
-    as Custom instrument events (requires {!enable_monitoring} for them
-    to reach the ring; see {!Kmonitor.Perf_bridge}). *)
-val perf_feed : t -> Kmonitor.Perf_bridge.t
-
-(** Mirror kfault fires into the monitoring event stream as Custom
-    instrument events (requires {!enable_monitoring} for them to reach
-    the ring; see {!Kmonitor.Fault_feed}). *)
-val fault_feed : t -> Kmonitor.Fault_feed.t
-
-(** Mirror kcrash events (contained oops, power loss, recovery) into
-    the monitoring event stream (see {!Kmonitor.Crash_feed}).  [None]
-    when the system booted without a crash config. *)
-val crash_feed : t -> Kmonitor.Crash_feed.t option
+(** Mirror kperf span begins and ends into the monitoring event stream
+    as ["kperf-span-begin"]/["kperf-span-end"] events, by installing
+    the tracer's sink (replacing any other).  Opt-in because spans are
+    high-volume; [Kperf.set_sink (perf t) None] detaches.  Requires
+    {!enable_monitoring} for the events to flow. *)
+val perf_feed : t -> unit
 
 (** Render the /proc-style metrics report for this system. *)
 val pp_stats : Format.formatter -> t -> unit

@@ -45,11 +45,6 @@ type oops_report = {
   o_ring : int;        (* in-flight ring/cosy entries discarded *)
 }
 
-type event =
-  | E_oops of oops_report
-  | E_power_loss of { torn : int; aborted : int }
-  | E_recovery of { replayed : int; errors : int }
-
 type counters = {
   st_oops : Kstats.counter;
   st_reaped_fds : Kstats.counter;
@@ -68,7 +63,6 @@ type t = {
   mutable counters : counters option;    (* lazy: first event registers *)
   mutable reapers : (pid:int -> int) list; (* subsystem state, e.g. rings *)
   mutable vm_observers : (int -> unit) list; (* freed vmalloc addresses *)
-  mutable sink : (event -> unit) option; (* Kmonitor.Crash_feed *)
   mutable reports : oops_report list;    (* newest first *)
 }
 
@@ -80,7 +74,6 @@ let create kernel sys =
     counters = None;
     reapers = [];
     vm_observers = [];
-    sink = None;
     reports = [];
   }
 
@@ -104,8 +97,14 @@ let counters t =
       t.counters <- Some c;
       c
 
-let set_sink t f = t.sink <- f
-let emit t ev = match t.sink with None -> () | Some f -> f ev
+(* Instrument kinds, declared once; see DESIGN.md's event-kind table. *)
+let oops_event = Ksim.Instrument.custom "kcrash-oops"
+let power_loss_event = Ksim.Instrument.custom "kcrash-power-loss"
+let recovery_event = Ksim.Instrument.custom "kcrash-recovery"
+
+let emit ?pid kind ~value ~reason =
+  Ksim.Instrument.emit ?pid ~obj:0 ~value ~kind ~file:("kcrash:" ^ reason)
+    ~line:0 ()
 
 (* Subsystems with per-kernel in-flight state (kring) register a reaper
    returning how many entries it discarded. *)
@@ -186,7 +185,10 @@ let oops t (p : Ksim.Kproc.t) ~reason =
     }
   in
   t.reports <- report :: t.reports;
-  emit t (E_oops report)
+  emit ~pid oops_event ~reason
+    ~value:
+      (fds + heap.Ksim.Kalloc.reaped_kmallocs + heap.Ksim.Kalloc.reaped_vmallocs
+     + locks + ring)
 
 let install t =
   Ksim.Kernel.set_reaper t.kernel (Some (fun p ~reason -> oops t p ~reason))
@@ -199,25 +201,17 @@ let oops_count t = List.length t.reports
 (* --- Front 2: recovery accounting ------------------------------------- *)
 
 (* Called by the reboot path after journalfs replay, with what the
-   replay salvaged.  Bumps the recovery counters and mirrors the
-   power-loss + recovery pair into the sink. *)
+   replay salvaged.  Bumps the recovery counters and emits the
+   power-loss + recovery event pair. *)
 let note_recovery t (info : Kvfs.Journalfs.recover_info) =
   let c = counters t in
   Kstats.incr t.kstats c.st_recoveries;
   Kstats.add t.kstats c.st_torn info.Kvfs.Journalfs.rec_torn;
   Kstats.add t.kstats c.st_replayed info.Kvfs.Journalfs.rec_replayed;
-  emit t
-    (E_power_loss
-       {
-         torn = info.Kvfs.Journalfs.rec_torn;
-         aborted = info.Kvfs.Journalfs.rec_aborted;
-       });
-  emit t
-    (E_recovery
-       {
-         replayed = info.Kvfs.Journalfs.rec_replayed;
-         errors = List.length info.Kvfs.Journalfs.rec_errors;
-       })
+  emit power_loss_event ~value:info.Kvfs.Journalfs.rec_torn
+    ~reason:"power-loss";
+  emit recovery_event ~value:info.Kvfs.Journalfs.rec_replayed
+    ~reason:"recovery"
 
 let pp_oops_report ppf r =
   Fmt.pf ppf

@@ -53,12 +53,6 @@ type oops_report = {
   o_ring : int;  (** in-flight ring entries discarded *)
 }
 
-(** Mirrored into the sink (Kmonitor's [Crash_feed]). *)
-type event =
-  | E_oops of oops_report
-  | E_power_loss of { torn : int; aborted : int }
-  | E_recovery of { replayed : int; errors : int }
-
 type t
 
 val create : Ksim.Kernel.t -> Ksyscall.Systable.t -> t
@@ -70,9 +64,10 @@ val install : t -> unit
 
 val uninstall : t -> unit
 
-(** The oops path itself: kill [p] and reap everything it held.  Calls
-    [force_user_mode] first — a process dying mid-syscall never returns
-    to the dispatcher's exit path. *)
+(** The oops path itself: kill [p] and reap everything it held, then
+    emit a ["kcrash-oops"] event.  Calls [force_user_mode] first — a
+    process dying mid-syscall never returns to the dispatcher's exit
+    path. *)
 val oops : t -> Ksim.Kproc.t -> reason:string -> unit
 
 (** Register a subsystem reaper (e.g. kring's [discard_pending]); it
@@ -85,12 +80,9 @@ val add_reaper : t -> (pid:int -> int) -> unit
 val attach_kefence : t -> Kefence.t -> unit
 
 (** Account a journalfs replay-on-mount: bumps [kcrash.recoveries],
-    [kcrash.torn_discarded] and [kcrash.replayed_records], and mirrors
-    an [E_power_loss]/[E_recovery] pair into the sink. *)
+    [kcrash.torn_discarded] and [kcrash.replayed_records], and emits a
+    ["kcrash-power-loss"]/["kcrash-recovery"] event pair. *)
 val note_recovery : t -> Kvfs.Journalfs.recover_info -> unit
-
-(** Event mirror for Kmonitor's [Crash_feed]; [None] disconnects. *)
-val set_sink : t -> (event -> unit) option -> unit
 
 (** Contained-oops reports, oldest first. *)
 val reports : t -> oops_report list

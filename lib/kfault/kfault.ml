@@ -34,26 +34,25 @@ type t = {
   mutable live : bool;  (* enabled && armed: the one hot-path load *)
   stats : Kstats.t option;
   now : unit -> int;
-  mutable perf : Kperf.t option;
+  on_fire : name:string -> occurrence:int -> unit;
   by_name : (string, site) Hashtbl.t;
   mutable sites_rev : site list;
   mutable plans : plan list;  (* the armed plan set, for late registration *)
-  mutable sink : (name:string -> occurrence:int -> unit) option;
   mutable st_fires : Kstats.counter option;  (* kfault.fires *)
 }
 
-let create ?(enabled = !default_enabled) ?stats ?(now = fun () -> 0) () =
+let create ?(enabled = !default_enabled) ?stats ?(now = fun () -> 0)
+    ?(on_fire = fun ~name:_ ~occurrence:_ -> ()) () =
   {
     enabled;
     armed = false;
     live = false;
     stats;
     now;
-    perf = None;
+    on_fire;
     by_name = Hashtbl.create 16;
     sites_rev = [];
     plans = [];
-    sink = None;
     st_fires = None;
   }
 
@@ -61,8 +60,6 @@ let relive t = t.live <- t.enabled && t.armed
 let set_enabled t v = t.enabled <- v; relive t
 let is_enabled t = t.enabled
 let is_armed t = t.armed
-let set_perf t p = t.perf <- p
-let set_sink t s = t.sink <- s
 
 (* splitmix64-style scramble on OCaml's native ints: good enough to
    decorrelate per-site streams and stable across runs. *)
@@ -146,12 +143,7 @@ let fired t s =
           let c = Kstats.counter st ("kfault." ^ s.s_name) in
           s.s_counter <- Some c;
           Kstats.incr st c));
-  (match t.perf with
-  | None -> ()
-  | Some p -> Kperf.instant p ~arg:s.s_occ ~cat:"kfault" ~name:s.s_name ());
-  match t.sink with
-  | None -> ()
-  | Some f -> f ~name:s.s_name ~occurrence:s.s_occ
+  t.on_fire ~name:s.s_name ~occurrence:s.s_occ
 
 let fire t s =
   if not t.live then false

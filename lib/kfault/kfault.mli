@@ -2,8 +2,8 @@
     threaded through the hot paths of every subsystem, armed with
     seeded, reproducible {e plans}.
 
-    The engine sits below ksim (its only dependencies are kstats and
-    kperf, like the tracer): subsystems register sites at creation time
+    The engine sits below ksim (its only dependency is kstats):
+    subsystems register sites at creation time
     and consult {!fire} at the exact point where the real kernel could
     fail — an exhausted slab, a bad sector, a dropped frame, a signal
     landing mid-syscall.  Disarmed (the default), every such probe is a
@@ -54,22 +54,20 @@ type plan = { site : string; trigger : trigger }
 
 (** [now] is the simulated clock (defaults to a constant, suitable for
     standalone tests); the kernel wires [Sim_clock.now].  Per-site and
-    aggregate fire counters register into [stats].  The engine emits a
-    kperf instant (cat ["kfault"]) per fire once {!set_perf} has wired
-    the tracer. *)
+    aggregate fire counters register into [stats].  [on_fire] runs with
+    the site name and the occurrence index on every fire; the kernel
+    wires it to a kperf instant (cat ["kfault"]) and a ["kfault-inject"]
+    instrument event. *)
 val create :
-  ?enabled:bool -> ?stats:Kstats.t -> ?now:(unit -> int) -> unit -> t
+  ?enabled:bool ->
+  ?stats:Kstats.t ->
+  ?now:(unit -> int) ->
+  ?on_fire:(name:string -> occurrence:int -> unit) ->
+  unit ->
+  t
 
 val set_enabled : t -> bool -> unit
 val is_enabled : t -> bool
-
-(** Wire the kperf tracer (the kernel calls this once the tracer
-    exists; sites may already be registered). *)
-val set_perf : t -> Kperf.t option -> unit
-
-(** Mirror hook: called with (site name, occurrence) on every fire
-    while armed (the Kmonitor fault feed installs itself here). *)
-val set_sink : t -> (name:string -> occurrence:int -> unit) option -> unit
 
 (** {1 Sites} *)
 
@@ -109,7 +107,7 @@ val is_armed : t -> bool
 (** [fire t s] is consulted at the fault site: [false] when disarmed
     (one branch, nothing touched), otherwise counts an occurrence and
     evaluates the site's trigger.  On fire it bumps [kfault.fires] and
-    the per-site counter, emits the kperf instant and calls the sink.
+    the per-site counter and calls [on_fire].
     Never advances the simulated clock. *)
 val fire : t -> site -> bool
 

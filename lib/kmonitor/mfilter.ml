@@ -8,13 +8,14 @@
 
      kinds [@ file-prefix] [obj=N] [value<N | value>N]
 
-   where [kinds] is a comma-separated list of event kinds or [*].
-   Examples:
+   where [kinds] is a comma-separated list of event kinds (as pp_kind
+   prints them, custom kinds included) or [*].  Examples:
 
      "ref-inc,ref-dec @ memfs"      every refcount op in memfs code
      "lock,unlock obj=3"            one particular lock
      "* value<0"                    anything whose value went negative
      "irq-disable,irq-enable"       interrupt balance only
+     "kfault-inject"                every injected fault
 
    [compile] turns a rule into a predicate; [subscribe] attaches the
    rule to a dispatcher, forwarding only matching events to a sink. *)
@@ -31,16 +32,16 @@ type t = {
 
 exception Bad_rule of string
 
-let kind_of_string = function
-  | "lock" -> Ksim.Instrument.Lock
-  | "unlock" -> Ksim.Instrument.Unlock
-  | "ref-inc" -> Ksim.Instrument.Ref_inc
-  | "ref-dec" -> Ksim.Instrument.Ref_dec
-  | "irq-disable" -> Ksim.Instrument.Irq_disable
-  | "irq-enable" -> Ksim.Instrument.Irq_enable
-  | "sem-down" -> Ksim.Instrument.Sem_down
-  | "sem-up" -> Ksim.Instrument.Sem_up
-  | s -> raise (Bad_rule (Printf.sprintf "unknown event kind %S" s))
+(* The inverse of [Instrument.pp_kind] over the built-in kinds and every
+   declared custom kind. *)
+let kind_of_string s =
+  match
+    List.find_opt
+      (fun k -> Fmt.str "%a" Ksim.Instrument.pp_kind k = s)
+      (Ksim.Instrument.kinds ())
+  with
+  | Some k -> k
+  | None -> raise (Bad_rule (Printf.sprintf "unknown event kind %S" s))
 
 let split_words s =
   String.split_on_char ' ' s |> List.filter (fun w -> w <> "")

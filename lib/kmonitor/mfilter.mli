@@ -7,12 +7,14 @@
     {v
       kinds [@ file-prefix] [obj=N] [value<N | value>N]
     v}
-    where [kinds] is a comma-separated list of event kinds or [*].
-    Examples:
+    where [kinds] is a comma-separated list of event kinds — any name
+    {!Ksim.Instrument.pp_kind} prints, built-in or declared with
+    {!Ksim.Instrument.custom} — or [*].  Examples:
     {v
       ref-inc,ref-dec @ memfs      every refcount op in memfs code
       lock,unlock obj=3            one particular lock
       * value<0                    anything whose value went negative
+      kfault-inject @ kfault:net   injected network faults
     v} *)
 
 type t

@@ -134,13 +134,12 @@ let hottest_locks m =
 
 (* --- network backpressure monitor --------------------------------------- *)
 
-(* Watches knet's backlog-overflow events (Custom kind 10, registered as
-   "net-backlog-drop"; the numeric value is a cross-library convention
-   like Stats_feed's snapshot kind 9).  The event's obj is the listening
-   port, its value the listener's running drop count — so the monitor can
-   name the hottest listening socket without a kernel-side scan. *)
+(* Watches knet's "net-backlog-drop" events.  The event's obj is the
+   listening port, its value the listener's running drop count — so the
+   monitor can name the hottest listening socket without a kernel-side
+   scan. *)
 
-let net_backlog_drop_kind = 10
+let net_backlog_drop = Ksim.Instrument.custom "net-backlog-drop"
 
 type net_monitor = {
   nm_state : (int, int) Hashtbl.t;   (* port -> drops observed *)
@@ -150,11 +149,10 @@ type net_monitor = {
 let net_monitor () = { nm_state = Hashtbl.create 8; nm_events = 0 }
 
 let net_callback m (ev : Ksim.Instrument.event) =
-  match ev.Ksim.Instrument.kind with
-  | Ksim.Instrument.Custom k when k = net_backlog_drop_kind ->
-      m.nm_events <- m.nm_events + 1;
-      Hashtbl.replace m.nm_state ev.Ksim.Instrument.obj ev.Ksim.Instrument.value
-  | _ -> ()
+  if ev.Ksim.Instrument.kind = net_backlog_drop then begin
+    m.nm_events <- m.nm_events + 1;
+    Hashtbl.replace m.nm_state ev.Ksim.Instrument.obj ev.Ksim.Instrument.value
+  end
 
 (* Listening ports by drop count, hottest first. *)
 let hottest_listeners m =

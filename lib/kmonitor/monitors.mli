@@ -62,12 +62,8 @@ val hottest_locks : contention_monitor -> (int * int * int) list
 
 (** {2 Network backpressure}
 
-    Watches knet's backlog-overflow events ([Custom] kind
-    [net_backlog_drop_kind], registered as ["net-backlog-drop"]): the
-    event's obj is the listening port, its value the listener's running
-    drop count. *)
-
-val net_backlog_drop_kind : int
+    Watches knet's ["net-backlog-drop"] events: the event's obj is the
+    listening port, its value the listener's running drop count. *)
 
 type net_monitor = {
   nm_state : (int, int) Hashtbl.t;  (** port -> drops observed *)

@@ -1,5 +1,5 @@
 (* Periodic kstats snapshots pushed into the event stream.  Each snapshot
-   emits one [Instrument.Custom] event per registered metric, so the
+   emits one ["kstats-snapshot"] event per registered metric, so the
    whole registry flows through the same log_event -> dispatcher -> ring
    path as lock and refcount events, and user space can reconstruct
    metric time series from the ring alone.
@@ -9,8 +9,7 @@
    [file] carries the metric name, and [line] the snapshot sequence
    number — the fields a real kernel feed would pack into its record. *)
 
-(* The kind code for snapshot events, in the Custom space. *)
-let snapshot_kind = 9
+let snapshot = Ksim.Instrument.custom "kstats-snapshot"
 
 type t = {
   kernel : Ksim.Kernel.t;
@@ -20,7 +19,6 @@ type t = {
 }
 
 let create ?(interval = 1_000_000) kernel =
-  Ksim.Instrument.register_custom_name snapshot_kind "kstats-snapshot";
   { kernel; interval; last = Ksim.Kernel.now kernel; snapshots = 0 }
 
 let snapshots t = t.snapshots
@@ -41,8 +39,7 @@ let emit t =
       | None -> ()
       | Some view ->
           Ksim.Instrument.emit ~obj:i ~value:(scalar_of_view view)
-            ~kind:(Ksim.Instrument.Custom snapshot_kind)
-            ~file:name ~line:t.snapshots ())
+            ~kind:snapshot ~file:name ~line:t.snapshots ())
     (Kstats.names stats)
 
 (* Called from wherever is convenient (timer tick, syscall exit, bench
@@ -52,7 +49,6 @@ let tick t =
 
 (* Is this event one of ours? Returns (metric name, scalar value). *)
 let decode (ev : Ksim.Instrument.event) =
-  match ev.Ksim.Instrument.kind with
-  | Ksim.Instrument.Custom n when n = snapshot_kind ->
-      Some (ev.Ksim.Instrument.file, ev.Ksim.Instrument.value)
-  | _ -> None
+  if ev.Ksim.Instrument.kind = snapshot then
+    Some (ev.Ksim.Instrument.file, ev.Ksim.Instrument.value)
+  else None

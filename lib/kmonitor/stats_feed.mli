@@ -1,8 +1,7 @@
 (** Periodic kstats snapshots pushed into the event stream.
 
-    Each snapshot emits one [Instrument.Custom] event per registered
-    metric (kind {!snapshot_kind}, printed as ["kstats-snapshot"]), so
-    the whole registry flows through the same
+    Each snapshot emits one ["kstats-snapshot"] event per registered
+    metric (see DESIGN.md's event-kind table), so the whole registry flows through the same
     log_event -> dispatcher -> ring path as lock and refcount events and
     user space can reconstruct metric time series from the ring alone.
 
@@ -10,9 +9,6 @@
     enabled), exactly like every other event source. *)
 
 type t
-
-(** The kind code used for snapshot events, in the [Custom] space. *)
-val snapshot_kind : int
 
 (** [create ?interval kernel] — [interval] is the minimum number of
     cycles between {!tick}-driven snapshots (default 1M). *)

@@ -18,9 +18,7 @@ let ep_in = 1
 let ep_out = 2
 let ep_hup = 4
 
-(* Custom instrument kind for backlog overflow (kstats snapshots use 9). *)
-let backlog_drop_kind = 10
-let () = Instrument.register_custom_name backlog_drop_kind "net-backlog-drop"
+let backlog_drop = Instrument.custom "net-backlog-drop"
 
 (* A byte FIFO over Buffer: append at the tail, consume a prefix. *)
 module Bq = struct
@@ -344,9 +342,8 @@ let connect_attempt t ~port ~client =
             (match port_state t port with
             | Some ps -> ps.ps_drops <- ps.ps_drops + 1
             | None -> ());
-            Instrument.emit ~obj:port ~value:l.l_drops
-              ~kind:(Instrument.Custom backlog_drop_kind) ~file:"knet.ml"
-              ~line:0 ();
+            Instrument.emit ~obj:port ~value:l.l_drops ~kind:backlog_drop
+              ~file:"knet.ml" ~line:0 ();
             Kperf.instant (Kernel.perf t.kn) ~arg:port ~cat:"net"
               ~name:"backlog_drop" ();
             C_drop lid

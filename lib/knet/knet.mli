@@ -97,8 +97,8 @@ val epoll_wait :
     The raw interface the traffic generator drives; exposed so unit
     tests can hand-craft wire activity.  [inject_connect] returns the
     new connection's socket id, or [None] when the backlog was full
-    (counted in [net.backlog_drops] and reported as an
-    [Instrument.Custom backlog_drop_kind] event naming the port). *)
+    (counted in [net.backlog_drops] and reported as a
+    ["net-backlog-drop"] event naming the port). *)
 
 val inject_connect : t -> port:int -> int option
 
@@ -111,10 +111,6 @@ val inject_connect_result : t -> port:int -> (int, Kvfs.Vtypes.errno) result
 val inject_bytes : t -> sock:int -> string -> int
 
 val inject_fin : t -> sock:int -> unit
-
-(** Kind number of the backlog-overflow instrument event (in the
-    [Instrument.Custom] space; registered as ["net-backlog-drop"]). *)
-val backlog_drop_kind : int
 
 (** {1 Traffic generation} *)
 

@@ -15,27 +15,28 @@ type kind =
   | Irq_enable
   | Sem_down
   | Sem_up
-  | Custom of int
+  | Custom of string  (* a subsystem-defined kind, declared by [custom] *)
 
-let kind_code = function
-  | Lock -> 1
-  | Unlock -> 2
-  | Ref_inc -> 3
-  | Ref_dec -> 4
-  | Irq_disable -> 5
-  | Irq_enable -> 6
-  | Sem_down -> 7
-  | Sem_up -> 8
-  | Contended -> 9
-  | Custom n -> 100 + n
+let builtin_kinds =
+  [ Lock; Unlock; Contended; Ref_inc; Ref_dec; Irq_disable; Irq_enable;
+    Sem_down; Sem_up ]
 
-(* Registration table for [Custom] kinds, so subsystem-defined events
-   (e.g. kstats snapshots) print under a meaningful name instead of
-   "custom-N".  Process-global, like the kind space itself. *)
-let custom_names : (int, string) Hashtbl.t = Hashtbl.create 8
+(* Every name declared through [custom], so rule languages can validate
+   kind names.  Process-global, like [log] itself. *)
+let custom_names : (string, unit) Hashtbl.t = Hashtbl.create 16
 
-let register_custom_name n name = Hashtbl.replace custom_names n name
-let custom_name n = Hashtbl.find_opt custom_names n
+(* Declare (idempotently) the subsystem-defined kind [name].  Emitters
+   call this once, when their module initialises, and keep the result:
+   emitting a named kind then costs no lookup and no allocation. *)
+let custom name =
+  Hashtbl.replace custom_names name ();
+  Custom name
+
+(* The built-in kinds, then every declared custom kind by name. *)
+let kinds () =
+  builtin_kinds
+  @ (Hashtbl.to_seq_keys custom_names |> List.of_seq |> List.sort compare
+    |> List.map (fun n -> Custom n))
 
 let pp_kind ppf k =
   let s =
@@ -49,10 +50,7 @@ let pp_kind ppf k =
     | Irq_enable -> "irq-enable"
     | Sem_down -> "sem-down"
     | Sem_up -> "sem-up"
-    | Custom n -> (
-        match custom_name n with
-        | Some name -> name
-        | None -> Printf.sprintf "custom-%d" n)
+    | Custom name -> name
   in
   Fmt.string ppf s
 

@@ -44,6 +44,8 @@ type t = {
 
 let user_heap_base_vpn = 0x400
 
+let kfault_inject = Instrument.custom "kfault-inject"
+
 let create ?(config = default_config) () =
   let clock = Sim_clock.create () in
   let kstats = Kstats.create ~enabled:!Kstats.default_enabled () in
@@ -79,14 +81,20 @@ let create ?(config = default_config) () =
   in
   Scheduler.set_perf sched perf;
   (* Like the tracer, the fault engine sits below ksim and gets the
-     clock as a closure.  Disarmed (always, until a harness arms a
-     plan) every site probe is one branch and nothing else runs. *)
+     clock as a closure, and each fire as one: a tracer instant plus a
+     "kfault-inject" event naming the site, valued at the occurrence.
+     Disarmed (always, until a harness arms a plan) every site probe is
+     one branch and nothing else runs. *)
   let fault =
     Kfault.create ~enabled:!Kfault.default_enabled ~stats:kstats
       ~now:(fun () -> Sim_clock.now clock)
+      ~on_fire:(fun ~name ~occurrence ->
+        Kperf.instant perf ~arg:occurrence ~cat:"kfault" ~name ();
+        Instrument.emit ~pid:(Scheduler.current sched).Kproc.pid ~obj:0
+          ~value:occurrence ~kind:kfault_inject ~file:("kfault:" ^ name)
+          ~line:0 ())
       ()
   in
-  Kfault.set_perf fault (Some perf);
   Kalloc.set_fault alloc fault;
   let k =
     {

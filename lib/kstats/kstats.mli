@@ -8,7 +8,7 @@
 
     Three export paths sit on top: {!pp_report} renders a /proc-style
     text table, {!to_json} serializes for the bench artifact, and
-    [Kmonitor.Stats_feed] turns snapshots into [Instrument.Custom]
+    [Kmonitor.Stats_feed] turns snapshots into ["kstats-snapshot"]
     events for user-space consumers. *)
 
 (** Kernels created while this is [true] boot with their registry

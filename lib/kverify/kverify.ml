@@ -5,8 +5,8 @@
    [Usyscall.invoke] choke point) and the static {!Checker} that admits
    compounds and ring batches onto the watchdog-elided fast path.  All
    observability flows through the kernel's existing rails: kstats
-   counters, kperf instants, and an [Instrument.Custom] event kind for
-   the kmonitor stream. *)
+   counters, kperf instants, and a ["sfi-violation"] instrument event
+   for the kmonitor stream. *)
 
 module Sysno = Ksyscall.Sysno
 module Systable = Ksyscall.Systable
@@ -24,8 +24,7 @@ type policy =
   | Deny  (** fail the syscall with [EPERM], process survives *)
   | Log   (** record the violation and let the syscall through *)
 
-let sfi_violation_kind = 13
-let () = Ksim.Instrument.register_custom_name sfi_violation_kind "sfi-violation"
+let sfi_violation = Ksim.Instrument.custom "sfi-violation"
 
 type t = {
   kernel : Kernel.t;
@@ -73,8 +72,7 @@ let violation t ~pid ~prev sysno =
     ~cat:"kverify" ~name:"sfi-violation" ();
   Ksim.Instrument.emit ~pid ~obj:(Sysno.to_int sysno)
     ~value:(match prev with Some p -> Sysno.to_int p | None -> -1)
-    ~kind:(Ksim.Instrument.Custom sfi_violation_kind)
-    ~file:__FILE__ ~line:__LINE__ ();
+    ~kind:sfi_violation ~file:__FILE__ ~line:__LINE__ ();
   match t.policy with
   | Kill ->
       (* the process dies; drop its flow state so a reused pid starts

@@ -14,8 +14,8 @@
 
     Observability: [kverify.checked] / [kverify.violations] /
     [kverify.watchdog_elided] kstats, a kperf instant per violation, and
-    [Instrument.Custom] kind {!sfi_violation_kind} on the kmonitor
-    stream. *)
+    an ["sfi-violation"] event on the kmonitor stream ([obj] = attempted
+    sysno, [value] = previous sysno or -1). *)
 
 module Sfi = Sfi
 module Checker = Checker
@@ -30,10 +30,6 @@ type policy =
   | Kill  (** terminate the offending process (default) *)
   | Deny  (** fail the syscall with [EPERM]; the process survives *)
   | Log   (** count + emit the violation, let the syscall through *)
-
-(** [Instrument.Custom] kind carrying SFI violations ([obj] = attempted
-    sysno, [value] = previous sysno or -1). *)
-val sfi_violation_kind : int
 
 type t
 

@@ -212,19 +212,6 @@ let test_kefence_guardians_reaped_with_kcrash () =
   | Some kc -> Alcotest.(check int) "oops recorded" 1 (Kcrash.oops_count kc)
   | None -> Alcotest.fail "no kcrash"
 
-let test_crash_feed_mirrors_oops () =
-  let t = boot_contained () in
-  let feed =
-    match Core.crash_feed t with
-    | Some f -> f
-    | None -> Alcotest.fail "no crash feed on a crash-configured system"
-  in
-  let kernel = Core.kernel t in
-  Ksim.Kernel.reap kernel (Ksim.Kernel.current kernel) ~reason:"test";
-  Alcotest.(check int) "oops mirrored" 1 (Kmonitor.Crash_feed.mirrored feed);
-  Alcotest.(check int) "kmonitor counter" 1
-    (find_counter (Core.stats t) "kmonitor.crash_feed.mirrored")
-
 (* --- Front 2: crash-consistent recovery -------------------------------- *)
 
 let mk_kernel () =
@@ -379,8 +366,6 @@ let () =
             test_watchdog_kill_reaps;
           Alcotest.test_case "ring state discarded" `Quick
             test_ring_discard_on_oops;
-          Alcotest.test_case "crash feed mirrors oops" `Quick
-            test_crash_feed_mirrors_oops;
         ] );
       ( "kefence-regression",
         [

@@ -1,7 +1,9 @@
 (* Tests for the event-monitoring framework: the lock-free ring buffer
    (including a cross-domain property test), the dispatcher, the
-   character device, libkernevents, the invariant monitors, and the disk
-   logger. *)
+   character device, libkernevents, the invariant monitors, the rule
+   language, every named event source, and the disk logger. *)
+
+let kind_name k = Fmt.str "%a" Ksim.Instrument.pp_kind k
 
 let ev ?(obj = 1) ?(value = 0) ?(kind = Ksim.Instrument.Lock) ?(file = "f")
     ?(line = 0) ?(pid = 0) () =
@@ -260,13 +262,11 @@ let test_libkernevents_drop_stats () =
 (* --- custom event names -------------------------------------------------- *)
 
 let test_custom_event_names () =
-  Ksim.Instrument.register_custom_name 42 "my-subsystem-event";
-  Alcotest.(check string) "registered name" "my-subsystem-event"
-    (Fmt.str "%a" Ksim.Instrument.pp_kind (Ksim.Instrument.Custom 42));
-  Alcotest.(check string) "unregistered fallback" "custom-41"
-    (Fmt.str "%a" Ksim.Instrument.pp_kind (Ksim.Instrument.Custom 41));
-  Alcotest.(check (option string)) "lookup" (Some "my-subsystem-event")
-    (Ksim.Instrument.custom_name 42)
+  let k = Ksim.Instrument.custom "my-subsystem-event" in
+  Alcotest.(check string) "printed by name" "my-subsystem-event" (kind_name k);
+  Alcotest.(check bool) "idempotent" true
+    (Ksim.Instrument.custom "my-subsystem-event" = k);
+  Alcotest.(check bool) "declared" true (List.mem k (Ksim.Instrument.kinds ()))
 
 (* --- stats feed ---------------------------------------------------------- *)
 
@@ -291,9 +291,11 @@ let test_stats_feed () =
     (List.length (Kstats.names (Ksim.Kernel.stats kernel)))
     (List.length metrics);
   Alcotest.(check bool) "snapshot kind named" true
-    (Fmt.str "%a" Ksim.Instrument.pp_kind
-       (Ksim.Instrument.Custom Kmonitor.Stats_feed.snapshot_kind)
-    = "kstats-snapshot");
+    (List.for_all
+       (fun e ->
+         Kmonitor.Stats_feed.decode e = None
+         || kind_name e.Ksim.Instrument.kind = "kstats-snapshot")
+       events);
   Alcotest.(check bool) "kernel.crossings captured" true
     (match List.assoc_opt "kernel.crossings" metrics with
     | Some v -> v >= 1
@@ -362,14 +364,14 @@ let test_irq_monitor () =
 let test_net_monitor () =
   let m = Kmonitor.Monitors.net_monitor () in
   let cb = Kmonitor.Monitors.net_callback m in
-  let kind = Ksim.Instrument.Custom Kmonitor.Monitors.net_backlog_drop_kind in
+  let kind = Ksim.Instrument.custom "net-backlog-drop" in
   (* the event's value carries the listener's running total: replace,
      don't accumulate *)
   cb (ev ~obj:80 ~value:1 ~kind ());
   cb (ev ~obj:80 ~value:2 ~kind ());
   cb (ev ~obj:8080 ~value:1 ~kind ());
   (* other custom kinds are not ours *)
-  cb (ev ~obj:99 ~value:7 ~kind:(Ksim.Instrument.Custom 11) ());
+  cb (ev ~obj:99 ~value:7 ~kind:(Ksim.Instrument.custom "kperf-span-begin") ());
   Alcotest.(check int) "events" 3 m.Kmonitor.Monitors.nm_events;
   (match Kmonitor.Monitors.hottest_listeners m with
   | (port, drops) :: _ ->
@@ -392,11 +394,7 @@ let test_net_monitor () =
   Kmonitor.Dispatcher.uninstall d;
   Alcotest.(check (list (pair int int)))
     "monitor names the hot listener" [ (80, 2) ]
-    (Kmonitor.Monitors.hottest_listeners std.Kmonitor.Monitors.net);
-  Alcotest.(check bool) "drop kind registered by name" true
-    (Fmt.str "%a" Ksim.Instrument.pp_kind
-       (Ksim.Instrument.Custom Knet.backlog_drop_kind)
-    = "net-backlog-drop")
+    (Kmonitor.Monitors.hottest_listeners std.Kmonitor.Monitors.net)
 
 let test_standard_monitors_end_to_end () =
   let kernel = Ksim.Kernel.create () in
@@ -447,6 +445,29 @@ let test_mfilter_bad_rules () =
   bad "* obj=banana";
   bad "* @"
 
+(* The rule language names exactly what pp_kind prints: every built-in
+   kind and every declared custom kind parses back to itself and matches
+   nothing else. *)
+let test_mfilter_kind_roundtrip () =
+  let kinds = Ksim.Instrument.kinds () in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " declared") true
+        (List.exists (fun k -> kind_name k = name) kinds))
+    [ "contended"; "kstats-snapshot"; "net-backlog-drop"; "sfi-violation";
+      "kfault-inject"; "kcrash-oops"; "kcrash-power-loss"; "kcrash-recovery";
+      "kperf-span-begin"; "kperf-span-end" ];
+  List.iter
+    (fun k ->
+      let rule = Kmonitor.Mfilter.compile (kind_name k) in
+      List.iter
+        (fun k' ->
+          Alcotest.(check bool)
+            (Fmt.str "%s vs %s" (kind_name k) (kind_name k'))
+            (k = k') (rule (ev ~kind:k' ())))
+        kinds)
+    kinds
+
 let test_mfilter_subscribe () =
   let _, d = mk_dispatcher () in
   let negatives = ref 0 in
@@ -456,6 +477,114 @@ let test_mfilter_subscribe () =
   Kmonitor.Dispatcher.log_event d (ev ~value:(-2) ~kind:Ksim.Instrument.Ref_dec ());
   Kmonitor.Dispatcher.log_event d (ev ~value:(-2) ~kind:Ksim.Instrument.Lock ());
   Alcotest.(check int) "only the matching event" 1 !negatives
+
+(* --- one event plane ------------------------------------------------------- *)
+
+(* Each named source, triggered once, paired with the custom events it
+   must put on the stream: (kind, pid, obj, value, file basename). *)
+let event_sources =
+  let pid t = (Ksim.Kernel.current (Core.kernel t)).Ksim.Kproc.pid in
+  [
+    ( "knet backlog drop",
+      fun () ->
+        let net = Knet.create (Ksim.Kernel.create ()) in
+        let s = Knet.socket net in
+        ignore (Knet.bind net ~sock:s ~port:80);
+        ignore (Knet.listen net ~sock:s ~backlog:1);
+        ignore (Knet.inject_connect net ~port:80);
+        ignore (Knet.inject_connect net ~port:80);
+        [ ("net-backlog-drop", 0, 80, 1, "knet.ml") ] );
+    ( "kverify Log violation",
+      fun () ->
+        let t =
+          Core.boot_with
+            { Core.Config.default with verify = Some Core.Verify.Log }
+        in
+        Core.Verify.set_automaton
+          (Option.get (Core.kverify t))
+          (Some (Kverify.Sfi.of_edges [ (Core.Sysno.Mkdir, Core.Sysno.Open) ]));
+        ignore (Core.ok (Core.Syscall.sys_mkdir (Core.sys t) ~path:"/d"));
+        ignore (Core.ok (Core.Syscall.sys_mkdir (Core.sys t) ~path:"/d/e"));
+        let mkdir = Core.Sysno.to_int Core.Sysno.Mkdir in
+        [ ("sfi-violation", pid t, mkdir, mkdir, "kverify.ml") ] );
+    ( "kfault once:1 fire",
+      fun () ->
+        let t = Core.boot_with Core.Config.default in
+        Kfault.arm (Core.fault t)
+          [ { Kfault.site = "syscall.eintr"; trigger = Kfault.One_shot 1 } ];
+        ignore (Core.ok (Core.Syscall.sys_mkdir (Core.sys t) ~path:"/d"));
+        [ ("kfault-inject", pid t, 0, 1, "kfault:syscall.eintr") ] );
+    ( "kcrash oops",
+      fun () ->
+        let t =
+          Core.boot_with
+            { Core.Config.default with
+              crash = Some { Core.Crash.contain = true; durable = false } }
+        in
+        let victim = pid t in
+        ignore
+          (Core.ok
+             (Core.Syscall.sys_open (Core.sys t) ~path:"/held"
+                ~flags:Core.o_create));
+        Ksim.Kernel.reap (Core.kernel t)
+          (Ksim.Kernel.current (Core.kernel t))
+          ~reason:"test";
+        let r = List.hd (Kcrash.reports (Option.get (Core.kcrash t))) in
+        let reaped =
+          r.Kcrash.o_fds + r.Kcrash.o_kmallocs + r.Kcrash.o_vmallocs
+          + r.Kcrash.o_locks + r.Kcrash.o_ring
+        in
+        Alcotest.(check bool) "the open file was reaped" true (reaped >= 1);
+        [ ("kcrash-oops", victim, 0, reaped, "kcrash:test") ] );
+    ( "Core.reboot recovery",
+      fun () ->
+        let t =
+          Core.boot_with
+            { Core.Config.default with
+              fs = Core.Journalfs;
+              crash = Some { Core.Crash.contain = true; durable = true } }
+        in
+        ignore
+          (Core.ok
+             (Core.Syscall.sys_open_write_close (Core.sys t) ~path:"/f"
+                ~data:(Bytes.of_string "x") ~flags:Core.o_create));
+        let t2 = Core.reboot t in
+        let info =
+          Option.get
+            (Kvfs.Journalfs.last_recover (Option.get (Core.journalfs t2)))
+        in
+        [
+          ("kcrash-power-loss", 0, 0, info.Kvfs.Journalfs.rec_torn,
+           "kcrash:power-loss");
+          ("kcrash-recovery", 0, 0, info.Kvfs.Journalfs.rec_replayed,
+           "kcrash:recovery");
+        ] );
+  ]
+
+let test_every_source_reaches_stream () =
+  let show (kind, pid, obj, value, file) =
+    Fmt.str "%s pid=%d obj=%d value=%d file=%s" kind pid obj value file
+  in
+  List.iter
+    (fun (source, trigger) ->
+      let _, d = mk_dispatcher () in
+      let seen = ref [] in
+      Kmonitor.Dispatcher.register d ~name:"capture" (fun e ->
+          match e.Ksim.Instrument.kind with
+          | Ksim.Instrument.Custom _ -> seen := e :: !seen
+          | _ -> ());
+      Kmonitor.Dispatcher.install d;
+      let expected =
+        Fun.protect ~finally:(fun () -> Kmonitor.Dispatcher.uninstall d) trigger
+      in
+      Alcotest.(check (list string)) source (List.map show expected)
+        (List.rev_map
+           (fun (e : Ksim.Instrument.event) ->
+             show
+               ( kind_name e.kind, e.pid, e.obj, e.value,
+                 Filename.basename e.file ))
+           !seen))
+    event_sources
 
 (* --- disk logger ----------------------------------------------------------- *)
 
@@ -532,7 +661,14 @@ let () =
         [
           Alcotest.test_case "parse+match" `Quick test_mfilter_parse_and_match;
           Alcotest.test_case "bad rules" `Quick test_mfilter_bad_rules;
+          Alcotest.test_case "kind round trip" `Quick
+            test_mfilter_kind_roundtrip;
           Alcotest.test_case "subscribe" `Quick test_mfilter_subscribe;
+        ] );
+      ( "event-plane",
+        [
+          Alcotest.test_case "every source reaches the stream" `Quick
+            test_every_source_reaches_stream;
         ] );
       ( "disk-logger",
         [

@@ -249,25 +249,25 @@ let test_perf_bridge () =
   @@ fun () ->
   let t = Core.boot_with Core.Config.default in
   let d = Core.enable_monitoring t in
-  let bridge = Core.perf_feed t in
-  let seen = ref 0 in
+  Fun.protect ~finally:(fun () -> Core.disable_monitoring t) @@ fun () ->
+  Core.perf_feed t;
+  let span_begin = Ksim.Instrument.custom "kperf-span-begin" in
+  let span_end = Ksim.Instrument.custom "kperf-span-end" in
+  let begins = ref 0 and ends = ref 0 in
   Kmonitor.Dispatcher.register d ~name:"count" (fun ev ->
-      match ev.Ksim.Instrument.kind with
-      | Ksim.Instrument.Custom k
-        when k = Kmonitor.Perf_bridge.span_begin_kind
-             || k = Kmonitor.Perf_bridge.span_end_kind ->
-          incr seen
-      | _ -> ());
+      if ev.Ksim.Instrument.kind = span_begin then incr begins
+      else if ev.Ksim.Instrument.kind = span_end then incr ends);
   let sys = Core.sys t in
   let fd = Core.ok (Core.Syscall.sys_open sys ~path:"/f" ~flags:Core.o_create) in
   Core.ok (Core.Syscall.sys_close sys ~fd);
   Alcotest.(check bool) "spans mirrored into the event stream" true
-    (!seen > 0 && Kmonitor.Perf_bridge.mirrored bridge = !seen);
-  Kmonitor.Perf_bridge.detach bridge;
-  let before = !seen in
+    (!begins > 0);
+  Alcotest.(check int) "every begin has its end" !begins !ends;
+  Kperf.set_sink (Core.perf t) None;
+  let before = !begins + !ends in
   let fd = Core.ok (Core.Syscall.sys_open sys ~path:"/g" ~flags:Core.o_create) in
   Core.ok (Core.Syscall.sys_close sys ~fd);
-  Alcotest.(check int) "detach stops the mirror" before !seen
+  Alcotest.(check int) "detach stops the mirror" before (!begins + !ends)
 
 let () =
   Alcotest.run "kperf"
