@@ -27,10 +27,14 @@ bench-smoke:
 # Byte-identity check for refactors that must not move a simulated
 # number: export revision BASE into a throwaway directory under
 # $(TMPDIR), run the smoke bench there and here, and compare stdout and
-# the four BENCH_*.json artifacts.  Exits 1 on any difference:
-# `make bench-same BASE=HEAD~1`.  Not part of `check` (it needs BASE).
+# the four BENCH_*.json artifacts; then run every workload benchmark
+# briefly in both trees and diff its deterministic sim_* lines.  Exits 1
+# on any difference: `make bench-same BASE=HEAD~1`.  Not part of `check`
+# (it needs BASE).
 TMPDIR ?= /tmp
 BENCH_ARTIFACTS = BENCH_kstats.json BENCH_kperf.json BENCH_kfault.json BENCH_kcrash.json
+BENCH_WORKLOADS = c10k_naive c10k_ring_opt postmark_smp4 cosy_db
+BENCH_SIM = dune exec --root . --display quiet benchmark/main.exe -- --seed 1 --seconds 2 --trace 0 --workload
 bench-same:
 	@test -n "$(BASE)" || { echo "usage: make bench-same BASE=<rev>"; exit 2; }
 	@base=$$(mktemp -d "$(TMPDIR)/bench-same.XXXXXX") && \
@@ -41,6 +45,12 @@ bench-same:
 	status=0 && \
 	{ cmp "$$base/smoke.out" "$$base/smoke.here" || status=1; } && \
 	for f in $(BENCH_ARTIFACTS); do cmp "$$base/$$f" "$$f" || status=1; done; \
+	for w in $(BENCH_WORKLOADS); do \
+	  (cd "$$base" && $(BENCH_SIM) $$w) | grep ' sim_' > "$$base/$$w.base"; \
+	  $(BENCH_SIM) $$w | grep ' sim_' > "$$base/$$w.here"; \
+	  test -s "$$base/$$w.here" || { echo "bench-same: no sim_* lines for $$w"; status=1; }; \
+	  diff "$$base/$$w.base" "$$base/$$w.here" || status=1; \
+	done; \
 	if [ $$status = 0 ]; then echo "bench-same: identical to $(BASE)"; fi; \
 	exit $$status
 

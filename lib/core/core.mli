@@ -73,11 +73,11 @@ module Config : sig
             (default): kopt entirely absent. *)
     crash : Kcrash.config option;
         (** [Some c]: boot with a {!Kcrash.t}.  [c.contain] installs the
-            oops reaper at the kill sites (the kverify [Kill] policy,
-            the Cosy and kring watchdogs, kernel-mode memory faults), so
-            a crashing process is destroyed with everything it held —
-            fds, heap, locks, in-flight ring state — reaped, and every
-            other process untouched.  [c.durable] puts journalfs (when
+            oops reaper behind every kill (the kverify [Kill] policy,
+            the Cosy and kring watchdogs, kernel-mode memory faults) on
+            every entry path, so a crashing process is destroyed with
+            everything it held — fds, heap, locks, in-flight ring
+            state — reaped, and every other process untouched.  [c.durable] puts journalfs (when
             [fs] is a Journalfs flavor) in write-ahead mode: mutating
             ops log intent/commit records to the persistent device
             image, and a mount from a survivor image replays them (see

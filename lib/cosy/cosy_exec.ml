@@ -239,7 +239,7 @@ let do_syscall t slots sysno args =
   let perf = Ksim.Kernel.perf (Ksyscall.Systable.kernel t.sys) in
   let span = Kperf.span_begin perf ~cat:"cosy" ~name:("sys." ^ name) () in
   let reply =
-    match Ksyscall.Usyscall.invoke ~origin:Ksyscall.Usyscall.Compound t.sys req with
+    match Ksyscall.Usyscall.invoke_compound t.sys req with
     | r ->
         Kperf.span_end perf span;
         r
@@ -279,20 +279,12 @@ let do_call_user t slots fname args =
       Cosy_safety.record_safe_run t.safety fname;
       result
 
-(* Submit a compound for execution: the single boundary crossing that
-   replaces the whole marked code segment's worth of syscalls. *)
-let submit t compound =
-  let kernel = Ksyscall.Systable.kernel t.sys in
+(* The compound's kernel stay, between the trap and the return: arm the
+   watchdog, admit, then run.  Returns the final register file. *)
+let execute t sys compound =
+  let kernel = Ksyscall.Systable.kernel sys in
   let cost = Ksim.Kernel.cost kernel in
   let clock = Ksim.Kernel.clock kernel in
-  let perf = Ksim.Kernel.perf kernel in
-  let pid = (Ksim.Kernel.current kernel).Ksim.Kproc.pid in
-  t.submits <- t.submits + 1;
-  Kstats.incr t.kstats t.st_submits;
-  let ops_before = t.ops_executed in
-  (* one span per compound; the per-op "cosy:sys.*" spans nest under it *)
-  let span = Kperf.span_begin perf ~pid ~cat:"cosy" ~name:"submit" () in
-  Ksim.Kernel.enter_kernel kernel;
   Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.cosy_submit;
   Cosy_safety.arm t.safety;
   (* admission: judge the compound before running a single op, inside
@@ -313,22 +305,15 @@ let submit t compound =
     if verified then cost.Ksim.Cost_model.cosy_exec_op_verified
     else cost.Ksim.Cost_model.cosy_exec_op
   in
-  let finish_exn e =
-    Ksim.Kernel.exit_kernel kernel;
-    Kperf.span_end perf ~pid span;
-    raise e
-  in
-  let result =
-    try
-      match admission with
-      | Compiled run ->
-          let slots, ops_run, backedges = run () in
-          t.ops_executed <- t.ops_executed + ops_run;
-          Kstats.add t.kstats t.st_ops ops_run;
-          t.backedges <- t.backedges + backedges;
-          Kstats.add t.kstats t.st_backedges backedges;
-          slots
-      | Dynamic | Verified ->
+  match admission with
+  | Compiled run ->
+      let slots, ops_run, backedges = run () in
+      t.ops_executed <- t.ops_executed + ops_run;
+      Kstats.add t.kstats t.st_ops ops_run;
+      t.backedges <- t.backedges + backedges;
+      Kstats.add t.kstats t.st_backedges backedges;
+      slots
+  | Dynamic | Verified ->
       let ops, slot_count =
         Compound.decode ~clock ~per_op:cost.Ksim.Cost_model.cosy_decode_op
           compound
@@ -397,27 +382,28 @@ let submit t compound =
         | Cosy_op.Halt -> running := false)
       done;
       slots
-    with
-    | (Cosy_safety.Watchdog_expired _ | Ksyscall.Usyscall.Flow_violation _)
-      as e ->
-        (* the watchdog — or the syscall-flow gate under the Kill policy
-           — terminates the offending process (§2.3); account the
-           boundary exit first, then kill *)
-        let offender = Ksim.Kernel.current kernel in
-        Ksim.Kernel.exit_kernel kernel;
-        Ksim.Kernel.reap kernel offender
-          ~reason:
-            (match e with
-            | Cosy_safety.Watchdog_expired _ -> "cosy-watchdog"
-            | _ -> "flow-gate");
-        Kperf.span_end perf ~pid span;
-        raise e
-    | e -> finish_exn e
+
+(* Submit a compound for execution: the single boundary crossing that
+   replaces the whole marked code segment's worth of syscalls.  The stay
+   is the shared one ([Usyscall.stay]), so a watchdog expiry, a
+   flow-gate kill or a contained memory fault unwinds exactly as on the
+   other entry paths. *)
+let submit t compound =
+  let kernel = Ksyscall.Systable.kernel t.sys in
+  let perf = Ksim.Kernel.perf kernel in
+  let pid = (Ksim.Kernel.current kernel).Ksim.Kproc.pid in
+  t.submits <- t.submits + 1;
+  Kstats.incr t.kstats t.st_submits;
+  let ops_before = t.ops_executed in
+  (* one span per compound; the per-op "cosy:sys.*" spans nest under it *)
+  let span = Kperf.span_begin perf ~pid ~cat:"cosy" ~name:"submit" () in
+  let slots =
+    Ksyscall.Usyscall.stay t.sys Ksyscall.Usyscall.Compound ~span (execute t)
+      compound
   in
-  Ksim.Kernel.exit_kernel kernel;
   Kstats.observe t.kstats t.st_compound_ops (t.ops_executed - ops_before);
   Kperf.span_end perf ~pid ~arg:(t.ops_executed - ops_before) span;
-  result
+  slots
 
 (* Exported for the kopt plan executor, which replays the same lowering
    (typed request, service dispatch, reply deposit, kperf span) for the

@@ -65,14 +65,18 @@ val int_arg : int array -> Cosy_op.arg -> int
     deposit), and returns the C-style return value. *)
 val exec_syscall : t -> int array -> int -> Cosy_op.arg list -> int
 
-(** Execute a compound; returns the final register file.
+(** Execute a compound in the shared kernel stay
+    ({!Ksyscall.Usyscall.stay}); returns the final register file.  Every
+    kill is contained as on the other entry paths, the offender killed
+    before the exception escapes.
     @raise Exec_error on malformed compounds,
-    @raise Cosy_safety.Watchdog_expired when the kernel-time budget is
-    exhausted (the offending process is killed first),
-    @raise Ksyscall.Usyscall.Flow_violation when the syscall-flow gate
-    kills the offender mid-compound (same cleanup as the watchdog),
-    @raise Ksim.Fault.Fault when an isolated user function escapes its
-    segment.  Kernel mode is always exited before raising. *)
+    @raise Cosy_safety.Watchdog_expired past the kernel-time budget
+    (["cosy-watchdog"]),
+    @raise Ksyscall.Usyscall.Flow_violation on a flow-gate kill,
+    @raise Ksim.Kernel.Oops on a contained memory fault — a Kefence hit
+    in a syscall op or a user function escaping its segment
+    (["cosy-fault"]); without a reaper the raw [Ksim.Fault.Fault]
+    escapes.  Kernel mode is always exited before raising. *)
 val submit : t -> Compound.t -> int array
 
 type stats = {

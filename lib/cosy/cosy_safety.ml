@@ -39,7 +39,9 @@ let default_policy cost =
     trust_after = None;
   }
 
-exception Watchdog_expired of { used : int; budget : int }
+(* Declared in [Ksim.Kernel] so the syscall layer's single unwind can
+   treat an expiry as a kill; rebound here for every existing match. *)
+exception Watchdog_expired = Ksim.Kernel.Watchdog_expired
 
 type t = {
   policy : policy;

@@ -21,6 +21,8 @@ type policy = {
 (** Data-segment mode with the cost model's kernel-time budget. *)
 val default_policy : Ksim.Cost_model.t -> policy
 
+(** The kernel's watchdog exception ({!Ksim.Kernel.Watchdog_expired}):
+    a kill, unwound like a flow-gate kill on every entry path. *)
 exception Watchdog_expired of { used : int; budget : int }
 
 type t

@@ -2,10 +2,11 @@
 
    Two fronts, one subsystem.
 
-   Front 1 — oops containment.  The substrate's kill sites (the
-   syscall-flow gate, the Cosy/kring watchdogs, an escaped kernel-mode
-   memory fault) historically just marked the offender dead, leaking
-   whatever it held.  With kcrash installed, [Kernel.reap] routes here
+   Front 1 — oops containment.  The substrate's kills (the syscall-flow
+   gate, the Cosy/kring watchdogs, a kernel-mode memory fault)
+   historically just marked the offender dead, leaking whatever it held.
+   All of them unwind through the one kernel-stay unwind in Usyscall, on
+   every entry path.  With kcrash installed, [Kernel.reap] routes here
    and the oops path reaps everything the dying process owned: fd-table
    entries (closed through the normal VFS/socket paths), kmalloc/vmalloc
    heap objects (freed through the normal allocator paths, guardian PTEs
@@ -153,9 +154,6 @@ let reap_locks t pid =
    everything it held, leaving every other process untouched.  Installed
    as the [Kernel.reap] hook by {!install}. *)
 let oops t (p : Ksim.Kproc.t) ~reason =
-  (* if the fault struck mid-syscall the mode bit may still say kernel;
-     the stay belongs to a process being destroyed, not returning *)
-  Ksim.Kernel.force_user_mode t.kernel;
   let pid = p.Ksim.Kproc.pid in
   let c = counters t in
   let fds = reap_fds t p in

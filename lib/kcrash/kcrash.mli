@@ -1,10 +1,12 @@
 (** Kcrash: oops containment and crash-consistent recovery.
 
-    Front 1 — {b oops containment}.  The substrate's kill sites (the
-    kverify syscall-flow gate, the Cosy and kring watchdogs, an escaped
-    kernel-mode memory fault) historically marked the offender dead and
-    leaked whatever it held.  With kcrash {!install}ed,
-    [Ksim.Kernel.reap] routes here and the oops path reaps everything
+    Front 1 — {b oops containment}.  The substrate's kills (the kverify
+    syscall-flow gate, the Cosy and kring watchdogs, a kernel-mode
+    memory fault) historically marked the offender dead and leaked
+    whatever it held.  They all reach [Ksim.Kernel.reap] from the kernel
+    stay's one unwind ({!Ksyscall.Usyscall.stay}), so they are contained
+    on every entry path, memory faults included.  With kcrash
+    {!install}ed, [Ksim.Kernel.reap] routes here and the oops path reaps everything
     the dying process owned — fd-table entries, kmalloc/vmalloc heap
     objects (guardian PTEs included), held spinlocks (poisoned then
     force-released with a [Contended]-style instrument event), and
@@ -33,8 +35,8 @@ type config = {
 (** [{ contain = true; durable = true }]. *)
 val default_config : config
 
-(** Re-export of {!Ksim.Kernel.Oops}: raised by the syscall dispatcher
-    after a contained kernel-mode memory fault. *)
+(** Re-export of {!Ksim.Kernel.Oops}: raised out of the kernel stay, on
+    any entry path, after a contained kernel-mode memory fault. *)
 exception Oops of { pid : int; reason : string }
 
 (** Re-export of {!Kvfs.Block_dev.Power_loss}: raised when the armed
@@ -57,17 +59,16 @@ type t
 
 val create : Ksim.Kernel.t -> Ksyscall.Systable.t -> t
 
-(** Route [Ksim.Kernel.reap] (the kverify [Kill] policy, the Cosy and
-    kring watchdogs, the dispatcher's fault containment) through
-    {!oops}. *)
+(** Route [Ksim.Kernel.reap] — called for every kill (the kverify
+    [Kill] policy, the Cosy and kring watchdogs, a kernel-mode memory
+    fault) on every entry path — through {!oops}. *)
 val install : t -> unit
 
 val uninstall : t -> unit
 
 (** The oops path itself: kill [p] and reap everything it held, then
-    emit a ["kcrash-oops"] event.  Calls [force_user_mode] first — a
-    process dying mid-syscall never returns to the dispatcher's exit
-    path. *)
+    emit a ["kcrash-oops"] event.  The kernel stay's unwind has already
+    returned to user mode. *)
 val oops : t -> Ksim.Kproc.t -> reason:string -> unit
 
 (** Register a subsystem reaper (e.g. kring's [discard_pending]); it

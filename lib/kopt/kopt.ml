@@ -23,7 +23,7 @@ module Plan = Plan
 module Kernel = Ksim.Kernel
 module Systable = Ksyscall.Systable
 module Syscall = Ksyscall.Syscall
-module Sys_file = Ksyscall.Sys_file
+module Usyscall = Ksyscall.Usyscall
 module Op = Cosy.Cosy_op
 module Sbuf = Cosy.Shared_buffer
 module Cx = Cosy.Cosy_exec
@@ -136,49 +136,15 @@ let try_plan t ~shared_size compound =
 
 (* --- the plan executor -------------------------------------------------- *)
 
-(* Replicates [Usyscall.invoke ~origin:Compound]'s gate consult: the
-   installed gate closure charges its own probe cost, so calling it once
-   per original op keeps cycle and automaton-state parity with the
-   interpreter even for ops we dispatch merged. *)
-let gate_decide t sysno =
-  match Systable.gate t.sys with
-  | None -> Systable.Gate_allow
-  | Some g -> g ~pid:(Kernel.current t.kernel).Ksim.Kproc.pid ~sysno
-
 (* Execute one original op of a pair whose group could not dispatch
-   merged (a non-allow gate decision), using the decision already taken
+   merged (a non-allow gate verdict), acting on the verdict already taken
    for it — the consult order matches the interpreter's. *)
-let dispatch_decided t shared slots ~decision ~req ~sink dst =
-  match decision with
-  | Systable.Gate_deny e -> slots.(dst) <- Syscall.reply_to_retval (Error e)
-  | Systable.Gate_kill ->
-      raise
-        (Ksyscall.Usyscall.Flow_violation
-           {
-             pid = (Kernel.current t.kernel).Ksim.Kproc.pid;
-             sysno = Syscall.sysno_of_req req;
-           })
-  | Systable.Gate_allow ->
-      let reply : Syscall.reply =
-        match req with
-        | Syscall.Read { fd; len } ->
-            Result.map
-              (fun b -> Syscall.R_bytes b)
-              (Sys_file.service_read t.sys ~fd ~len)
-        | Syscall.Pread { fd; off; len } ->
-            Result.map
-              (fun b -> Syscall.R_bytes b)
-              (Sys_file.service_pread t.sys ~fd ~off ~len)
-        | Syscall.Write { fd; data } ->
-            Result.map
-              (fun v -> Syscall.R_int v)
-              (Sys_file.service_write t.sys ~fd ~data)
-        | _ -> raise (Cx.Exec_error "kopt: unexpected fallback request")
-      in
-      (match (reply, sink) with
-      | Ok (Syscall.R_bytes data), Some o -> Sbuf.write shared ~off:o data
-      | _ -> ());
-      slots.(dst) <- Syscall.reply_to_retval reply
+let dispatch_decided t shared slots ~verdict ~req ~sink dst =
+  let reply = Usyscall.apply_verdict t.sys verdict req in
+  (match (reply, sink) with
+  | Ok (Syscall.R_bytes data), Some o -> Sbuf.write shared ~off:o data
+  | _ -> ());
+  slots.(dst) <- Syscall.reply_to_retval reply
 
 (* First operand is a file descriptor: eligible for resolution caching. *)
 let fd_first = function
@@ -316,9 +282,12 @@ let run_plan t cx (plan : Plan.t) =
               ( Syscall.Write { fd = fdv; data = Bytes.sub d 0 len_a },
                 Syscall.Write { fd = fdv; data = Bytes.sub d len_a len_b } )
         in
-        (* gate parity: one consult per original op, in original order *)
-        let d_a = gate_decide t (Syscall.sysno_of_req req_a) in
-        let d_b = gate_decide t (Syscall.sysno_of_req req_b) in
+        (* gate parity: one consult per original op, in original order —
+           [Usyscall.verdict] charges the gate's probe cost, so this keeps
+           cycle and automaton-state parity with the interpreter even
+           though the pair may dispatch merged *)
+        let d_a = Usyscall.verdict t.sys (Syscall.sysno_of_req req_a) in
+        let d_b = Usyscall.verdict t.sys (Syscall.sysno_of_req req_b) in
         (match (d_a, d_b) with
         | Systable.Gate_allow, Systable.Gate_allow -> (
             let name =
@@ -328,55 +297,45 @@ let run_plan t cx (plan : Plan.t) =
               | Plan.G_write -> "bulk.write"
             in
             let span = Kperf.span_begin perf ~cat:"kopt" ~name () in
-            let finish () = Kperf.span_end perf span in
-            match kind with
-            | Plan.G_read | Plan.G_pread -> (
-                let res =
-                  match kind with
-                  | Plan.G_read ->
-                      Sys_file.service_read t.sys ~fd:fdv ~len:(len_a + len_b)
-                  | _ ->
-                      Sys_file.service_pread t.sys ~fd:fdv ~off:foff
-                        ~len:(len_a + len_b)
-                in
-                finish ();
-                match res with
-                | Ok data ->
-                    (* sequential-position semantics make the merged
-                       payload land exactly where the pair's two
-                       deposits would: contiguously from [off] *)
-                    Sbuf.write shared ~off data;
-                    let r_a = min len_a (Bytes.length data) in
-                    slots.(dst_a) <- r_a;
-                    slots.(dst_b) <- Bytes.length data - r_a
-                | Error e ->
-                    let rv = Syscall.reply_to_retval (Error e) in
-                    slots.(dst_a) <- rv;
-                    slots.(dst_b) <- rv)
-            | Plan.G_write -> (
-                let data = Sbuf.read shared ~off ~len:(len_a + len_b) in
-                let res = Sys_file.service_write t.sys ~fd:fdv ~data in
-                finish ();
-                match res with
-                | Ok w ->
-                    let r_a = min len_a w in
-                    slots.(dst_a) <- r_a;
-                    slots.(dst_b) <- w - r_a
-                | Error e ->
-                    let rv = Syscall.reply_to_retval (Error e) in
-                    slots.(dst_a) <- rv;
-                    slots.(dst_b) <- rv))
+            let len = len_a + len_b in
+            let bulk =
+              match kind with
+              | Plan.G_read -> Syscall.Read { fd = fdv; len }
+              | Plan.G_pread -> Syscall.Pread { fd = fdv; off = foff; len }
+              | Plan.G_write ->
+                  Syscall.Write { fd = fdv; data = Sbuf.read shared ~off ~len }
+            in
+            let reply = Usyscall.service t.sys bulk in
+            Kperf.span_end perf span;
+            (* sequential-position semantics split the merged transfer
+               exactly where the pair's two would, and a read's payload
+               lands contiguously from [off] *)
+            let split n =
+              let r_a = min len_a n in
+              slots.(dst_a) <- r_a;
+              slots.(dst_b) <- n - r_a
+            in
+            match reply with
+            | Ok (Syscall.R_bytes data) ->
+                Sbuf.write shared ~off data;
+                split (Bytes.length data)
+            | Ok (Syscall.R_int w) -> split w
+            | Ok _ -> raise (Cx.Exec_error "kopt: unexpected bulk reply")
+            | Error _ ->
+                let rv = Syscall.reply_to_retval reply in
+                slots.(dst_a) <- rv;
+                slots.(dst_b) <- rv)
         | _ ->
-            (* a non-allow decision in the group: execute the original
-               ops one by one with the decisions already taken *)
+            (* a non-allow verdict in the group: execute the original
+               ops one by one with the verdicts already taken *)
             let sink_a, sink_b =
               match kind with
               | Plan.G_read | Plan.G_pread -> (Some off, Some (off + len_a))
               | Plan.G_write -> (None, None)
             in
-            dispatch_decided t shared slots ~decision:d_a ~req:req_a
+            dispatch_decided t shared slots ~verdict:d_a ~req:req_a
               ~sink:sink_a dst_a;
-            dispatch_decided t shared slots ~decision:d_b ~req:req_b
+            dispatch_decided t shared slots ~verdict:d_b ~req:req_b
               ~sink:sink_b dst_b);
         pc := cur + 2
     | Plan.I_fuse { dst_r; dst_w; fd_r; fd_w; off; len } ->
@@ -388,7 +347,7 @@ let run_plan t cx (plan : Plan.t) =
            resolve_fd fdrv;
            let req_r = Syscall.Read { fd = fdrv; len } in
            dispatch_decided t shared slots
-             ~decision:(gate_decide t (Syscall.sysno_of_req req_r))
+             ~verdict:(Usyscall.verdict t.sys (Syscall.sysno_of_req req_r))
              ~req:req_r ~sink:(Some off) dst_r;
            let fdwv = Cx.int_arg slots fd_w in
            resolve_fd fdwv;
@@ -399,7 +358,7 @@ let run_plan t cx (plan : Plan.t) =
              Syscall.Write { fd = fdwv; data = Sbuf.read shared ~off ~len }
            in
            dispatch_decided t shared slots
-             ~decision:(gate_decide t (Syscall.sysno_of_req req_w))
+             ~verdict:(Usyscall.verdict t.sys (Syscall.sysno_of_req req_w))
              ~req:req_w ~sink:None dst_w
          with e ->
            Kperf.span_end perf span;

@@ -164,109 +164,91 @@ let push t req =
       Ok seq
     end
 
-(* sys_ring_enter: the single crossing that drains the submission
-   queue.  Each entry is decoded (charged like a compound op), its
-   request bytes charged as the batch's one copy-in, and dispatched
-   through the in-kernel service path — so every op still counts,
-   traces, and lands in the latency histograms.  Replies are packed
-   into the CQ; their payload bytes are charged as one copy-out at the
-   end.  The Cosy watchdog guards the whole stay: on expiry the
-   offender is killed exactly like a runaway compound, though already
-   completed CQ entries survive for reaping.  Returns the number of
-   completions produced. *)
-let enter t =
-  if Queue.is_empty t.sq then 0
-  else begin
-    let kernel = Ksyscall.Systable.kernel t.sys in
-    let cost = Ksim.Kernel.cost kernel in
-    let clock = Ksim.Kernel.clock kernel in
-    let perf = Ksim.Kernel.perf kernel in
-    let pid = (Ksim.Kernel.current kernel).Ksim.Kproc.pid in
-    (* one span for the whole kernel stay; the per-request syscall spans
-       dispatched below nest under it, which is what makes a kring batch
-       legible in a flamegraph: one wide "ring:enter" frame fanning out
-       into its drained syscalls *)
-    let span =
-      Kperf.span_begin perf ~pid ~arg:(Queue.length t.sq) ~cat:"ring"
-        ~name:"enter" ()
-    in
-    Ksim.Kernel.charge_user kernel cost.Ksim.Cost_model.user_stub;
-    Ksim.Kernel.enter_kernel kernel;
-    Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.cosy_submit;
-    Cosy.Cosy_safety.arm t.safety;
-    (* admission: judge the queued requests before the first one
-       executes.  The hook charges its own per-entry admission cost; an
-       admitted batch drains parse-in-place from the sealed SQ region —
-       no per-entry copy_from_user, the cheap [ring_verified_op] instead
-       of a decode, and the watchdog elided (a straight-line batch of
-       validated requests cannot run away) — plus whatever fusion and
-       coalescing its plan asks for.  Any batch the hook rejects — or
-       that fails to decode at admission — falls back to today's
-       watchdog path bit-for-bit. *)
-    let batch_plan =
-      match t.admit with
-      | None -> None
-      | Some admit -> (
-          match
-            Queue.fold
-              (fun acc (_, off, len) ->
-                let wire = Cosy.Shared_buffer.read t.shared ~off ~len in
-                let req, (_ : int) = Syscall.decode_req wire ~off:0 in
-                req :: acc)
-              [] t.sq
-          with
-          | reqs -> admit (List.rev reqs)
-          | exception _ -> None)
-    in
-    let verified = Option.is_some batch_plan in
-    if verified then t.watchdog_elisions <- t.watchdog_elisions + 1;
-    Kstats.incr t.kstats t.st_enters;
-    let completed = ref 0 in
-    let out_bytes = ref 0 in
-    let pos = ref 0 in
-    (* decode + dispatch + complete one SQ entry, sans per-entry cost
-       charges (the caller picked plain vs fused pricing) *)
-    let dispatch_one () =
-      let seq, off, len = Queue.peek t.sq in
-      let wire = Cosy.Shared_buffer.read t.shared ~off ~len in
-      let req, (_ : int) = Syscall.decode_req wire ~off:0 in
-      let reply =
-        Ksyscall.Usyscall.invoke ~origin:Ksyscall.Usyscall.Ring t.sys req
-      in
-      ignore (Queue.pop t.sq);
-      Queue.add { seq; sysno = Syscall.sysno_of_req req; reply } t.cq;
-      out_bytes := !out_bytes + Syscall.reply_copy_bytes reply;
-      incr completed;
-      incr pos;
-      Kstats.incr t.kstats t.st_completions;
-      (* between ops the preemptive kernel gets its chance, exactly
-         like a compound's back-edge *)
-      Ksim.Scheduler.checkpoint (Ksim.Kernel.sched kernel)
-    in
-    (* Any way a batch stops before draining its SQ — watchdog kill,
-       flow-violation kill, or an injected partial completion — counts
-       in ring.partial and leaves a kperf instant whose arg names the
-       index of the first op that did not complete. *)
-    let note_partial () =
-      Kstats.incr t.kstats t.st_partial;
-      Kperf.instant perf ~pid ~arg:!pos ~cat:"ring" ~name:"partial" ()
-    in
-    let stop_partial = ref false in
-    (try
-       while
-         (not !stop_partial)
-         && (not (Queue.is_empty t.sq))
-         && Queue.length t.cq < t.cq_entries
-       do
-         (* injected partial enter: the kernel stay is cut short after
-            at least one completion (a zero-progress cut would make the
-            caller's drain loop spin); the epilogue below runs normally
-            and the SQ remainder survives for the next enter *)
-         if !completed > 0 && Kfault.fire t.fault t.site_partial then begin
-           note_partial ();
-           stop_partial := true
-         end
-         else begin
+(* The batch's kernel stay, between the trap and the return.  Each
+   entry is decoded (charged like a compound op), its request bytes
+   charged as the batch's one copy-in, and dispatched through the
+   in-kernel service path — so every op still counts, traces, and lands
+   in the latency histograms.  Replies are packed into the CQ; their
+   payload bytes are charged as one copy-out at the end.  [completed]
+   counts the completions as they land. *)
+let drain t sys completed =
+  let kernel = Ksyscall.Systable.kernel sys in
+  let cost = Ksim.Kernel.cost kernel in
+  let clock = Ksim.Kernel.clock kernel in
+  let perf = Ksim.Kernel.perf kernel in
+  let pid = (Ksim.Kernel.current kernel).Ksim.Kproc.pid in
+  Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.cosy_submit;
+  Cosy.Cosy_safety.arm t.safety;
+  (* admission: judge the queued requests before the first one
+     executes.  The hook charges its own per-entry admission cost; an
+     admitted batch drains parse-in-place from the sealed SQ region —
+     no per-entry copy_from_user, the cheap [ring_verified_op] instead
+     of a decode, and the watchdog elided (a straight-line batch of
+     validated requests cannot run away) — plus whatever fusion and
+     coalescing its plan asks for.  Any batch the hook rejects — or
+     that fails to decode at admission — falls back to today's
+     watchdog path bit-for-bit. *)
+  let batch_plan =
+    match t.admit with
+    | None -> None
+    | Some admit -> (
+        match
+          Queue.fold
+            (fun acc (_, off, len) ->
+              let wire = Cosy.Shared_buffer.read t.shared ~off ~len in
+              let req, (_ : int) = Syscall.decode_req wire ~off:0 in
+              req :: acc)
+            [] t.sq
+        with
+        | reqs -> admit (List.rev reqs)
+        | exception _ -> None)
+  in
+  let verified = Option.is_some batch_plan in
+  if verified then t.watchdog_elisions <- t.watchdog_elisions + 1;
+  Kstats.incr t.kstats t.st_enters;
+  let out_bytes = ref 0 in
+  let pos = ref 0 in
+  (* decode + dispatch + complete one SQ entry, sans per-entry cost
+     charges (the caller picked plain vs fused pricing) *)
+  let dispatch_one () =
+    let seq, off, len = Queue.peek t.sq in
+    let wire = Cosy.Shared_buffer.read t.shared ~off ~len in
+    let req, (_ : int) = Syscall.decode_req wire ~off:0 in
+    let reply = Ksyscall.Usyscall.invoke_drained sys req in
+    ignore (Queue.pop t.sq);
+    Queue.add { seq; sysno = Syscall.sysno_of_req req; reply } t.cq;
+    out_bytes := !out_bytes + Syscall.reply_copy_bytes reply;
+    incr completed;
+    incr pos;
+    Kstats.incr t.kstats t.st_completions;
+    (* between ops the preemptive kernel gets its chance, exactly
+       like a compound's back-edge *)
+    Ksim.Scheduler.checkpoint (Ksim.Kernel.sched kernel)
+  in
+  (* Any way a batch stops before draining its SQ — a kill (watchdog,
+     flow gate), a memory fault, or an injected partial completion —
+     counts in ring.partial and leaves a kperf instant whose arg names
+     the index of the first op that did not complete. *)
+  let note_partial () =
+    Kstats.incr t.kstats t.st_partial;
+    Kperf.instant perf ~pid ~arg:!pos ~cat:"ring" ~name:"partial" ()
+  in
+  let stop_partial = ref false in
+  (try
+     while
+       (not !stop_partial)
+       && (not (Queue.is_empty t.sq))
+       && Queue.length t.cq < t.cq_entries
+     do
+       (* injected partial enter: the kernel stay is cut short after
+          at least one completion (a zero-progress cut would make the
+          caller's drain loop spin); the epilogue below runs normally
+          and the SQ remainder survives for the next enter *)
+       if !completed > 0 && Kfault.fire t.fault t.site_partial then begin
+         note_partial ();
+         stop_partial := true
+       end
+       else begin
          let fused =
            match batch_plan with
            | Some p ->
@@ -298,41 +280,52 @@ let enter t =
            dispatch_one ();
            if not verified then Cosy.Cosy_safety.watchdog_check t.safety
          end
-         end
-       done;
-       if Queue.is_empty t.sq then t.sq_bytes <- 0;
-       (match batch_plan with
-       | Some p when p.coalesce_cq ->
-           (* completions stay in the shared-mapped region: no copy-out,
-              only accounting of what the unoptimized path would have
-              copied *)
-           if !out_bytes > 0 then begin
-             t.opt_cq_saved <- t.opt_cq_saved + !out_bytes;
-             Kstats.add t.kstats t.st_opt_cq_saved !out_bytes
-           end
-       | _ ->
-           if !out_bytes > 0 then
-             Ksim.Kernel.charge_copy_to_user kernel !out_bytes);
-       Ksim.Kernel.exit_kernel kernel
-     with
-    | (Cosy.Cosy_safety.Watchdog_expired _
-      | Ksyscall.Usyscall.Flow_violation _) as e ->
-        (* same fate as a runaway compound (§2.3): the offender dies —
-           whether the watchdog fired or the syscall-flow gate killed *)
-        note_partial ();
-        let offender = Ksim.Kernel.current kernel in
-        Ksim.Kernel.exit_kernel kernel;
-        Ksim.Kernel.reap kernel offender
-          ~reason:
-            (match e with
-            | Cosy.Cosy_safety.Watchdog_expired _ -> "ring-watchdog"
-            | _ -> "flow-gate");
-        Kperf.span_end perf ~pid ~arg:!completed span;
-        raise e
-    | e ->
-        Ksim.Kernel.exit_kernel kernel;
-        Kperf.span_end perf ~pid ~arg:!completed span;
-        raise e);
+       end
+     done
+   with
+   | ( Ksim.Kernel.Watchdog_expired _ | Ksyscall.Usyscall.Flow_violation _
+     | Ksim.Fault.Fault _ ) as e ->
+       (* same fate as a runaway compound (§2.3): the stay's unwind kills
+          the offender; completed CQ entries survive for reaping *)
+       note_partial ();
+       raise e);
+  if Queue.is_empty t.sq then t.sq_bytes <- 0;
+  match batch_plan with
+  | Some p when p.coalesce_cq ->
+      (* completions stay in the shared-mapped region: no copy-out, only
+         accounting of what the unoptimized path would have copied *)
+      if !out_bytes > 0 then begin
+        t.opt_cq_saved <- t.opt_cq_saved + !out_bytes;
+        Kstats.add t.kstats t.st_opt_cq_saved !out_bytes
+      end
+  | _ ->
+      if !out_bytes > 0 then Ksim.Kernel.charge_copy_to_user kernel !out_bytes
+
+(* sys_ring_enter: the single crossing that drains the submission
+   queue, in the shared kernel stay ([Usyscall.stay]) under the Cosy
+   watchdog.  A kill — watchdog expiry, flow-gate kill, contained memory
+   fault — unwinds exactly like a runaway compound's, though already
+   completed CQ entries survive for reaping.  Returns the number of
+   completions produced. *)
+let enter t =
+  if Queue.is_empty t.sq then 0
+  else begin
+    let kernel = Ksyscall.Systable.kernel t.sys in
+    let perf = Ksim.Kernel.perf kernel in
+    let pid = (Ksim.Kernel.current kernel).Ksim.Kproc.pid in
+    (* one span for the whole kernel stay; the per-request syscall spans
+       dispatched below nest under it, which is what makes a kring batch
+       legible in a flamegraph: one wide "ring:enter" frame fanning out
+       into its drained syscalls *)
+    let span =
+      Kperf.span_begin perf ~pid ~arg:(Queue.length t.sq) ~cat:"ring"
+        ~name:"enter" ()
+    in
+    Ksim.Kernel.charge_user kernel
+      (Ksim.Kernel.cost kernel).Ksim.Cost_model.user_stub;
+    let completed = ref 0 in
+    Ksyscall.Usyscall.stay t.sys (Ksyscall.Usyscall.Ring completed) ~span
+      (drain t) completed;
     Kstats.observe t.kstats t.st_batch !completed;
     Kstats.add t.kstats t.st_crossings_saved (max 0 (!completed - 1));
     Kperf.span_end perf ~pid ~arg:!completed span;

@@ -40,9 +40,12 @@ val push : t -> Ksyscall.Syscall.req -> (int, [ `Sq_full ]) result
 
 (** Drain the submission queue in one crossing; returns the number of
     completions produced (0 if the SQ was empty — no crossing then).
-    Stops early if the CQ fills.  @raise Cosy.Cosy_safety.Watchdog_expired
-    when a pathological batch exceeds the kernel-time budget; the
-    offending process is killed, completions already produced survive. *)
+    Stops early if the CQ fills.  Runs in the shared kernel stay
+    ({!Ksyscall.Usyscall.stay}), so every kill — watchdog
+    (["ring-watchdog"]), flow gate, memory fault (["ring-fault"],
+    surfacing as [Ksim.Kernel.Oops] when contained) — kills the offender
+    before it escapes; completions already produced survive unless the
+    reap discards them. *)
 val enter : t -> int
 
 (** Reap the oldest completion (user mode, no crossing). *)

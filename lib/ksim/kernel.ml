@@ -162,6 +162,10 @@ let locks t = Spinlock.registered t.lockctx.Spinlock.registry
    count it as a clean kill rather than an escape. *)
 exception Oops of { pid : int; reason : string }
 
+(* Cosy's watchdog expiry, declared below cosy so the syscall layer's
+   unwind can treat it as a kill. *)
+exception Watchdog_expired of { used : int; budget : int }
+
 let set_reaper t f = t.reaper <- f
 let has_reaper t = t.reaper <> None
 
@@ -171,15 +175,6 @@ let reap t p ~reason =
   match t.reaper with
   | Some f -> f p ~reason
   | None -> Scheduler.kill t.sched p
-
-(* Crash unwinding: drop straight back to user mode without charging the
-   normal exit path — the kernel stay this closes belongs to a process
-   that is being destroyed, not returning. *)
-let force_user_mode t =
-  if t.mode = Kernel_mode then begin
-    t.mode <- User;
-    (current t).Kproc.kernel_entry <- None
-  end
 
 (* --- user/kernel boundary -------------------------------------------- *)
 

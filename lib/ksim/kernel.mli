@@ -79,6 +79,11 @@ val locks : t -> Spinlock.t list
     an escaped crash. *)
 exception Oops of { pid : int; reason : string }
 
+(** A kernel stay ran [used] cycles past its [budget]: Cosy's watchdog
+    ([Cosy.Cosy_safety.Watchdog_expired]), declared here so the syscall
+    layer's unwind can treat it as a kill. *)
+exception Watchdog_expired of { used : int; budget : int }
+
 (** Install the crash-containment hook (kcrash's oops path).  When set,
     {!reap} routes through it; when [None] (the default) {!reap} is
     exactly [Scheduler.kill] — same code path as before kcrash
@@ -87,14 +92,10 @@ val set_reaper : t -> (Kproc.t -> reason:string -> unit) option -> unit
 
 val has_reaper : t -> bool
 
-(** Kill a process at a kernel kill site (flow-gate, watchdog, contained
-    fault), reaping what it held if a reaper is installed. *)
+(** Kill a process, reaping what it held if a reaper is installed.
+    Every kill — flow gate, watchdog, memory fault — reaches it from one
+    function, the kernel-stay unwind, on every entry path. *)
 val reap : t -> Kproc.t -> reason:string -> unit
-
-(** Crash unwinding: if in kernel mode, return to user mode without
-    charging the exit path — the stay belongs to a process being
-    destroyed, not returning.  No-op in user mode. *)
-val force_user_mode : t -> unit
 
 exception Kernel_mode_violation of string
 

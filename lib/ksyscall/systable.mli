@@ -25,7 +25,7 @@ val kernel : t -> Ksim.Kernel.t
 val vfs : t -> Kvfs.Vfs.t
 
 (** Boundary fault sites ([syscall.eintr], [syscall.eagain]) consulted
-    by [Usyscall.invoke]'s plain dispatch path, plus the retry
+    by [Usyscall.invoke], the plain dispatch path, plus the retry
     counters its restart logic feeds. *)
 val fault : t -> Kfault.t
 
@@ -52,8 +52,9 @@ type gate_decision =
 
 type gate = pid:int -> sysno:Sysno.t -> gate_decision
 
-(** Install/remove the (single) dispatch-admission gate ({!Usyscall}
-    consults it on every [invoke], whatever the entry path).  Kverify's
+(** Install/remove the (single) dispatch-admission gate
+    ([Usyscall.verdict] consults it for every request, whatever the entry
+    path).  Kverify's
     syscall-flow automaton installs itself here; with no gate installed
     the check is one [None] branch and zero cycles. *)
 val set_gate : t -> gate -> unit

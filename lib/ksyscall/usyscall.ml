@@ -1,36 +1,32 @@
-(* User-level syscall dispatch.  Every call is a typed [Syscall.req]
-   pushed through one generic [invoke]: the single choke point all four
-   entry paths funnel through —
+(* User-level syscall dispatch and the kernel stay.  Every call is a
+   typed [Syscall.req], and it reaches the kernel by one of three entry
+   paths —
 
-     Plain     the synchronous wrappers below: cross the boundary
-               (charging entry/exit), run the in-kernel service routine,
-               copy arguments and results across (charging per-byte
-               costs), bump the syscall count, report a trace record;
-     Ring      a drained kring entry: already in kernel mode, no
-               crossing or copy charges (the batch pays those), but the
-               call still counts, traces and lands in the histograms;
-     Compound  a Cosy op: bare service dispatch, the compound's own
-               bookkeeping wraps it.
+     Plain     the synchronous wrappers below ([invoke]; the §2.2
+               consolidated calls are plain calls too): cross the
+               boundary (charging entry/exit), run the in-kernel service
+               routine, copy arguments and results across (charging
+               per-byte costs), bump the syscall count, report a trace
+               record;
+     Ring      a drained kring entry ([invoke_drained]): already in
+               kernel mode, no crossing or copy charges (the batch pays
+               those), but the call still counts, traces and lands in the
+               histograms;
+     Compound  a Cosy op ([invoke_compound]): gate verdict, then bare
+               service; the compound's own bookkeeping wraps it.
 
    Interposition (kverify's syscall-flow gate) therefore happens in
-   exactly one place, whichever way a request reaches the kernel.  The
-   per-call functions below are thin builders over [invoke].
+   exactly one place, [verdict], whichever way a request reaches the
+   kernel.  The kernel stay has one implementation too, [stay]: a plain
+   call, a kring batch and a Cosy compound each occupy one, so a
+   flow-gate kill, a watchdog expiry and a contained memory fault unwind
+   the same way on every path.  The per-call functions at the bottom
+   are thin builders over [invoke].
 
    These are the "expensive" calls whose overhead the paper's both
    techniques — consolidation (§2.2) and Cosy (§2.3) — exist to avoid;
    the kring subsystem batches many [Syscall.req]s through a single
    crossing using the same [service] routine. *)
-
-let enter sys =
-  let k = Systable.kernel sys in
-  (* the libc stub, argument marshalling and errno handling run in user
-     mode before and after the trap *)
-  Ksim.Kernel.charge_user k (Ksim.Kernel.cost k).Ksim.Cost_model.user_stub;
-  Ksim.Kernel.enter_kernel k;
-  (Ksim.Kernel.current k).Ksim.Kproc.syscalls <-
-    (Ksim.Kernel.current k).Ksim.Kproc.syscalls + 1
-
-let exit sys = Ksim.Kernel.exit_kernel (Systable.kernel sys)
 
 let path_bytes = Syscall.path_bytes
 
@@ -107,180 +103,212 @@ let service sys (req : Syscall.req) : Syscall.reply =
   | Sendfile_sock { sock; fd; off; len } ->
       ok_int (Sys_net.service_sendfile_sock sys ~sock ~fd ~off ~len)
 
-(* How a request reached the dispatcher; decides which boundary/copy
-   protocol [invoke] layers around [service]. *)
-type origin =
-  | Plain       (* synchronous wrapper: full boundary round trip *)
-  | Ring        (* drained kring entry: already in kernel mode *)
-  | Compound    (* Cosy op: bare service, compound does the accounting *)
+(* --- the gate ----------------------------------------------------------- *)
 
 (* Raised when the admission gate returns [Gate_kill]: the syscall-flow
-   automaton saw a forbidden transition under the Kill policy.  On the
-   Plain path the offender is already dead when this escapes; kring and
-   Cosy catch it and kill the offender themselves, watchdog-style. *)
+   automaton saw a forbidden transition under the Kill policy.  By the
+   time it escapes the kernel stay, the offender is dead. *)
 exception Flow_violation of { pid : int; sysno : Sysno.t }
 
-(* Consult the admission gate (if any).  Precondition: kernel mode, so
-   any cycles the gate charges land as system time.  The [None] branch
-   is the entire cost of a disabled verifier. *)
-let gate_decide sys sysno =
+let current_pid sys = (Ksim.Kernel.current (Systable.kernel sys)).Ksim.Kproc.pid
+
+(* Consult the admission gate (if any) for the current process.
+   Precondition: kernel mode, so any cycles the gate charges land as
+   system time.  The [None] branch is the entire cost of a disabled
+   verifier. *)
+let verdict sys sysno =
   match Systable.gate sys with
   | None -> Systable.Gate_allow
-  | Some g ->
-      let k = Systable.kernel sys in
-      g ~pid:(Ksim.Kernel.current k).Ksim.Kproc.pid ~sysno
+  | Some g -> g ~pid:(current_pid sys) ~sysno
 
-(* The single dispatch choke point. *)
-let invoke ?(origin = Plain) sys (req : Syscall.req) : Syscall.reply =
-  match origin with
-  | Compound -> (
-      (* the compound already crossed; per-op spans/accounting are the
-         caller's.  Only the gate interposes before the service routine. *)
-      let sysno = Syscall.sysno_of_req req in
-      match gate_decide sys sysno with
-      | Systable.Gate_allow -> service sys req
-      | Systable.Gate_deny e -> Error e
-      | Systable.Gate_kill ->
-          let k = Systable.kernel sys in
-          raise
-            (Flow_violation
-               { pid = (Ksim.Kernel.current k).Ksim.Kproc.pid; sysno }))
-  | Ring ->
-      (* a drained ring entry: no crossing, no copy charges — the batch
-         accounts those — but the syscall still counts, traces, and
-         lands in the latency histogram *)
-      let k = Systable.kernel sys in
-      let sysno = Syscall.sysno_of_req req in
-      let t0 = Ksim.Kernel.now k in
-      let perf = Ksim.Kernel.perf k in
-      let pid = (Ksim.Kernel.current k).Ksim.Kproc.pid in
-      let span =
-        Kperf.span_begin perf ~pid ~cat:"syscall"
-          ~name:(Sysno.to_string sysno) ()
-      in
-      (Ksim.Kernel.current k).Ksim.Kproc.syscalls <-
-        (Ksim.Kernel.current k).Ksim.Kproc.syscalls + 1;
-      let reply =
-        match gate_decide sys sysno with
-        | Systable.Gate_allow -> service sys req
-        | Systable.Gate_deny e -> Error e
-        | Systable.Gate_kill ->
-            (* the ring's enter loop owns the kernel stay; let it unwind
-               exactly like a watchdog expiry *)
-            Kperf.span_end perf ~pid span;
-            raise (Flow_violation { pid; sysno })
-      in
-      Systable.record sys ~sysno ~arg:(Syscall.arg_of_req req)
-        ~bytes_in:0 ~bytes_out:0
-        ~ok:(Result.is_ok reply);
-      Systable.observe_latency sys ~sysno ~cycles:(Ksim.Kernel.now k - t0);
-      Kperf.span_end perf ~pid span;
-      reply
-  | Plain ->
-      (* the generic synchronous path: one request, one round trip *)
-      let k = Systable.kernel sys in
-      let sysno = Syscall.sysno_of_req req in
-      let t0 = Ksim.Kernel.now k in
-      let perf = Ksim.Kernel.perf k in
-      let pid = (Ksim.Kernel.current k).Ksim.Kproc.pid in
-      (* the span covers the whole round trip, entry trap to exit, so its
-         self time in a flamegraph is exactly the boundary-crossing tax
-         the paper's techniques exist to amortize *)
-      let span =
-        Kperf.span_begin perf ~pid ~cat:"syscall"
-          ~name:(Sysno.to_string sysno) ()
-      in
-      enter sys;
-      let denied =
-        match gate_decide sys sysno with
-        | Systable.Gate_allow -> None
-        | Systable.Gate_deny e -> Some e
-        | Systable.Gate_kill ->
-            (* account the boundary exit, then kill — the same order the
-               Cosy watchdog uses.  Kernel.reap is Scheduler.kill unless
-               a kcrash reaper is installed, in which case the
-               offender's resources are reaped too. *)
-            let offender = Ksim.Kernel.current k in
-            exit sys;
-            Ksim.Kernel.reap k offender ~reason:"flow-gate";
-            Kperf.span_end perf ~pid span;
-            raise (Flow_violation { pid; sysno })
-      in
-      (* Injected boundary faults, consulted once the gate has allowed
-         the request but before any work happens.
+let flow_kill sys sysno = raise (Flow_violation { pid = current_pid sys; sysno })
 
-         EINTR restart: a signal lands during the entry path; like
-         ERESTARTSYS, the kernel returns to user mode and the libc stub
-         transparently re-issues the call — a full exit/enter round
-         trip charged per restart (retry.eintr_restarts).  A plan
-         hammering the site eventually exhausts the restart budget and
-         the interruption surfaces as a clean [Error EINTR].
+(* Act on a verdict already taken for [req]: serve it, fail it with the
+   gate's errno, or kill. *)
+let apply_verdict sys verdict req =
+  match verdict with
+  | Systable.Gate_allow -> service sys req
+  | Systable.Gate_deny e -> Error e
+  | Systable.Gate_kill -> flow_kill sys (Syscall.sysno_of_req req)
 
-         Spurious EAGAIN: the wakeup raced the readiness check.  Only
-         injected on [Recv]/[Accept] — the calls whose contract already
-         includes would-block — so callers' existing retry loops absorb
-         it (retry.eagain_injected). *)
-      let denied =
-        match denied with
-        | Some _ -> denied
-        | None ->
-            let fa = Systable.fault sys in
-            let rec restart n =
-              if not (Kfault.fire fa (Systable.eintr_site sys)) then None
-              else begin
-                Systable.count_eintr_restart sys;
-                Kperf.instant perf ~pid ~cat:"retry" ~name:"eintr_restart" ();
-                exit sys;
-                enter sys;
-                if n + 1 >= 8 then Some Kvfs.Vtypes.EINTR
-                else restart (n + 1)
-              end
-            in
-            let eintr = restart 0 in
-            if eintr <> None then eintr
-            else begin
-              match req with
-              | Syscall.Recv _ | Syscall.Accept _
-                when Kfault.fire fa (Systable.eagain_site sys) ->
-                  Systable.count_eagain_injected sys;
-                  Some Kvfs.Vtypes.EAGAIN
-              | _ -> None
-            end
-      in
-      let reply =
-        match denied with
-        | Some e -> Error e   (* rejected before argument copy-in *)
-        | None -> (
-            match service sys req with
-            | r -> r
-            | exception e -> (
-                exit sys;
-                Kperf.span_end perf ~pid span;
-                match e with
-                | Ksim.Fault.Fault _ when Ksim.Kernel.has_reaper k ->
-                    (* oops containment: a kernel-mode memory fault that
-                       would have been a panic kills and reaps only the
-                       offender; the caller sees a contained Oops
-                       instead of the raw fault *)
-                    let offender = Ksim.Kernel.current k in
-                    Ksim.Kernel.reap k offender
-                      ~reason:
-                        (Printf.sprintf "fault in %s" (Sysno.to_string sysno));
-                    raise (Ksim.Kernel.Oops { pid; reason = "memory fault" })
-                | _ -> raise e))
-      in
-      let bin =
-        match denied with Some _ -> 0 | None -> Syscall.req_copy_bytes req
-      and bout = Syscall.reply_copy_bytes reply in
-      if bin > 0 then Ksim.Kernel.charge_copy_from_user k bin;
-      if bout > 0 then Ksim.Kernel.charge_copy_to_user k bout;
-      Systable.record sys ~sysno ~arg:(Syscall.arg_of_req req) ~bytes_in:bin
-        ~bytes_out:bout
-        ~ok:(Result.is_ok reply);
-      exit sys;
-      Systable.observe_latency sys ~sysno ~cycles:(Ksim.Kernel.now k - t0);
-      Kperf.span_end perf ~pid span;
-      reply
+(* A Cosy op: the compound already crossed and accounts per op itself,
+   so only the gate interposes before the service routine. *)
+let invoke_compound sys req =
+  apply_verdict sys (verdict sys (Syscall.sysno_of_req req)) req
+
+(* --- the kernel stay ---------------------------------------------------- *)
+
+(* Which entry path occupies a kernel stay; names the reasons its kills
+   report. *)
+type path =
+  | Plain of Sysno.t  (* one synchronous syscall *)
+  | Ring of int ref   (* a kring enter, with its completions so far *)
+  | Compound          (* a Cosy submit *)
+
+(* The single unwind, for every way out of a stay by exception.  A kill
+   — a flow-gate [Gate_kill], a watchdog expiry, or a kernel-mode memory
+   fault while a reaper (kcrash) is installed — exits the kernel, reaps
+   the offender (the process that entered, even if a preemption
+   checkpoint rotated another onto the CPU), ends the span and
+   re-raises, a contained fault as [Kernel.Oops].  Anything else exits
+   the kernel, ends the span and re-raises. *)
+let unwind k path ~(offender : Ksim.Kproc.t) ~span e =
+  let pid = offender.Ksim.Kproc.pid in
+  Ksim.Kernel.exit_kernel k;
+  let reason =
+    match e with
+    | Flow_violation _ -> Some "flow-gate"
+    | Ksim.Kernel.Watchdog_expired _ -> (
+        (* plain calls arm no watchdog *)
+        match path with
+        | Ring _ -> Some "ring-watchdog"
+        | Plain _ | Compound -> Some "cosy-watchdog")
+    | Ksim.Fault.Fault _ when Ksim.Kernel.has_reaper k -> (
+        match path with
+        | Plain sysno -> Some ("fault in " ^ Sysno.to_string sysno)
+        | Ring _ -> Some "ring-fault"
+        | Compound -> Some "cosy-fault")
+    | _ -> None
+  in
+  (match reason with
+  | Some reason -> Ksim.Kernel.reap k offender ~reason
+  | None -> ());
+  Kperf.span_end (Ksim.Kernel.perf k) ~pid
+    ~arg:(match path with Ring completed -> !completed | Plain _ | Compound -> 0)
+    span;
+  match e with
+  | Ksim.Fault.Fault _ when reason <> None ->
+      raise (Ksim.Kernel.Oops { pid; reason = "memory fault" })
+  | _ -> raise e
+
+(* One kernel stay: trap in, run [body sys x] in kernel mode, return to
+   user mode.  The caller opened [span]; it closes it after its own
+   post-exit bookkeeping, and [unwind] closes it on every way out by
+   exception.  [body] takes its argument explicitly so that a plain
+   call's stay allocates no closure. *)
+let stay sys path ~span body x =
+  let k = Systable.kernel sys in
+  let offender = Ksim.Kernel.current k in
+  Ksim.Kernel.enter_kernel k;
+  match body sys x with
+  | v ->
+      Ksim.Kernel.exit_kernel k;
+      v
+  | exception e -> unwind k path ~offender ~span e
+
+(* --- the counted dispatch core (Plain and Ring) ------------------------- *)
+
+(* the libc stub, argument marshalling and errno handling run in user
+   mode before and after the trap *)
+let charge_stub k =
+  Ksim.Kernel.charge_user k (Ksim.Kernel.cost k).Ksim.Cost_model.user_stub
+
+let count_syscall k =
+  let p = Ksim.Kernel.current k in
+  p.Ksim.Kproc.syscalls <- p.Ksim.Kproc.syscalls + 1
+
+(* Injected boundary faults on a plain call, consulted once the gate has
+   allowed the request but before any work happens.
+
+   EINTR restart: a signal lands during the entry path; like
+   ERESTARTSYS, the kernel returns to user mode and the libc stub
+   transparently re-issues the call — a full exit/enter round trip
+   charged per restart (retry.eintr_restarts).  A plan hammering the
+   site eventually exhausts the restart budget and the interruption
+   surfaces as a clean [Error EINTR].
+
+   Spurious EAGAIN: the wakeup raced the readiness check.  Only injected
+   on [Recv]/[Accept] — the calls whose contract already includes
+   would-block — so callers' existing retry loops absorb it
+   (retry.eagain_injected). *)
+let rec eintr_restart sys n =
+  if not (Kfault.fire (Systable.fault sys) (Systable.eintr_site sys)) then None
+  else begin
+    let k = Systable.kernel sys in
+    Systable.count_eintr_restart sys;
+    Kperf.instant (Ksim.Kernel.perf k) ~pid:(current_pid sys) ~cat:"retry"
+      ~name:"eintr_restart" ();
+    Ksim.Kernel.exit_kernel k;
+    charge_stub k;
+    Ksim.Kernel.enter_kernel k;
+    count_syscall k;
+    if n + 1 >= 8 then Some Kvfs.Vtypes.EINTR else eintr_restart sys (n + 1)
+  end
+
+let injected sys req =
+  match eintr_restart sys 0 with
+  | Some _ as eintr -> eintr
+  | None -> (
+      match req with
+      | Syscall.Recv _ | Syscall.Accept _
+        when Kfault.fire (Systable.fault sys) (Systable.eagain_site sys) ->
+          Systable.count_eagain_injected sys;
+          Some Kvfs.Vtypes.EAGAIN
+      | _ -> None)
+
+(* Count, gate, serve and record one request, in kernel mode.  A plain
+   call ([crossing]) also takes the injected boundary faults and pays
+   its own copies: the arguments in unless the request was refused
+   before copy-in, the results out. *)
+let serve sys ~crossing req =
+  let k = Systable.kernel sys in
+  count_syscall k;
+  let sysno = Syscall.sysno_of_req req in
+  let refused =
+    match verdict sys sysno with
+    | Systable.Gate_allow -> if crossing then injected sys req else None
+    | Systable.Gate_deny e -> Some e
+    | Systable.Gate_kill -> flow_kill sys sysno
+  in
+  let reply = match refused with Some e -> Error e | None -> service sys req in
+  let bin =
+    if crossing && Option.is_none refused then Syscall.req_copy_bytes req else 0
+  and bout = if crossing then Syscall.reply_copy_bytes reply else 0 in
+  if bin > 0 then Ksim.Kernel.charge_copy_from_user k bin;
+  if bout > 0 then Ksim.Kernel.charge_copy_to_user k bout;
+  Systable.record sys ~sysno ~arg:(Syscall.arg_of_req req) ~bytes_in:bin
+    ~bytes_out:bout ~ok:(Result.is_ok reply);
+  reply
+
+let serve_plain sys req = serve sys ~crossing:true req
+
+(* The core Plain and Ring share: a kperf span around [serve], then the
+   latency histogram.  A plain call wraps [serve] in its own stay, so
+   its span covers the whole round trip, entry trap to exit — its self
+   time in a flamegraph is exactly the boundary-crossing tax the paper's
+   techniques exist to amortize.  A ring entry already runs inside its
+   batch's stay. *)
+let counted sys ~crossing req =
+  let k = Systable.kernel sys in
+  let sysno = Syscall.sysno_of_req req in
+  let t0 = Ksim.Kernel.now k in
+  let perf = Ksim.Kernel.perf k in
+  let pid = (Ksim.Kernel.current k).Ksim.Kproc.pid in
+  let span =
+    Kperf.span_begin perf ~pid ~cat:"syscall" ~name:(Sysno.to_string sysno) ()
+  in
+  let reply =
+    if crossing then begin
+      charge_stub k;
+      stay sys (Plain sysno) ~span serve_plain req
+    end
+    else
+      match serve sys ~crossing:false req with
+      | reply -> reply
+      | exception (Flow_violation _ as e) ->
+          (* the batch's stay unwinds it exactly like a watchdog expiry *)
+          Kperf.span_end perf ~pid span;
+          raise e
+  in
+  Systable.observe_latency sys ~sysno ~cycles:(Ksim.Kernel.now k - t0);
+  Kperf.span_end perf ~pid span;
+  reply
+
+(* Plain: one request, one round trip. *)
+let invoke sys req = counted sys ~crossing:true req
+
+(* Ring: one drained entry, inside its batch's stay. *)
+let invoke_drained sys req = counted sys ~crossing:false req
 
 (* --- reply extractors --------------------------------------------------- *)
 

@@ -2,7 +2,7 @@
 
    One [t] per kernel bundles the two halves of the subsystem — the
    syscall-flow-integrity gate (a {!Sfi} automaton consulted at the
-   [Usyscall.invoke] choke point) and the static {!Checker} that admits
+   [Usyscall.verdict] choke point) and the static {!Checker} that admits
    compounds and ring batches onto the watchdog-elided fast path.  All
    observability flows through the kernel's existing rails: kstats
    counters, kperf instants, and a ["sfi-violation"] instrument event

@@ -114,35 +114,6 @@ let test_oops_leaves_others_untouched () =
   Alcotest.(check string) "survivor's data intact" "survives"
     (Bytes.to_string data)
 
-let test_watchdog_kill_reaps () =
-  (* a runaway compound through a real kill site: the Cosy watchdog
-     fires, and with kcrash installed the offender is reaped *)
-  let t = boot_contained () in
-  Kstats.set_enabled (Core.stats t) true;
-  let policy =
-    {
-      Cosy.Cosy_safety.mode = Cosy.Cosy_safety.Data_segment;
-      watchdog_budget = 1_000_000;
-      trust_after = None;
-    }
-  in
-  let exec = Core.cosy ~policy t in
-  let c = Cosy.Cosy_lib.create () in
-  let top = Cosy.Cosy_lib.next_index c in
-  ignore
-    (Cosy.Cosy_lib.arith_fresh c Cosy.Cosy_op.Aadd (Cosy.Cosy_op.Const 1)
-       (Cosy.Cosy_op.Const 1));
-  Cosy.Cosy_lib.jmp c top;
-  (try
-     ignore (Cosy.Cosy_exec.submit exec (Cosy.Cosy_lib.finish c));
-     Alcotest.fail "expected watchdog kill"
-   with Cosy.Cosy_safety.Watchdog_expired _ -> ());
-  match Core.kcrash t with
-  | Some kc ->
-      Alcotest.(check int) "offender reaped through kcrash" 1
-        (Kcrash.oops_count kc)
-  | None -> Alcotest.fail "no kcrash instance"
-
 let test_ring_discard_on_oops () =
   let t = boot_contained () in
   let kernel = Core.kernel t in
@@ -211,6 +182,164 @@ let test_kefence_guardians_reaped_with_kcrash () =
   match Core.kcrash t with
   | Some kc -> Alcotest.(check int) "oops recorded" 1 (Kcrash.oops_count kc)
   | None -> Alcotest.fail "no kcrash"
+
+(* --- one kill, every entry path ----------------------------------------- *)
+
+(* Every kill cause on every entry path that can produce it, under
+   [contain = true] on wrapfs over Kefence [Crash].  Each row must end
+   the same way: exactly one kcrash report with the path's reason, the
+   kernel back in user mode, no guardian PTE the offender allocated left
+   behind, and a bystander's open file intact. *)
+type kill_row = {
+  path : string;
+  cause : string;
+  verify : Kverify.policy option;  (* [Some Kill] for the flow-gate rows *)
+  reason : string;                 (* the one report's reason *)
+  expect : exn -> bool;            (* what escapes to the caller *)
+  kill : Core.t -> unit;           (* the offender's fatal act *)
+}
+
+let flow_violation = function Kverify.Flow_violation _ -> true | _ -> false
+
+let watchdog = function
+  | Cosy.Cosy_safety.Watchdog_expired _ -> true
+  | _ -> false
+
+let contained_fault = function
+  | Ksim.Kernel.Oops { reason = "memory fault"; _ } -> true
+  | _ -> false
+
+(* the flow-gate rows: an automaton that knows only getpid, so the
+   unlink that follows it is an unrecorded transition *)
+let arm_getpid_only t =
+  Kverify.set_automaton
+    (Option.get (Core.kverify t))
+    (Some (Kverify.Sfi.of_edges [ (Ksyscall.Sysno.Getpid, Ksyscall.Sysno.Getpid) ]))
+
+let overflow_names t =
+  match Core.wrapfs t with
+  | Some w -> Kvfs.Wrapfs.inject_overflow w 4200
+  | None -> Alcotest.fail "no wrapfs"
+
+let runaway_policy budget =
+  {
+    Cosy.Cosy_safety.mode = Cosy.Cosy_safety.Data_segment;
+    watchdog_budget = budget;
+    trust_after = None;
+  }
+
+let submit_ops exec build =
+  let c = Cosy.Cosy_lib.create () in
+  build c;
+  ignore (Cosy.Cosy_exec.submit exec (Cosy.Cosy_lib.finish c))
+
+let run_reqs t ?policy reqs = ignore (Kring.run_batch (Core.ring ?policy t) reqs)
+
+let touch_outside_prog = {|
+int touch_outside(void) {
+  int *p = (int*)4096;
+  return *p;
+}
+|}
+
+let kill_rows =
+  let getpid_unlink = [ Ksyscall.Syscall.Getpid; Ksyscall.Syscall.Unlink { path = "/nope" } ] in
+  let open_boom = Ksyscall.Syscall.Open { path = "/boom"; flags = Core.o_create } in
+  let gate path kill =
+    { path; cause = "flow-gate"; verify = Some Kverify.Kill; reason = "flow-gate";
+      expect = flow_violation; kill }
+  and fault path reason kill =
+    { path; cause = "memory fault"; verify = None; reason; expect = contained_fault; kill }
+  in
+  [
+    gate "plain" (fun t ->
+        arm_getpid_only t;
+        ignore (Core.Syscall.sys_unlink (Core.sys t) ~path:"/nope"));
+    gate "ring" (fun t ->
+        arm_getpid_only t;
+        run_reqs t getpid_unlink);
+    gate "cosy" (fun t ->
+        arm_getpid_only t;
+        submit_ops (Core.cosy t) (fun c ->
+            ignore (Cosy.Cosy_lib.syscall c "getpid" []);
+            ignore (Cosy.Cosy_lib.syscall c "unlink" [ Cosy.Cosy_op.Str "/nope" ])));
+    { path = "ring"; cause = "watchdog"; verify = None; reason = "ring-watchdog";
+      expect = watchdog;
+      kill = (fun t ->
+        run_reqs t ~policy:(runaway_policy 1)
+          (List.init 4 (fun _ -> Ksyscall.Syscall.Getpid))) };
+    { path = "cosy"; cause = "watchdog"; verify = None; reason = "cosy-watchdog";
+      expect = watchdog;
+      kill = (fun t ->
+        submit_ops (Core.cosy ~policy:(runaway_policy 1_000_000) t) (fun c ->
+            let top = Cosy.Cosy_lib.next_index c in
+            ignore
+              (Cosy.Cosy_lib.arith_fresh c Cosy.Cosy_op.Aadd
+                 (Cosy.Cosy_op.Const 1) (Cosy.Cosy_op.Const 1));
+            Cosy.Cosy_lib.jmp c top)) };
+    fault "plain" "fault in open" (fun t ->
+        overflow_names t;
+        ignore (Core.Syscall.sys_open (Core.sys t) ~path:"/boom" ~flags:Core.o_create));
+    fault "ring" "ring-fault" (fun t ->
+        overflow_names t;
+        run_reqs t [ open_boom ]);
+    fault "cosy" "cosy-fault" (fun t ->
+        overflow_names t;
+        submit_ops (Core.cosy t) (fun c ->
+            ignore
+              (Cosy.Cosy_lib.syscall c "open"
+                 [ Cosy.Cosy_op.Str "/boom"; Cosy.Cosy_op.Const 2 ])));
+    { path = "cosy"; cause = "segment escape"; verify = None; reason = "cosy-fault";
+      expect = contained_fault;
+      kill = (fun t ->
+        let policy =
+          { (runaway_policy max_int) with
+            Cosy.Cosy_safety.mode = Cosy.Cosy_safety.Isolated_segment }
+        in
+        submit_ops (Core.cosy ~policy ~user_program:touch_outside_prog t) (fun c ->
+            ignore (Cosy.Cosy_lib.call_user c "touch_outside" []))) };
+  ]
+
+let test_kill_row row () =
+  let t =
+    Core.boot_with
+      { Core.Config.default with
+        fs = Core.Wrapfs_kefence Kefence.Crash;
+        verify = row.verify;
+        crash = Some crash_contain }
+  in
+  let kernel = Core.kernel t in
+  let sys = Core.sys t in
+  let sched = Ksim.Kernel.sched kernel in
+  let offender = Ksim.Scheduler.current sched in
+  (* the bystander opens and fills its own file while it runs, so
+     everything behind that file belongs to it *)
+  let bystander = Ksim.Scheduler.spawn sched ~name:"bystander" in
+  Ksim.Scheduler.activate sched bystander;
+  let fd = check_ok "open keep" (Core.Syscall.sys_open sys ~path:"/keep" ~flags:Core.o_create) in
+  ignore (check_ok "write keep" (Core.Syscall.sys_write sys ~fd ~data:(Bytes.of_string "survives")));
+  Ksim.Scheduler.activate sched offender;
+  let guardians = count_guardians kernel in
+  (match row.kill t with
+  | () -> Alcotest.fail "expected a kill"
+  | exception e when row.expect e -> ());
+  (match Core.kcrash t with
+  | None -> Alcotest.fail "no kcrash instance"
+  | Some kc -> (
+      match Kcrash.reports kc with
+      | [ r ] ->
+          Alcotest.(check int) "offender reaped" offender.Ksim.Kproc.pid r.Kcrash.o_pid;
+          Alcotest.(check string) "reason" row.reason r.Kcrash.o_reason
+      | rs -> Alcotest.failf "expected 1 report, got %d" (List.length rs)));
+  Alcotest.(check bool) "back in user mode" true
+    (Ksim.Kernel.mode kernel = Ksim.Kernel.User);
+  Alcotest.(check int) "no guardian PTE left behind" guardians (count_guardians kernel);
+  (* the bystander's own syscalls are not under test *)
+  Option.iter (fun kv -> Kverify.set_automaton kv None) (Core.kverify t);
+  Ksim.Scheduler.activate sched bystander;
+  Alcotest.(check string) "bystander's file intact" "survives"
+    (Bytes.to_string
+       (check_ok "pread keep" (Core.Syscall.sys_pread sys ~fd ~off:0 ~len:64)))
 
 (* --- Front 2: crash-consistent recovery -------------------------------- *)
 
@@ -362,11 +491,14 @@ let () =
             test_oops_reaps_everything;
           Alcotest.test_case "bystanders untouched" `Quick
             test_oops_leaves_others_untouched;
-          Alcotest.test_case "watchdog kill reaps" `Quick
-            test_watchdog_kill_reaps;
           Alcotest.test_case "ring state discarded" `Quick
             test_ring_discard_on_oops;
         ] );
+      ( "kill-table",
+        List.map
+          (fun row ->
+            Alcotest.test_case (row.path ^ " " ^ row.cause) `Quick (test_kill_row row))
+          kill_rows );
       ( "kefence-regression",
         [
           Alcotest.test_case "guardians leak without kcrash" `Quick

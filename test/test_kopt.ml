@@ -527,6 +527,85 @@ let test_ring_fused_echo_equivalent () =
   Alcotest.(check bool) "completion bytes coalesced" true
     (Kring.cq_bytes_saved ring > 0)
 
+(* --- gate parity ------------------------------------------------------------ *)
+
+(* An automaton learned from a plain run that opens two files, reads one
+   and closes both, but never reads twice in a row nor writes right
+   after a read: exactly the transitions inside a coalesced read pair
+   and a fused read->write. *)
+let learned_automaton () =
+  let t = Core.boot_with Core.Config.default in
+  let recorder = Core.trace t in
+  let sys = Core.sys t in
+  put_file t "/f" (pattern 64);
+  let a = Core.ok (Core.Syscall.sys_open sys ~path:"/f" ~flags:Core.o_rdonly) in
+  let b = Core.ok (Core.Syscall.sys_open sys ~path:"/g" ~flags:Core.o_create) in
+  ignore (Core.ok (Core.Syscall.sys_read sys ~fd:a ~len:16));
+  Core.ok (Core.Syscall.sys_close sys ~fd:a);
+  Core.ok (Core.Syscall.sys_close sys ~fd:b);
+  Core.Verify.learn recorder
+
+(* one submit under the automaton and gate [policy], interpreted
+   (verified admission) or optimized; the offender's sysno on a kill *)
+let gated_run ~policy ~optimize automaton compound =
+  let t = Core.boot_with { Core.Config.default with verify = Some policy; optimize } in
+  put_file t "/f" (pattern 2048);
+  let kv = Option.get (Core.kverify t) in
+  Core.Verify.set_automaton kv (Some automaton);
+  let cx = Core.cosy ~shared_size t in
+  let result =
+    match Exec.submit cx compound with
+    | slots -> Ok slots
+    | exception Core.Verify.Flow_violation { sysno; _ } ->
+        Error (Ksyscall.Sysno.to_string sysno)
+  in
+  let counts = (Core.Verify.checked kv, Core.Verify.violations kv) in
+  Core.Verify.set_automaton kv None;
+  (t, result, counts)
+
+let test_gate_parity () =
+  let automaton = learned_automaton () in
+  let coalesced =
+    [
+      sc_open 0 "/f" 0;
+      sc_read 1 (Op.Slot 0) 0 512;
+      sc_read 2 (Op.Slot 0) 512 512;
+      sc_close 3 (Op.Slot 0);
+      Op.Halt;
+    ]
+  in
+  List.iter
+    (fun (what, ops, shape, offender) ->
+      Alcotest.(check (pair int int))
+        (what ^ ": optimized pair") shape
+        (counts (compile ~slot_count:6 ops));
+      let compound = Compound.encode ~slot_count:6 ops in
+      let run policy optimize = gated_run ~policy ~optimize automaton compound in
+      (* Deny: the forbidden op fails EPERM on both paths, the rest runs *)
+      let tv, rv, cv = run Core.Verify.Deny false in
+      let topt, ro, co = run Core.Verify.Deny true in
+      Alcotest.(check (result (array int) string)) (what ^ ": deny slots") rv ro;
+      Alcotest.(check (pair int int)) (what ^ ": checked/violations") cv co;
+      Alcotest.(check int) (what ^ ": one violation") 1 (snd cv);
+      List.iter
+        (fun path ->
+          Alcotest.(check string)
+            (what ^ ": " ^ path ^ " bytes")
+            (file_bytes tv path) (file_bytes topt path))
+        [ "/f"; "/dst" ];
+      Alcotest.(check int)
+        (what ^ ": the plan executor ran") 1
+        (Core.Opt.compiles (Option.get (Core.kopt topt)));
+      (* Kill: both paths kill at the same op *)
+      let _, rv, _ = run Core.Verify.Kill false in
+      let _, ro, _ = run Core.Verify.Kill true in
+      Alcotest.(check (result (array int) string)) (what ^ ": kill") (Error offender) rv;
+      Alcotest.(check (result (array int) string)) (what ^ ": kill parity") rv ro)
+    [
+      ("coalesced read pair", coalesced, (1, 0), "read");
+      ("fused read->write", splice_ops, (0, 1), "write");
+    ]
+
 (* --- the property: random verified compounds are equivalent --------------- *)
 
 (* straight-line file programs over one descriptor slot: reads, preads,
@@ -623,6 +702,8 @@ let () =
             test_fd_cache_counters;
           QCheck_alcotest.to_alcotest qcheck_optimized_equivalent;
         ] );
+      ( "gate",
+        [ Alcotest.test_case "optimized pairs keep gate parity" `Quick test_gate_parity ] );
       ( "cache",
         [
           Alcotest.test_case "hit/miss/compile counters" `Quick
