@@ -29,8 +29,10 @@ bench-smoke:
 # $(TMPDIR), run the smoke bench there and here, and compare stdout and
 # the four BENCH_*.json artifacts; then run every workload benchmark
 # briefly in both trees and diff its deterministic sim_* lines.  Exits 1
-# on any difference: `make bench-same BASE=HEAD~1`.  Not part of `check`
-# (it needs BASE).
+# on any difference: `make bench-same BASE=HEAD~1`.  Also prints each
+# workload's host_alloc_words_per_op for BASE and for this tree side by
+# side (informational, never gated).  Not part of `check` (it needs
+# BASE).
 TMPDIR ?= /tmp
 BENCH_ARTIFACTS = BENCH_kstats.json BENCH_kperf.json BENCH_kfault.json BENCH_kcrash.json
 BENCH_WORKLOADS = c10k_naive c10k_ring_opt postmark_smp4 cosy_db
@@ -46,10 +48,17 @@ bench-same:
 	{ cmp "$$base/smoke.out" "$$base/smoke.here" || status=1; } && \
 	for f in $(BENCH_ARTIFACTS); do cmp "$$base/$$f" "$$f" || status=1; done; \
 	for w in $(BENCH_WORKLOADS); do \
-	  (cd "$$base" && $(BENCH_SIM) $$w) | grep ' sim_' > "$$base/$$w.base"; \
-	  $(BENCH_SIM) $$w | grep ' sim_' > "$$base/$$w.here"; \
+	  (cd "$$base" && $(BENCH_SIM) $$w) > "$$base/$$w.base.out"; \
+	  $(BENCH_SIM) $$w > "$$base/$$w.here.out"; \
+	  grep ' sim_' "$$base/$$w.base.out" > "$$base/$$w.base"; \
+	  grep ' sim_' "$$base/$$w.here.out" > "$$base/$$w.here"; \
 	  test -s "$$base/$$w.here" || { echo "bench-same: no sim_* lines for $$w"; status=1; }; \
 	  diff "$$base/$$w.base" "$$base/$$w.here" || status=1; \
+	  awk -v w=$$w '$$2 == "host_alloc_words_per_op" { v[FILENAME] = $$3 } \
+	    END { b = v[ARGV[1]]; h = v[ARGV[2]]; \
+	      printf "%-14s host_alloc_words_per_op  base %9.1f  here %9.1f  (%+.1f%%)\n", \
+	        w, b, h, b ? 100 * (h - b) / b : 0 }' \
+	    "$$base/$$w.base.out" "$$base/$$w.here.out"; \
 	done; \
 	if [ $$status = 0 ]; then echo "bench-same: identical to $(BASE)"; fi; \
 	exit $$status

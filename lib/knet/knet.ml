@@ -32,7 +32,8 @@ module Bq = struct
 
   let take q n =
     let n = min n (length q) in
-    let b = Bytes.of_string (Buffer.sub q.buf q.off n) in
+    let b = Bytes.create n in
+    Buffer.blit q.buf q.off b 0 n;
     q.off <- q.off + n;
     if q.off = Buffer.length q.buf then (Buffer.clear q.buf; q.off <- 0);
     b
@@ -120,6 +121,8 @@ type client = {
   cl_resp : Buffer.t;                (* raw response stream until digest *)
   mutable cl_finished : bool;
   mutable cl_fails : int;            (* consecutive failures, drives backoff *)
+  mutable cl_drops : int;            (* consecutive wire drops of the head
+                                        frame, bounded by [wire_retries] *)
   mutable cl_txq : string list;      (* unacked tx data, strict FIFO: a
                                         retransmitted frame keeps its place
                                         at the head, so later pipelined
@@ -151,7 +154,15 @@ type sock =
   | S_listen of listener
   | S_conn of conn
 
-type ep = { ep_interest : (int, int * int) Hashtbl.t (* sock -> mask, cookie *) }
+(* An epoll interest set indexed by socket id.  Ids are dense and never
+   reused, so walking the arrays upward from [ep_low] visits the
+   registrations in creation order without a fold or a sort. *)
+type ep = {
+  mutable ep_mask : int array;       (* per sock id; -1 = not registered *)
+  mutable ep_cookie : int array;
+  mutable ep_count : int;            (* registered sockets *)
+  mutable ep_low : int;              (* no registration below this id *)
+}
 
 type ev =
   | Ev_connect of client
@@ -419,6 +430,24 @@ let backoff_delay t cl =
   cl.cl_fails <- cl.cl_fails + 1;
   d
 
+(* Retransmits a client makes for one frame before it gives up, as
+   Linux's tcp_retries2 does. *)
+let wire_retries = 15
+
+(* The retransmit budget ran out: the client abandons the connection the
+   way TCP times one out (retry.net_timeouts, registered on first use).
+   It stops reading, so later drains are discarded, its open request
+   spans end, and the server sees the peer gone. *)
+let time_out t cl c =
+  Kstats.incr t.stats (Kstats.counter t.stats "retry.net_timeouts");
+  cl.cl_finished <- true;
+  cl.cl_txq <- [];
+  Queue.iter
+    (fun span -> Kperf.async_end (Kernel.perf t.kn) ~arg:cl.cl_port span)
+    cl.cl_span;
+  Queue.clear cl.cl_span;
+  c.cn_peer_closed <- true
+
 (* Returns the sock ids whose readiness the event may have changed. *)
 let process_event t = function
   | Ev_connect cl -> (
@@ -446,22 +475,27 @@ let process_event t = function
       match (Hashtbl.find_opt t.socks cl.cl_conn, cl.cl_txq) with
       | Some (S_conn c), data :: rest when not c.cn_closed ->
           if Kfault.fire t.fault t.site_wire_drop then begin
-            (* the frame vanishes on the wire; the client's retransmit
-               timer re-sends the whole payload after a backoff.  The
-               data stays at the head of the tx queue, so pipelined
-               frames behind it wait their turn, as TCP's sequence
-               numbers would make them *)
-            Kstats.incr t.stats t.st_retransmits;
-            (match port_state t cl.cl_port with
-            | Some ps -> ps.ps_retrans <- ps.ps_retrans + 1
-            | None -> ());
-            Kperf.instant (Kernel.perf t.kn) ~arg:cl.cl_port ~cat:"retry"
-              ~name:"net.retransmit" ();
-            push_ev t (now t + backoff_delay t cl) (Ev_deliver cl);
+            cl.cl_drops <- cl.cl_drops + 1;
+            if cl.cl_drops > wire_retries then time_out t cl c
+            else begin
+              (* the frame vanishes on the wire; the client's retransmit
+                 timer re-sends the whole payload after a backoff.  The
+                 data stays at the head of the tx queue, so pipelined
+                 frames behind it wait their turn, as TCP's sequence
+                 numbers would make them *)
+              Kstats.incr t.stats t.st_retransmits;
+              (match port_state t cl.cl_port with
+              | Some ps -> ps.ps_retrans <- ps.ps_retrans + 1
+              | None -> ());
+              Kperf.instant (Kernel.perf t.kn) ~arg:cl.cl_port ~cat:"retry"
+                ~name:"net.retransmit" ();
+              push_ev t (now t + backoff_delay t cl) (Ev_deliver cl)
+            end;
             [ c.cn_id ]
           end
           else begin
             cl.cl_fails <- 0;
+            cl.cl_drops <- 0;
             let len = String.length data in
             let n = deliver_bytes t c data 0 len in
             if n < len then begin
@@ -613,8 +647,7 @@ let send_space t ~sock =
   | Error _ as e -> e |> Result.map (fun _ -> 0)
   | Ok c -> Ok (t.sndbuf - Bq.length c.cn_send)
 
-let append_out t c data =
-  let len = Bytes.length data in
+let append_out t c data len =
   let space = t.sndbuf - Bq.length c.cn_send in
   let n = min space len in
   if n = 0 && len > 0 then begin
@@ -634,7 +667,7 @@ let send t ~sock ~data =
   charge t;
   match conn_of t sock with
   | Error _ as e -> e |> Result.map (fun _ -> 0)
-  | Ok c -> append_out t c data
+  | Ok c -> append_out t c data (Bytes.length data)
 
 (* Zero-copy transmit: the payload reaches the send queue through the
    kernel-owned staging region instead of a user buffer, so no
@@ -652,15 +685,46 @@ let send_kernel t ~sock data =
       end;
       Bytes.blit data 0 t.stage 0 len;
       Kstats.set t.stats t.st_stage_hw len;
-      let r = append_out t c (Bytes.sub t.stage 0 len) in
+      let r = append_out t c t.stage len in
       (match r with
       | Ok n -> Kstats.add t.stats t.st_sendfile_bytes n
       | Error _ -> ());
       r
 
+(* ---------- epoll ---------- *)
+
+let interest e id = if id < Array.length e.ep_mask then e.ep_mask.(id) else -1
+
+let ep_add e id mask cookie =
+  let len = Array.length e.ep_mask in
+  if id >= len then begin
+    let grow a fill =
+      let b = Array.make (max (id + 1) (max 64 (2 * len))) fill in
+      Array.blit a 0 b 0 len;
+      b
+    in
+    e.ep_mask <- grow e.ep_mask (-1);
+    e.ep_cookie <- grow e.ep_cookie 0
+  end;
+  if e.ep_mask.(id) < 0 then begin
+    e.ep_count <- e.ep_count + 1;
+    if id < e.ep_low then e.ep_low <- id
+  end;
+  (* readiness only ever has these bits, so masking keeps every answer
+     and leaves -1 free to mean "not registered" *)
+  e.ep_mask.(id) <- mask land (ep_in lor ep_out lor ep_hup);
+  e.ep_cookie.(id) <- cookie
+
+let ep_del e id =
+  if interest e id >= 0 then begin
+    e.ep_mask.(id) <- -1;
+    e.ep_count <- e.ep_count - 1;
+    if e.ep_count = 0 then e.ep_low <- max_int
+  end
+
 let close t ~sock =
   charge t;
-  Hashtbl.iter (fun _ e -> Hashtbl.remove e.ep_interest sock) t.eps;
+  Hashtbl.iter (fun _ e -> ep_del e sock) t.eps;
   if Hashtbl.mem t.eps sock then Hashtbl.remove t.eps sock
   else
     match Hashtbl.find_opt t.socks sock with
@@ -685,12 +749,11 @@ let close t ~sock =
         c.cn_closed <- true;
         Hashtbl.remove t.socks sock
 
-(* ---------- epoll ---------- *)
-
 let epoll_create t =
   charge t;
   let id = fresh_id t in
-  Hashtbl.replace t.eps id { ep_interest = Hashtbl.create 16 };
+  Hashtbl.replace t.eps id
+    { ep_mask = [||]; ep_cookie = [||]; ep_count = 0; ep_low = max_int };
   id
 
 let epoll_ctl t ~ep ~sock ~op =
@@ -702,11 +765,11 @@ let epoll_ctl t ~ep ~sock ~op =
       | `Add (mask, cookie) ->
           if not (Hashtbl.mem t.socks sock) then Error V.EBADF
           else begin
-            Hashtbl.replace e.ep_interest sock (mask, cookie);
+            ep_add e sock mask cookie;
             Ok ()
           end
       | `Del ->
-          Hashtbl.remove e.ep_interest sock;
+          ep_del e sock;
           Ok ())
 
 let ready_mask t id =
@@ -723,24 +786,25 @@ let ready_mask t id =
 (* HUP is delivered whether requested or not, as in epoll(7). *)
 let effective_ready t id mask = ready_mask t id land (mask lor ep_hup)
 
+(* The first [max] ready registrations in id order.  The walk starts at
+   the low-water id (raised here past any freed prefix) and stops at
+   [max] hits or once every registration has been seen. *)
 let scan t e max =
-  let entries =
-    Hashtbl.fold
-      (fun id (mask, cookie) acc -> (id, mask, cookie) :: acc)
-      e.ep_interest []
-  in
-  let entries =
-    List.sort (fun (a, _, _) (b, _, _) -> compare a b) entries
-  in
-  let rec collect n acc = function
-    | [] -> List.rev acc
-    | _ when n >= max -> List.rev acc
-    | (id, mask, cookie) :: rest ->
-        let r = effective_ready t id mask in
-        if r <> 0 then collect (n + 1) ((cookie, r) :: acc) rest
-        else collect n acc rest
-  in
-  collect 0 [] entries
+  let acc = ref [] and hits = ref 0 and seen = ref 0 and id = ref e.ep_low in
+  while !hits < max && !seen < e.ep_count do
+    let mask = e.ep_mask.(!id) in
+    if mask >= 0 then begin
+      if !seen = 0 then e.ep_low <- !id;
+      incr seen;
+      let r = effective_ready t !id mask in
+      if r <> 0 then begin
+        incr hits;
+        acc := (e.ep_cookie.(!id), r) :: !acc
+      end
+    end;
+    incr id
+  done;
+  List.rev !acc
 
 let epoll_wait t ~ep ~max =
   charge t;
@@ -765,9 +829,8 @@ let epoll_wait t ~ep ~max =
           if
             List.exists
               (fun id ->
-                match Hashtbl.find_opt e.ep_interest id with
-                | Some (mask, _) -> effective_ready t id mask <> 0
-                | None -> false)
+                let mask = interest e id in
+                mask >= 0 && effective_ready t id mask <> 0)
               touched
           then woken := true
         done;
@@ -837,6 +900,7 @@ module Traffic = struct
           cl_resp = Buffer.create 256;
           cl_finished = false;
           cl_fails = 0;
+          cl_drops = 0;
         }
       in
       push_ev t (now t + spec.start + (i * spec.spacing)) (Ev_connect cl)

@@ -85,10 +85,14 @@ val epoll_ctl :
   (unit, Kvfs.Vtypes.errno) result
 
 (** Level-triggered wait: returns up to [max] ready [(cookie, mask)]
-    pairs in socket-creation order.  When nothing is ready but network
-    events are pending, blocks the current process (clock advances as
-    I/O wait) until an event makes a registered socket ready; returns
-    [[]] only when the traffic heap is exhausted and nothing is ready. *)
+    pairs in socket-creation order.  The interest set is indexed by
+    socket id, so the host work of one scan is proportional to [max]
+    plus the registrations it skips (not ready, or ids freed below
+    them), not to the size of the interest set.  When nothing is ready
+    but network events are pending, blocks the current process (clock
+    advances as I/O wait) until an event makes a registered socket
+    ready; returns [[]] only when the traffic heap is exhausted and
+    nothing is ready. *)
 val epoll_wait :
   t -> ep:int -> max:int -> ((int * int) list, Kvfs.Vtypes.errno) result
 
@@ -146,7 +150,10 @@ module Traffic : sig
   val drops : t -> port:int -> int
 
   (** Wire frames lost to injected faults and re-sent after backoff —
-      the congestion signal a server's load-shedding can watch. *)
+      the congestion signal a server's load-shedding can watch.  A
+      client re-sends one frame at most 15 times in a row; after that
+      it abandons the connection as a TCP timeout would (counted in
+      [retry.net_timeouts]), and the server sees the peer gone. *)
   val retransmits : t -> port:int -> int
 
   (** Digest over every connection's full response byte stream, in

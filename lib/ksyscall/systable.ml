@@ -43,6 +43,7 @@ type t = {
   site_eagain : Kfault.site;
   st_eintr_restarts : Kstats.counter;
   st_eagain_injected : Kstats.counter;
+  mutable eagain_streak : int;  (* consecutive injected EAGAINs *)
 }
 
 let create ?root_fs ?dcache_shards kernel =
@@ -65,18 +66,35 @@ let create ?root_fs ?dcache_shards kernel =
       Kstats.counter (Ksim.Kernel.stats kernel) "retry.eintr_restarts";
     st_eagain_injected =
       Kstats.counter (Ksim.Kernel.stats kernel) "retry.eagain_injected";
+    eagain_streak = 0;
   }
 
 let kernel t = t.kernel
 let fault t = t.fault
 let eintr_site t = t.site_eintr
-let eagain_site t = t.site_eagain
 
 let count_eintr_restart t =
   Kstats.incr (Ksim.Kernel.stats t.kernel) t.st_eintr_restarts
 
-let count_eagain_injected t =
-  Kstats.incr (Ksim.Kernel.stats t.kernel) t.st_eagain_injected
+let restart_budget = 8
+
+(* After [restart_budget] spurious EAGAINs in a row the next call skips
+   the probe and goes through, so a plan firing on every occurrence
+   cannot starve a server that retries whenever epoll says ready. *)
+let inject_eagain t =
+  if t.eagain_streak >= restart_budget then begin
+    t.eagain_streak <- 0;
+    false
+  end
+  else if Kfault.fire t.fault t.site_eagain then begin
+    t.eagain_streak <- t.eagain_streak + 1;
+    Kstats.incr (Ksim.Kernel.stats t.kernel) t.st_eagain_injected;
+    true
+  end
+  else begin
+    t.eagain_streak <- 0;
+    false
+  end
 
 let vfs t = t.vfs
 let net t = t.net

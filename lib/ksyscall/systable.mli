@@ -30,9 +30,16 @@ val vfs : t -> Kvfs.Vfs.t
 val fault : t -> Kfault.t
 
 val eintr_site : t -> Kfault.site
-val eagain_site : t -> Kfault.site
 val count_eintr_restart : t -> unit
-val count_eagain_injected : t -> unit
+
+(** Consecutive injections either boundary fault may make before the
+    call goes through: EINTR restarts give up with [EINTR] after this
+    many, and {!inject_eagain} lets the next call pass unprobed. *)
+val restart_budget : int
+
+(** Probe [syscall.eagain]; [true] means answer this recv/accept with a
+    spurious [EAGAIN] (counted in [retry.eagain_injected]). *)
+val inject_eagain : t -> bool
 
 (** The simulated socket stack booted alongside the VFS. *)
 val net : t -> Knet.t

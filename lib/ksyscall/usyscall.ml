@@ -220,7 +220,8 @@ let count_syscall k =
    Spurious EAGAIN: the wakeup raced the readiness check.  Only injected
    on [Recv]/[Accept] — the calls whose contract already includes
    would-block — so callers' existing retry loops absorb it
-   (retry.eagain_injected). *)
+   (retry.eagain_injected).  It has the same budget of consecutive
+   injections, after which one call goes through. *)
 let rec eintr_restart sys n =
   if not (Kfault.fire (Systable.fault sys) (Systable.eintr_site sys)) then None
   else begin
@@ -232,7 +233,8 @@ let rec eintr_restart sys n =
     charge_stub k;
     Ksim.Kernel.enter_kernel k;
     count_syscall k;
-    if n + 1 >= 8 then Some Kvfs.Vtypes.EINTR else eintr_restart sys (n + 1)
+    if n + 1 >= Systable.restart_budget then Some Kvfs.Vtypes.EINTR
+    else eintr_restart sys (n + 1)
   end
 
 let injected sys req =
@@ -240,9 +242,7 @@ let injected sys req =
   | Some _ as eintr -> eintr
   | None -> (
       match req with
-      | Syscall.Recv _ | Syscall.Accept _
-        when Kfault.fire (Systable.fault sys) (Systable.eagain_site sys) ->
-          Systable.count_eagain_injected sys;
+      | (Syscall.Recv _ | Syscall.Accept _) when Systable.inject_eagain sys ->
           Some Kvfs.Vtypes.EAGAIN
       | _ -> None)
 

@@ -273,7 +273,10 @@ let run_with ?(plans = []) ?(config = default_run_config) () =
       let r = Workloads.Webserver.run_net ~config:net_config sys in
       Buffer.add_string buf r.Workloads.Webserver.n_digest;
       add_int r.Workloads.Webserver.n_served;
-      add_int r.Workloads.Webserver.n_completed);
+      add_int r.Workloads.Webserver.n_completed;
+      (* clients that ran out of retransmits timed out *)
+      if r.Workloads.Webserver.n_completed < net_config.conns then
+        err "net" Kvfs.Vtypes.ETIMEDOUT);
 
   ( {
       r_cycles = Ksim.Kernel.now kernel;

@@ -275,6 +275,38 @@ let test_net_backoff_recovers () =
   Alcotest.(check bool) "backoff cycles charged" true
     (counter_value t "retry.net_backoff_cycles" >= 1)
 
+(* Triggers that fire on every occurrence must still let a run finish:
+   a frame dropped every time exhausts its retransmit budget and the
+   client times out, and a spurious EAGAIN on every recv/accept lets one
+   call through after the budget of consecutive injections. *)
+let storm_cfg =
+  { Workloads.Webserver.net_default_config with conns = 4; requests_per_conn = 2 }
+
+let test_wire_drop_storm_times_out () =
+  let t = boot () in
+  Workloads.Webserver.net_setup ~config:storm_cfg (Core.sys t);
+  arm t [ ("net.wire_drop", Kfault.Every_nth 1) ];
+  let r = Workloads.Webserver.run_net ~config:storm_cfg (Core.sys t) in
+  Alcotest.(check int) "no connection completes" 0
+    r.Workloads.Webserver.n_completed;
+  Alcotest.(check int) "every client timed out" storm_cfg.conns
+    (counter_value t "retry.net_timeouts")
+
+let test_eagain_storm_serves () =
+  let clean =
+    let t = boot () in
+    Workloads.Webserver.net_setup ~config:storm_cfg (Core.sys t);
+    Workloads.Webserver.run_net ~config:storm_cfg (Core.sys t)
+  in
+  let t = boot () in
+  Workloads.Webserver.net_setup ~config:storm_cfg (Core.sys t);
+  arm t [ ("syscall.eagain", Kfault.Every_nth 1) ];
+  let r = Workloads.Webserver.run_net ~config:storm_cfg (Core.sys t) in
+  Alcotest.(check string) "byte-identical responses"
+    clean.Workloads.Webserver.n_digest r.Workloads.Webserver.n_digest;
+  Alcotest.(check bool) "spurious EAGAINs injected" true
+    (counter_value t "retry.eagain_injected" >= Ksyscall.Systable.restart_budget)
+
 (* --- twin determinism (qcheck) ----------------------------------------- *)
 
 let sites =
@@ -378,6 +410,10 @@ let () =
             test_kopt_invalidation_recompiles;
           Alcotest.test_case "net backoff recovers" `Quick
             test_net_backoff_recovers;
+          Alcotest.test_case "wire-drop storm times out" `Quick
+            test_wire_drop_storm_times_out;
+          Alcotest.test_case "EAGAIN storm still serves" `Quick
+            test_eagain_storm_serves;
         ] );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest qcheck_twin_determinism ] );

@@ -162,6 +162,203 @@ let test_epoll_wait_blocks_until_traffic () =
   Alcotest.(check bool) "wakeup counted" true
     (find_counter (Core.stats t) "net.epoll.wakeups" >= 1)
 
+(* epoll_wait against a reference model: random connects, accepts,
+   bytes, recvs, FINs, (re-)registrations, deletions and closes, and
+   after every step the ready list must be the model's ready sockets in
+   ascending id order, cut to [max]. *)
+type op =
+  | Connect
+  | Accept
+  | Bytes_in of int * int  (* socket pick, length *)
+  | Recv of int * int      (* socket pick, length *)
+  | Fin of int
+  | Add of int * int * int (* socket pick, mask, cookie *)
+  | Del of int
+  | Close of int
+
+let pp_op = function
+  | Connect -> "connect"
+  | Accept -> "accept"
+  | Bytes_in (p, n) -> Printf.sprintf "bytes(%d,%d)" p n
+  | Recv (p, n) -> Printf.sprintf "recv(%d,%d)" p n
+  | Fin p -> Printf.sprintf "fin(%d)" p
+  | Add (p, m, c) -> Printf.sprintf "add(%d,%d,%d)" p m c
+  | Del p -> Printf.sprintf "del(%d)" p
+  | Close p -> Printf.sprintf "close(%d)" p
+
+let gen_op =
+  QCheck.Gen.(
+    let pick = int_bound 63 in
+    frequency
+      [
+        (4, return Connect);
+        (3, return Accept);
+        (3, map2 (fun p n -> Bytes_in (p, n)) pick (int_range 1 8));
+        (3, map2 (fun p n -> Recv (p, n)) pick (int_range 1 8));
+        (1, map (fun p -> Fin p) pick);
+        (5, map3 (fun p m c -> Add (p, m, c)) pick (int_bound 7) (int_bound 999));
+        (2, map (fun p -> Del p) pick);
+        (1, map (fun p -> Close p) pick);
+      ])
+
+(* The model's view of one socket: the listener or a connection. *)
+type msock = {
+  ms_id : int;
+  ms_listener : bool;
+  mutable ms_live : bool;            (* still in the socket table *)
+  mutable ms_unread : int;
+  mutable ms_fin : bool;
+  mutable ms_reg : (int * int) option;  (* mask, cookie *)
+}
+
+let qcheck_epoll_order =
+  QCheck.Test.make ~name:"epoll_wait = model's ready set, id order, cut to max"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) gen_op))
+    (fun ops ->
+      let _kernel, net = bare () in
+      let lid = listener ~backlog:3 net in
+      let ep = Knet.epoll_create net in
+      let lsock =
+        { ms_id = lid; ms_listener = true; ms_live = true; ms_unread = 0;
+          ms_fin = false; ms_reg = None }
+      in
+      let socks = ref [ lsock ] in          (* creation order *)
+      let backlog = Queue.create () in
+      let nth p = List.nth !socks (p mod List.length !socks) in
+      let ready s =
+        if not s.ms_live then 0
+        else if s.ms_listener then
+          if Queue.is_empty backlog then 0 else Knet.ep_in
+        else
+          (if s.ms_unread > 0 || s.ms_fin then Knet.ep_in else 0)
+          lor (if s.ms_fin then Knet.ep_hup else 0)
+          lor Knet.ep_out
+      in
+      let expected k =
+        List.filter_map
+          (fun s ->
+            match s.ms_reg with
+            | Some (mask, cookie) ->
+                let r = ready s land (mask lor Knet.ep_hup) in
+                if r <> 0 then Some (cookie, r) else None
+            | None -> None)
+          !socks
+        |> List.filteri (fun i _ -> i < k)
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let apply = function
+        | Connect -> (
+            let full = Queue.length backlog >= 3 in
+            match Knet.inject_connect net ~port:80 with
+            | Some id when lsock.ms_live && not full ->
+                let s =
+                  { ms_id = id; ms_listener = false; ms_live = true;
+                    ms_unread = 0; ms_fin = false; ms_reg = None }
+                in
+                socks := !socks @ [ s ];
+                Queue.push s backlog
+            | None when full || not lsock.ms_live -> ()
+            | _ -> fail "connect disagrees with the model")
+        | Accept -> (
+            match (Knet.accept net ~sock:lid, Queue.take_opt backlog) with
+            | Ok id, Some s when s.ms_id = id -> ()
+            | Error _, None -> ()
+            | _ -> fail "accept disagrees with the model")
+        | Bytes_in (p, n) ->
+            let s = nth p in
+            let got = Knet.inject_bytes net ~sock:s.ms_id (String.make n 'b') in
+            let want = if s.ms_live && not s.ms_listener then n else 0 in
+            if got <> want then fail "inject_bytes took %d, want %d" got want;
+            s.ms_unread <- s.ms_unread + got
+        | Recv (p, n) -> (
+            let s = nth p in
+            match Knet.recv net ~sock:s.ms_id ~len:n with
+            | Ok b when s.ms_live && not s.ms_listener ->
+                let want = min n s.ms_unread in
+                if Bytes.length b <> want || (want = 0 && not s.ms_fin) then
+                  fail "recv returned %d bytes, want %d" (Bytes.length b) want;
+                s.ms_unread <- s.ms_unread - want
+            | Error Kvfs.Vtypes.EAGAIN
+              when s.ms_live && (not s.ms_listener) && s.ms_unread = 0
+                   && not s.ms_fin ->
+                ()
+            | Error _ when s.ms_listener || not s.ms_live -> ()
+            | _ -> fail "recv disagrees with the model")
+        | Fin p ->
+            let s = nth p in
+            Knet.inject_fin net ~sock:s.ms_id;
+            if s.ms_live && not s.ms_listener then s.ms_fin <- true
+        | Add (p, mask, cookie) -> (
+            let s = nth p in
+            match Knet.epoll_ctl net ~ep ~sock:s.ms_id ~op:(`Add (mask, cookie)) with
+            | Ok () when s.ms_live -> s.ms_reg <- Some (mask, cookie)
+            | Error Kvfs.Vtypes.EBADF when not s.ms_live -> ()
+            | _ -> fail "epoll_ctl add disagrees with the model")
+        | Del p ->
+            let s = nth p in
+            ignore (Knet.epoll_ctl net ~ep ~sock:s.ms_id ~op:`Del);
+            s.ms_reg <- None
+        | Close p ->
+            let s = nth p in
+            Knet.close net ~sock:s.ms_id;
+            s.ms_reg <- None;
+            s.ms_live <- false;
+            (* queued, never-accepted connections die with the listener;
+               a closed connection keeps its backlog slot, as in knet *)
+            if s.ms_listener then begin
+              Queue.iter (fun q -> q.ms_live <- false) backlog;
+              Queue.clear backlog
+            end
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          List.iter
+            (fun k ->
+              match Knet.epoll_wait net ~ep ~max:k with
+              | Ok got when got = expected k -> ()
+              | Ok got ->
+                  fail "after %s, max %d: got [%s], want [%s]" (pp_op op) k
+                    (String.concat ";"
+                       (List.map (fun (c, m) -> Printf.sprintf "%d/%d" c m) got))
+                    (String.concat ";"
+                       (List.map
+                          (fun (c, m) -> Printf.sprintf "%d/%d" c m)
+                          (expected k)))
+              | Error e ->
+                  fail "epoll_wait: %s" (Kvfs.Vtypes.errno_to_string e))
+            [ 1; 2; 3; 64 ])
+        ops;
+      true)
+
+(* A ready set far larger than [max] must cost the walk of [max]
+   registrations, not a copy of the whole interest set. *)
+let test_epoll_wait_cost_is_max_bound () =
+  let _kernel, net = bare () in
+  let s = listener ~backlog:4 net in
+  let ep = Knet.epoll_create net in
+  let ids =
+    List.init 4_000 (fun _ ->
+        ignore (Knet.inject_connect net ~port:80);
+        let id = Result.get_ok (Knet.accept net ~sock:s) in
+        ignore (Knet.inject_bytes net ~sock:id "x");
+        ignore (Knet.epoll_ctl net ~ep ~sock:id ~op:(`Add (Knet.ep_in, id)));
+        id)
+  in
+  let before = Gc.minor_words () in
+  let got = Knet.epoll_wait net ~ep ~max:8 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (result (list int) errno))
+    "the 8 lowest socket ids"
+    (Ok (List.filteri (fun i _ -> i < 8) ids))
+    (Result.map (List.map fst) got);
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer than 2000 minor words (got %.0f)" words)
+    true (words < 2_000.)
+
 (* --- the syscall boundary ------------------------------------------------ *)
 
 (* Kproc.lookup_fd maps a socket fd to handle_base + id; recover the raw
@@ -296,6 +493,9 @@ let () =
             test_epoll_level_triggered;
           Alcotest.test_case "blocking wait rides the event heap" `Quick
             test_epoll_wait_blocks_until_traffic;
+          QCheck_alcotest.to_alcotest qcheck_epoll_order;
+          Alcotest.test_case "wait cost is bounded by max" `Quick
+            test_epoll_wait_cost_is_max_bound;
         ] );
       ( "syscalls",
         [
