@@ -20,22 +20,102 @@ let ep_hup = 4
 
 let backlog_drop = Instrument.custom "net-backlog-drop"
 
-(* A byte FIFO over Buffer: append at the tail, consume a prefix. *)
+(* Free byte buffers, one free list per size class: class [k] holds
+   buffers of exactly [min_cap lsl k] bytes.  A request pops only from
+   its own class, so a small free buffer is never popped, found too
+   small and pushed back.  Each socket stack owns its pool ([t.pool]),
+   so two kernels never share a buffer. *)
+module Pool = struct
+  type t = Bytes.t list array
+
+  let min_cap = 256
+
+  (* 256 B .. 1 GB: far past any queue bound *)
+  let create () : t = Array.make 23 []
+
+  let class_of len =
+    let k = ref 0 in
+    while min_cap lsl !k < len do
+      incr k
+    done;
+    !k
+
+  (* A buffer of at least [len] bytes, recycled when the class has one. *)
+  let take p len =
+    let k = class_of len in
+    match p.(k) with
+    | b :: rest ->
+        p.(k) <- rest;
+        b
+    | [] -> Bytes.create (min_cap lsl k)
+
+  let give p b =
+    let k = class_of (Bytes.length b) in
+    p.(k) <- b :: p.(k)
+
+  (* Every free buffer, each checked to be exactly its class's size. *)
+  let free_buffers p =
+    Array.to_list p
+    |> List.mapi (fun k free ->
+           List.map (fun b -> (Bytes.length b = min_cap lsl k, b)) free)
+    |> List.concat
+end
+
+(* A byte FIFO over pooled storage: the live bytes are
+   [buf.[off .. off + len - 1]].  A queue takes its storage from the pool
+   on its first push and hands it back on [release]; in between it grows
+   by moving to the next size class. *)
 module Bq = struct
-  type t = { buf : Buffer.t; mutable off : int }
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
-  let create () = { buf = Buffer.create 64; off = 0 }
-  let length q = Buffer.length q.buf - q.off
+  let create () = { buf = Bytes.empty; off = 0; len = 0 }
+  let length q = q.len
 
-  let push_sub q s pos len = Buffer.add_substring q.buf s pos len
-  let push_bytes_sub q b pos len = Buffer.add_subbytes q.buf b pos len
+  let release pool q =
+    if Bytes.length q.buf > 0 then Pool.give pool q.buf;
+    q.buf <- Bytes.empty;
+    q.off <- 0;
+    q.len <- 0
+
+  (* Room for [n] more bytes at the tail: slide the live bytes to the
+     front when that is enough, else move them to a bigger buffer. *)
+  let reserve pool q n =
+    let need = q.len + n in
+    let cap = Bytes.length q.buf in
+    if q.off + need > cap then
+      if need <= cap then begin
+        Bytes.blit q.buf q.off q.buf 0 q.len;
+        q.off <- 0
+      end
+      else begin
+        let b = Pool.take pool need in
+        let len = q.len in
+        Bytes.blit q.buf q.off b 0 len;
+        release pool q;
+        q.buf <- b;
+        q.len <- len
+      end
+
+  let push_sub pool q s pos n =
+    reserve pool q n;
+    Bytes.blit_string s pos q.buf (q.off + q.len) n;
+    q.len <- q.len + n
+
+  let push_bytes_sub pool q b pos n =
+    reserve pool q n;
+    Bytes.blit b pos q.buf (q.off + q.len) n;
+    q.len <- q.len + n
+
+  (* Consume a prefix in place. *)
+  let drop q n =
+    q.off <- q.off + n;
+    q.len <- q.len - n;
+    if q.len = 0 then q.off <- 0
 
   let take q n =
-    let n = min n (length q) in
-    let b = Bytes.create n in
-    Buffer.blit q.buf q.off b 0 n;
-    q.off <- q.off + n;
-    if q.off = Buffer.length q.buf then (Buffer.clear q.buf; q.off <- 0);
+    let n = min n q.len in
+    let b = Bytes.sub q.buf q.off n in
+    drop q n;
     b
 end
 
@@ -74,12 +154,14 @@ module Heap = struct
       ()
     done
 
-  let peek h = if h.len = 0 then None else Some (get h 0)
+  (* [peek] and [pop] hand out the stored cell itself, so neither
+     allocates; slot 0 is [None] whenever the heap is empty. *)
+  let peek h = h.arr.(0)
 
   let pop h =
     if h.len = 0 then None
     else begin
-      let top = get h 0 in
+      let top = h.arr.(0) in
       h.len <- h.len - 1;
       h.arr.(0) <- h.arr.(h.len);
       h.arr.(h.len) <- None;
@@ -98,7 +180,7 @@ module Heap = struct
         end
         else continue := false
       done;
-      Some top
+      top
     end
 end
 
@@ -118,7 +200,7 @@ type client = {
   mutable cl_body_left : int;
   cl_sent_at : int Queue.t;          (* client-side send instants, FIFO *)
   cl_span : int Queue.t;             (* kperf async span ids, same FIFO *)
-  cl_resp : Buffer.t;                (* raw response stream until digest *)
+  cl_resp : Bq.t;                    (* raw response stream until digest *)
   mutable cl_finished : bool;
   mutable cl_fails : int;            (* consecutive failures, drives backoff *)
   mutable cl_drops : int;            (* consecutive wire drops of the head
@@ -192,6 +274,9 @@ type t = {
   mutable next_id : int;
   traffic : (int, port_state) Hashtbl.t;
   mutable stage : Bytes.t;           (* shared transmit staging region *)
+  pool : Pool.t;                     (* free queue storage *)
+  mutable touched_a : int;           (* sock ids the last event may have *)
+  mutable touched_b : int;           (* made ready; -1 = none *)
   (* kstats handles *)
   stats : Kstats.t;
   st_conns : Kstats.counter;
@@ -228,6 +313,9 @@ let create ?(rcvbuf = 16 * 1024) ?(sndbuf = 32 * 1024) kn =
     next_id = 1;
     traffic = Hashtbl.create 4;
     stage = Bytes.create 0;
+    pool = Pool.create ();
+    touched_a = -1;
+    touched_b = -1;
     stats;
     st_conns = Kstats.counter stats "net.conns";
     st_accepts = Kstats.counter stats "net.accepts";
@@ -296,11 +384,12 @@ let response_done t cl =
     cl.cl_finished <- true;
     (match port_state t cl.cl_port with
     | Some ps ->
+        let q = cl.cl_resp in
         ps.ps_digests.(cl.cl_seq) <-
-          Digest.to_hex (Digest.string (Buffer.contents cl.cl_resp));
+          Digest.to_hex (Digest.subbytes q.Bq.buf q.Bq.off q.Bq.len);
         ps.ps_completed <- ps.ps_completed + 1
     | None -> ());
-    Buffer.clear cl.cl_resp;
+    Bq.release t.pool cl.cl_resp;
     (* FIN rides the final ack: the server sees EOF once it drains. *)
     match Hashtbl.find_opt t.socks cl.cl_conn with
     | Some (S_conn c) -> c.cn_peer_closed <- true
@@ -312,20 +401,21 @@ let response_done t cl =
     cl.cl_sent <- cl.cl_sent + 1
   end
 
-(* Parse drained bytes against the 8-byte-length + body framing. *)
-let client_rx t cl (b : Bytes.t) =
-  Buffer.add_bytes cl.cl_resp b;
-  let len = Bytes.length b in
-  let pos = ref 0 in
-  while !pos < len && not cl.cl_finished do
+(* Parse [len] drained bytes of [b] from [off] against the
+   8-byte-length + body framing. *)
+let client_rx t cl b off len =
+  Bq.push_bytes_sub t.pool cl.cl_resp b off len;
+  let stop = off + len in
+  let pos = ref off in
+  while !pos < stop && not cl.cl_finished do
     if cl.cl_body_left > 0 then begin
-      let n = min cl.cl_body_left (len - !pos) in
+      let n = min cl.cl_body_left (stop - !pos) in
       cl.cl_body_left <- cl.cl_body_left - n;
       pos := !pos + n;
       if cl.cl_body_left = 0 then response_done t cl
     end
     else begin
-      let n = min (8 - cl.cl_hdr_got) (len - !pos) in
+      let n = min (8 - cl.cl_hdr_got) (stop - !pos) in
       Bytes.blit b !pos cl.cl_hdr cl.cl_hdr_got n;
       cl.cl_hdr_got <- cl.cl_hdr_got + n;
       pos := !pos + n;
@@ -400,7 +490,7 @@ let deliver_bytes t c s pos len =
   let n = min space len in
   if n < len then Kstats.incr t.stats t.st_rcvq_full;
   if n > 0 then begin
-    Bq.push_sub c.cn_recv s pos n;
+    Bq.push_sub t.pool c.cn_recv s pos n;
     Kstats.add t.stats t.st_bytes_in n
   end;
   n
@@ -442,13 +532,19 @@ let time_out t cl c =
   Kstats.incr t.stats (Kstats.counter t.stats "retry.net_timeouts");
   cl.cl_finished <- true;
   cl.cl_txq <- [];
+  Bq.release t.pool cl.cl_resp;
   Queue.iter
     (fun span -> Kperf.async_end (Kernel.perf t.kn) ~arg:cl.cl_port span)
     cl.cl_span;
   Queue.clear cl.cl_span;
   c.cn_peer_closed <- true
 
-(* Returns the sock ids whose readiness the event may have changed. *)
+let touch t a b =
+  t.touched_a <- a;
+  t.touched_b <- b
+
+(* Records in [touched_a]/[touched_b] the sock ids whose readiness the
+   event may have changed. *)
 let process_event t = function
   | Ev_connect cl -> (
       match connect_attempt t ~port:cl.cl_port ~client:(Some cl) with
@@ -461,16 +557,16 @@ let process_event t = function
             schedule_request t cl ~req:k ~send_at:(now t + (k * 16))
           done;
           cl.cl_sent <- burst;
-          [ lid; id ]
+          touch t lid id
       | C_drop lid ->
           (* client backs off and redials *)
           Kstats.incr t.stats t.st_redials;
           push_ev t (now t + backoff_delay t cl) (Ev_connect cl);
-          [ lid ]
+          touch t lid (-1)
       | C_refused ->
           Kstats.incr t.stats t.st_redials;
           push_ev t (now t + backoff_delay t cl) (Ev_connect cl);
-          [])
+          touch t (-1) (-1))
   | Ev_deliver cl -> (
       match (Hashtbl.find_opt t.socks cl.cl_conn, cl.cl_txq) with
       | Some (S_conn c), data :: rest when not c.cn_closed ->
@@ -491,7 +587,7 @@ let process_event t = function
                 ~name:"net.retransmit" ();
               push_ev t (now t + backoff_delay t cl) (Ev_deliver cl)
             end;
-            [ c.cn_id ]
+            touch t c.cn_id (-1)
           end
           else begin
             cl.cl_fails <- 0;
@@ -503,23 +599,25 @@ let process_event t = function
               push_ev t (now t + (max 1 (wire t / 4))) (Ev_deliver cl)
             end
             else cl.cl_txq <- rest;
-            [ c.cn_id ]
+            touch t c.cn_id (-1)
           end
-      | _ -> [])
+      | _ -> touch t (-1) (-1))
   | Ev_drain id -> (
       match Hashtbl.find_opt t.socks id with
       | Some (S_conn c) ->
           c.cn_drain_scheduled <- false;
-          let n = Bq.length c.cn_send in
+          let q = c.cn_send in
+          let n = Bq.length q in
           if n > 0 then begin
-            let b = Bq.take c.cn_send n in
+            (* the client reads the queued bytes where they lie *)
             Kstats.add t.stats t.st_bytes_out n;
-            match c.cn_client with
-            | Some cl when not cl.cl_finished -> client_rx t cl b
-            | _ -> ()
+            (match c.cn_client with
+            | Some cl when not cl.cl_finished -> client_rx t cl q.buf q.off n
+            | _ -> ());
+            Bq.drop q n
           end;
-          [ id ]
-      | None | Some (S_new _) | Some (S_listen _) -> [])
+          touch t id (-1)
+      | None | Some (S_new _) | Some (S_listen _) -> touch t (-1) (-1))
 
 let pump t =
   let continue = ref true in
@@ -527,7 +625,7 @@ let pump t =
     match Heap.peek t.heap with
     | Some (due, _, _) when due <= now t ->
         (match Heap.pop t.heap with
-        | Some (_, _, ev) -> ignore (process_event t ev)
+        | Some (_, _, ev) -> process_event t ev
         | None -> ())
     | _ -> continue := false
   done
@@ -535,7 +633,7 @@ let pump t =
 (* Advance the clock (I/O wait) to the next event and process it. *)
 let advance_and_process t =
   match Heap.pop t.heap with
-  | None -> []
+  | None -> touch t (-1) (-1)
   | Some (due, _, ev) ->
       if due > now t then Kernel.charge_io t.kn (due - now t);
       process_event t ev
@@ -543,7 +641,7 @@ let advance_and_process t =
 let step t =
   if Heap.is_empty t.heap then false
   else begin
-    ignore (advance_and_process t);
+    advance_and_process t;
     true
   end
 
@@ -658,7 +756,7 @@ let append_out t c data len =
   end
   else begin
     if n < len then Kstats.incr t.stats t.st_sendq_full;
-    Bq.push_bytes_sub c.cn_send data 0 n;
+    Bq.push_bytes_sub t.pool c.cn_send data 0 n;
     schedule_drain t c;
     Ok n
   end
@@ -722,6 +820,13 @@ let ep_del e id =
     if e.ep_count = 0 then e.ep_low <- max_int
   end
 
+(* A closed connection's queues hand their storage back to the pool. *)
+let close_conn t c =
+  c.cn_closed <- true;
+  Bq.release t.pool c.cn_recv;
+  Bq.release t.pool c.cn_send;
+  Hashtbl.remove t.socks c.cn_id
+
 let close t ~sock =
   charge t;
   Hashtbl.iter (fun _ e -> ep_del e sock) t.eps;
@@ -739,15 +844,11 @@ let close t ~sock =
         Queue.iter
           (fun id ->
             match Hashtbl.find_opt t.socks id with
-            | Some (S_conn c) ->
-                c.cn_closed <- true;
-                Hashtbl.remove t.socks id
+            | Some (S_conn c) -> close_conn t c
             | _ -> ())
           l.l_queue;
         Hashtbl.remove t.socks sock
-    | Some (S_conn c) ->
-        c.cn_closed <- true;
-        Hashtbl.remove t.socks sock
+    | Some (S_conn c) -> close_conn t c
 
 let epoll_create t =
   charge t;
@@ -824,20 +925,53 @@ let epoll_wait t ~ep ~max =
         let saved = p.Kproc.state in
         p.Kproc.state <- Kproc.Blocked;
         let woken = ref false in
+        let ready id =
+          id >= 0
+          &&
+          let mask = interest e id in
+          mask >= 0 && effective_ready t id mask <> 0
+        in
         while (not !woken) && not (Heap.is_empty t.heap) do
-          let touched = advance_and_process t in
-          if
-            List.exists
-              (fun id ->
-                let mask = interest e id in
-                mask >= 0 && effective_ready t id mask <> 0)
-              touched
-          then woken := true
+          advance_and_process t;
+          if ready t.touched_a || ready t.touched_b then woken := true
         done;
         p.Kproc.state <- saved;
         Kstats.incr t.stats t.st_epoll_wakeups;
         Ok (scan t e max)
       end
+
+(* ---------- pool consistency ---------- *)
+
+(* Every queue that can still be written: both queues of each socket in
+   the table, and the response stream of each client a connection or a
+   pending event still refers to.  Quadratic: a test-time check. *)
+let pool_consistent t =
+  let queues = ref [] in
+  let add q = if not (List.memq q !queues) then queues := q :: !queues in
+  Hashtbl.iter
+    (fun _ -> function
+      | S_conn c ->
+          add c.cn_recv;
+          add c.cn_send;
+          Option.iter (fun cl -> add cl.cl_resp) c.cn_client
+      | S_new _ | S_listen _ -> ())
+    t.socks;
+  for i = 0 to t.heap.Heap.len - 1 do
+    match Heap.get t.heap i with
+    | _, _, (Ev_connect cl | Ev_deliver cl) -> add cl.cl_resp
+    | _, _, Ev_drain _ -> ()
+  done;
+  let live =
+    List.filter_map
+      (fun q -> if Bytes.length q.Bq.buf > 0 then Some q.Bq.buf else None)
+      !queues
+  in
+  let sized, free = List.split (Pool.free_buffers t.pool) in
+  let rec distinct = function
+    | [] -> true
+    | b :: rest -> (not (List.memq b rest)) && distinct rest
+  in
+  List.for_all Fun.id sized && distinct (live @ free)
 
 (* ---------- traffic generation ---------- *)
 
@@ -897,7 +1031,7 @@ module Traffic = struct
           cl_sent_at = Queue.create ();
           cl_span = Queue.create ();
           cl_txq = [];
-          cl_resp = Buffer.create 256;
+          cl_resp = Bq.create ();
           cl_finished = false;
           cl_fails = 0;
           cl_drops = 0;

@@ -13,7 +13,24 @@
 
     Socket ids live in their own namespace; the syscall layer maps them
     into per-process fd tables at [handle_base + id] so a close(2) can
-    tell a socket from a VFS file handle. *)
+    tell a socket from a VFS file handle.
+
+    {b Queue storage.}  Each byte queue (a connection's receive and
+    send queues, a simulated client's response stream) is one [Bytes.t]
+    with an offset and a length.  Capacities are powers of two from
+    256 B.  A queue takes its storage from the stack's pool on its first
+    push; when it outgrows it, the live bytes move to a buffer of the
+    next size class and the old one goes back.  The pool keeps one free
+    list per size class, and it belongs to one [t], so two kernels
+    never share a buffer.  Storage goes back to the pool when the queue
+    is done: on {!close} of a connection, for connections still queued
+    on a closing listener, and for a client's response stream once it
+    is digested or the client times out.  The ownership rule is that a
+    buffer is either in exactly one live queue or on exactly one free
+    list, never both ({!pool_consistent}).  NIC drains hand the client
+    the queued bytes in place, and the client digest reads its stream
+    in place; only {!recv} copies, into the caller's fresh buffer.
+    None of this moves a simulated cycle or byte count. *)
 
 type t
 
@@ -171,3 +188,9 @@ val pump : t -> unit
 (** Advance the clock (as I/O wait) to the next pending event and
     process it; [false] when the heap is empty. *)
 val step : t -> bool
+
+(** The pool's ownership rule holds: no buffer is both in a live queue
+    and on a free list, none is on a free list twice, no two live queues
+    share one, and every free buffer is its size class's exact size.
+    Quadratic in the number of buffers; meant for tests. *)
+val pool_consistent : t -> bool

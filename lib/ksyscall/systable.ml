@@ -33,9 +33,9 @@ type t = {
   mutable gate : gate option;
   counts : (Sysno.t, int) Hashtbl.t;
   mutable total_syscalls : int;
-  (* kstats handles, lazily registered per syscall *)
-  st_counters : (Sysno.t, Kstats.counter) Hashtbl.t;
-  st_hists : (Sysno.t, Kstats.hist) Hashtbl.t;
+  (* kstats handles, lazily registered per syscall, by [Sysno.to_int] *)
+  st_counters : Kstats.counter option array;
+  st_hists : Kstats.hist option array;
   st_total : Kstats.counter;
   (* boundary fault sites + the EINTR-restart retry counter *)
   fault : Kfault.t;
@@ -45,6 +45,8 @@ type t = {
   st_eagain_injected : Kstats.counter;
   mutable eagain_streak : int;  (* consecutive injected EAGAINs *)
 }
+
+let nsysno = List.length Sysno.all
 
 let create ?root_fs ?dcache_shards kernel =
   let vfs = Kvfs.Vfs.create ?root_fs ?dcache_shards kernel in
@@ -56,8 +58,8 @@ let create ?root_fs ?dcache_shards kernel =
     gate = None;
     counts = Hashtbl.create 64;
     total_syscalls = 0;
-    st_counters = Hashtbl.create 64;
-    st_hists = Hashtbl.create 64;
+    st_counters = Array.make nsysno None;
+    st_hists = Array.make nsysno None;
     st_total = Kstats.counter (Ksim.Kernel.stats kernel) "syscall.total";
     fault = Ksim.Kernel.fault kernel;
     site_eintr = Kfault.register (Ksim.Kernel.fault kernel) "syscall.eintr";
@@ -106,29 +108,31 @@ let set_gate t g = t.gate <- Some g
 let clear_gate t = t.gate <- None
 let gate t = t.gate
 
-(* Handle caches keep the hot path at one Hashtbl probe after the
-   enabled branch; registration happens on a syscall's first use.  The
-   kstats metric names keep the historical [syscall.<name>.*] strings. *)
+(* Handle caches keep the hot path at one array load after the enabled
+   branch; registration happens on a syscall's first use.  The kstats
+   metric names keep the historical [syscall.<name>.*] strings. *)
 let st_counter t sysno =
-  match Hashtbl.find_opt t.st_counters sysno with
+  let i = Sysno.to_int sysno in
+  match t.st_counters.(i) with
   | Some c -> c
   | None ->
       let c =
         Kstats.counter (Ksim.Kernel.stats t.kernel)
           ("syscall." ^ Sysno.to_string sysno ^ ".count")
       in
-      Hashtbl.replace t.st_counters sysno c;
+      t.st_counters.(i) <- Some c;
       c
 
 let st_hist t sysno =
-  match Hashtbl.find_opt t.st_hists sysno with
+  let i = Sysno.to_int sysno in
+  match t.st_hists.(i) with
   | Some h -> h
   | None ->
       let h =
         Kstats.histogram (Ksim.Kernel.stats t.kernel)
           ("syscall." ^ Sysno.to_string sysno ^ ".latency")
       in
-      Hashtbl.replace t.st_hists sysno h;
+      t.st_hists.(i) <- Some h;
       h
 
 (* Record one completed syscall's wall latency (cycles from user-stub
@@ -137,7 +141,9 @@ let observe_latency t ~sysno ~cycles =
   let stats = Ksim.Kernel.stats t.kernel in
   if Kstats.is_enabled stats then Kstats.observe stats (st_hist t sysno) cycles
 
-let record t ~sysno ~arg ~bytes_in ~bytes_out ~ok =
+(* The trace argument is rendered only for an installed tracer, so a
+   disabled tracer costs one branch. *)
+let record t ~sysno ~req ~bytes_in ~bytes_out ~ok =
   t.total_syscalls <- t.total_syscalls + 1;
   Hashtbl.replace t.counts sysno
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts sysno));
@@ -154,7 +160,7 @@ let record t ~sysno ~arg ~bytes_in ~bytes_out ~ok =
         {
           pid = p.Ksim.Kproc.pid;
           sysno;
-          arg;
+          arg = Syscall.arg_of_req req;
           bytes_in;
           bytes_out;
           ok;

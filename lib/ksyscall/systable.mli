@@ -69,9 +69,11 @@ val set_gate : t -> gate -> unit
 val clear_gate : t -> unit
 val gate : t -> gate option
 
-(** Used by the dispatcher to account and publish one completed syscall. *)
+(** Used by the dispatcher to account and publish one completed syscall
+    ([sysno] is [req]'s).  The tracer's [arg] string is built from [req]
+    only when a tracer is installed. *)
 val record :
-  t -> sysno:Sysno.t -> arg:string -> bytes_in:int -> bytes_out:int ->
+  t -> sysno:Sysno.t -> req:Syscall.req -> bytes_in:int -> bytes_out:int ->
   ok:bool -> unit
 
 (** Record one syscall's boundary-to-boundary latency into the

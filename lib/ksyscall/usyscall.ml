@@ -266,7 +266,7 @@ let serve sys ~crossing req =
   and bout = if crossing then Syscall.reply_copy_bytes reply else 0 in
   if bin > 0 then Ksim.Kernel.charge_copy_from_user k bin;
   if bout > 0 then Ksim.Kernel.charge_copy_to_user k bout;
-  Systable.record sys ~sysno ~arg:(Syscall.arg_of_req req) ~bytes_in:bin
+  Systable.record sys ~sysno ~req ~bytes_in:bin
     ~bytes_out:bout ~ok:(Result.is_ok reply);
   reply
 

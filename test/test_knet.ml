@@ -359,6 +359,403 @@ let test_epoll_wait_cost_is_max_bound () =
     (Printf.sprintf "fewer than 2000 minor words (got %.0f)" words)
     true (words < 2_000.)
 
+(* --- queue storage ------------------------------------------------------- *)
+
+(* Pooled queue storage against plain strings.  Raw connections on port
+   81 take injected bytes, recvs and sends, and get closed (or die with
+   their listener), so new connections recycle freed buffers while
+   other queues are live.  Traffic clients on port 80 are served by the
+   test; every byte recv hands out must continue the model's stream,
+   and each client's digest must be the digest of what the server
+   sent.  The pool's ownership rule is checked after every step. *)
+type sop =
+  | S_connect
+  | S_accept_raw
+  | S_inject of int * int       (* raw pick, length *)
+  | S_recv of int * int         (* raw pick, length *)
+  | S_send of int * int * bool  (* raw pick, length, via send_kernel *)
+  | S_close of int
+  | S_relisten                  (* close the raw listener, open a new one *)
+  | S_accept
+  | S_serve of int * int * bool (* traffic pick, recv length, send_kernel *)
+  | S_step of int
+
+let pp_sop = function
+  | S_connect -> "connect"
+  | S_accept_raw -> "accept-raw"
+  | S_inject (p, n) -> Printf.sprintf "inject(%d,%d)" p n
+  | S_recv (p, n) -> Printf.sprintf "recv(%d,%d)" p n
+  | S_send (p, n, k) -> Printf.sprintf "send(%d,%d,%b)" p n k
+  | S_close p -> Printf.sprintf "close(%d)" p
+  | S_relisten -> "relisten"
+  | S_accept -> "accept"
+  | S_serve (p, n, k) -> Printf.sprintf "serve(%d,%d,%b)" p n k
+  | S_step k -> Printf.sprintf "step(%d)" k
+
+let gen_sop =
+  QCheck.Gen.(
+    let pick = int_bound 31 in
+    frequency
+      [
+        (3, return S_connect);
+        (1, return S_accept_raw);
+        (4, map2 (fun p n -> S_inject (p, n)) pick (int_range 1 300));
+        (4, map2 (fun p n -> S_recv (p, n)) pick (int_range 1 300));
+        (3, map3 (fun p n k -> S_send (p, n, k)) pick (int_range 1 700) bool);
+        (2, map (fun p -> S_close p) pick);
+        (1, return S_relisten);
+        (3, return S_accept);
+        (6, map3 (fun p n k -> S_serve (p, n, k)) pick (int_range 1 64) bool);
+        (5, map (fun k -> S_step k) (int_range 1 8));
+      ])
+
+(* One raw connection's unread bytes; [queued] = still on the listener's
+   accept queue, so it dies when the listener closes. *)
+type mraw = {
+  r_id : int;
+  mutable r_unread : string;
+  mutable r_live : bool;
+  mutable r_queued : bool;
+}
+
+(* One accepted Traffic connection, server side. *)
+type mserved = {
+  v_id : int;
+  v_rx : Buffer.t;                   (* every byte recv returned *)
+  mutable v_parsed : int;            (* prefix of [v_rx] answered *)
+  mutable v_reqs : int;              (* requests answered *)
+  mutable v_pending : string;        (* framed responses not yet sent *)
+  v_sent : Buffer.t;                 (* bytes the send queue accepted *)
+  mutable v_client : int;            (* from the first request; -1 before *)
+  mutable v_open : bool;
+}
+
+let req_line ~conn ~req = Printf.sprintf "R%d.%d\n" conn req
+
+let response ~conn ~req =
+  let n = 40 + ((conn * 7 + req * 13) * 37 mod 600) in
+  let hdr = Bytes.create 8 in
+  Bytes.set_int64_le hdr 0 (Int64.of_int n);
+  Bytes.to_string hdr
+  ^ String.init n (fun k -> Char.chr (97 + ((conn + req + k) mod 26)))
+
+let qcheck_pooled_storage =
+  let conns = 5 and total = 3 in
+  QCheck.Test.make ~name:"pooled queues = string model, ownership rule holds"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (short, ops) ->
+         Printf.sprintf "recv_short=%d %s" short
+           (String.concat " " (List.map pp_sop ops)))
+       QCheck.Gen.(pair (int_bound 3) (list_size (int_range 1 120) gen_sop)))
+    (fun (short, ops) ->
+      let kernel, net = bare ~rcvbuf:300 ~sndbuf:512 () in
+      if short > 0 then
+        Kfault.arm (Ksim.Kernel.fault kernel)
+          [ { Kfault.site = "net.recv_short"; trigger = Kfault.Every_nth (short + 1) } ];
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let tl = listener ~port:80 ~backlog:16 net in
+      let rl = ref (listener ~port:81 ~backlog:6 net) in
+      Knet.Traffic.install net
+        { Knet.Traffic.default with port = 80; conns; requests_per_conn = total;
+          pipeline = 2; spacing = 700; req_of = req_line };
+      let raws = ref [||] and served = ref [||] in
+      let nth a p = if Array.length !a = 0 then None else Some !a.(p mod Array.length !a) in
+      let fill = ref 0 in
+      let fresh n =
+        String.init n (fun _ -> incr fill; Char.chr (33 + (!fill mod 90)))
+      in
+      (* One recv and one send on a served connection; [true] if either
+         moved a byte (or saw EOF). *)
+      let serve v ~len ~kernel_send =
+        let moved =
+          match Knet.recv net ~sock:v.v_id ~len with
+          | Ok b when Bytes.length b = 0 ->
+              Knet.close net ~sock:v.v_id;
+              v.v_open <- false;
+              true
+          | Ok b ->
+              Buffer.add_bytes v.v_rx b;
+              let rx = Buffer.contents v.v_rx in
+              let rec answer () =
+                match String.index_from_opt rx v.v_parsed '\n' with
+                | None -> ()
+                | Some nl ->
+                    let line = String.sub rx v.v_parsed (nl - v.v_parsed + 1) in
+                    if v.v_client < 0 then
+                      v.v_client <-
+                        (try Scanf.sscanf line "R%d." Fun.id
+                         with _ -> fail "garbled request %S" line);
+                    let conn = v.v_client and req = v.v_reqs in
+                    if line <> req_line ~conn ~req then
+                      fail "request %S, want %S" line (req_line ~conn ~req);
+                    v.v_parsed <- nl + 1;
+                    v.v_reqs <- req + 1;
+                    v.v_pending <- v.v_pending ^ response ~conn ~req;
+                    answer ()
+              in
+              answer ();
+              true
+          | Error Kvfs.Vtypes.EAGAIN -> false
+          | Error e -> fail "serve recv: %s" (Kvfs.Vtypes.errno_to_string e)
+        in
+        if v.v_open && v.v_pending <> "" then begin
+          let data = Bytes.of_string v.v_pending in
+          match
+            if kernel_send then Knet.send_kernel net ~sock:v.v_id data
+            else Knet.send net ~sock:v.v_id ~data
+          with
+          | Ok n ->
+              Buffer.add_string v.v_sent (String.sub v.v_pending 0 n);
+              v.v_pending <-
+                String.sub v.v_pending n (String.length v.v_pending - n);
+              moved || n > 0
+          | Error Kvfs.Vtypes.ENOBUFS -> moved
+          | Error e -> fail "serve send: %s" (Kvfs.Vtypes.errno_to_string e)
+        end
+        else moved
+      in
+      let accept () =
+        match Knet.accept net ~sock:tl with
+        | Ok id ->
+            served :=
+              Array.append !served
+                [| { v_id = id; v_rx = Buffer.create 16; v_parsed = 0; v_reqs = 0;
+                     v_pending = ""; v_sent = Buffer.create 16; v_client = -1;
+                     v_open = true } |];
+            true
+        | Error _ -> false
+      in
+      let apply = function
+        | S_connect -> (
+            match Knet.inject_connect net ~port:81 with
+            | Some id ->
+                raws :=
+                  Array.append !raws
+                    [| { r_id = id; r_unread = ""; r_live = true; r_queued = true } |]
+            | None -> ())
+        | S_accept_raw -> (
+            match Knet.accept net ~sock:!rl with
+            | Ok id ->
+                Array.iter (fun r -> if r.r_id = id then r.r_queued <- false) !raws
+            | Error _ -> ())
+        | S_inject (p, n) ->
+            Option.iter
+              (fun r ->
+                let s = fresh n in
+                let got = Knet.inject_bytes net ~sock:r.r_id s in
+                let want =
+                  if r.r_live then min n (300 - String.length r.r_unread) else 0
+                in
+                if got <> want then fail "inject took %d, want %d" got want;
+                r.r_unread <- r.r_unread ^ String.sub s 0 got)
+              (nth raws p)
+        | S_recv (p, n) ->
+            Option.iter
+              (fun r ->
+                match Knet.recv net ~sock:r.r_id ~len:n with
+                | Ok b when r.r_live ->
+                    let want = min n (String.length r.r_unread) in
+                    let got = Bytes.length b in
+                    if got = 0 || got > want || (short = 0 && got <> want) then
+                      fail "recv returned %d bytes, model holds %d" got want;
+                    if Bytes.to_string b <> String.sub r.r_unread 0 got then
+                      fail "recv returned bytes the model does not hold";
+                    r.r_unread <-
+                      String.sub r.r_unread got (String.length r.r_unread - got)
+                | Error Kvfs.Vtypes.EAGAIN when r.r_live && r.r_unread = "" -> ()
+                | Error Kvfs.Vtypes.EBADF when not r.r_live -> ()
+                | _ -> fail "raw recv disagrees with the model")
+              (nth raws p)
+        | S_send (p, n, kernel_send) ->
+            Option.iter
+              (fun r ->
+                let data = Bytes.of_string (fresh n) in
+                match
+                  if kernel_send then Knet.send_kernel net ~sock:r.r_id data
+                  else Knet.send net ~sock:r.r_id ~data
+                with
+                | Ok _ | Error Kvfs.Vtypes.ENOBUFS when r.r_live -> ()
+                | Error Kvfs.Vtypes.EBADF when not r.r_live -> ()
+                | _ -> fail "raw send disagrees with the model")
+              (nth raws p)
+        | S_close p ->
+            Option.iter
+              (fun r ->
+                Knet.close net ~sock:r.r_id;
+                r.r_live <- false)
+              (nth raws p)
+        | S_relisten ->
+            Knet.close net ~sock:!rl;
+            Array.iter
+              (fun r ->
+                if r.r_queued then begin
+                  r.r_live <- false;
+                  r.r_queued <- false
+                end)
+              !raws;
+            rl := listener ~port:81 ~backlog:6 net
+        | S_accept -> ignore (accept ())
+        | S_serve (p, len, kernel_send) ->
+            Option.iter
+              (fun v -> if v.v_open then ignore (serve v ~len ~kernel_send))
+              (nth served p)
+        | S_step k ->
+            for _ = 1 to k do
+              ignore (Knet.step net)
+            done
+      in
+      List.iter
+        (fun op ->
+          apply op;
+          if not (Knet.pool_consistent net) then
+            fail "after %s: a buffer is both live and free" (pp_sop op))
+        ops;
+      (* drive every client to completion *)
+      let fuel = ref 100_000 in
+      let busy () =
+        let accepted = ref false in
+        while accept () do accepted := true done;
+        Array.fold_left
+          (fun moved v ->
+            (v.v_open && serve v ~len:64 ~kernel_send:false) || moved)
+          !accepted !served
+      in
+      let progress () =
+        let moved = busy () in
+        Knet.step net || moved
+      in
+      while !fuel > 0 && progress () do
+        decr fuel;
+        if not (Knet.pool_consistent net) then fail "a buffer is both live and free"
+      done;
+      if !fuel = 0 then fail "traffic never drained";
+      let digests = Array.make conns "" in
+      Array.iter
+        (fun v ->
+          if v.v_client >= 0 then begin
+            let want =
+              String.concat ""
+                (List.init total (fun req -> req_line ~conn:v.v_client ~req))
+            in
+            if Buffer.contents v.v_rx <> want then
+              fail "client %d: server read %S, want %S" v.v_client
+                (Buffer.contents v.v_rx) want;
+            digests.(v.v_client) <-
+              Digest.to_hex (Digest.string (Buffer.contents v.v_sent))
+          end)
+        !served;
+      let want = Digest.to_hex (Digest.string (String.concat "," (Array.to_list digests))) in
+      if Knet.Traffic.completed net ~port:80 <> conns then
+        fail "%d of %d clients completed" (Knet.Traffic.completed net ~port:80) conns;
+      if Knet.Traffic.digest net ~port:80 <> want then fail "client digests differ";
+      true)
+
+(* A client that times out hands its response stream back while its
+   connection is still open: every frame after the first response is
+   dropped, so the second request runs out of retransmits. *)
+let test_timeout_releases_stream () =
+  let kernel, net = bare () in
+  let s = listener net in
+  Knet.Traffic.install net
+    { Knet.Traffic.default with port = 80; conns = 1; requests_per_conn = 2;
+      pipeline = 1; req_of = req_line };
+  let conn = ref None in
+  while Knet.Traffic.responses net ~port:80 = 0 && Knet.step net do
+    match !conn with
+    | None -> conn := Result.to_option (Knet.accept net ~sock:s)
+    | Some c -> (
+        match Knet.recv net ~sock:c ~len:64 with
+        | Ok b when Bytes.length b > 0 ->
+            let data = Bytes.of_string (response ~conn:0 ~req:0) in
+            ignore (Knet.send net ~sock:c ~data)
+        | Ok _ | Error _ -> ())
+  done;
+  Alcotest.(check int) "first response delivered" 1
+    (Knet.Traffic.responses net ~port:80);
+  Kfault.arm (Ksim.Kernel.fault kernel)
+    [ { Kfault.site = "net.wire_drop"; trigger = Kfault.Every_nth 1 } ];
+  while Knet.step net do () done;
+  Alcotest.(check int) "the client timed out" 1
+    (find_counter (Ksim.Kernel.stats kernel) "retry.net_timeouts");
+  Alcotest.(check bool) "its stream is back on a free list, only there" true
+    (Knet.pool_consistent net)
+
+(* A minimal epoll server over [Knet]: accept everything, answer each
+   newline-terminated request with a canned framed response, close on
+   EOF.  Returns the responses sent. *)
+let epoll_serve net ~port ~(bodies : Bytes.t array) =
+  let l = listener ~port ~backlog:64 net in
+  let ep = Knet.epoll_create net in
+  ignore (Knet.epoll_ctl net ~ep ~sock:l ~op:(`Add (Knet.ep_in, l)));
+  let sent = ref 0 in
+  let rec accept_all () =
+    match Knet.accept net ~sock:l with
+    | Ok id ->
+        ignore (Knet.epoll_ctl net ~ep ~sock:id ~op:(`Add (Knet.ep_in, id)));
+        accept_all ()
+    | Error _ -> ()
+  in
+  let handle (id, _) =
+    if id = l then accept_all ()
+    else
+      match Knet.recv net ~sock:id ~len:4096 with
+      | Ok b when Bytes.length b = 0 -> Knet.close net ~sock:id
+      | Ok b ->
+          Bytes.iter
+            (fun ch ->
+              if ch = '\n' then begin
+                let data = bodies.(!sent mod Array.length bodies) in
+                (match Knet.send net ~sock:id ~data with
+                | Ok n when n = Bytes.length data -> ()
+                | _ -> Alcotest.fail "response did not fit the send queue");
+                incr sent
+              end)
+            b
+      | Error _ -> ()
+  in
+  let rec loop () =
+    match Knet.epoll_wait net ~ep ~max:64 with
+    | Ok [] -> ()
+    | Ok ready ->
+        List.iter handle ready;
+        loop ()
+    | Error e -> Alcotest.failf "epoll_wait: %s" (Kvfs.Vtypes.errno_to_string e)
+  in
+  loop ();
+  !sent
+
+(* Host words allocated per response by the knet data path, counted as
+   minor + major - promoted: a response body is over 256 words, so its
+   buffers go straight to the major heap, where a minor-words count
+   cannot see them.  Copying each response through growing per-queue
+   buffers costs about 2,200 words here; pooled, in-place queues about
+   340. *)
+let test_traffic_alloc_per_response () =
+  let _kernel, net = bare () in
+  let bodies =
+    Array.init 8 (fun i ->
+        let n = 2048 + (i * 128) in
+        let b = Bytes.make (8 + n) 'x' in
+        Bytes.set_int64_le b 0 (Int64.of_int n);
+        b)
+  in
+  Knet.Traffic.install net
+    { Knet.Traffic.default with port = 80; conns = 200; requests_per_conn = 2 };
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let sent = epoll_serve net ~port:80 ~bodies in
+  let per = (words () -. before) /. float_of_int sent in
+  Alcotest.(check int) "every request answered" 400 sent;
+  Alcotest.(check int) "every client completed" 200
+    (Knet.Traffic.completed net ~port:80);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 800 words per response (got %.0f)" per)
+    true (per < 800.)
+
 (* --- the syscall boundary ------------------------------------------------ *)
 
 (* Kproc.lookup_fd maps a socket fd to handle_base + id; recover the raw
@@ -496,6 +893,14 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_epoll_order;
           Alcotest.test_case "wait cost is bounded by max" `Quick
             test_epoll_wait_cost_is_max_bound;
+        ] );
+      ( "storage",
+        [
+          QCheck_alcotest.to_alcotest qcheck_pooled_storage;
+          Alcotest.test_case "a timed-out client releases its stream" `Quick
+            test_timeout_releases_stream;
+          Alcotest.test_case "traffic allocation per response" `Quick
+            test_traffic_alloc_per_response;
         ] );
       ( "syscalls",
         [

@@ -196,7 +196,9 @@ let test_tracer () =
       (fun r -> Ksyscall.Sysno.to_string r.Ksyscall.Systable.sysno)
       !seen
   in
-  Alcotest.(check (list string)) "traced while attached" [ "getpid"; "mkdir" ] names
+  Alcotest.(check (list string)) "traced while attached" [ "getpid"; "mkdir" ] names;
+  Alcotest.(check (list string)) "each with its argument" [ ""; "/t" ]
+    (List.rev_map (fun r -> r.Ksyscall.Systable.arg) !seen)
 
 (* --- typed descriptor wire codec ---------------------------------------- *)
 
