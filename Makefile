@@ -30,9 +30,10 @@ bench-smoke:
 # the four BENCH_*.json artifacts; then run every workload benchmark
 # briefly in both trees and diff its deterministic sim_* lines.  Exits 1
 # on any difference: `make bench-same BASE=HEAD~1`.  Also prints each
-# workload's host_alloc_words_per_op and host_peak_heap_mb for BASE and
-# for this tree side by side (informational, never gated).  Not part of
-# `check` (it needs BASE).
+# workload's host_alloc_words_per_op, host_peak_heap_mb and setup_s for
+# BASE and for this tree side by side (informational, never gated;
+# setup_s is one wall-clock reading, so noisy).  Not part of `check`
+# (it needs BASE).
 TMPDIR ?= /tmp
 BENCH_ARTIFACTS = BENCH_kstats.json BENCH_kperf.json BENCH_kfault.json BENCH_kcrash.json
 BENCH_WORKLOADS = c10k_naive c10k_ring_opt postmark_smp4 cosy_db
@@ -54,10 +55,11 @@ bench-same:
 	  grep ' sim_' "$$base/$$w.here.out" > "$$base/$$w.here"; \
 	  test -s "$$base/$$w.here" || { echo "bench-same: no sim_* lines for $$w"; status=1; }; \
 	  diff "$$base/$$w.base" "$$base/$$w.here" || status=1; \
-	  for m in host_alloc_words_per_op host_peak_heap_mb; do \
+	  for m in host_alloc_words_per_op host_peak_heap_mb setup_s; do \
 	    awk -v w=$$w -v m=$$m '$$2 == m { v[FILENAME] = $$3 } \
 	      END { b = v[ARGV[1]]; h = v[ARGV[2]]; \
-	        printf "%-14s %-24s base %9.1f  here %9.1f  (%+.1f%%)\n", \
+	        f = m == "setup_s" ? "%9.5f" : "%9.1f"; \
+	        printf "%-14s %-24s base " f "  here " f "  (%+.1f%%)\n", \
 	          w, m, b, h, b ? 100 * (h - b) / b : 0 }' \
 	      "$$base/$$w.base.out" "$$base/$$w.here.out"; \
 	  done; \

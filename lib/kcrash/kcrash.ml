@@ -103,8 +103,8 @@ let oops_event = Ksim.Instrument.custom "kcrash-oops"
 let power_loss_event = Ksim.Instrument.custom "kcrash-power-loss"
 let recovery_event = Ksim.Instrument.custom "kcrash-recovery"
 
-let emit ?pid kind ~value ~reason =
-  Ksim.Instrument.emit ?pid ~obj:0 ~value ~kind ~file:("kcrash:" ^ reason)
+let emit ?(pid = 0) kind ~value ~reason =
+  Ksim.Instrument.emit ~pid ~obj:0 ~value ~kind ~file:("kcrash:" ^ reason)
     ~line:0 ()
 
 (* Subsystems with per-kernel in-flight state (kring) register a reaper

@@ -38,7 +38,7 @@ let emit t =
       match Kstats.find stats name with
       | None -> ()
       | Some view ->
-          Ksim.Instrument.emit ~obj:i ~value:(scalar_of_view view)
+          Ksim.Instrument.emit ~pid:0 ~obj:i ~value:(scalar_of_view view)
             ~kind:snapshot ~file:name ~line:t.snapshots ())
     (Kstats.names stats)
 

@@ -443,7 +443,7 @@ let connect_attempt t ~port ~client =
             (match port_state t port with
             | Some ps -> ps.ps_drops <- ps.ps_drops + 1
             | None -> ());
-            Instrument.emit ~obj:port ~value:l.l_drops ~kind:backlog_drop
+            Instrument.emit ~pid:0 ~obj:port ~value:l.l_drops ~kind:backlog_drop
               ~file:"knet.ml" ~line:0 ();
             Kperf.instant (Kernel.perf t.kn) ~arg:port ~cat:"net"
               ~name:"backlog_drop" ();

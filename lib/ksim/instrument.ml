@@ -76,5 +76,8 @@ let log : (event -> unit) ref = ref (fun _ -> ())
 
 let enabled = ref false
 
-let emit ?(pid = 0) ~obj ~value ~kind ~file ~line () =
+(* [pid] is required, not defaulted: an optional argument would box
+   every caller's pid even when instrumentation is off.  Pass 0 for
+   unattributed context. *)
+let emit ~pid ~obj ~value ~kind ~file ~line () =
   if !enabled then !log { obj; value; kind; file; line; pid }

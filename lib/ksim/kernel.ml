@@ -188,7 +188,7 @@ let enter_kernel t =
   t.mode <- Kernel_mode;
   let p = current t in
   (* the trap itself is system time: record entry before charging it *)
-  p.Kproc.kernel_entry <- Some (Sim_clock.now t.clock);
+  p.Kproc.kernel_entry <- Sim_clock.now t.clock;
   p.Kproc.io_wait_at_entry <- p.Kproc.io_wait;
   Sim_clock.advance t.clock t.config.cost.Cost_model.syscall_entry
 
@@ -198,14 +198,14 @@ let exit_kernel t =
   Sim_clock.advance t.clock t.config.cost.Cost_model.syscall_exit;
   t.mode <- User;
   let p = current t in
-  (match p.Kproc.kernel_entry with
-  | Some entry ->
-      (* system time is kernel CPU time: blocking on the disk counts
-         toward elapsed but not stime, like time(1) reports *)
-      let io = p.Kproc.io_wait - p.Kproc.io_wait_at_entry in
-      p.Kproc.stime <- p.Kproc.stime + (Sim_clock.now t.clock - entry) - io;
-      p.Kproc.kernel_entry <- None
-  | None -> ())
+  let entry = p.Kproc.kernel_entry in
+  if entry >= 0 then begin
+    (* system time is kernel CPU time: blocking on the disk counts
+       toward elapsed but not stime, like time(1) reports *)
+    let io = p.Kproc.io_wait - p.Kproc.io_wait_at_entry in
+    p.Kproc.stime <- p.Kproc.stime + (Sim_clock.now t.clock - entry) - io;
+    p.Kproc.kernel_entry <- -1
+  end
 
 (* Charge disk-wait time: advances the wall clock, counted out of stime. *)
 let charge_io t cycles =
@@ -263,16 +263,16 @@ let bytes_to_user t = t.bytes_copied_kernel_to_user
 
 let irq_disable ?(file = "<unknown>") ?(line = 0) t =
   t.irq_depth <- t.irq_depth + 1;
-  Instrument.emit ~obj:0 ~value:t.irq_depth ~kind:Instrument.Irq_disable ~file
-    ~line ()
+  Instrument.emit ~pid:0 ~obj:0 ~value:t.irq_depth ~kind:Instrument.Irq_disable
+    ~file ~line ()
 
 exception Irq_unbalanced
 
 let irq_enable ?(file = "<unknown>") ?(line = 0) t =
   if t.irq_depth = 0 then raise Irq_unbalanced;
   t.irq_depth <- t.irq_depth - 1;
-  Instrument.emit ~obj:0 ~value:t.irq_depth ~kind:Instrument.Irq_enable ~file
-    ~line ()
+  Instrument.emit ~pid:0 ~obj:0 ~value:t.irq_depth ~kind:Instrument.Irq_enable
+    ~file ~line ()
 
 let irq_depth t = t.irq_depth
 

@@ -18,7 +18,7 @@ type t = {
   mutable utime : int;              (* cycles spent in user mode *)
   mutable stime : int;              (* cycles spent in kernel mode *)
   mutable syscalls : int;           (* syscall count *)
-  mutable kernel_entry : int option;(* clock value at last kernel entry *)
+  mutable kernel_entry : int;      (* clock at last kernel entry, -1 = none *)
   mutable io_wait : int;            (* cycles spent waiting on disk I/O *)
   mutable io_wait_at_entry : int;   (* io_wait snapshot at kernel entry *)
   mutable kernel_budget_used : int; (* continuous kernel cycles (Cosy watchdog) *)
@@ -36,7 +36,7 @@ let create ?(cpu = 0) ~pid ~name () =
     utime = 0;
     stime = 0;
     syscalls = 0;
-    kernel_entry = None;
+    kernel_entry = -1;
     io_wait = 0;
     io_wait_at_entry = 0;
     kernel_budget_used = 0;

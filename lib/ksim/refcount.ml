@@ -15,15 +15,15 @@ exception Underflow of string
 
 let get ?(file = "<unknown>") ?(line = 0) t =
   t.count <- t.count + 1;
-  Instrument.emit ~obj:t.id ~value:t.count ~kind:Instrument.Ref_inc ~file ~line
-    ()
+  Instrument.emit ~pid:0 ~obj:t.id ~value:t.count ~kind:Instrument.Ref_inc
+    ~file ~line ()
 
 let put ?(file = "<unknown>") ?(line = 0) t =
   if t.count <= 0 then
     raise (Underflow (Printf.sprintf "%s: put on zero refcount" t.name));
   t.count <- t.count - 1;
-  Instrument.emit ~obj:t.id ~value:t.count ~kind:Instrument.Ref_dec ~file ~line
-    ();
+  Instrument.emit ~pid:0 ~obj:t.id ~value:t.count ~kind:Instrument.Ref_dec
+    ~file ~line ();
   t.count = 0
 
 let count t = t.count

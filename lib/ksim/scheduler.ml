@@ -33,7 +33,7 @@ type t = {
   cpu_clock : int array;              (* accumulated local wall time *)
   slice_start : int array;            (* global clock value at slice start *)
   mutable active_cpu : int;           (* CPU the serialized sim is executing *)
-  mutable chunk_base : int option;    (* global clock at run_on entry *)
+  mutable chunk_base : int;           (* global clock at run_on entry, or -1 *)
   mutable next_pid : int;
   mutable context_switches : int;
   mutable preemptions : int;
@@ -55,7 +55,7 @@ let create ?(stats = Kstats.create ()) ?(ncpus = 1) ~clock ~cost () =
     cpu_clock = Array.make ncpus 0;
     slice_start = Array.make ncpus 0;
     active_cpu = 0;
-    chunk_base = None;
+    chunk_base = -1;
     next_pid = 1;
     context_switches = 0;
     preemptions = 0;
@@ -183,27 +183,32 @@ let kill t p =
    clock.  Nests; the inner slice's time is credited to the inner CPU
    (and, deliberately, also elapses on the outer one, like a remote
    helper executing synchronously). *)
+let end_slice t ~cpu ~prev_cpu ~prev_base =
+  let base = t.chunk_base in
+  if base >= 0 then
+    t.cpu_clock.(cpu) <- t.cpu_clock.(cpu) + (Sim_clock.now t.clock - base);
+  t.active_cpu <- prev_cpu;
+  t.chunk_base <- prev_base
+
 let run_on t ~cpu f =
   if cpu < 0 || cpu >= t.ncpus then invalid_arg "Scheduler.run_on: cpu";
   let prev_cpu = t.active_cpu and prev_base = t.chunk_base in
   t.active_cpu <- cpu;
-  t.chunk_base <- Some (Sim_clock.now t.clock);
-  Fun.protect f ~finally:(fun () ->
-      (match t.chunk_base with
-      | Some base ->
-          t.cpu_clock.(cpu) <-
-            t.cpu_clock.(cpu) + (Sim_clock.now t.clock - base)
-      | None -> ());
-      t.active_cpu <- prev_cpu;
-      t.chunk_base <- prev_base)
+  t.chunk_base <- Sim_clock.now t.clock;
+  match f () with
+  | v ->
+      end_slice t ~cpu ~prev_cpu ~prev_base;
+      v
+  | exception e ->
+      end_slice t ~cpu ~prev_cpu ~prev_base;
+      raise e
 
 (* Local wall time of the active CPU.  Outside [run_on] (the single-CPU
    fast path) local time is just global time. *)
 let local_now t =
-  match t.chunk_base with
-  | None -> Sim_clock.now t.clock
-  | Some base ->
-      t.cpu_clock.(t.active_cpu) + (Sim_clock.now t.clock - base)
+  let base = t.chunk_base in
+  if base < 0 then Sim_clock.now t.clock
+  else t.cpu_clock.(t.active_cpu) + (Sim_clock.now t.clock - base)
 
 let cpu_time t cpu =
   if cpu < 0 || cpu >= t.ncpus then invalid_arg "Scheduler.cpu_time: cpu";

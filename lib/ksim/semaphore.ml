@@ -14,8 +14,8 @@ let create ?(initial = 1) name =
 exception Would_block of string
 
 let down ?(file = "<unknown>") ?(line = 0) t =
-  Instrument.emit ~obj:t.id ~value:t.count ~kind:Instrument.Sem_down ~file ~line
-    ();
+  Instrument.emit ~pid:0 ~obj:t.id ~value:t.count ~kind:Instrument.Sem_down
+    ~file ~line ();
   if t.count = 0 then begin
     t.waiters <- t.waiters + 1;
     raise (Would_block t.name)
@@ -24,8 +24,8 @@ let down ?(file = "<unknown>") ?(line = 0) t =
 
 let up ?(file = "<unknown>") ?(line = 0) t =
   t.count <- t.count + 1;
-  Instrument.emit ~obj:t.id ~value:t.count ~kind:Instrument.Sem_up ~file ~line
-    ()
+  Instrument.emit ~pid:0 ~obj:t.id ~value:t.count ~kind:Instrument.Sem_up
+    ~file ~line ()
 
 let try_down t =
   if t.count = 0 then false

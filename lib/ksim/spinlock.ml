@@ -130,12 +130,14 @@ exception Deadlock of string
 (* release time of the hold on another CPU whose window covers [now]
    (the latest such, if several overlap), or [now] when none does *)
 let blocking_release t ~cpu ~now =
-  Array.fold_left
-    (fun acc w ->
-      if w.w_cpu >= 0 && w.w_cpu <> cpu && now >= w.w_from && now < w.w_to
-      then max acc w.w_to
-      else acc)
-    now t.windows
+  let release = ref now in
+  for i = 0 to Array.length t.windows - 1 do
+    let w = t.windows.(i) in
+    if w.w_cpu >= 0 && w.w_cpu <> cpu && now >= w.w_from && now < w.w_to
+       && w.w_to > !release
+    then release := w.w_to
+  done;
+  !release
 
 let lock ?(file = "<unknown>") ?(line = 0) ?(pid = 0) t =
   if t.locked && t.holder = pid then

@@ -34,10 +34,11 @@ let path_bytes = Syscall.path_bytes
    service routine.  Precondition: kernel mode.  No boundary or copy
    accounting happens here — [invoke] (one crossing per call) and
    Kring.enter (one crossing per batch) layer that on differently. *)
+let ok_int = function Ok n -> Ok (Syscall.R_int n) | Error e -> Error e
+let ok_unit = function Ok () -> Ok Syscall.R_unit | Error e -> Error e
+
 let service sys (req : Syscall.req) : Syscall.reply =
   let open Syscall in
-  let ok_int = Result.map (fun n -> R_int n) in
-  let ok_unit = Result.map (fun () -> R_unit) in
   match req with
   | Open { path; flags } -> ok_int (Sys_file.service_open sys ~path ~flags)
   | Close { fd } -> ok_unit (Sys_file.service_close sys ~fd)
@@ -144,6 +145,14 @@ type path =
   | Plain of Sysno.t  (* one synchronous syscall *)
   | Ring of int ref   (* a kring enter, with its completions so far *)
   | Compound          (* a Cosy submit *)
+
+(* One [Plain] path per syscall number, built once, so a plain call's
+   stay allocates no path. *)
+let plain_paths =
+  Array.init (List.length Sysno.all) (fun i ->
+      match Sysno.of_int i with Some sysno -> Plain sysno | None -> assert false)
+
+let plain sysno = plain_paths.(Sysno.to_int sysno)
 
 (* The single unwind, for every way out of a stay by exception.  A kill
    — a flow-gate [Gate_kill], a watchdog expiry, or a kernel-mode memory
@@ -290,7 +299,7 @@ let counted sys ~crossing req =
   let reply =
     if crossing then begin
       charge_stub k;
-      stay sys (Plain sysno) ~span serve_plain req
+      stay sys (plain sysno) ~span serve_plain req
     end
     else
       match serve sys ~crossing:false req with

@@ -57,7 +57,10 @@ let create ?(block_size = 4096) ?(cache_blocks = 150_000)
     block_size;
     cache_blocks;
     policy;
-    cache = Hashtbl.create (2 * cache_blocks);
+    (* start small and let the table grow: sized for [cache_blocks] up
+       front it would cost megabytes of buckets per boot, most never
+       used; eviction reads only its length and the arrival queue *)
+    cache = Hashtbl.create 256;
     arrival = Queue.create ();
     kstats;
     st_reads = Kstats.counter kstats "blockdev.reads";
@@ -95,9 +98,9 @@ let evict_one t =
     match Queue.take_opt t.arrival with
     | None -> ()
     | Some candidate -> (
-        match Hashtbl.find_opt t.cache candidate with
-        | None -> hand ()  (* stale queue entry *)
-        | Some refbit ->
+        match Hashtbl.find t.cache candidate with
+        | exception Not_found -> hand ()  (* stale queue entry *)
+        | refbit ->
             if t.policy = Second_chance && !refbit then begin
               refbit := false;
               Queue.push candidate t.arrival;
@@ -111,9 +114,9 @@ let evict_one t =
   hand ()
 
 let touch t blk =
-  match Hashtbl.find_opt t.cache blk with
-  | Some refbit -> refbit := true
-  | None ->
+  match Hashtbl.find t.cache blk with
+  | refbit -> refbit := true
+  | exception Not_found ->
       Hashtbl.replace t.cache blk (ref false);
       Queue.push blk t.arrival;
       if Hashtbl.length t.cache > t.cache_blocks then evict_one t
@@ -121,11 +124,11 @@ let touch t blk =
 (* Read one block: free on cache hit, seek+transfer on miss. *)
 let read_block t blk =
   Kstats.incr t.kstats t.st_reads;
-  match Hashtbl.find_opt t.cache blk with
-  | Some refbit ->
+  match Hashtbl.find t.cache blk with
+  | refbit ->
       refbit := true;
       Kstats.incr t.kstats t.st_cache_hits
-  | None ->
+  | exception Not_found ->
       Kstats.incr t.kstats t.st_cache_misses;
       let cost = Ksim.Kernel.cost t.kernel in
       let perf = Ksim.Kernel.perf t.kernel in

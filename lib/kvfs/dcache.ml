@@ -69,11 +69,15 @@ let record_result t found =
     | None -> ()
   end
 
+(* Lock and unlock directly rather than through [with_lock]: nothing
+   between them can raise, and a closure per lookup is host garbage on
+   the hottest path PostMark has. *)
 let locked_lookup ?pid t s ~dir ~name =
-  Ksim.Spinlock.with_lock ~file:__FILE__ ~line:__LINE__ ?pid s.lock (fun () ->
-      let r = Hashtbl.find_opt s.entries (dir, name) in
-      record_result t (r <> None);
-      r)
+  Ksim.Spinlock.lock ~file:__FILE__ ~line:__LINE__ ?pid s.lock;
+  let r = Hashtbl.find_opt s.entries (dir, name) in
+  record_result t (Option.is_some r);
+  Ksim.Spinlock.unlock ~file:__FILE__ ~line:__LINE__ s.lock;
+  r
 
 let lookup ?pid t ~dir ~name =
   let s = shard_of t ~dir ~name in
@@ -90,7 +94,7 @@ let lookup ?pid t ~dir ~name =
         else
           let r = Hashtbl.find_opt s.entries (dir, name) in
           if s.seq = s1 then begin
-            record_result t (r <> None);
+            record_result t (Option.is_some r);
             r
           end
           else fast (attempts - 1)
@@ -98,24 +102,35 @@ let lookup ?pid t ~dir ~name =
     fast 2
   end
 
-let write_shard ?pid s f =
-  Ksim.Spinlock.with_lock ~file:__FILE__ ~line:__LINE__ ?pid s.lock (fun () ->
-      s.seq <- s.seq + 1;
-      Fun.protect f ~finally:(fun () -> s.seq <- s.seq + 1))
+(* A writer's critical section: the shard lock held and the seqcount
+   odd in between.  The table updates inside cannot raise. *)
+let write_begin ?pid s =
+  Ksim.Spinlock.lock ~file:__FILE__ ~line:__LINE__ ?pid s.lock;
+  s.seq <- s.seq + 1
+
+let write_end s =
+  s.seq <- s.seq + 1;
+  Ksim.Spinlock.unlock ~file:__FILE__ ~line:__LINE__ s.lock
 
 let insert ?pid t ~dir ~name ~ino =
   let s = shard_of t ~dir ~name in
-  write_shard ?pid s (fun () -> Hashtbl.replace s.entries (dir, name) ino)
+  write_begin ?pid s;
+  Hashtbl.replace s.entries (dir, name) ino;
+  write_end s
 
 let invalidate ?pid t ~dir ~name =
   let s = shard_of t ~dir ~name in
-  write_shard ?pid s (fun () ->
-      Kstats.incr t.kstats t.st_invalidations;
-      Hashtbl.remove s.entries (dir, name))
+  write_begin ?pid s;
+  Kstats.incr t.kstats t.st_invalidations;
+  Hashtbl.remove s.entries (dir, name);
+  write_end s
 
 let clear ?pid t =
   Array.iter
-    (fun s -> write_shard ?pid s (fun () -> Hashtbl.reset s.entries))
+    (fun s ->
+      write_begin ?pid s;
+      Hashtbl.reset s.entries;
+      write_end s)
     t.shards
 
 let acquisitions t =

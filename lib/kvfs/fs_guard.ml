@@ -14,24 +14,32 @@ let errno_of_exn = function
   | Block_dev.Io_error _ -> Some Vtypes.EIO
   | _ -> None
 
-let guard f =
-  try f () with
-  | e -> (
-      match errno_of_exn e with Some errno -> Error errno | None -> raise e)
+(* Each op installs its own handler rather than passing a thunk to a
+   shared wrapper: a closure per filesystem call is host garbage. *)
+let fail e =
+  match errno_of_exn e with Some errno -> Error errno | None -> raise e
 
 let ops (o : Vtypes.ops) =
   {
     o with
-    Vtypes.lookup = (fun ~dir name -> guard (fun () -> o.Vtypes.lookup ~dir name));
-    create = (fun ~dir ~name kind -> guard (fun () -> o.Vtypes.create ~dir ~name kind));
-    unlink = (fun ~dir ~name -> guard (fun () -> o.Vtypes.unlink ~dir ~name));
-    readdir = (fun ~dir -> guard (fun () -> o.Vtypes.readdir ~dir));
-    getattr = (fun ~ino -> guard (fun () -> o.Vtypes.getattr ~ino));
-    read = (fun ~ino ~off ~len -> guard (fun () -> o.Vtypes.read ~ino ~off ~len));
-    write = (fun ~ino ~off ~data -> guard (fun () -> o.Vtypes.write ~ino ~off ~data));
-    truncate = (fun ~ino ~size -> guard (fun () -> o.Vtypes.truncate ~ino ~size));
+    Vtypes.lookup =
+      (fun ~dir name -> try o.Vtypes.lookup ~dir name with e -> fail e);
+    create =
+      (fun ~dir ~name kind ->
+        try o.Vtypes.create ~dir ~name kind with e -> fail e);
+    unlink =
+      (fun ~dir ~name -> try o.Vtypes.unlink ~dir ~name with e -> fail e);
+    readdir = (fun ~dir -> try o.Vtypes.readdir ~dir with e -> fail e);
+    getattr = (fun ~ino -> try o.Vtypes.getattr ~ino with e -> fail e);
+    read =
+      (fun ~ino ~off ~len -> try o.Vtypes.read ~ino ~off ~len with e -> fail e);
+    write =
+      (fun ~ino ~off ~data ->
+        try o.Vtypes.write ~ino ~off ~data with e -> fail e);
+    truncate =
+      (fun ~ino ~size -> try o.Vtypes.truncate ~ino ~size with e -> fail e);
     rename =
       (fun ~src_dir ~src ~dst_dir ~dst ->
-        guard (fun () -> o.Vtypes.rename ~src_dir ~src ~dst_dir ~dst));
-    fsync = (fun ~ino -> guard (fun () -> o.Vtypes.fsync ~ino));
+        try o.Vtypes.rename ~src_dir ~src ~dst_dir ~dst with e -> fail e);
+    fsync = (fun ~ino -> try o.Vtypes.fsync ~ino with e -> fail e);
   }

@@ -1,20 +1,36 @@
 (* The base in-memory filesystem (the Ext2/Ext3 stand-in).  File data
-   lives in growable byte buffers; every data access charges the block
-   device so the workloads see realistic I/O costs. *)
+   lives in block-sized pages; every data access charges the block
+   device so the workloads see realistic I/O costs.
+
+   Page shape: every page but the last is exactly one block (the unit
+   [charge_data_io] charges), the last grows geometrically up to one
+   block, there are exactly as many pages as [size] needs, and every
+   byte at or past [size] is zero.  A write blits into its pages in
+   place and a read gathers into the one buffer it returns, so
+   appending to a file never copies the blocks before its tail.
+
+   Pages are not pooled.  A pool of freed pages was measured: fewer
+   words allocated, but retained free pages grew PostMark's peak heap
+   by more than half, whatever the page size.  Nor is the last page
+   kept at exact length, which would copy the tail on every small
+   append (the database workload makes a thousand of them). *)
 
 type inode = {
   ino : int;
-  mutable kind : Vtypes.kind;
-  mutable data : Bytes.t;          (* regular files *)
+  kind : Vtypes.kind;
+  mutable pages : Bytes.t array;   (* regular files; see the page shape *)
   mutable size : int;
   (* directory entries: name -> (ino, arrival sequence); the sequence
-     preserves insertion order for readdir without making create O(n) *)
+     preserves insertion order for readdir without making create O(n).
+     Regular files all share [no_children], which is never written. *)
   children : (string, int * int) Hashtbl.t;
   mutable child_seq : int;
   mutable nlink : int;
   mutable mtime : int;
   refcount : Ksim.Refcount.t;
 }
+
+let no_children : (string, int * int) Hashtbl.t = Hashtbl.create 1
 
 let dir_entries d =
   Hashtbl.fold (fun name (ino, seq) acc -> (seq, name, ino) :: acc) d.children []
@@ -63,7 +79,7 @@ let create ?image kernel =
     {
       ino = root_ino;
       kind = Vtypes.Directory;
-      data = Bytes.create 0;
+      pages = [||];
       size = 0;
       children = Hashtbl.create 8;
       child_seq = 0;
@@ -81,17 +97,19 @@ let find t ino = Hashtbl.find_opt t.inodes ino
 (* Map a file-relative block to a stable disk block, allocating lazily;
    sequential files thus get (mostly) sequential blocks. *)
 let disk_block t ino fblock =
-  match Hashtbl.find_opt t.block_of_ino (ino, fblock) with
-  | Some b -> b
-  | None ->
+  let key = (ino, fblock) in
+  match Hashtbl.find t.block_of_ino key with
+  | b -> b
+  | exception Not_found ->
       let b = t.next_block in
       t.next_block <- t.next_block + 1;
-      Hashtbl.replace t.block_of_ino (ino, fblock) b;
+      Hashtbl.replace t.block_of_ino key b;
       Hashtbl.replace t.bitmap b ();
       if fblock >= 0 then begin
-        match Hashtbl.find_opt t.blocks_of ino with
-        | Some l -> l := (fblock, b) :: !l
-        | None -> Hashtbl.replace t.blocks_of ino (ref [ (fblock, b) ])
+        match Hashtbl.find t.blocks_of ino with
+        | l -> l := (fblock, b) :: !l
+        | exception Not_found ->
+            Hashtbl.replace t.blocks_of ino (ref [ (fblock, b) ])
       end;
       b
 
@@ -137,13 +155,16 @@ let new_inode t kind =
     {
       ino;
       kind;
-      data = Bytes.create 0;
+      pages = [||];
       size = 0;
-      children = Hashtbl.create 8;
+      children =
+        (match kind with
+        | Vtypes.Directory -> Hashtbl.create 8
+        | Vtypes.Regular -> no_children);
       child_seq = 0;
       nlink = (match kind with Vtypes.Directory -> 2 | Vtypes.Regular -> 1);
       mtime = Ksim.Kernel.now t.kernel;
-      refcount = Ksim.Refcount.create (Printf.sprintf "memfs-ino-%d" ino);
+      refcount = Ksim.Refcount.create ("memfs-ino-" ^ string_of_int ino);
     }
   in
   Hashtbl.replace t.inodes ino inode;
@@ -244,43 +265,84 @@ let readdir t ~dir =
       Ok (List.map entry (dir_entries d))
 
 let getattr t ~ino =
-  match find t ino with
-  | None -> Error Vtypes.ENOENT
-  | Some inode ->
+  match Hashtbl.find t.inodes ino with
+  | exception Not_found -> Error Vtypes.ENOENT
+  | inode ->
       charge_cpu t;
       charge_meta_io t ~ino;
       Ok (stat_of t inode)
 
+(* --- paged file data ----------------------------------------------- *)
+
+(* [p] copied into a fresh zeroed page of [len] bytes *)
+let grown_page p len =
+  let q = Bytes.make len '\000' in
+  Bytes.blit p 0 q 0 (Bytes.length p);
+  q
+
+(* Make [inode]'s pages hold [size] bytes, keeping the page shape: the
+   old last page, if no longer last, becomes a full block; a new last
+   page holds exactly what it needs; a last page that stays last at
+   least doubles, up to one block.  Every new byte is zero. *)
+let ensure_pages inode ~bs size =
+  let n = Array.length inode.pages in
+  let need = (size + bs - 1) / bs in
+  let tail = size - ((need - 1) * bs) in
+  if need > n then begin
+    let pages = Array.make need Bytes.empty in
+    Array.blit inode.pages 0 pages 0 n;
+    if n > 0 && Bytes.length pages.(n - 1) < bs then
+      pages.(n - 1) <- grown_page pages.(n - 1) bs;
+    for i = n to need - 2 do
+      pages.(i) <- Bytes.make bs '\000'
+    done;
+    pages.(need - 1) <- Bytes.make tail '\000';
+    inode.pages <- pages
+  end
+  else if need = n && n > 0 then begin
+    let last = inode.pages.(n - 1) in
+    let have = Bytes.length last in
+    if have < tail then
+      inode.pages.(n - 1) <- grown_page last (min bs (max tail (2 * have)))
+  end
+
+(* Move [len] bytes between [buf] at [pos] and the file at [off]. *)
+let transfer inode ~bs ~off ~len buf pos ~to_file =
+  let done_ = ref 0 in
+  while !done_ < len do
+    let at = off + !done_ in
+    let page = inode.pages.(at / bs) and o = at mod bs in
+    let n = min (len - !done_) (bs - o) in
+    if to_file then Bytes.blit buf (pos + !done_) page o n
+    else Bytes.blit page o buf (pos + !done_) n;
+    done_ := !done_ + n
+  done
+
 let read t ~ino ~off ~len =
-  match find t ino with
-  | None -> Error Vtypes.ENOENT
-  | Some inode ->
+  match Hashtbl.find t.inodes ino with
+  | exception Not_found -> Error Vtypes.ENOENT
+  | inode ->
       if inode.kind = Vtypes.Directory then Error Vtypes.EISDIR
       else if off < 0 || len < 0 then Error Vtypes.EINVAL
       else begin
         let avail = max 0 (inode.size - off) in
         let n = min len avail in
         if n > 0 then charge_data_io t ~ino ~off ~len:n ~write:false;
-        Ok (Bytes.sub inode.data off n)
+        let out = Bytes.create n in
+        transfer inode ~bs:(block_size t) ~off ~len:n out 0 ~to_file:false;
+        Ok out
       end
 
-let ensure_capacity inode size =
-  if Bytes.length inode.data < size then begin
-    let grown = Bytes.make (max size (2 * Bytes.length inode.data)) '\000' in
-    Bytes.blit inode.data 0 grown 0 inode.size;
-    inode.data <- grown
-  end
-
 let write t ~ino ~off ~data =
-  match find t ino with
-  | None -> Error Vtypes.ENOENT
-  | Some inode ->
+  match Hashtbl.find t.inodes ino with
+  | exception Not_found -> Error Vtypes.ENOENT
+  | inode ->
       if inode.kind = Vtypes.Directory then Error Vtypes.EISDIR
       else if off < 0 then Error Vtypes.EINVAL
       else begin
-        let len = Bytes.length data in
-        ensure_capacity inode (off + len);
-        Bytes.blit data 0 inode.data off len;
+        let len = Bytes.length data and bs = block_size t in
+        ensure_pages inode ~bs (off + len);
+        transfer inode ~bs ~off ~len data 0 ~to_file:true;
         if off + len > inode.size then inode.size <- off + len;
         inode.mtime <- Ksim.Kernel.now t.kernel;
         if len > 0 then charge_data_io t ~ino ~off ~len ~write:true;
@@ -294,9 +356,20 @@ let truncate t ~ino ~size =
       if inode.kind = Vtypes.Directory then Error Vtypes.EISDIR
       else if size < 0 then Error Vtypes.EINVAL
       else begin
-        ensure_capacity inode size;
-        if size < inode.size then
-          Bytes.fill inode.data size (inode.size - size) '\000';
+        let bs = block_size t in
+        if size >= inode.size then ensure_pages inode ~bs size
+        else begin
+          (* drop the pages past the new end, zero the new last page's
+             bytes past it *)
+          let need = (size + bs - 1) / bs in
+          if need < Array.length inode.pages then
+            inode.pages <- Array.sub inode.pages 0 need;
+          if need > 0 then begin
+            let last = inode.pages.(need - 1) in
+            let from = size - ((need - 1) * bs) in
+            Bytes.fill last from (Bytes.length last - from) '\000'
+          end
+        end;
         inode.size <- size;
         inode.mtime <- Ksim.Kernel.now t.kernel;
         Ok ()
@@ -363,9 +436,34 @@ let inode_count t = Hashtbl.length t.inodes
 
 (* --- fsck -------------------------------------------------------------- *)
 
+(* Complaints about [i]'s pages: as many as its size needs, every one
+   but the last a full block, the last large enough, and nothing but
+   zeros past [size]. *)
+let page_shape t i complain =
+  let err fmt = Printf.ksprintf complain fmt in
+  let bs = block_size t in
+  let n = Array.length i.pages in
+  if n <> (i.size + bs - 1) / bs then
+    err "file %d: %d pages for size %d" i.ino n i.size;
+  Array.iteri
+    (fun k p ->
+      let len = Bytes.length p in
+      if k < n - 1 && len <> bs then
+        err "file %d: page %d holds %d bytes, not a block" i.ino k len;
+      if k = n - 1 && (len > bs || (k * bs) + len < i.size) then
+        err "file %d: last page holds %d bytes for size %d" i.ino len i.size;
+      let dirty = ref false in
+      for b = max 0 (i.size - (k * bs)) to len - 1 do
+        if Bytes.get p b <> '\000' then dirty := true
+      done;
+      if !dirty then err "file %d: page %d has data past size %d" i.ino k i.size)
+    i.pages;
+  if i.kind = Vtypes.Regular && i.children != no_children then
+    err "file %d: has a children table of its own" i.ino
+
 (* Full-filesystem invariant check, e2fsck-style: tree reachability,
-   dentry integrity, link counts, block-map injectivity, and bitmap
-   agreement.  Returns human-readable complaints; [] means clean.
+   dentry integrity, link counts, page shape, block-map injectivity, and
+   bitmap agreement.  Returns human-readable complaints; [] means clean.
    Charges a metadata read per directory walked, like a real fsck pass
    over the inode table. *)
 let fsck t =
@@ -416,9 +514,11 @@ let fsck t =
         let r = Option.value ~default:0 (Hashtbl.find_opt refs ino) in
         if i.nlink <> r then err "file %d: nlink %d but %d dentries" ino i.nlink r
       end;
-      if i.size > Bytes.length i.data then
-        err "file %d: size %d exceeds buffer %d" ino i.size (Bytes.length i.data))
+      page_shape t i (fun s -> errs := s :: !errs))
     inos;
+  if Hashtbl.length no_children > 0 then
+    err "the shared empty children table has %d entries"
+      (Hashtbl.length no_children);
   (* block accounting: no block mapped twice, every mapped block marked
      allocated, every allocated block mapped, no block owned by a dead
      inode (metadata pseudo-inos, fblock -1, are exempt) *)

@@ -1,9 +1,14 @@
 (** The base in-memory filesystem (the Ext2/Ext3 stand-in).
 
-    File data lives in growable byte buffers; every data and metadata
-    access charges the block device (inodes pack 32 to a metadata block,
-    as in Ext2).  Directories are hash tables with insertion-order
-    readdir, so 100,000-entry directories behave. *)
+    File data lives in block-sized pages: every page but the last is
+    one full block, the last grows geometrically up to one block, and
+    every byte at or past the file size is zero.  Writes blit into the
+    pages in place; a read gathers into the one buffer it returns.
+    Pages are never pooled: a free-page pool was measured to cut
+    allocation but to grow PostMark's peak heap by over half.  Every
+    data and metadata access charges the block device (inodes pack 32
+    to a metadata block, as in Ext2).  Directories are hash tables with
+    insertion-order readdir, so 100,000-entry directories behave. *)
 
 type t
 
@@ -39,7 +44,9 @@ val inode_count : t -> int
 (** Full-filesystem invariant check, e2fsck-style: every inode reachable
     from the root, no dangling dentries, directory and file link counts
     correct, no disk block mapped twice, block bitmap in exact agreement
-    with the block map, and no blocks owned by dead inodes.  Returns
+    with the block map, no blocks owned by dead inodes, and every file's
+    pages in shape (as many as its size needs, all full blocks but the
+    last, zeros past the size).  Returns
     human-readable complaints; [[]] means clean.  Charges a metadata
     read per directory, like a real fsck pass over the inode table. *)
 val fsck : t -> string list

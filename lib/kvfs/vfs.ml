@@ -68,102 +68,120 @@ let umount t ~prefix =
       Dcache.clear ~pid:(cur_pid t) t.dcache;
       Ok ()
 
-let split_path path =
-  String.split_on_char '/' path |> List.filter (fun c -> c <> "" && c <> ".")
+(* Paths are walked by index, component by component, with no list of
+   components: a component is a maximal run without '/', and "." is
+   skipped.  [skip path i] is the start of the next component at or
+   after [i] (or the length of [path]); [component_end path i] is the
+   end of the component starting at [i]. *)
+let rec skip path i =
+  let n = String.length path in
+  if i >= n then n
+  else if path.[i] = '/' then skip path (i + 1)
+  else if path.[i] = '.' && (i + 1 = n || path.[i + 1] = '/') then
+    skip path (i + 1)
+  else i
 
-(* Find the mount governing [path] and the path relative to it. *)
-let resolve_mount t path =
-  let matches m =
-    let p = m.prefix in
-    p = "/"
-    || String.length path >= String.length p
-       && String.sub path 0 (String.length p) = p
-       && (String.length path = String.length p
-          || path.[String.length p] = '/')
-  in
-  match List.find_opt matches t.mounts with
-  | None -> Error Vtypes.ENOENT
-  | Some m ->
-      let rel =
-        if m.prefix = "/" then path
-        else String.sub path (String.length m.prefix)
-               (String.length path - String.length m.prefix)
-      in
-      Ok (m.fs, rel)
+let rec component_end path i =
+  if i < String.length path && path.[i] <> '/' then component_end path (i + 1)
+  else i
 
-(* Walk [rel] from the filesystem root, one dcache-guarded component at a
-   time.  Returns the inode of the final component. *)
-let walk t (fs : Vtypes.ops) rel =
-  let rec go dir = function
-    | [] -> Ok dir
-    | name :: rest -> (
-        t.path_components_resolved <- t.path_components_resolved + 1;
-        match Dcache.lookup ~pid:(cur_pid t) t.dcache ~dir ~name with
-        | Some ino -> go ino rest
-        | None -> (
-            match fs.Vtypes.lookup ~dir name with
-            | Error e -> Error e
-            | Ok ino ->
-                Dcache.insert ~pid:(cur_pid t) t.dcache ~dir ~name ~ino;
-                go ino rest))
-  in
-  go fs.Vtypes.root (split_path rel)
+(* Start of the last component at or after [i], or [last] if there is
+   none. *)
+let rec last_component path i last =
+  let i = skip path i in
+  if i >= String.length path then last
+  else last_component path (component_end path i) i
+
+(* [path] agrees with [p] from index [i] to the end of [p] *)
+let rec same_from p path i =
+  i >= String.length p || (p.[i] = path.[i] && same_from p path (i + 1))
+
+(* Does mount prefix [p] govern [path]? *)
+let governs p path =
+  let n = String.length p in
+  p = "/"
+  || String.length path >= n
+     && same_from p path 0
+     && (String.length path = n || path.[n] = '/')
+
+(* The mount governing [path] (longest prefix first); its path relative
+   to the mount starts at [rel_start m]. *)
+let rec find_mount path = function
+  | [] -> raise Not_found
+  | m :: rest -> if governs m.prefix path then m else find_mount path rest
+
+let rel_start m = if m.prefix = "/" then 0 else String.length m.prefix
+
+(* Walk the components of [path] that start in [i, stop), one
+   dcache-guarded lookup each, from directory [dir].  [count] says
+   whether they add to [path_components_resolved]. *)
+let rec walk t (fs : Vtypes.ops) path ~count ~stop dir i =
+  let i = skip path i in
+  if i >= stop then Ok dir
+  else begin
+    let j = component_end path i in
+    let name = String.sub path i (j - i) in
+    if count then t.path_components_resolved <- t.path_components_resolved + 1;
+    match Dcache.lookup ~pid:(cur_pid t) t.dcache ~dir ~name with
+    | Some ino -> walk t fs path ~count ~stop ino j
+    | None -> (
+        match fs.Vtypes.lookup ~dir name with
+        | Error e -> Error e
+        | Ok ino ->
+            Dcache.insert ~pid:(cur_pid t) t.dcache ~dir ~name ~ino;
+            walk t fs path ~count ~stop ino j)
+  end
 
 let resolve t path =
-  match resolve_mount t path with
-  | Error e -> Error e
-  | Ok (fs, rel) -> (
-      match walk t fs rel with
+  match find_mount path t.mounts with
+  | exception Not_found -> Error Vtypes.ENOENT
+  | m -> (
+      match
+        walk t m.fs path ~count:true ~stop:(String.length path) m.fs.Vtypes.root
+          (rel_start m)
+      with
       | Error e -> Error e
-      | Ok ino -> Ok (fs, ino))
+      | Ok ino -> Ok (m.fs, ino))
 
 (* Resolve the parent directory of [path]; returns (fs, dir ino, name). *)
 let resolve_parent t path =
-  match resolve_mount t path with
-  | Error e -> Error e
-  | Ok (fs, rel) -> (
-      match List.rev (split_path rel) with
-      | [] -> Error Vtypes.EINVAL
-      | name :: rev_parents -> (
-          let parent_components = List.rev rev_parents in
-          let rec go dir = function
-            | [] -> Ok dir
-            | c :: rest -> (
-                match Dcache.lookup ~pid:(cur_pid t) t.dcache ~dir ~name:c with
-                | Some ino -> go ino rest
-                | None -> (
-                    match fs.Vtypes.lookup ~dir c with
-                    | Error e -> Error e
-                    | Ok ino ->
-                        Dcache.insert ~pid:(cur_pid t) t.dcache ~dir ~name:c ~ino;
-                        go ino rest))
-          in
-          match go fs.Vtypes.root parent_components with
-          | Error e -> Error e
-          | Ok dir -> Ok (fs, dir, name)))
+  match find_mount path t.mounts with
+  | exception Not_found -> Error Vtypes.ENOENT
+  | m -> (
+      let last = last_component path (rel_start m) (-1) in
+      if last < 0 then Error Vtypes.EINVAL
+      else
+        match
+          walk t m.fs path ~count:false ~stop:last m.fs.Vtypes.root
+            (rel_start m)
+        with
+        | Error e -> Error e
+        | Ok dir ->
+            let name = String.sub path last (component_end path last - last) in
+            Ok (m.fs, dir, name))
 
 (* --- file-handle operations ------------------------------------------- *)
 
 type open_flag = O_RDONLY | O_WRONLY | O_RDWR | O_CREAT | O_TRUNC | O_APPEND
 
+(* [path]'s inode, created as a regular file if missing and [creating] *)
+let open_ino t path ~creating =
+  match resolve t path with
+  | Ok _ as found -> found
+  | Error Vtypes.ENOENT when creating -> (
+      match resolve_parent t path with
+      | Error e -> Error e
+      | Ok (fs, dir, name) -> (
+          match fs.Vtypes.create ~dir ~name Vtypes.Regular with
+          | Error e -> Error e
+          | Ok ino ->
+              Dcache.insert ~pid:(cur_pid t) t.dcache ~dir ~name ~ino;
+              Ok (fs, ino)))
+  | Error e -> Error e
+
 let open_file t path flags =
   t.opens <- t.opens + 1;
-  let creating = List.mem O_CREAT flags in
-  let get_ino () =
-    match resolve t path with
-    | Ok (fs, ino) -> Ok (fs, ino)
-    | Error Vtypes.ENOENT when creating -> (
-        match resolve_parent t path with
-        | Error e -> Error e
-        | Ok (fs, dir, name) -> (
-            match fs.Vtypes.create ~dir ~name Vtypes.Regular with
-            | Error e -> Error e
-            | Ok ino ->
-                Dcache.insert ~pid:(cur_pid t) t.dcache ~dir ~name ~ino;
-                Ok (fs, ino)))
-    | Error e -> Error e
-  in
-  match get_ino () with
+  match open_ino t path ~creating:(List.mem O_CREAT flags) with
   | Error e -> Error e
   | Ok (fs, ino) -> (
       match fs.Vtypes.getattr ~ino with
@@ -186,9 +204,9 @@ let open_file t path flags =
           end)
 
 let file t handle =
-  match Hashtbl.find_opt t.files handle with
-  | Some f when not f.closed -> Ok f
-  | Some _ | None -> Error Vtypes.EBADF
+  match Hashtbl.find t.files handle with
+  | f when not f.closed -> Ok f
+  | _ | (exception Not_found) -> Error Vtypes.EBADF
 
 let close t handle =
   match file t handle with

@@ -725,12 +725,11 @@ let epoll_serve net ~port ~(bodies : Bytes.t array) =
   loop ();
   !sent
 
-(* Host words allocated per response by the knet data path, counted as
-   minor + major - promoted: a response body is over 256 words, so its
-   buffers go straight to the major heap, where a minor-words count
-   cannot see them.  Copying each response through growing per-queue
-   buffers costs about 2,200 words here; pooled, in-place queues about
-   340. *)
+(* Host words allocated per response by the knet data path, counted by
+   [Host_words]: a response body is over 256 words, so its buffers go
+   straight to the major heap, where a minor-words count alone cannot
+   see them.  Copying each response through growing per-queue buffers
+   costs about 2,200 words here; pooled, in-place queues about 400. *)
 let test_traffic_alloc_per_response () =
   let _kernel, net = bare () in
   let bodies =
@@ -742,13 +741,9 @@ let test_traffic_alloc_per_response () =
   in
   Knet.Traffic.install net
     { Knet.Traffic.default with port = 80; conns = 200; requests_per_conn = 2 };
-  let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let before = words () in
+  let before = Host_words.now () in
   let sent = epoll_serve net ~port:80 ~bodies in
-  let per = (words () -. before) /. float_of_int sent in
+  let per = (Host_words.now () -. before) /. float_of_int sent in
   Alcotest.(check int) "every request answered" 400 sent;
   Alcotest.(check int) "every client completed" 200
     (Knet.Traffic.completed net ~port:80);

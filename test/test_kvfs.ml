@@ -57,6 +57,88 @@ let test_memfs_rw () =
   Alcotest.(check string) "zero filled" "\000\000"
     (Bytes.to_string (check_ok "read" (Kvfs.Memfs.read fs ~ino ~off:8 ~len:2)))
 
+(* Paged storage against a plain-bytes model: writes at any offset
+   (past EOF too, leaving a hole), truncates that grow or shrink across
+   page boundaries, reads at any offset and length, and unlink plus
+   re-create, with a clean fsck (page shape included) after every step. *)
+type page_op =
+  | P_write of int * int * char  (* offset, length, fill *)
+  | P_truncate of int
+  | P_read of int * int
+  | P_recreate
+
+let pp_page_op = function
+  | P_write (off, len, c) -> Printf.sprintf "write(%d,%d,%C)" off len c
+  | P_truncate n -> Printf.sprintf "truncate(%d)" n
+  | P_read (off, len) -> Printf.sprintf "read(%d,%d)" off len
+  | P_recreate -> "recreate"
+
+let qcheck_paged_storage =
+  let bs = 4096 in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            map3
+              (fun off len c -> P_write (off, len, c))
+              (int_bound (3 * bs)) (int_bound (2 * bs)) (char_range 'a' 'z') );
+          (2, map (fun n -> P_truncate n) (int_bound (4 * bs)));
+          (4, map2 (fun off len -> P_read (off, len)) (int_bound (5 * bs)) (int_bound (3 * bs)));
+          (1, return P_recreate);
+        ])
+  in
+  QCheck.Test.make ~name:"paged files = bytes model, fsck clean" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_page_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let fs = Kvfs.Memfs.create (mk_kernel ()) in
+      let root = Kvfs.Memfs.root_ino in
+      let create () =
+        check_ok "create" (Kvfs.Memfs.create_node fs ~dir:root ~name:"f" Kvfs.Vtypes.Regular)
+      in
+      let ino = ref (create ()) and model = ref Bytes.empty in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      List.iter
+        (fun op ->
+          (match op with
+          | P_write (off, len, c) ->
+              let n =
+                check_ok "write" (Kvfs.Memfs.write fs ~ino:!ino ~off ~data:(Bytes.make len c))
+              in
+              if n <> len then fail "write returned %d, not %d" n len;
+              let size = max (Bytes.length !model) (off + len) in
+              let m = Bytes.make size '\000' in
+              Bytes.blit !model 0 m 0 (Bytes.length !model);
+              Bytes.fill m off len c;
+              model := m
+          | P_truncate size ->
+              check_ok "truncate" (Kvfs.Memfs.truncate fs ~ino:!ino ~size);
+              let m = Bytes.make size '\000' in
+              Bytes.blit !model 0 m 0 (min size (Bytes.length !model));
+              model := m
+          | P_read (off, len) ->
+              let got = check_ok "read" (Kvfs.Memfs.read fs ~ino:!ino ~off ~len) in
+              let n = max 0 (min len (Bytes.length !model - off)) in
+              let want = if n = 0 then Bytes.empty else Bytes.sub !model off n in
+              if not (Bytes.equal got want) then
+                fail "%s: read %d bytes, model has %d (or different bytes)"
+                  (pp_page_op op) (Bytes.length got) n
+          | P_recreate ->
+              check_ok "unlink" (Kvfs.Memfs.unlink fs ~dir:root ~name:"f");
+              ino := create ();
+              model := Bytes.empty);
+          let st = check_ok "stat" (Kvfs.Memfs.getattr fs ~ino:!ino) in
+          if st.Kvfs.Vtypes.st_size <> Bytes.length !model then
+            fail "%s: size %d, model %d" (pp_page_op op) st.Kvfs.Vtypes.st_size
+              (Bytes.length !model);
+          match Kvfs.Memfs.fsck fs with
+          | [] -> ()
+          | errs -> fail "%s: fsck: %s" (pp_page_op op) (String.concat "; " errs))
+        ops;
+      true)
+
 let test_memfs_unlink_rename () =
   let fs = Kvfs.Memfs.create (mk_kernel ()) in
   let root = Kvfs.Memfs.root_ino in
@@ -266,6 +348,224 @@ let test_vfs_dcache_integration () =
   ignore (check_ok "unlink" (Kvfs.Vfs.unlink vfs "/a/f"));
   check_err "gone" Kvfs.Vtypes.ENOENT (Kvfs.Vfs.stat vfs "/a/f")
 
+(* The path walk against a reference that keeps the old list-based
+   semantics (split on '/', drop "" and ".", walk the parents of the
+   last component): two twin systems, one driven through Vfs and one
+   through the reference, must agree on every result, on the number of
+   components resolved, and on dcache hits, misses and invalidations. *)
+module Ref_walk = struct
+  let split_path path =
+    String.split_on_char '/' path |> List.filter (fun c -> c <> "" && c <> ".")
+
+  type t = {
+    dcache : Kvfs.Dcache.t;
+    mounts : (string * Kvfs.Vtypes.ops) list;  (* longest prefix first *)
+    mutable components : int;
+  }
+
+  let resolve_mount t path =
+    let matches (p, _) =
+      p = "/"
+      || String.length path >= String.length p
+         && String.sub path 0 (String.length p) = p
+         && (String.length path = String.length p
+            || path.[String.length p] = '/')
+    in
+    match List.find_opt matches t.mounts with
+    | None -> Error Kvfs.Vtypes.ENOENT
+    | Some (p, fs) ->
+        let rel =
+          if p = "/" then path
+          else String.sub path (String.length p) (String.length path - String.length p)
+        in
+        Ok (fs, rel)
+
+  let rec go t (fs : Kvfs.Vtypes.ops) ~count dir = function
+    | [] -> Ok dir
+    | name :: rest -> (
+        if count then t.components <- t.components + 1;
+        match Kvfs.Dcache.lookup ~pid:1 t.dcache ~dir ~name with
+        | Some ino -> go t fs ~count ino rest
+        | None -> (
+            match fs.Kvfs.Vtypes.lookup ~dir name with
+            | Error e -> Error e
+            | Ok ino ->
+                Kvfs.Dcache.insert ~pid:1 t.dcache ~dir ~name ~ino;
+                go t fs ~count ino rest))
+
+  let resolve t path =
+    match resolve_mount t path with
+    | Error e -> Error e
+    | Ok (fs, rel) ->
+        Result.map (fun ino -> (fs, ino))
+          (go t fs ~count:true fs.Kvfs.Vtypes.root (split_path rel))
+
+  let resolve_parent t path =
+    match resolve_mount t path with
+    | Error e -> Error e
+    | Ok (fs, rel) -> (
+        match List.rev (split_path rel) with
+        | [] -> Error Kvfs.Vtypes.EINVAL
+        | name :: rev_parents ->
+            Result.map
+              (fun dir -> (fs, dir, name))
+              (go t fs ~count:false fs.Kvfs.Vtypes.root (List.rev rev_parents)))
+
+  let stat t path =
+    Result.bind (resolve t path) (fun (fs, ino) -> fs.Kvfs.Vtypes.getattr ~ino)
+
+  let mkdir t path =
+    Result.bind (resolve_parent t path) (fun (fs, dir, name) ->
+        Result.map
+          (fun ino ->
+            Kvfs.Dcache.insert ~pid:1 t.dcache ~dir ~name ~ino;
+            ino)
+          (fs.Kvfs.Vtypes.create ~dir ~name Kvfs.Vtypes.Directory))
+
+  (* open_file's inode and its errors, for [O_RDWR] (+ [O_CREAT]) *)
+  let open_ino t path ~creating =
+    let found =
+      match resolve t path with
+      | Error Kvfs.Vtypes.ENOENT when creating ->
+          Result.bind (resolve_parent t path) (fun (fs, dir, name) ->
+              Result.map
+                (fun ino ->
+                  Kvfs.Dcache.insert ~pid:1 t.dcache ~dir ~name ~ino;
+                  (fs, ino))
+                (fs.Kvfs.Vtypes.create ~dir ~name Kvfs.Vtypes.Regular))
+      | r -> r
+    in
+    Result.bind found (fun (fs, ino) ->
+        Result.bind (fs.Kvfs.Vtypes.getattr ~ino) (fun st ->
+            if st.Kvfs.Vtypes.st_kind = Kvfs.Vtypes.Directory then
+              Error Kvfs.Vtypes.EISDIR
+            else Ok ino))
+
+  let unlink t path =
+    Result.bind (resolve_parent t path) (fun (fs, dir, name) ->
+        Result.map
+          (fun () -> Kvfs.Dcache.invalidate ~pid:1 t.dcache ~dir ~name)
+          (fs.Kvfs.Vtypes.unlink ~dir ~name))
+end
+
+type walk_op = W_resolve | W_parent | W_stat | W_mkdir | W_open | W_creat | W_unlink
+
+let walk_op_name = function
+  | W_resolve -> "resolve"
+  | W_parent -> "resolve_parent"
+  | W_stat -> "stat"
+  | W_mkdir -> "mkdir"
+  | W_open -> "open"
+  | W_creat -> "open O_CREAT"
+  | W_unlink -> "unlink"
+
+(* one system: a root memfs holding /mnt and /a, a second memfs mounted
+   at /mnt, told apart by name *)
+let walk_twin () =
+  let kernel = mk_kernel () in
+  let root_fs = Kvfs.Memfs.ops (Kvfs.Memfs.create kernel) in
+  let mnt_fs = { (Kvfs.Memfs.ops (Kvfs.Memfs.create kernel)) with Kvfs.Vtypes.fs_name = "memfs2" } in
+  let vfs = Kvfs.Vfs.create ~root_fs kernel in
+  ignore (check_ok "mkdir /mnt" (Kvfs.Vfs.mkdir vfs "/mnt"));
+  ignore (check_ok "mkdir /a" (Kvfs.Vfs.mkdir vfs "/a"));
+  Kvfs.Vfs.mount vfs ~prefix:"/mnt" ~fs:mnt_fs;
+  ignore (check_ok "mkdir /mnt/a" (Kvfs.Vfs.mkdir vfs "/mnt/a"));
+  (vfs, [ ("/mnt", mnt_fs); ("/", root_fs) ])
+
+let gen_walk_path =
+  QCheck.Gen.(
+    let comp = oneofl [ "a"; "b"; "f"; "mnt"; "."; ""; ".."; "a." ] in
+    map3
+      (fun lead comps trail ->
+        lead ^ String.concat "/" comps ^ trail)
+      (oneofl [ "/"; "//"; ""; "/mnt/"; "/mnt" ])
+      (list_size (int_bound 4) comp)
+      (oneofl [ ""; "/"; "//"; "/." ]))
+
+let qcheck_path_walk =
+  QCheck.Test.make ~name:"index path walk = split-list reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map (fun (op, p) -> Printf.sprintf "%s %S" (walk_op_name op) p) ops))
+       QCheck.Gen.(
+         list_size (int_range 1 30)
+           (pair
+              (oneofl [ W_resolve; W_parent; W_stat; W_mkdir; W_open; W_creat; W_unlink ])
+              gen_walk_path)))
+    (fun ops ->
+      let vfs, _ = walk_twin () in
+      let ref_vfs, mounts = walk_twin () in
+      let r = { Ref_walk.dcache = Kvfs.Vfs.dcache ref_vfs; mounts; components = 0 } in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let name fs = fs.Kvfs.Vtypes.fs_name in
+      let err = function Ok _ -> "ok" | Error e -> Kvfs.Vtypes.errno_to_string e in
+      let same what a b = if a <> b then fail "%s: %s vs reference %s" what (err a) (err b) in
+      let c0 = Kvfs.Vfs.path_components_resolved vfs in
+      List.iter
+        (fun (op, path) ->
+          let what = Printf.sprintf "%s %S" (walk_op_name op) path in
+          (match op with
+          | W_resolve ->
+              let f = Result.map (fun (fs, ino) -> (name fs, ino)) in
+              same what (f (Kvfs.Vfs.resolve vfs path)) (f (Ref_walk.resolve r path))
+          | W_parent ->
+              let f = Result.map (fun (fs, dir, n) -> (name fs, dir, n)) in
+              same what (f (Kvfs.Vfs.resolve_parent vfs path))
+                (f (Ref_walk.resolve_parent r path))
+          | W_stat ->
+              let f = Result.map (fun st -> (st.Kvfs.Vtypes.st_ino, st.Kvfs.Vtypes.st_kind)) in
+              same what (f (Kvfs.Vfs.stat vfs path)) (f (Ref_walk.stat r path))
+          | W_mkdir -> same what (Kvfs.Vfs.mkdir vfs path) (Ref_walk.mkdir r path)
+          | W_open | W_creat ->
+              let creating = op = W_creat in
+              let flags = Kvfs.Vfs.O_RDWR :: (if creating then [ Kvfs.Vfs.O_CREAT ] else []) in
+              let got =
+                Result.bind (Kvfs.Vfs.open_file vfs path flags) (fun h ->
+                    let st = check_ok "fstat" (Kvfs.Vfs.fstat vfs h) in
+                    ignore (check_ok "close" (Kvfs.Vfs.close vfs h));
+                    Ok st.Kvfs.Vtypes.st_ino)
+              in
+              same what got (Ref_walk.open_ino r path ~creating)
+          | W_unlink -> same what (Kvfs.Vfs.unlink vfs path) (Ref_walk.unlink r path));
+          let resolved = Kvfs.Vfs.path_components_resolved vfs - c0 in
+          if resolved <> r.Ref_walk.components then
+            fail "%s: %d components resolved, reference %d" what resolved
+              r.Ref_walk.components;
+          let d = Kvfs.Dcache.stats (Kvfs.Vfs.dcache vfs)
+          and rd = Kvfs.Dcache.stats r.Ref_walk.dcache in
+          if (d.hits, d.misses, d.invalidations) <> (rd.hits, rd.misses, rd.invalidations)
+          then
+            fail "%s: dcache %d/%d/%d, reference %d/%d/%d" what d.hits d.misses
+              d.invalidations rd.hits rd.misses rd.invalidations)
+        ops;
+      true)
+
+(* Host words per (open an existing two-component path, fstat, close)
+   through the syscall layer at four CPUs, so the contention model's
+   lock path runs too.  The list-based walk, boxed lock and event
+   arguments and per-call closures cost 271 words here; without them
+   about 116. *)
+let test_open_fstat_close_alloc () =
+  let t = Core.boot_with { Core.Config.default with ncpus = Some 4 } in
+  let sys = Core.sys t in
+  let module U = Ksyscall.Usyscall in
+  ignore (check_ok "mkdir" (U.sys_mkdir sys ~path:"/d"));
+  let fd = check_ok "create" (U.sys_open sys ~path:"/d/f" ~flags:[ Kvfs.Vfs.O_RDWR; Kvfs.Vfs.O_CREAT ]) in
+  ignore (check_ok "write" (U.sys_write sys ~fd ~data:(Bytes.make 3000 'x')));
+  ignore (check_ok "close" (U.sys_close sys ~fd));
+  let iters = 1000 in
+  let before = Host_words.now () in
+  for _ = 1 to iters do
+    let fd = check_ok "open" (U.sys_open sys ~path:"/d/f" ~flags:[ Kvfs.Vfs.O_RDONLY ]) in
+    ignore (check_ok "fstat" (U.sys_fstat sys ~fd));
+    ignore (check_ok "close" (U.sys_close sys ~fd))
+  done;
+  let per = (Host_words.now () -. before) /. float_of_int iters in
+  Alcotest.(check bool)
+    (Printf.sprintf "under 150 words per open+fstat+close (got %.0f)" per)
+    true (per < 150.)
+
 (* --- wrapfs ------------------------------------------------------------------ *)
 
 let mk_wrapfs ?(kernel = Ksim.Kernel.create ~config:zero_config ()) () =
@@ -355,6 +655,7 @@ let () =
           Alcotest.test_case "read/write/truncate" `Quick test_memfs_rw;
           Alcotest.test_case "unlink/rename" `Quick test_memfs_unlink_rename;
           Alcotest.test_case "readdir order" `Quick test_memfs_readdir_order;
+          QCheck_alcotest.to_alcotest qcheck_paged_storage;
         ] );
       ( "block-dev",
         [
@@ -374,6 +675,9 @@ let () =
           Alcotest.test_case "open flags" `Quick test_vfs_open_flags;
           Alcotest.test_case "mounts" `Quick test_vfs_mounts;
           Alcotest.test_case "dcache integration" `Quick test_vfs_dcache_integration;
+          QCheck_alcotest.to_alcotest qcheck_path_walk;
+          Alcotest.test_case "open+fstat+close allocation" `Quick
+            test_open_fstat_close_alloc;
         ] );
       ( "wrapfs",
         [

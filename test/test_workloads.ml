@@ -30,6 +30,19 @@ let test_postmark_runs_and_balances () =
   Alcotest.(check bool) "time advanced" true
     (s.Workloads.Postmark.times.Ksim.Kernel.elapsed > 0)
 
+(* File names are built by hand on the hot path; they must be exactly
+   what the "%s/pm%06d" format gave. *)
+let test_postmark_file_names () =
+  let cfg = Workloads.Postmark.default_config in
+  List.iter
+    (fun (dir, i) ->
+      let cfg = { cfg with Workloads.Postmark.dir } in
+      Alcotest.(check string) (Printf.sprintf "%s #%d" dir i)
+        (Printf.sprintf "%s/pm%06d" dir i)
+        (Workloads.Postmark.file_name cfg i))
+    [ ("/postmark", 0); ("/postmark3", 7); ("/p", 42); ("", 999_999);
+      ("/postmark0", 1_000_000); ("/x", 123_456_789); ("/pm", max_int) ]
+
 let test_postmark_deterministic () =
   let run () =
     let t = Core.boot_with Core.Config.default in
@@ -329,6 +342,7 @@ let () =
         [
           Alcotest.test_case "runs+balances" `Quick test_postmark_runs_and_balances;
           Alcotest.test_case "deterministic" `Quick test_postmark_deterministic;
+          Alcotest.test_case "file names" `Quick test_postmark_file_names;
         ] );
       ("amutils", [ Alcotest.test_case "user dominated" `Quick test_amutils_user_dominated ]);
       ( "cosy-apps",
