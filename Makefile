@@ -32,8 +32,10 @@ bench-smoke:
 # on any difference: `make bench-same BASE=HEAD~1`.  Also prints each
 # workload's host_alloc_words_per_op, host_peak_heap_mb and setup_s for
 # BASE and for this tree side by side (informational, never gated;
-# setup_s is one wall-clock reading, so noisy).  Not part of `check`
-# (it needs BASE).
+# setup_s is one wall-clock reading, so noisy).  EXPS="E4 E17 ..."
+# also runs those full experiments in both trees and compares their
+# stdout byte for byte (each takes seconds to minutes).  Not part of
+# `check` (it needs BASE).
 TMPDIR ?= /tmp
 BENCH_ARTIFACTS = BENCH_kstats.json BENCH_kperf.json BENCH_kfault.json BENCH_kcrash.json
 BENCH_WORKLOADS = c10k_naive c10k_ring_opt postmark_smp4 cosy_db
@@ -48,6 +50,11 @@ bench-same:
 	status=0 && \
 	{ cmp "$$base/smoke.out" "$$base/smoke.here" || status=1; } && \
 	for f in $(BENCH_ARTIFACTS); do cmp "$$base/$$f" "$$f" || status=1; done; \
+	for e in $(EXPS); do \
+	  (cd "$$base" && dune exec --root . bench/main.exe -- $$e) > "$$base/$$e.base"; \
+	  dune exec --root . bench/main.exe -- $$e > "$$base/$$e.here"; \
+	  cmp "$$base/$$e.base" "$$base/$$e.here" && echo "bench-same: $$e identical" || status=1; \
+	done; \
 	for w in $(BENCH_WORKLOADS); do \
 	  (cd "$$base" && $(BENCH_SIM) $$w) > "$$base/$$w.base.out"; \
 	  $(BENCH_SIM) $$w > "$$base/$$w.here.out"; \

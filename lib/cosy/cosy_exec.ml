@@ -94,20 +94,30 @@ let set_admission t a = t.admit <- a
 let watchdog_elisions t = t.watchdog_elisions
 
 (* Read a NUL-terminated string argument: immediate or from the shared
-   buffer. *)
-let string_arg t slots = function
+   buffer.  A shared string runs to the first NUL (or the buffer's end)
+   and every byte examined, the NUL included, counts as read. *)
+let string_arg t = function
   | Cosy_op.Str s -> s
   | Cosy_op.Shared off ->
-      let rec find i =
-        if off + i >= Shared_buffer.size t.shared then i
-        else if Bytes.get (Shared_buffer.read t.shared ~off:(off + i) ~len:1) 0
-                = '\000'
-        then i
-        else find (i + 1)
+      let size = Shared_buffer.size t.shared in
+      let len =
+        if off >= size then 0
+        else if off < 0 then begin
+          (* out of range: raises as a one-byte read there would *)
+          Shared_buffer.note_read t.shared ~off ~len:1;
+          0
+        end
+        else
+          match Bytes.index_from (Shared_buffer.data t.shared) off '\000' with
+          | nul ->
+              Shared_buffer.note_read t.shared ~off ~len:(nul - off + 1);
+              nul - off
+          | exception Not_found ->
+              Shared_buffer.note_read t.shared ~off ~len:(size - off);
+              size - off
       in
-      Shared_buffer.read_string t.shared ~off ~len:(find 0)
+      Shared_buffer.read_string t.shared ~off ~len
   | Cosy_op.Const _ | Cosy_op.Slot _ as a ->
-      ignore slots;
       raise (Exec_error (Fmt.str "expected string argument, got %a" Cosy_op.pp_arg a))
 
 let int_arg slots = function
@@ -126,129 +136,165 @@ let open_flags_of_int v =
   let flags = if v land 4 <> 0 then Kvfs.Vfs.O_TRUNC :: flags else flags in
   if v land 8 <> 0 then Kvfs.Vfs.O_APPEND :: flags else flags
 
+(* --- syscall ops ----------------------------------------------------- *)
+
+(* Each syscall op runs under a "cosy:sys.<name>" span; the names are
+   built once. *)
+let span_names = Array.map (fun name -> "sys." ^ name) Cosy_op.syscall_table
+
+let span_begin t sysno =
+  Kperf.span_begin
+    (Ksim.Kernel.perf (Ksyscall.Systable.kernel t.sys))
+    ~pid:0 ~arg:0 ~cat:"cosy" ~name:span_names.(sysno)
+
+let span_end t span =
+  Kperf.span_end (Ksim.Kernel.perf (Ksyscall.Systable.kernel t.sys)) ~pid:0
+    ~arg:0 span
+
+(* An output buffer operand must name the shared buffer or be null (the
+   payload is dropped). *)
+let check_sink what = function
+  | Cosy_op.Shared _ | Cosy_op.Const 0 -> ()
+  | _ -> raise (Exec_error (what ^ ": buffer must be shared or null"))
+
+(* An input payload: [len] bytes of the shared buffer, or an immediate. *)
+let in_data t what len = function
+  | Cosy_op.Shared off -> Shared_buffer.read t.shared ~off ~len
+  | Cosy_op.Str s -> Bytes.of_string s
+  | _ -> raise (Exec_error (what ^ ": buffer must be shared or immediate"))
+
+(* Lower a decoded syscall op without an output payload to its typed
+   request. *)
+let lower t slots name args =
+  match (name, args) with
+  | "open", [ path; flags ] ->
+      Syscall.Open
+        {
+          path = string_arg t path;
+          flags = open_flags_of_int (int_arg slots flags);
+        }
+  | "close", [ fd ] -> Syscall.Close { fd = int_arg slots fd }
+  | "write", [ fd; buf; len ] ->
+      Syscall.Write
+        { fd = int_arg slots fd; data = in_data t "write" (int_arg slots len) buf }
+  | "pwrite", [ fd; buf; len; off ] ->
+      Syscall.Pwrite
+        {
+          fd = int_arg slots fd;
+          off = int_arg slots off;
+          data = in_data t "pwrite" (int_arg slots len) buf;
+        }
+  | "lseek", [ fd; off; whence ] ->
+      Syscall.Lseek
+        {
+          fd = int_arg slots fd;
+          off = int_arg slots off;
+          whence = Syscall.whence_of_int (int_arg slots whence);
+        }
+  | "stat", [ path ] -> Syscall.Stat { path = string_arg t path }
+  | "fstat", [ fd ] -> Syscall.Fstat { fd = int_arg slots fd }
+  | "mkdir", [ path ] -> Syscall.Mkdir { path = string_arg t path }
+  | "unlink", [ path ] -> Syscall.Unlink { path = string_arg t path }
+  | "rename", [ src; dst ] ->
+      Syscall.Rename { src = string_arg t src; dst = string_arg t dst }
+  | "fsync", [ fd ] -> Syscall.Fsync { fd = int_arg slots fd }
+  | "getpid", [] -> Syscall.Getpid
+  | _ ->
+      raise
+        (Exec_error (Printf.sprintf "%s: bad argument count (%d)" name
+                       (List.length args)))
+
+(* The same in-kernel service dispatch the synchronous wrappers and the
+   kring use, under the op's span. *)
+let dispatch t sysno req =
+  let span = span_begin t sysno in
+  match Ksyscall.Usyscall.invoke_compound t.sys req with
+  | reply ->
+      span_end t span;
+      reply
+  | exception e ->
+      span_end t span;
+      raise e
+
+(* Push a reply's output payload into the shared buffer at [buf], unless
+   [buf] is null. *)
+let deposit t buf (reply : Syscall.reply) =
+  match (buf, reply) with
+  | Cosy_op.Shared off, Ok (Syscall.R_bytes data) ->
+      Shared_buffer.write t.shared ~off data
+  | Cosy_op.Shared off, Ok (Syscall.R_dirents entries) ->
+      let names =
+        String.concat "\000" (List.map (fun d -> d.Kvfs.Vtypes.d_name) entries)
+        ^ "\000"
+      in
+      Shared_buffer.write_string t.shared ~off names
+  | _ -> ()
+
+(* A read or pread.  When its whole range [off, off+len) fits in the
+   shared buffer, the file bytes land there directly and only their
+   count is noted; any other sink (null, or a range that may not fit)
+   takes the reply-and-deposit path, which raises on an out-of-range
+   deposit exactly as it always has. *)
+let read_op t sysno kind ~fd ~off ~len buf =
+  match buf with
+  | Cosy_op.Shared pos
+    when 0 <= len && 0 <= pos && pos <= Shared_buffer.size t.shared - len -> (
+      let span = span_begin t sysno in
+      match
+        Ksyscall.Usyscall.invoke_compound_into t.sys kind ~fd ~off ~len
+          ~into:(Shared_buffer.data t.shared) ~pos
+      with
+      | exception e ->
+          span_end t span;
+          raise e
+      | Ok n ->
+          span_end t span;
+          Shared_buffer.note_written t.shared ~off:pos ~len:n;
+          n
+      | Error e ->
+          span_end t span;
+          -Kvfs.Vtypes.errno_code e)
+  | _ ->
+      let req =
+        match kind with
+        | Ksyscall.Sysno.Read -> Syscall.Read { fd; len }
+        | _ -> Syscall.Pread { fd; off; len }
+      in
+      let reply = dispatch t sysno req in
+      deposit t buf reply;
+      Syscall.reply_to_retval reply
+
 (* Execute one syscall op: lower the decoded compound operands to a
-   typed [Syscall.req], run it through the same in-kernel service
-   dispatch the synchronous wrappers and the kring use, and collapse the
-   typed reply to the compound's C-style return value.  Input payloads
-   (write/pwrite) are pulled from the shared buffer while building the
-   request; output payloads (read/pread/readdir) are pushed back into it
-   once the reply is in hand. *)
+   typed request, run it through the in-kernel service dispatch, and
+   collapse the reply to the compound's C-style return value.  Input
+   payloads (write/pwrite) are pulled from the shared buffer while
+   building the request; output payloads (read/pread/readdir) land in
+   it.  Nothing here allocates per call but the request itself and what
+   the service routine returns. *)
 let do_syscall t slots sysno args =
-  let name =
-    match Cosy_op.name_of_sysno sysno with
-    | Some n -> n
-    | None -> raise (Exec_error (Printf.sprintf "bad syscall number %d" sysno))
-  in
-  (* Where an output payload goes: into the shared buffer, or dropped. *)
-  let out_sink what = function
-    | Cosy_op.Shared off -> Some off
-    | Cosy_op.Const 0 -> None (* discard *)
-    | _ -> raise (Exec_error (what ^ ": buffer must be shared or null"))
-  in
-  let in_data what len = function
-    | Cosy_op.Shared off -> Shared_buffer.read t.shared ~off ~len
-    | Cosy_op.Str s -> Bytes.of_string s
-    | _ -> raise (Exec_error (what ^ ": buffer must be shared or immediate"))
-  in
-  let nop_post (_ : Syscall.reply) = () in
-  let req, post =
-    match (name, args) with
-    | "open", [ path; flags ] ->
-        ( Syscall.Open
-            {
-              path = string_arg t slots path;
-              flags = open_flags_of_int (int_arg slots flags);
-            },
-          nop_post )
-    | "close", [ fd ] -> (Syscall.Close { fd = int_arg slots fd }, nop_post)
-    | "read", [ fd; buf; len ] ->
-        let sink = out_sink "read" buf in
-        ( Syscall.Read { fd = int_arg slots fd; len = int_arg slots len },
-          function
-          | Ok (Syscall.R_bytes data) ->
-              Option.iter (fun off -> Shared_buffer.write t.shared ~off data) sink
-          | _ -> () )
-    | "write", [ fd; buf; len ] ->
-        ( Syscall.Write
-            {
-              fd = int_arg slots fd;
-              data = in_data "write" (int_arg slots len) buf;
-            },
-          nop_post )
-    | "pread", [ fd; buf; len; off ] ->
-        let sink = out_sink "pread" buf in
-        ( Syscall.Pread
-            {
-              fd = int_arg slots fd;
-              off = int_arg slots off;
-              len = int_arg slots len;
-            },
-          function
-          | Ok (Syscall.R_bytes data) ->
-              Option.iter (fun boff -> Shared_buffer.write t.shared ~off:boff data) sink
-          | _ -> () )
-    | "pwrite", [ fd; buf; len; off ] ->
-        ( Syscall.Pwrite
-            {
-              fd = int_arg slots fd;
-              off = int_arg slots off;
-              data = in_data "pwrite" (int_arg slots len) buf;
-            },
-          nop_post )
-    | "lseek", [ fd; off; whence ] ->
-        ( Syscall.Lseek
-            {
-              fd = int_arg slots fd;
-              off = int_arg slots off;
-              whence = Syscall.whence_of_int (int_arg slots whence);
-            },
-          nop_post )
-    | "stat", [ path ] ->
-        (Syscall.Stat { path = string_arg t slots path }, nop_post)
-    | "fstat", [ fd ] -> (Syscall.Fstat { fd = int_arg slots fd }, nop_post)
-    | "readdir", [ path; buf ] ->
-        let sink = out_sink "readdir" buf in
-        ( Syscall.Readdir { path = string_arg t slots path },
-          function
-          | Ok (Syscall.R_dirents entries) ->
-              Option.iter
-                (fun off ->
-                  let names =
-                    String.concat "\000"
-                      (List.map (fun d -> d.Kvfs.Vtypes.d_name) entries)
-                    ^ "\000"
-                  in
-                  Shared_buffer.write_string t.shared ~off names)
-                sink
-          | _ -> () )
-    | "mkdir", [ path ] ->
-        (Syscall.Mkdir { path = string_arg t slots path }, nop_post)
-    | "unlink", [ path ] ->
-        (Syscall.Unlink { path = string_arg t slots path }, nop_post)
-    | "rename", [ src; dst ] ->
-        ( Syscall.Rename
-            { src = string_arg t slots src; dst = string_arg t slots dst },
-          nop_post )
-    | "fsync", [ fd ] -> (Syscall.Fsync { fd = int_arg slots fd }, nop_post)
-    | "getpid", [] -> (Syscall.Getpid, nop_post)
-    | _ ->
-        raise
-          (Exec_error (Printf.sprintf "%s: bad argument count (%d)" name
-                         (List.length args)))
-  in
-  let perf = Ksim.Kernel.perf (Ksyscall.Systable.kernel t.sys) in
-  let span = Kperf.span_begin perf ~cat:"cosy" ~name:("sys." ^ name) () in
-  let reply =
-    match Ksyscall.Usyscall.invoke_compound t.sys req with
-    | r ->
-        Kperf.span_end perf span;
-        r
-    | exception e ->
-        Kperf.span_end perf span;
-        raise e
-  in
-  post reply;
-  Syscall.reply_to_retval reply
+  if sysno < 0 || sysno >= Array.length Cosy_op.syscall_table then
+    raise (Exec_error (Printf.sprintf "bad syscall number %d" sysno));
+  let name = Cosy_op.syscall_table.(sysno) in
+  match (name, args) with
+  | "read", [ fd; buf; len ] ->
+      check_sink "read" buf;
+      let len = int_arg slots len in
+      let fd = int_arg slots fd in
+      read_op t sysno Ksyscall.Sysno.Read ~fd ~off:0 ~len buf
+  | "pread", [ fd; buf; len; off ] ->
+      check_sink "pread" buf;
+      let len = int_arg slots len in
+      let off = int_arg slots off in
+      let fd = int_arg slots fd in
+      read_op t sysno Ksyscall.Sysno.Pread ~fd ~off ~len buf
+  | "readdir", [ path; buf ] ->
+      check_sink "readdir" buf;
+      let reply =
+        dispatch t sysno (Syscall.Readdir { path = string_arg t path })
+      in
+      deposit t buf reply;
+      Syscall.reply_to_retval reply
+  | _ -> Syscall.reply_to_retval (dispatch t sysno (lower t slots name args))
 
 (* Execute a user-supplied function inside the kernel under the active
    protection mode. *)
@@ -396,7 +442,7 @@ let submit t compound =
   Kstats.incr t.kstats t.st_submits;
   let ops_before = t.ops_executed in
   (* one span per compound; the per-op "cosy:sys.*" spans nest under it *)
-  let span = Kperf.span_begin perf ~pid ~cat:"cosy" ~name:"submit" () in
+  let span = Kperf.span_begin perf ~pid ~arg:0 ~cat:"cosy" ~name:"submit" in
   let slots =
     Ksyscall.Usyscall.stay t.sys Ksyscall.Usyscall.Compound ~span (execute t)
       compound
@@ -406,8 +452,8 @@ let submit t compound =
   slots
 
 (* Exported for the kopt plan executor, which replays the same lowering
-   (typed request, service dispatch, reply deposit, kperf span) for the
-   syscall ops it does not rewrite. *)
+   (typed request or in-place read, service dispatch, deposit, kperf
+   span) for the syscall ops it does not rewrite. *)
 let exec_syscall = do_syscall
 
 type stats = {

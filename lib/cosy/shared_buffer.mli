@@ -22,5 +22,19 @@ val read : t -> off:int -> len:int -> Bytes.t
 val write_string : t -> off:int -> string -> unit
 val read_string : t -> off:int -> len:int -> string
 
+(** {1 In-place access}
+
+    For in-kernel code that reads or writes the buffer's bytes where they
+    lie — a file read landing straight in the buffer, a ring entry parsed
+    without a copy.  Such code reports its traffic with [note_read] and
+    [note_written], which count exactly as [read] and [write] of the
+    same range would (bytes read, bytes written, high water). *)
+
+(** The buffer's backing bytes, shared, not copied. *)
+val data : t -> Bytes.t
+
+val note_read : t -> off:int -> len:int -> unit
+val note_written : t -> off:int -> len:int -> unit
+
 (** Highest byte offset ever written (for reporting). *)
 val high_water : t -> int

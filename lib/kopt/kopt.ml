@@ -116,14 +116,14 @@ let try_plan t ~shared_size compound =
       | Kverify.Checker.Rejected _ -> None
       | Kverify.Checker.Verified { ops = nops; loops } ->
           let perf = Kernel.perf t.kernel in
-          let span = Kperf.span_begin perf ~cat:"kopt" ~name:"compile" () in
+          let span = Kperf.span_begin perf ~pid:0 ~arg:0 ~cat:"kopt" ~name:"compile" in
           Ksim.Sim_clock.advance clock
             (nops * cost.Ksim.Cost_model.kopt_compile_op);
           (* the checker just decoded this compound; re-decoding here is
              covered by the per-op compile charge *)
           let ops, slot_count = Cosy.Compound.decode compound in
           let plan = Plan.compile ~shared_size ~loops ops ~slot_count in
-          Kperf.span_end perf span;
+          Kperf.span_end perf ~pid:0 ~arg:0 span;
           t.compiles <- t.compiles + 1;
           Kstats.incr t.kstats t.s_compiles;
           if Hashtbl.length t.cache >= t.cache_capacity then
@@ -296,7 +296,7 @@ let run_plan t cx (plan : Plan.t) =
               | Plan.G_pread -> "bulk.pread"
               | Plan.G_write -> "bulk.write"
             in
-            let span = Kperf.span_begin perf ~cat:"kopt" ~name () in
+            let span = Kperf.span_begin perf ~pid:0 ~arg:0 ~cat:"kopt" ~name in
             let len = len_a + len_b in
             let bulk =
               match kind with
@@ -306,7 +306,7 @@ let run_plan t cx (plan : Plan.t) =
                   Syscall.Write { fd = fdv; data = Sbuf.read shared ~off ~len }
             in
             let reply = Usyscall.service t.sys bulk in
-            Kperf.span_end perf span;
+            Kperf.span_end perf ~pid:0 ~arg:0 span;
             (* sequential-position semantics split the merged transfer
                exactly where the pair's two would, and a read's payload
                lands contiguously from [off] *)
@@ -341,7 +341,7 @@ let run_plan t cx (plan : Plan.t) =
     | Plan.I_fuse { dst_r; dst_w; fd_r; fd_w; off; len } ->
         ops_run := !ops_run + 2;
         adv cost.Ksim.Cost_model.kopt_fused_op;
-        let span = Kperf.span_begin perf ~cat:"kopt" ~name:"splice.rw" () in
+        let span = Kperf.span_begin perf ~pid:0 ~arg:0 ~cat:"kopt" ~name:"splice.rw" in
         (try
            let fdrv = Cx.int_arg slots fd_r in
            resolve_fd fdrv;
@@ -361,9 +361,9 @@ let run_plan t cx (plan : Plan.t) =
              ~verdict:(Usyscall.verdict t.sys (Syscall.sysno_of_req req_w))
              ~req:req_w ~sink:None dst_w
          with e ->
-           Kperf.span_end perf span;
+           Kperf.span_end perf ~pid:0 ~arg:0 span;
            raise e);
-        Kperf.span_end perf span;
+        Kperf.span_end perf ~pid:0 ~arg:0 span;
         pc := cur + 2
   done;
   (slots, !ops_run, !backedges)

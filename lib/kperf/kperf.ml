@@ -177,7 +177,7 @@ let top_of t cpu =
 let current_span t =
   if not t.enabled then 0 else top_of t (clamp_cpu t (t.cpu ()))
 
-let span_begin t ?(pid = 0) ?(arg = 0) ~cat ~name () =
+let span_begin t ~pid ~arg ~cat ~name =
   if not t.enabled then 0
   else begin
     let id = t.next_id in
@@ -204,7 +204,7 @@ let stack_cpu_of t id =
       t.stacks;
     !found
 
-let span_end t ?(pid = 0) ?(arg = 0) id =
+let span_end t ~pid ~arg id =
   if t.enabled && id > 0 then
     match stack_cpu_of t id with
     | None -> ()  (* begun while disabled, or cleared since *)
@@ -219,16 +219,16 @@ let span_end t ?(pid = 0) ?(arg = 0) id =
         emit t ~kind:End ~id ~parent:(top_of t cpu) ~cat:frame.f_cat
           ~name:frame.f_name ~pid ~arg
 
-let with_span t ?pid ?arg ~cat ~name f =
+let with_span t ?(pid = 0) ?(arg = 0) ~cat ~name f =
   if not t.enabled then f ()
   else begin
-    let id = span_begin t ?pid ?arg ~cat ~name () in
+    let id = span_begin t ~pid ~arg ~cat ~name in
     match f () with
     | v ->
-        span_end t ?pid id;
+        span_end t ~pid ~arg:0 id;
         v
     | exception e ->
-        span_end t ?pid id;
+        span_end t ~pid ~arg:0 id;
         raise e
   end
 

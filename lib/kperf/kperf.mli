@@ -81,11 +81,12 @@ val clear : t -> unit
 (** {1 Emit hooks} — single branch, no-ops returning 0 when disabled. *)
 
 (** Open a span as a child of the active CPU's current span; returns its
-    id (0 when disabled — [span_end] ignores 0). *)
-val span_begin :
-  t -> ?pid:int -> ?arg:int -> cat:string -> name:string -> unit -> int
+    id (0 when disabled — [span_end] ignores 0).  [pid] and [arg] are
+    required (0 when there is nothing to name), so a call on a hot path
+    boxes no option. *)
+val span_begin : t -> pid:int -> arg:int -> cat:string -> name:string -> int
 
-val span_end : t -> ?pid:int -> ?arg:int -> int -> unit
+val span_end : t -> pid:int -> arg:int -> int -> unit
 
 (** [with_span t ~cat ~name f]: [f] bracketed by a span (closed on
     exception too). *)

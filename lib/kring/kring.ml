@@ -164,6 +164,12 @@ let push t req =
       Ok seq
     end
 
+(* Parse the SQ entry at [off, off+len) where it lies in the shared
+   region, counted as a read of those bytes. *)
+let decode_entry t ~off ~len =
+  Cosy.Shared_buffer.note_read t.shared ~off ~len;
+  fst (Syscall.decode_req (Cosy.Shared_buffer.data t.shared) ~off)
+
 (* The batch's kernel stay, between the trap and the return.  Each
    entry is decoded (charged like a compound op), its request bytes
    charged as the batch's one copy-in, and dispatched through the
@@ -194,10 +200,7 @@ let drain t sys completed =
     | Some admit -> (
         match
           Queue.fold
-            (fun acc (_, off, len) ->
-              let wire = Cosy.Shared_buffer.read t.shared ~off ~len in
-              let req, (_ : int) = Syscall.decode_req wire ~off:0 in
-              req :: acc)
+            (fun acc (_, off, len) -> decode_entry t ~off ~len :: acc)
             [] t.sq
         with
         | reqs -> admit (List.rev reqs)
@@ -212,8 +215,7 @@ let drain t sys completed =
      charges (the caller picked plain vs fused pricing) *)
   let dispatch_one () =
     let seq, off, len = Queue.peek t.sq in
-    let wire = Cosy.Shared_buffer.read t.shared ~off ~len in
-    let req, (_ : int) = Syscall.decode_req wire ~off:0 in
+    let req = decode_entry t ~off ~len in
     let reply = Ksyscall.Usyscall.invoke_drained sys req in
     ignore (Queue.pop t.sq);
     Queue.add { seq; sysno = Syscall.sysno_of_req req; reply } t.cq;
@@ -319,7 +321,7 @@ let enter t =
        into its drained syscalls *)
     let span =
       Kperf.span_begin perf ~pid ~arg:(Queue.length t.sq) ~cat:"ring"
-        ~name:"enter" ()
+        ~name:"enter"
     in
     Ksim.Kernel.charge_user kernel
       (Ksim.Kernel.cost kernel).Ksim.Cost_model.user_stub;

@@ -51,7 +51,10 @@ let alloc_fd t handle =
   Hashtbl.replace t.fd_table fd handle;
   fd
 
-let lookup_fd t fd = Hashtbl.find_opt t.fd_table fd
+(* The handle behind [fd], or -1 when none (handles are never
+   negative): one table probe and no option box. *)
+let find_fd t fd =
+  match Hashtbl.find t.fd_table fd with h -> h | exception Not_found -> -1
 
 let release_fd t fd =
   match Hashtbl.find_opt t.fd_table fd with

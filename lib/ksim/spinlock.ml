@@ -177,7 +177,6 @@ let lock ?(file = "<unknown>") ?(line = 0) ?(pid = 0) t =
             match t.perf with
             | Some perf ->
                 Kperf.span_begin perf ~pid ~arg:spin ~cat:"lock" ~name:t.name
-                  ()
             | None -> 0
           in
           Sim_clock.advance c.clock spin;

@@ -14,11 +14,9 @@ let check_kernel_mode sys =
   if Ksim.Kernel.mode (Systable.kernel sys) <> Ksim.Kernel.Kernel_mode then
     raise (Ksim.Kernel.Kernel_mode_violation "service routine in user mode")
 
+(* The VFS handle behind [fd] in the current process, -1 when none. *)
 let handle_of_fd sys fd =
-  let p = Ksim.Kernel.current (Systable.kernel sys) in
-  match Ksim.Kproc.lookup_fd p fd with
-  | Some h -> Ok h
-  | None -> fd_err
+  Ksim.Kproc.find_fd (Ksim.Kernel.current (Systable.kernel sys)) fd
 
 let service_open sys ~path ~flags =
   check_kernel_mode sys;
@@ -43,39 +41,46 @@ let service_close sys ~fd =
 
 let service_read sys ~fd ~len =
   check_kernel_mode sys;
-  match handle_of_fd sys fd with
-  | Error e -> Error e
-  | Ok h -> Vfs.read (Systable.vfs sys) h len
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err else Vfs.read (Systable.vfs sys) h len
+
+(* [service_read]/[service_pread] with the bytes landing in [into] at
+   [pos] (Cosy's shared buffer) instead of a fresh result. *)
+let service_read_into sys ~fd ~len ~into ~pos =
+  check_kernel_mode sys;
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err else Vfs.read_into (Systable.vfs sys) h len ~into ~pos
+
+let service_pread_into sys ~fd ~off ~len ~into ~pos =
+  check_kernel_mode sys;
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err
+  else Vfs.pread_into (Systable.vfs sys) h ~off ~len ~into ~pos
 
 let service_write sys ~fd ~data =
   check_kernel_mode sys;
-  match handle_of_fd sys fd with
-  | Error e -> Error e
-  | Ok h -> Vfs.write (Systable.vfs sys) h data
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err else Vfs.write (Systable.vfs sys) h data
 
 let service_pread sys ~fd ~off ~len =
   check_kernel_mode sys;
-  match handle_of_fd sys fd with
-  | Error e -> Error e
-  | Ok h -> Vfs.pread (Systable.vfs sys) h ~off ~len
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err else Vfs.pread (Systable.vfs sys) h ~off ~len
 
 let service_pwrite sys ~fd ~off ~data =
   check_kernel_mode sys;
-  match handle_of_fd sys fd with
-  | Error e -> Error e
-  | Ok h -> Vfs.pwrite (Systable.vfs sys) h ~off ~data
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err else Vfs.pwrite (Systable.vfs sys) h ~off ~data
 
 let service_lseek sys ~fd ~off ~whence =
   check_kernel_mode sys;
-  match handle_of_fd sys fd with
-  | Error e -> Error e
-  | Ok h -> Vfs.lseek (Systable.vfs sys) h ~off ~whence
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err else Vfs.lseek (Systable.vfs sys) h ~off ~whence
 
 let service_fstat sys ~fd =
   check_kernel_mode sys;
-  match handle_of_fd sys fd with
-  | Error e -> Error e
-  | Ok h -> Vfs.fstat (Systable.vfs sys) h
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err else Vfs.fstat (Systable.vfs sys) h
 
 let service_stat sys ~path =
   check_kernel_mode sys;
@@ -99,9 +104,8 @@ let service_rename sys ~src ~dst =
 
 let service_fsync sys ~fd =
   check_kernel_mode sys;
-  match handle_of_fd sys fd with
-  | Error e -> Error e
-  | Ok h -> Vfs.fsync (Systable.vfs sys) h
+  let h = handle_of_fd sys fd in
+  if h < 0 then fd_err else Vfs.fsync (Systable.vfs sys) h
 
 let service_getpid sys =
   check_kernel_mode sys;

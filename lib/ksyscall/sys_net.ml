@@ -10,10 +10,10 @@ let net sys = Systable.net sys
 let cur sys = Ksim.Kernel.current (Systable.kernel sys)
 
 let sock_of_fd sys fd =
-  match Ksim.Kproc.lookup_fd (cur sys) fd with
-  | Some h when h >= Knet.handle_base -> Ok (h - Knet.handle_base)
-  | Some _ -> Error Vtypes.ENOTSOCK
-  | None -> Error Vtypes.EBADF
+  let h = Ksim.Kproc.find_fd (cur sys) fd in
+  if h >= Knet.handle_base then Ok (h - Knet.handle_base)
+  else if h >= 0 then Error Vtypes.ENOTSOCK
+  else Error Vtypes.EBADF
 
 let alloc_sock_fd sys id = Ksim.Kproc.alloc_fd (cur sys) (Knet.handle_base + id)
 

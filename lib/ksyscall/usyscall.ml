@@ -12,8 +12,10 @@
                kernel mode, no crossing or copy charges (the batch pays
                those), but the call still counts, traces and lands in the
                histograms;
-     Compound  a Cosy op ([invoke_compound]): gate verdict, then bare
-               service; the compound's own bookkeeping wraps it.
+     Compound  a Cosy op ([invoke_compound], or [invoke_compound_into]
+               for a read landing in the shared buffer): gate verdict,
+               then bare service; the compound's own bookkeeping wraps
+               it.
 
    Interposition (kverify's syscall-flow gate) therefore happens in
    exactly one place, [verdict], whichever way a request reaches the
@@ -136,6 +138,20 @@ let apply_verdict sys verdict req =
    so only the gate interposes before the service routine. *)
 let invoke_compound sys req =
   apply_verdict sys (verdict sys (Syscall.sysno_of_req req)) req
+
+(* A Cosy read ([Sysno.Read], at the fd position; [off] unused) or
+   pread whose bytes land in [into] at [pos] — the shared buffer — and
+   not in a reply: the gate interposes exactly as in [invoke_compound],
+   then the in-place service routine runs.  [Ok n] is the byte count. *)
+let invoke_compound_into sys sysno ~fd ~off ~len ~into ~pos =
+  match verdict sys sysno with
+  | Systable.Gate_allow -> (
+      match sysno with
+      | Sysno.Read -> Sys_file.service_read_into sys ~fd ~len ~into ~pos
+      | Sysno.Pread -> Sys_file.service_pread_into sys ~fd ~off ~len ~into ~pos
+      | _ -> invalid_arg "Usyscall.invoke_compound_into: not a read")
+  | Systable.Gate_deny e -> Error e
+  | Systable.Gate_kill -> flow_kill sys sysno
 
 (* --- the kernel stay ---------------------------------------------------- *)
 
@@ -294,7 +310,7 @@ let counted sys ~crossing req =
   let perf = Ksim.Kernel.perf k in
   let pid = (Ksim.Kernel.current k).Ksim.Kproc.pid in
   let span =
-    Kperf.span_begin perf ~pid ~cat:"syscall" ~name:(Sysno.to_string sysno) ()
+    Kperf.span_begin perf ~pid ~arg:0 ~cat:"syscall" ~name:(Sysno.to_string sysno)
   in
   let reply =
     if crossing then begin
@@ -306,11 +322,11 @@ let counted sys ~crossing req =
       | reply -> reply
       | exception (Flow_violation _ as e) ->
           (* the batch's stay unwinds it exactly like a watchdog expiry *)
-          Kperf.span_end perf ~pid span;
+          Kperf.span_end perf ~pid ~arg:0 span;
           raise e
   in
   Systable.observe_latency sys ~sysno ~cycles:(Ksim.Kernel.now k - t0);
-  Kperf.span_end perf ~pid span;
+  Kperf.span_end perf ~pid ~arg:0 span;
   reply
 
 (* Plain: one request, one round trip. *)

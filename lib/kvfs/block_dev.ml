@@ -133,7 +133,7 @@ let read_block t blk =
       let cost = Ksim.Kernel.cost t.kernel in
       let perf = Ksim.Kernel.perf t.kernel in
       let span =
-        Kperf.span_begin perf ~arg:blk ~cat:"io" ~name:"blockdev.read" ()
+        Kperf.span_begin perf ~pid:0 ~arg:blk ~cat:"io" ~name:"blockdev.read"
       in
       charge t (seek_cost t blk);
       (* injected short transfer: the driver re-issues the read, so the
@@ -146,11 +146,11 @@ let read_block t blk =
       (* injected hard failure: the driver's retries are exhausted *)
       if Kfault.fire t.fault t.site_eio then begin
         charge t cost.Ksim.Cost_model.disk_read_block;
-        Kperf.span_end perf ~arg:blk span;
+        Kperf.span_end perf ~pid:0 ~arg:blk span;
         raise (Io_error blk)
       end;
       charge t cost.Ksim.Cost_model.disk_read_block;
-      Kperf.span_end perf ~arg:blk span;
+      Kperf.span_end perf ~pid:0 ~arg:blk span;
       touch t blk
 
 (* Write one block: write-back model — the block enters the cache and a
@@ -160,10 +160,10 @@ let write_block t blk =
   let cost = Ksim.Kernel.cost t.kernel in
   let perf = Ksim.Kernel.perf t.kernel in
   let span =
-    Kperf.span_begin perf ~arg:blk ~cat:"io" ~name:"blockdev.write" ()
+    Kperf.span_begin perf ~pid:0 ~arg:blk ~cat:"io" ~name:"blockdev.write"
   in
   charge t (cost.Ksim.Cost_model.disk_write_block / 10);
-  Kperf.span_end perf ~arg:blk span;
+  Kperf.span_end perf ~pid:0 ~arg:blk span;
   touch t blk
 
 (* Durable writes carry their payload into the image; this is the only

@@ -33,6 +33,9 @@ let ops (o : Vtypes.ops) =
     getattr = (fun ~ino -> try o.Vtypes.getattr ~ino with e -> fail e);
     read =
       (fun ~ino ~off ~len -> try o.Vtypes.read ~ino ~off ~len with e -> fail e);
+    read_into =
+      (fun ~ino ~off ~len ~into ~pos ->
+        try o.Vtypes.read_into ~ino ~off ~len ~into ~pos with e -> fail e);
     write =
       (fun ~ino ~off ~data ->
         try o.Vtypes.write ~ino ~off ~data with e -> fail e);

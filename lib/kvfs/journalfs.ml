@@ -495,6 +495,9 @@ let ops t =
     readdir = (fun ~dir -> Memfs.readdir inner ~dir);
     getattr = (fun ~ino -> Memfs.getattr inner ~ino);
     read = (fun ~ino ~off ~len -> Memfs.read inner ~ino ~off ~len);
+    read_into =
+      (fun ~ino ~off ~len ~into ~pos ->
+        Memfs.read_into inner ~ino ~off ~len ~into ~pos);
     write =
       (fun ~ino ~off ~data ->
         if t.data_journal then journal_data t data;

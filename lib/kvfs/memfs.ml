@@ -51,7 +51,7 @@ type t = {
   inodes : (int, inode) Hashtbl.t;
   mutable next_ino : int;
   mutable next_block : int;        (* naive block placement cursor *)
-  block_of_ino : (int * int, int) Hashtbl.t; (* (ino, file block) -> disk block *)
+  block_of_ino : (int, int) Hashtbl.t; (* [block_key] ino fblock -> disk block *)
   (* allocation accounting, checked by fsck: which disk blocks are in
      use, and which data blocks each live inode owns (file blocks only;
      metadata blocks are keyed by pseudo-ino and never freed) *)
@@ -94,10 +94,18 @@ let dev t = t.dev
 
 let find t ino = Hashtbl.find_opt t.inodes ino
 
+(* [block_of_ino]'s key for file block [fblock] (-1 for a metadata
+   block) of inode [ino]: one int, so a lookup boxes no pair.  Keys
+   order as the (ino, fblock) pairs they encode. *)
+let fblock_bits = 31
+let block_key ino fblock = (ino lsl fblock_bits) lor (fblock + 1)
+let key_ino key = key asr fblock_bits
+let key_fblock key = (key land ((1 lsl fblock_bits) - 1)) - 1
+
 (* Map a file-relative block to a stable disk block, allocating lazily;
    sequential files thus get (mostly) sequential blocks. *)
 let disk_block t ino fblock =
-  let key = (ino, fblock) in
+  let key = block_key ino fblock in
   match Hashtbl.find t.block_of_ino key with
   | b -> b
   | exception Not_found ->
@@ -179,7 +187,7 @@ let free_inode_blocks t ino =
   | Some l ->
       List.iter
         (fun (fblock, b) ->
-          Hashtbl.remove t.block_of_ino (ino, fblock);
+          Hashtbl.remove t.block_of_ino (block_key ino fblock);
           Hashtbl.remove t.bitmap b)
         !l;
       Hashtbl.remove t.blocks_of ino
@@ -318,20 +326,35 @@ let transfer inode ~bs ~off ~len buf pos ~to_file =
     done_ := !done_ + n
   done
 
-let read t ~ino ~off ~len =
+(* The read primitive: the [n] bytes a read of [len] at [off] yields
+   (fewer at end of file, none past it) land in [into] at [pos].  [read]
+   is this into a buffer of exactly [n] bytes, so the two validate and
+   charge the block device identically. *)
+let read_into t ~ino ~off ~len ~into ~pos =
   match Hashtbl.find t.inodes ino with
   | exception Not_found -> Error Vtypes.ENOENT
   | inode ->
       if inode.kind = Vtypes.Directory then Error Vtypes.EISDIR
       else if off < 0 || len < 0 then Error Vtypes.EINVAL
       else begin
-        let avail = max 0 (inode.size - off) in
-        let n = min len avail in
+        let n = min len (max 0 (inode.size - off)) in
+        if pos < 0 || pos > Bytes.length into - n then
+          invalid_arg "Memfs.read_into";
         if n > 0 then charge_data_io t ~ino ~off ~len:n ~write:false;
-        let out = Bytes.create n in
-        transfer inode ~bs:(block_size t) ~off ~len:n out 0 ~to_file:false;
-        Ok out
+        transfer inode ~bs:(block_size t) ~off ~len:n into pos ~to_file:false;
+        Ok n
       end
+
+let read t ~ino ~off ~len =
+  let n =
+    match Hashtbl.find t.inodes ino with
+    | inode when off >= 0 && len >= 0 -> min len (max 0 (inode.size - off))
+    | _ | (exception Not_found) -> 0
+  in
+  let out = Bytes.create n in
+  match read_into t ~ino ~off ~len ~into:out ~pos:0 with
+  | Ok _ -> Ok out
+  | Error e -> Error e
 
 let write t ~ino ~off ~data =
   match Hashtbl.find t.inodes ino with
@@ -424,6 +447,8 @@ let ops t =
     readdir = (fun ~dir -> readdir t ~dir);
     getattr = (fun ~ino -> getattr t ~ino);
     read = (fun ~ino ~off ~len -> read t ~ino ~off ~len);
+    read_into =
+      (fun ~ino ~off ~len ~into ~pos -> read_into t ~ino ~off ~len ~into ~pos);
     write = (fun ~ino ~off ~data -> write t ~ino ~off ~data);
     truncate = (fun ~ino ~size -> truncate t ~ino ~size);
     rename =
@@ -528,7 +553,8 @@ let fsck t =
     |> List.sort compare
   in
   List.iter
-    (fun ((ino, fblock), b) ->
+    (fun (key, b) ->
+      let ino = key_ino key and fblock = key_fblock key in
       (match Hashtbl.find_opt owner b with
       | Some (ino', fblock') ->
           err "block %d shared by (%d,%d) and (%d,%d)" b ino' fblock' ino fblock

@@ -31,6 +31,18 @@ val unlink : t -> dir:int -> name:string -> (unit, Vtypes.errno) result
 val readdir : t -> dir:int -> (Vtypes.dirent list, Vtypes.errno) result
 val getattr : t -> ino:int -> (Vtypes.stat, Vtypes.errno) result
 val read : t -> ino:int -> off:int -> len:int -> (Bytes.t, Vtypes.errno) result
+
+(** The read primitive [read] is built on: the bytes [read] would
+    return ([min len (size - off)], none past the end) are gathered
+    into [into] at [pos] instead of a fresh buffer, the rest of [into]
+    is untouched, and [Ok n] is their count.  Validation and block
+    device charges are [read]'s, so the simulated cost is identical.
+    @raise Invalid_argument if [into] cannot hold the [n] bytes at
+    [pos]. *)
+val read_into :
+  t -> ino:int -> off:int -> len:int -> into:Bytes.t -> pos:int ->
+  (int, Vtypes.errno) result
+
 val write : t -> ino:int -> off:int -> data:Bytes.t -> (int, Vtypes.errno) result
 val truncate : t -> ino:int -> size:int -> (unit, Vtypes.errno) result
 

@@ -203,55 +203,68 @@ let open_file t path flags =
             Ok handle
           end)
 
+(* The open file behind [handle].  @raise Not_found if there is none:
+   callers map that to EBADF, so a lookup boxes nothing. *)
 let file t handle =
-  match Hashtbl.find t.files handle with
-  | f when not f.closed -> Ok f
-  | _ | (exception Not_found) -> Error Vtypes.EBADF
+  let f = Hashtbl.find t.files handle in
+  if f.closed then raise Not_found else f
 
 let close t handle =
   match file t handle with
-  | Error e -> Error e
-  | Ok f ->
+  | exception Not_found -> Error Vtypes.EBADF
+  | f ->
       f.closed <- true;
       Hashtbl.remove t.files handle;
       Ok ()
 
+(* A transfer at the file position advances it by the bytes moved. *)
+let advance f = function
+  | Ok n as r ->
+      f.pos <- f.pos + n;
+      r
+  | Error _ as e -> e
+
 let read t handle len =
   match file t handle with
-  | Error e -> Error e
-  | Ok f -> (
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> (
       match f.fs.Vtypes.read ~ino:f.ino ~off:f.pos ~len with
       | Error e -> Error e
       | Ok data ->
           f.pos <- f.pos + Bytes.length data;
           Ok data)
 
+let read_into t handle len ~into ~pos =
+  match file t handle with
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> advance f (f.fs.Vtypes.read_into ~ino:f.ino ~off:f.pos ~len ~into ~pos)
+
 let write t handle data =
   match file t handle with
-  | Error e -> Error e
-  | Ok f -> (
-      match f.fs.Vtypes.write ~ino:f.ino ~off:f.pos ~data with
-      | Error e -> Error e
-      | Ok n ->
-          f.pos <- f.pos + n;
-          Ok n)
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> advance f (f.fs.Vtypes.write ~ino:f.ino ~off:f.pos ~data)
 
 let pread t handle ~off ~len =
   match file t handle with
-  | Error e -> Error e
-  | Ok f -> f.fs.Vtypes.read ~ino:f.ino ~off ~len
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> f.fs.Vtypes.read ~ino:f.ino ~off ~len
+
+let pread_into t handle ~off ~len ~into ~pos =
+  match file t handle with
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> f.fs.Vtypes.read_into ~ino:f.ino ~off ~len ~into ~pos
 
 let pwrite t handle ~off ~data =
   match file t handle with
-  | Error e -> Error e
-  | Ok f -> f.fs.Vtypes.write ~ino:f.ino ~off ~data
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> f.fs.Vtypes.write ~ino:f.ino ~off ~data
 
 type whence = SEEK_SET | SEEK_CUR | SEEK_END
 
 let lseek t handle ~off ~whence =
   match file t handle with
-  | Error e -> Error e
-  | Ok f -> (
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> (
       let base =
         match whence with
         | SEEK_SET -> Ok 0
@@ -273,8 +286,8 @@ let lseek t handle ~off ~whence =
 
 let fstat t handle =
   match file t handle with
-  | Error e -> Error e
-  | Ok f -> f.fs.Vtypes.getattr ~ino:f.ino
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> f.fs.Vtypes.getattr ~ino:f.ino
 
 let stat t path =
   match resolve t path with
@@ -322,8 +335,8 @@ let rename t ~src ~dst =
 
 let fsync t handle =
   match file t handle with
-  | Error e -> Error e
-  | Ok f -> f.fs.Vtypes.fsync ~ino:f.ino
+  | exception Not_found -> Error Vtypes.EBADF
+  | f -> f.fs.Vtypes.fsync ~ino:f.ino
 
 let open_file_count t = Hashtbl.length t.files
 let path_components_resolved t = t.path_components_resolved

@@ -40,8 +40,20 @@ val read : t -> int -> int -> (Bytes.t, Vtypes.errno) result
 
 val write : t -> int -> Bytes.t -> (int, Vtypes.errno) result
 
+(** [read] into [into] at [pos] instead of a fresh buffer (see
+    {!Vtypes.ops}[.read_into]): same result count, same position
+    advance, same simulated cost.
+    @raise Invalid_argument if [into] cannot hold the bytes at [pos]. *)
+val read_into :
+  t -> int -> int -> into:Bytes.t -> pos:int -> (int, Vtypes.errno) result
+
 (** Positioned read/write; the handle's position is untouched. *)
 val pread : t -> int -> off:int -> len:int -> (Bytes.t, Vtypes.errno) result
+
+(** [pread] into [into] at [pos], as [read_into] is to [read]. *)
+val pread_into :
+  t -> int -> off:int -> len:int -> into:Bytes.t -> pos:int ->
+  (int, Vtypes.errno) result
 
 val pwrite : t -> int -> off:int -> data:Bytes.t -> (int, Vtypes.errno) result
 

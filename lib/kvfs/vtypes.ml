@@ -139,6 +139,13 @@ type ops = {
   readdir : dir:int -> (dirent list, errno) result;
   getattr : ino:int -> (stat, errno) result;
   read : ino:int -> off:int -> len:int -> (bytes, errno) result;
+  read_into :
+    ino:int -> off:int -> len:int -> into:bytes -> pos:int ->
+    (int, errno) result;
+      (* [read] without the result buffer: the [n] bytes [read] would
+         return land in [into] at [pos] (the rest of [into] untouched),
+         at the same simulated cost, and [Ok n] comes back.
+         @raise Invalid_argument if [into] cannot hold them at [pos]. *)
   write : ino:int -> off:int -> data:bytes -> (int, errno) result;
   truncate : ino:int -> size:int -> (unit, errno) result;
   rename :

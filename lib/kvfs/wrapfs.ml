@@ -130,6 +130,14 @@ let with_page_copy t data f =
   chunks 0;
   f staged
 
+let read t ~ino ~off ~len =
+  ensure_private t ino;
+  match t.lower.Vtypes.read ~ino ~off ~len with
+  | Error _ as e -> e
+  | Ok data ->
+      if Bytes.length data = 0 then Ok data
+      else with_page_copy t data (fun staged -> Ok staged)
+
 let ops t =
   let lower = t.lower in
   {
@@ -172,14 +180,16 @@ let ops t =
       (fun ~ino ->
         ensure_private t ino;
         lower.Vtypes.getattr ~ino);
-    read =
-      (fun ~ino ~off ~len ->
-        ensure_private t ino;
-        match lower.Vtypes.read ~ino ~off ~len with
-        | Error _ as e -> e
+    read = (fun ~ino ~off ~len -> read t ~ino ~off ~len);
+    read_into =
+      (fun ~ino ~off ~len ~into ~pos ->
+        (* staged exactly as [read], then copied out *)
+        match read t ~ino ~off ~len with
+        | Error e -> Error e
         | Ok data ->
-            if Bytes.length data = 0 then Ok data
-            else with_page_copy t data (fun staged -> Ok staged));
+            let n = Bytes.length data in
+            Bytes.blit data 0 into pos n;
+            Ok n);
     write =
       (fun ~ino ~off ~data ->
         ensure_private t ino;

@@ -492,6 +492,248 @@ let test_shared_buffer_bounds () =
     (Invalid_argument "Shared_buffer: range [126,+3) outside buffer of 128")
     (fun () -> Shared_buffer.write_string b ~off:126 "abc")
 
+(* A string operand in the shared buffer runs to its NUL or the buffer's
+   end; every byte examined (the NUL too) and then the string itself
+   count in cosy.shared.bytes_read, and an offset before the buffer
+   raises as a one-byte read there. *)
+let test_shared_string_arg_reads () =
+  let kernel, sys = mk_sys () in
+  Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
+  let exec = Cosy_exec.create ~shared_size:16 sys in
+  let sb = Cosy_exec.shared exec in
+  let bytes_read () =
+    match Kstats.find (Ksim.Kernel.stats kernel) "cosy.shared.bytes_read" with
+    | Some (Kstats.Counter_v n) -> n
+    | _ -> Alcotest.fail "no cosy.shared.bytes_read"
+  in
+  let stat off =
+    let c = Cosy_lib.create ~shared_size:16 () in
+    let r = Cosy_lib.syscall c "stat" [ Cosy_op.Shared off ] in
+    let before = bytes_read () in
+    let rv = (Cosy_exec.submit exec (Cosy_lib.finish c)).(r) in
+    (rv, bytes_read () - before)
+  in
+  Shared_buffer.write_string sb ~off:0 "/\000";
+  Shared_buffer.write_string sb ~off:12 "/abc";
+  Alcotest.(check (pair int int)) "terminated: NUL examined" (0, 3) (stat 0);
+  Alcotest.(check (pair int int)) "runs to the buffer's end" (-2, 8) (stat 12);
+  Alcotest.(check (pair int int)) "at the end: empty, the root" (0, 0) (stat 16);
+  Alcotest.check_raises "before the buffer"
+    (Invalid_argument "Shared_buffer: range [-1,+1) outside buffer of 16")
+    (fun () -> ignore (stat (-1)))
+
+(* --- reads into the shared buffer -------------------------------------------- *)
+
+(* A compound's read and pread land straight in the shared buffer when
+   the sink range fits.  The property runs random compounds of read,
+   pread and lseek on one system and, on a twin, the same calls through
+   the service routines with each result deposited by
+   [Shared_buffer.write] — the reply-and-copy semantics — and compares
+   return values, the buffer's bytes, the [cosy.shared.*] kstats and
+   the clock, and checks the bytes written and high water against a
+   model of the deposits.  The twins' cost model charges nothing for crossings or
+   compound interpretation, so the clock measures the filesystem work
+   alone; every other cost is the default. *)
+type fd_pick = F_file | F_dir | F_bad
+type sink = Discard | At of int
+
+type rd_op =
+  | C_read of fd_pick * sink * int                 (* fd, sink, len *)
+  | C_pread of fd_pick * sink * int * int          (* fd, sink, len, off *)
+  | C_lseek of fd_pick * int * int                 (* fd, off, whence *)
+
+let pp_pick = function F_file -> "file" | F_dir -> "dir" | F_bad -> "bad"
+let pp_sink = function Discard -> "null" | At p -> Printf.sprintf "@%d" p
+
+let pp_rd_op = function
+  | C_read (f, s, len) -> Printf.sprintf "read(%s,%s,%d)" (pp_pick f) (pp_sink s) len
+  | C_pread (f, s, len, off) ->
+      Printf.sprintf "pread(%s,%s,%d,%d)" (pp_pick f) (pp_sink s) len off
+  | C_lseek (f, off, w) -> Printf.sprintf "lseek(%s,%d,%d)" (pp_pick f) off w
+
+let rd_shared = 2048
+
+let rd_cost =
+  {
+    Ksim.Cost_model.default with
+    syscall_entry = 0;
+    syscall_exit = 0;
+    cosy_submit = 0;
+    cosy_decode_op = 0;
+    cosy_exec_op = 0;
+  }
+
+(* A system holding [content] in /f, with /f and / open. *)
+let rd_twin content =
+  let kernel =
+    Ksim.Kernel.create ~config:{ Ksim.Kernel.default_config with cost = rd_cost } ()
+  in
+  Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
+  let sys = Ksyscall.Systable.create kernel in
+  let module U = Ksyscall.Usyscall in
+  let file = ok (U.sys_open sys ~path:"/f" ~flags:[ Kvfs.Vfs.O_RDWR; Kvfs.Vfs.O_CREAT ]) in
+  ignore (ok (U.sys_write sys ~fd:file ~data:content));
+  ignore (ok (U.sys_lseek sys ~fd:file ~off:0 ~whence:Kvfs.Vfs.SEEK_SET));
+  let dir = ok (U.sys_open sys ~path:"/" ~flags:[ Kvfs.Vfs.O_RDONLY ]) in
+  let fd = function F_file -> file | F_dir -> dir | F_bad -> 999 in
+  (kernel, sys, fd)
+
+let retval = function
+  | Ok n -> n
+  | Error e -> -Kvfs.Vtypes.errno_code e
+
+(* The reply-and-copy reference for one op, in kernel mode.  [model]
+   tracks (bytes written, high water) of the deposits independently of
+   [Shared_buffer]'s bookkeeping. *)
+let ref_op sys sb model fd op =
+  let module S = Ksyscall.Sys_file in
+  let deposit sink r =
+    (match (sink, r) with
+    | At pos, Ok data ->
+        Shared_buffer.write sb ~off:pos data;
+        let written, hw = !model in
+        model := (written + Bytes.length data, max hw (pos + Bytes.length data))
+    | _ -> ());
+    retval (Result.map Bytes.length r)
+  in
+  match op with
+  | C_read (f, sink, len) -> deposit sink (S.service_read sys ~fd:(fd f) ~len)
+  | C_pread (f, sink, len, off) ->
+      deposit sink (S.service_pread sys ~fd:(fd f) ~off ~len)
+  | C_lseek (f, off, w) ->
+      retval
+        (S.service_lseek sys ~fd:(fd f) ~off
+           ~whence:(Ksyscall.Syscall.whence_of_int w))
+
+let cosy_op c fd op =
+  let sink = function Discard -> Cosy_op.Const 0 | At pos -> Cosy_op.Shared pos in
+  let k n = Cosy_op.Const n in
+  match op with
+  | C_read (f, s, len) -> Cosy_lib.syscall c "read" [ k (fd f); sink s; k len ]
+  | C_pread (f, s, len, off) ->
+      Cosy_lib.syscall c "pread" [ k (fd f); sink s; k len; k off ]
+  | C_lseek (f, off, w) -> Cosy_lib.syscall c "lseek" [ k (fd f); k off; k w ]
+
+let qcheck_read_into_compounds =
+  let gen_pick = QCheck.Gen.frequencyl [ (6, F_file); (1, F_dir); (1, F_bad) ] in
+  let gen_sink =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return Discard);
+          (5, map (fun p -> At p) (int_bound (rd_shared - 1)));
+          (1, return (At rd_shared));
+        ])
+  in
+  let gen_len = QCheck.Gen.(frequency [ (1, return (-1)); (8, int_bound (rd_shared + 200)) ]) in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map3 (fun f s l -> C_read (f, s, l)) gen_pick gen_sink gen_len);
+          ( 4,
+            map3
+              (fun (f, s) l o -> C_pread (f, s, l, o))
+              (pair gen_pick gen_sink) gen_len
+              (frequency [ (1, return (-1)); (8, int_bound 6000) ]) );
+          ( 2,
+            map3 (fun f o w -> C_lseek (f, o, w)) gen_pick (int_bound 6000)
+              (int_bound 2) );
+        ])
+  in
+  QCheck.Test.make ~name:"in-place reads = reply-and-copy reads" ~count:150
+    (QCheck.make
+       ~print:(fun (size, cs) ->
+         Printf.sprintf "file of %d bytes; %s" size
+           (String.concat " | "
+              (List.map (fun ops -> String.concat " " (List.map pp_rd_op ops)) cs)))
+       QCheck.Gen.(
+         pair (int_bound 5000)
+           (list_size (int_range 1 3) (list_size (int_range 1 10) gen_op))))
+    (fun (size, compounds) ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let content = Bytes.init size (fun i -> Char.chr (33 + (i * 7 mod 90))) in
+      let ka, sys_a, fd = rd_twin content and kb, sys_b, _ = rd_twin content in
+      let exec = Cosy_exec.create ~shared_size:rd_shared sys_a in
+      let sb_a = Cosy_exec.shared exec in
+      let sb_b = Shared_buffer.create ~stats:(Ksim.Kernel.stats kb) rd_shared in
+      let model = ref (0, 0) in
+      List.iter
+        (fun ops ->
+          let what = String.concat " " (List.map pp_rd_op ops) in
+          let c = Cosy_lib.create ~shared_size:rd_shared () in
+          let dsts = List.map (cosy_op c fd) ops in
+          let got =
+            match Cosy_exec.submit exec (Cosy_lib.finish c) with
+            | slots -> Ok (List.map (fun d -> slots.(d)) dsts)
+            | exception Invalid_argument m -> Error m
+          in
+          Ksim.Kernel.enter_kernel kb;
+          let want =
+            match List.map (ref_op sys_b sb_b model fd) ops with
+            | rvs -> Ok rvs
+            | exception Invalid_argument m -> Error m
+          in
+          Ksim.Kernel.exit_kernel kb;
+          let show = function
+            | Ok rvs -> String.concat "," (List.map string_of_int rvs)
+            | Error m -> "raised " ^ m
+          in
+          if got <> want then fail "%s: got %s, want %s" what (show got) (show want);
+          if not (Bytes.equal (Shared_buffer.data sb_a) (Shared_buffer.data sb_b)) then
+            fail "%s: shared buffer bytes differ" what;
+          List.iter
+            (fun name ->
+              let v k = Kstats.find (Ksim.Kernel.stats k) name in
+              if v ka <> v kb then fail "%s: %s differs" what name)
+            [ "cosy.shared.bytes_read"; "cosy.shared.bytes_written"; "cosy.shared.high_water" ];
+          let written, hw = !model in
+          (match Kstats.find (Ksim.Kernel.stats ka) "cosy.shared.bytes_written" with
+          | Some (Kstats.Counter_v n) when n = written -> ()
+          | _ -> fail "%s: bytes written differ from the model's %d" what written);
+          if Shared_buffer.high_water sb_a <> hw then
+            fail "%s: high water %d, model %d" what (Shared_buffer.high_water sb_a) hw;
+          if Ksim.Kernel.now ka <> Ksim.Kernel.now kb then
+            fail "%s: clock %d, reference %d" what (Ksim.Kernel.now ka) (Ksim.Kernel.now kb))
+        compounds;
+      true)
+
+(* Host words per pread in a counted loop of 1,000 preads straight into
+   the shared buffer.  The reply-and-copy path, with its per-op result
+   buffer, request closures and span name, read about 75 here; in place
+   it is about 2. *)
+let test_pread_loop_alloc () =
+  let _, sys = mk_sys () in
+  let module U = Ksyscall.Usyscall in
+  let fd = ok (U.sys_open sys ~path:"/db" ~flags:[ Kvfs.Vfs.O_RDWR; Kvfs.Vfs.O_CREAT ]) in
+  ignore (ok (U.sys_write sys ~fd ~data:(Bytes.make (16 * 256) 'r')));
+  let exec = Cosy_exec.create ~shared_size:1024 sys in
+  let c = Cosy_lib.create ~shared_size:1024 () in
+  let buf = Cosy_lib.alloc_shared c 256 in
+  let i = Cosy_lib.set_fresh c (Cosy_op.Const 0) in
+  let top = Cosy_lib.next_index c in
+  let cond = Cosy_lib.arith_fresh c Cosy_op.Alt (Cosy_op.Slot i) (Cosy_op.Const 1000) in
+  let jz = Cosy_lib.next_index c in
+  Cosy_lib.jz c (Cosy_op.Slot cond) 0;
+  let rec_no = Cosy_lib.arith_fresh c Cosy_op.Amod (Cosy_op.Slot i) (Cosy_op.Const 16) in
+  let off = Cosy_lib.arith_fresh c Cosy_op.Amul (Cosy_op.Slot rec_no) (Cosy_op.Const 256) in
+  let n =
+    Cosy_lib.syscall c "pread"
+      [ Cosy_op.Const fd; Cosy_op.Shared buf; Cosy_op.Const 256; Cosy_op.Slot off ]
+  in
+  Cosy_lib.arith c ~dst:i Cosy_op.Aadd (Cosy_op.Slot i) (Cosy_op.Const 1);
+  Cosy_lib.jmp c top;
+  Cosy_lib.patch_jump c ~at:jz ~target:(Cosy_lib.next_index c);
+  let compound = Cosy_lib.finish c in
+  ignore (Cosy_exec.submit exec compound);
+  let before = Host_words.now () in
+  let slots = Cosy_exec.submit exec compound in
+  let per = (Host_words.now () -. before) /. 1000. in
+  Alcotest.(check int) "last pread read a record" 256 slots.(n);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 20 words per pread (got %.1f)" per)
+    true (per < 20.)
+
 let () =
   Alcotest.run "cosy"
     [
@@ -536,4 +778,11 @@ let () =
         ] );
       ( "shared-buffer",
         [ Alcotest.test_case "bounds" `Quick test_shared_buffer_bounds ] );
+      ( "read_into",
+        [
+          Alcotest.test_case "shared string operands" `Quick
+            test_shared_string_arg_reads;
+          QCheck_alcotest.to_alcotest qcheck_read_into_compounds;
+          Alcotest.test_case "pread loop allocation" `Quick test_pread_loop_alloc;
+        ] );
     ]

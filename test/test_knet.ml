@@ -753,14 +753,14 @@ let test_traffic_alloc_per_response () =
 
 (* --- the syscall boundary ------------------------------------------------ *)
 
-(* Kproc.lookup_fd maps a socket fd to handle_base + id; recover the raw
+(* Kproc.find_fd maps a socket fd to handle_base + id; recover the raw
    id for NIC-side injection the way the service routines do. *)
 let sock_id sys fd =
-  match
-    Ksim.Kproc.lookup_fd (Ksim.Kernel.current (Ksyscall.Systable.kernel sys)) fd
-  with
-  | Some h when h >= Knet.handle_base -> h - Knet.handle_base
-  | _ -> Alcotest.fail "fd is not a socket"
+  let h =
+    Ksim.Kproc.find_fd (Ksim.Kernel.current (Ksyscall.Systable.kernel sys)) fd
+  in
+  if h >= Knet.handle_base then h - Knet.handle_base
+  else Alcotest.fail "fd is not a socket"
 
 let test_syscall_fd_mapping () =
   let t = Core.boot_with Core.Config.default in

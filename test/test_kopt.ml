@@ -493,11 +493,11 @@ let test_ring_plan_rejects_malformed () =
 
 (* recover the NIC-side socket id for injection, as the services do *)
 let sock_id sys fd =
-  match
-    Ksim.Kproc.lookup_fd (Ksim.Kernel.current (Ksyscall.Systable.kernel sys)) fd
-  with
-  | Some h when h >= Knet.handle_base -> h - Knet.handle_base
-  | _ -> Alcotest.fail "fd is not a socket"
+  let h =
+    Ksim.Kproc.find_fd (Ksim.Kernel.current (Ksyscall.Systable.kernel sys)) fd
+  in
+  if h >= Knet.handle_base then h - Knet.handle_base
+  else Alcotest.fail "fd is not a socket"
 
 let echo_batch cfg =
   let t = Core.boot_with cfg in

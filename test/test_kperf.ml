@@ -71,14 +71,14 @@ let test_overflow_kstats () =
 let test_nesting () =
   let t = mk ~ring_capacity:64 () in
   tick ();
-  let outer = Kperf.span_begin t ~cat:"a" ~name:"outer" () in
+  let outer = Kperf.span_begin t ~pid:0 ~arg:0 ~cat:"a" ~name:"outer" in
   tick ();
-  let inner = Kperf.span_begin t ~cat:"a" ~name:"inner" () in
+  let inner = Kperf.span_begin t ~pid:0 ~arg:0 ~cat:"a" ~name:"inner" in
   Alcotest.(check int) "current is inner" inner (Kperf.current_span t);
   tick ();
-  Kperf.span_end t inner;
+  Kperf.span_end t ~pid:0 ~arg:0 inner;
   tick ();
-  Kperf.span_end t outer;
+  Kperf.span_end t ~pid:0 ~arg:0 outer;
   let evs = Kperf.events t in
   let begin_of name =
     List.find
@@ -199,13 +199,13 @@ let test_disabled_is_free () =
 let test_chrome_roundtrip () =
   let t = mk ~ring_capacity:64 () in
   tick ();
-  let s = Kperf.span_begin t ~pid:7 ~arg:42 ~cat:"c\"at" ~name:"sp\\an" () in
+  let s = Kperf.span_begin t ~pid:7 ~arg:42 ~cat:"c\"at" ~name:"sp\\an" in
   tick ();
   Kperf.instant t ~cat:"i" ~name:"mark" ();
   let a = Kperf.async_begin t ~cat:"net" ~name:"req" () in
   tick ();
   Kperf.async_end t a;
-  Kperf.span_end t ~arg:43 s;
+  Kperf.span_end t ~pid:0 ~arg:43 s;
   let evs = Kperf.events t in
   let json = Kperf.chrome_of_events ~ncpus:1 evs in
   let back = Kperf.events_of_chrome json in

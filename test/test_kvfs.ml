@@ -566,6 +566,123 @@ let test_open_fstat_close_alloc () =
     (Printf.sprintf "under 150 words per open+fstat+close (got %.0f)" per)
     true (per < 150.)
 
+(* --- read_into ---------------------------------------------------------------- *)
+
+(* [read_into] against [read] on twin systems, for each filesystem that
+   implements it: memfs natively, journalfs by delegation, wrapfs by
+   staging (each behind the VFS's Fs_guard).  Both twins take the same
+   writes (holes included) and truncates; then each read is a [read] on
+   one and a [read_into] on the other.  They must agree on the result,
+   the bytes must land at [pos] and nowhere else, and the clock and
+   every kstat must stay identical. *)
+type into_op =
+  | I_write of int * int * char  (* offset, length, fill *)
+  | I_truncate of int
+  | I_read of int * int * int    (* offset, length, position in [into] *)
+
+let pp_into_op = function
+  | I_write (off, len, c) -> Printf.sprintf "write(%d,%d,%C)" off len c
+  | I_truncate n -> Printf.sprintf "truncate(%d)" n
+  | I_read (off, len, pos) -> Printf.sprintf "read(%d,%d)@%d" off len pos
+
+let into_size = 3 * 4096
+
+let into_fs_kinds =
+  [
+    ("memfs", fun k -> Kvfs.Memfs.ops (Kvfs.Memfs.create k));
+    ("journalfs", fun k -> Kvfs.Journalfs.ops (Kvfs.Journalfs.create k));
+    ( "wrapfs(kmalloc)",
+      fun k ->
+        Kvfs.Wrapfs.ops
+          (Kvfs.Wrapfs.create ~allocator:(Kvfs.Wrapfs.kmalloc_allocator k)
+             (Kvfs.Memfs.ops (Kvfs.Memfs.create k))) );
+  ]
+
+let qcheck_read_into =
+  let bs = 4096 in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map3
+              (fun off len c -> I_write (off, len, c))
+              (int_bound (3 * bs)) (int_bound bs) (char_range 'a' 'z') );
+          (1, map (fun n -> I_truncate n) (int_bound (3 * bs)));
+          ( 5,
+            map3
+              (fun off len pos -> I_read (off, len, pos))
+              (frequency [ (1, return (-1)); (8, int_bound (4 * bs)) ])
+              (frequency [ (1, return (-1)); (8, int_bound (2 * bs)) ])
+              (int_bound bs) );
+        ])
+  in
+  QCheck.Test.make ~name:"read_into = read on memfs, journalfs, wrapfs" ~count:100
+    (QCheck.make
+       ~print:(fun (k, ops) ->
+         fst (List.nth into_fs_kinds k) ^ ": "
+         ^ String.concat " " (List.map pp_into_op ops))
+       QCheck.Gen.(
+         pair (int_bound (List.length into_fs_kinds - 1))
+           (list_size (int_range 1 30) gen_op)))
+    (fun (k, ops) ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let twin () =
+        let kernel = Ksim.Kernel.create () in
+        Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
+        let fs = Kvfs.Fs_guard.ops (snd (List.nth into_fs_kinds k) kernel) in
+        let ino =
+          check_ok "create"
+            (fs.Kvfs.Vtypes.create ~dir:fs.Kvfs.Vtypes.root ~name:"f"
+               Kvfs.Vtypes.Regular)
+        in
+        (kernel, fs, ino)
+      in
+      let ka, a, ino = twin () and kb, b, _ = twin () in
+      let into = Bytes.init into_size (fun i -> Char.chr (i land 0xff)) in
+      let err = function
+        | Ok n -> string_of_int n
+        | Error e -> Kvfs.Vtypes.errno_to_string e
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | I_write (off, len, c) ->
+              let data = Bytes.make len c in
+              ignore (check_ok "write" (a.Kvfs.Vtypes.write ~ino ~off ~data));
+              ignore (check_ok "write" (b.Kvfs.Vtypes.write ~ino ~off ~data))
+          | I_truncate size ->
+              check_ok "truncate" (a.Kvfs.Vtypes.truncate ~ino ~size);
+              check_ok "truncate" (b.Kvfs.Vtypes.truncate ~ino ~size)
+          | I_read (off, len, pos) -> (
+              let before = Bytes.copy into in
+              let got = a.Kvfs.Vtypes.read ~ino ~off ~len in
+              let r = b.Kvfs.Vtypes.read_into ~ino ~off ~len ~into ~pos in
+              match (got, r) with
+              | Ok data, Ok n ->
+                  if n <> Bytes.length data then
+                    fail "%s: read_into gave %d, read %d" (pp_into_op op) n
+                      (Bytes.length data);
+                  if not (Bytes.equal (Bytes.sub into pos n) data) then
+                    fail "%s: different bytes" (pp_into_op op);
+                  Bytes.blit before pos into pos n;
+                  if not (Bytes.equal into before) then
+                    fail "%s: bytes outside [pos, pos+n) changed" (pp_into_op op)
+              | Error e, Error e' when e = e' ->
+                  if not (Bytes.equal into before) then
+                    fail "%s: failed read_into changed [into]" (pp_into_op op)
+              | _ ->
+                  fail "%s: read %s, read_into %s" (pp_into_op op)
+                    (err (Result.map Bytes.length got)) (err r)));
+          if Ksim.Kernel.now ka <> Ksim.Kernel.now kb then
+            fail "%s: clock %d vs %d" (pp_into_op op) (Ksim.Kernel.now ka)
+              (Ksim.Kernel.now kb);
+          let sa = Kstats.to_json (Ksim.Kernel.stats ka)
+          and sb = Kstats.to_json (Ksim.Kernel.stats kb) in
+          if sa <> sb then fail "%s: kstats differ" (pp_into_op op))
+        ops;
+      true)
+
 (* --- wrapfs ------------------------------------------------------------------ *)
 
 let mk_wrapfs ?(kernel = Ksim.Kernel.create ~config:zero_config ()) () =
@@ -679,6 +796,7 @@ let () =
           Alcotest.test_case "open+fstat+close allocation" `Quick
             test_open_fstat_close_alloc;
         ] );
+      ("read_into", [ QCheck_alcotest.to_alcotest qcheck_read_into ]);
       ( "wrapfs",
         [
           Alcotest.test_case "passthrough" `Quick test_wrapfs_passthrough;
