@@ -1,4 +1,4 @@
-.PHONY: all build test benchmark bench-compare bench-same bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
+.PHONY: all build test benchmark bench-compare bench-same bench-pairs bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
 
 all: build
 
@@ -73,6 +73,60 @@ bench-same:
 	done; \
 	if [ $$status = 0 ]; then echo "bench-same: identical to $(BASE)"; fi; \
 	exit $$status
+
+# Alternating before/after runs of one workload at BENCHMARK.json's
+# run_seconds: `make bench-pairs BASE=<rev> W=c10k_naive N=10 [SEED=1]`.
+# Exports BASE with `git archive` into a throwaway directory under
+# $(TMPDIR), builds the benchmark in both trees, then runs N pairs, each
+# side `--workload W --seed SEED --seconds <run_seconds> --trace 0`; odd
+# pairs run base first, even pairs this tree first.  Prints every pair, then each side's median
+# and quartiles of host_throughput and host_peak_heap_mb, the pairs this
+# tree wins on each, and the runs' attempted counts.  Informational:
+# host metrics are noisy, so read the quartiles, not one pair.  Takes
+# about 2 * N * run_seconds.
+SEED ?= 1
+bench-pairs:
+	@test -n "$(BASE)" && test -n "$(W)" && test -n "$(N)" || \
+	  { echo "usage: make bench-pairs BASE=<rev> W=<workload> N=<pairs> [SEED=1]"; exit 2; }
+	@secs=$$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json) && \
+	base=$$(mktemp -d "$(TMPDIR)/bench-pairs.XXXXXX") && \
+	trap 'rm -rf "$$base"' EXIT && \
+	git archive "$(BASE)" | tar -x -C "$$base" && \
+	(cd "$$base" && dune build --root . --display quiet benchmark/main.exe) && \
+	dune build --root . --display quiet benchmark/main.exe && \
+	run="--workload $(W) --seed $(SEED) --seconds $$secs --trace 0" && \
+	for i in $$(seq 1 $(N)); do \
+	  if [ $$((i % 2)) = 1 ]; then order="base here"; else order="here base"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = base ]; then exe="$$base/_build/default/benchmark/main.exe"; \
+	    else exe=./_build/default/benchmark/main.exe; fi; \
+	    "$$exe" $$run > "$$base/$$side.$$i" || exit 1; \
+	  done; \
+	  for side in base here; do \
+	    awk -v s=$$side -v i=$$i '$$2 == "host_throughput" { t = $$3 } \
+	      $$2 == "host_peak_heap_mb" { h = $$3 } \
+	      /"attempted"/ { match($$0, /"attempted": [0-9]+/); \
+	        a = substr($$0, RSTART + 13, RLENGTH - 13) } \
+	      END { printf "%s %d %.1f %.2f %s\n", s, i, t, h, a }' \
+	      "$$base/$$side.$$i" >> "$$base/rows"; \
+	  done; \
+	  tail -2 "$$base/rows" | awk '{ printf "pair %s %-4s host_throughput %9.1f  host_peak_heap_mb %6.2f  attempted %s\n", $$2, $$1, $$3, $$4, $$5 }'; \
+	done; \
+	awk 'function q(a, n, p,  x, k) { x = 1 + (n - 1) * p; k = int(x); \
+	       return k >= n ? a[n] : a[k] + (x - k) * (a[k + 1] - a[k]) } \
+	     function sort(a, n,  i, j, v) { for (i = 2; i <= n; i++) { v = a[i]; \
+	       for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]; a[j + 1] = v } } \
+	     { n[$$1]++; t[$$1, n[$$1]] = $$3; h[$$1, n[$$1]] = $$4; at[$$1] = at[$$1] " " $$5; \
+	       if ($$1 == "base") { bt[$$2] = $$3; bh[$$2] = $$4 } else { ht[$$2] = $$3; hh[$$2] = $$4 } } \
+	     END { for (s = 0; s < 2; s++) { side = s ? "here" : "base"; m = n[side]; \
+	         for (k = 1; k <= m; k++) { x[k] = t[side, k]; y[k] = h[side, k] } \
+	         sort(x, m); sort(y, m); \
+	         printf "%-4s host_throughput   median %9.1f  q1 %9.1f  q3 %9.1f\n", side, q(x, m, .5), q(x, m, .25), q(x, m, .75); \
+	         printf "%-4s host_peak_heap_mb median %9.2f  q1 %9.2f  q3 %9.2f\n", side, q(y, m, .5), q(y, m, .25), q(y, m, .75); \
+	         printf "%-4s attempted%s\n", side, at[side] } \
+	       for (i in bt) { wt += ht[i] > bt[i]; wh += hh[i] < bh[i] } \
+	       printf "here wins %d/%d pairs on host_throughput, %d/%d on host_peak_heap_mb\n", wt, n["here"], wh, n["here"] }' \
+	  "$$base/rows"
 
 # The C10K serving experiment at full scale: 100/1k/10k connections,
 # four serving variants, 1 and 4 CPUs.  Takes a few minutes.

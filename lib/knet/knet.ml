@@ -119,72 +119,106 @@ module Bq = struct
     b
 end
 
+(* Binary min-heap on (due, seq): FIFO among events due the same cycle.
+   The keys live in two int arrays and the events in a third, so a push
+   boxes nothing and a sift compares ints.  Sifts move a hole and write
+   the moving entry once.  A popped or vacated slot holds [dummy], so
+   the heap keeps no processed event alive. *)
 module Heap = struct
-  (* Binary min-heap on (due, seq): FIFO among events due the same cycle. *)
-  type 'a t = { mutable arr : (int * int * 'a) option array; mutable len : int }
+  type 'a t = {
+    mutable due : int array;
+    mutable seq : int array;
+    mutable evs : 'a array;
+    mutable len : int;
+    dummy : 'a;
+  }
 
-  let create () = { arr = Array.make 64 None; len = 0 }
+  let create dummy =
+    {
+      due = Array.make 64 0;
+      seq = Array.make 64 0;
+      evs = Array.make 64 dummy;
+      len = 0;
+      dummy;
+    }
+
+  let length h = h.len
   let is_empty h = h.len = 0
-  let get h i = match h.arr.(i) with Some e -> e | None -> assert false
 
-  let less (d1, s1, _) (d2, s2, _) = d1 < d2 || (d1 = d2 && s1 < s2)
+  (* Slot [i]'s key is below (d, s). *)
+  let below h i (d : int) (s : int) =
+    let di = h.due.(i) in
+    di < d || (di = d && h.seq.(i) < s)
+
+  let set h i d s ev =
+    h.due.(i) <- d;
+    h.seq.(i) <- s;
+    h.evs.(i) <- ev
+
+  let move h ~src ~dst = set h dst h.due.(src) h.seq.(src) h.evs.(src)
+
+  let grow h =
+    let n = 2 * Array.length h.due in
+    let extend a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 h.len;
+      b
+    in
+    h.due <- extend h.due 0;
+    h.seq <- extend h.seq 0;
+    h.evs <- extend h.evs h.dummy
 
   let push h due seq ev =
-    if h.len = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.len) None in
-      Array.blit h.arr 0 bigger 0 h.len;
-      h.arr <- bigger
-    end;
-    h.arr.(h.len) <- Some (due, seq, ev);
+    if h.len = Array.length h.due then grow h;
+    let i = ref h.len in
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while
-      !i > 0
-      &&
+    while !i > 0 && not (below h ((!i - 1) / 2) due seq) do
       let p = (!i - 1) / 2 in
-      if less (get h !i) (get h p) then begin
-        let tmp = h.arr.(!i) in
-        h.arr.(!i) <- h.arr.(p);
-        h.arr.(p) <- tmp;
-        i := p;
-        true
-      end
-      else false
-    do
-      ()
-    done
+      move h ~src:p ~dst:!i;
+      i := p
+    done;
+    set h !i due seq ev
 
-  (* [peek] and [pop] hand out the stored cell itself, so neither
-     allocates; slot 0 is [None] whenever the heap is empty. *)
-  let peek h = h.arr.(0)
+  (* The top's due cycle; the heap must not be empty. *)
+  let top_due h = h.due.(0)
 
+  (* Remove and return the top event; the heap must not be empty.  The
+     last entry fills the hole the top leaves, sifting down. *)
   let pop h =
-    if h.len = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      h.arr.(h.len) <- None;
-      let i = ref 0 in
-      let continue = ref (h.len > 1) in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && less (get h l) (get h !smallest) then smallest := l;
-        if r < h.len && less (get h r) (get h !smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.arr.(!i) in
-          h.arr.(!i) <- h.arr.(!smallest);
-          h.arr.(!smallest) <- tmp;
-          i := !smallest
+    let top = h.evs.(0) in
+    let n = h.len - 1 in
+    h.len <- n;
+    let d = h.due.(n) and s = h.seq.(n) and ev = h.evs.(n) in
+    h.evs.(n) <- h.dummy;
+    if n > 0 then begin
+      let i = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !i) + 1 in
+        if l >= n then sifting := false
+        else begin
+          let c =
+            if l + 1 < n && below h (l + 1) h.due.(l) h.seq.(l) then l + 1
+            else l
+          in
+          if below h c d s then begin
+            move h ~src:c ~dst:!i;
+            i := c
+          end
+          else sifting := false
         end
-        else continue := false
       done;
-      top
-    end
+      set h !i d s ev
+    end;
+    top
+
+  (* [x] is stored in some slot, live or vacated: a test-time check that
+     popped events are unreachable. *)
+  let holds h x = Array.exists (fun e -> e == x) h.evs
 end
 
-(* One simulated client driving one connection. *)
+(* One simulated client driving one connection.  It carries its own
+   connect and deliver events, built once, so a redial or a delivery
+   pushes an existing value. *)
 type client = {
   cl_seq : int;                      (* arrival index within its port *)
   cl_port : int;
@@ -209,7 +243,21 @@ type client = {
                                         retransmitted frame keeps its place
                                         at the head, so later pipelined
                                         frames cannot overtake it *)
+  mutable cl_connect : ev;           (* [Ev_connect] of this client *)
+  mutable cl_deliver : ev;           (* [Ev_deliver] of this client *)
 }
+
+and ev =
+  | Ev_connect of client
+  | Ev_deliver of client
+      (* a delivery tick: the payload lives in [cl_txq], not the event,
+         so per-connection byte order survives retransmit delays *)
+  | Ev_drain of int
+
+(* A placeholder event: the heap's vacated slots and a client's event
+   fields before [install] fills them.  A static constant, so it is
+   never in the minor heap. *)
+let no_ev = Ev_drain (-1)
 
 type conn = {
   cn_id : int;
@@ -246,13 +294,6 @@ type ep = {
   mutable ep_low : int;              (* no registration below this id *)
 }
 
-type ev =
-  | Ev_connect of client
-  | Ev_deliver of client
-      (* a delivery tick: the payload lives in [cl_txq], not the event,
-         so per-connection byte order survives retransmit delays *)
-  | Ev_drain of int
-
 type port_state = {
   ps_conns : int;
   mutable ps_completed : int;
@@ -266,7 +307,7 @@ type t = {
   kn : Kernel.t;
   rcvbuf : int;
   sndbuf : int;
-  socks : (int, sock) Hashtbl.t;
+  mutable socks : sock option array; (* by id; ids are never reused *)
   eps : (int, ep) Hashtbl.t;
   ports : (int, int) Hashtbl.t;      (* port -> listener sock id *)
   heap : ev Heap.t;
@@ -277,6 +318,8 @@ type t = {
   pool : Pool.t;                     (* free queue storage *)
   mutable touched_a : int;           (* sock ids the last event may have *)
   mutable touched_b : int;           (* made ready; -1 = none *)
+  mutable attempt_lid : int;         (* listener of the last connect
+                                        attempt; -1 = refused *)
   (* kstats handles *)
   stats : Kstats.t;
   st_conns : Kstats.counter;
@@ -305,10 +348,10 @@ let create ?(rcvbuf = 16 * 1024) ?(sndbuf = 32 * 1024) kn =
     kn;
     rcvbuf;
     sndbuf;
-    socks = Hashtbl.create 64;
+    socks = Array.make 64 None;
     eps = Hashtbl.create 4;
     ports = Hashtbl.create 4;
-    heap = Heap.create ();
+    heap = Heap.create no_ev;
     seq = 0;
     next_id = 1;
     traffic = Hashtbl.create 4;
@@ -316,6 +359,7 @@ let create ?(rcvbuf = 16 * 1024) ?(sndbuf = 32 * 1024) kn =
     pool = Pool.create ();
     touched_a = -1;
     touched_b = -1;
+    attempt_lid = -1;
     stats;
     st_conns = Kstats.counter stats "net.conns";
     st_accepts = Kstats.counter stats "net.accepts";
@@ -351,7 +395,24 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let pending_events t = t.heap.Heap.len
+let pending_events t = Heap.length t.heap
+
+(* The socket table: a lookup returns the stored option, so it hashes
+   and allocates nothing; ids past the table are absent. *)
+let find_sock t id =
+  if id >= 0 && id < Array.length t.socks then t.socks.(id) else None
+
+let set_sock t id s =
+  let len = Array.length t.socks in
+  if id >= len then begin
+    let b = Array.make (max (id + 1) (2 * len)) None in
+    Array.blit t.socks 0 b 0 len;
+    t.socks <- b
+  end;
+  t.socks.(id) <- Some s
+
+(* Only for an id [find_sock] found. *)
+let clear_sock t id = t.socks.(id) <- None
 
 (* ---------- client side (runs at event-processing time) ---------- *)
 
@@ -363,23 +424,23 @@ let schedule_request t cl ~req ~send_at =
      drain, client rx can each happen in different kernel stays — so it
      is an *async* span, keyed by id on its own Perfetto track *)
   Queue.push
-    (Kperf.async_begin (Kernel.perf t.kn) ~arg:cl.cl_port ~cat:"net"
-       ~name:"request" ())
+    (Kperf.async_begin (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_port ~cat:"net"
+       ~name:"request")
     cl.cl_span;
   cl.cl_txq <- cl.cl_txq @ [ cl.cl_req_of req ];
-  push_ev t (send_at + wire t) (Ev_deliver cl)
+  push_ev t (send_at + wire t) cl.cl_deliver
 
 let response_done t cl =
   cl.cl_done <- cl.cl_done + 1;
-  (match Queue.take_opt cl.cl_sent_at with
-  | Some sent -> Kstats.observe t.stats t.st_latency (now t - sent)
-  | None -> ());
-  (match Queue.take_opt cl.cl_span with
-  | Some span -> Kperf.async_end (Kernel.perf t.kn) ~arg:cl.cl_port span
-  | None -> ());
-  (match port_state t cl.cl_port with
-  | Some ps -> ps.ps_responses <- ps.ps_responses + 1
-  | None -> ());
+  if not (Queue.is_empty cl.cl_sent_at) then
+    Kstats.observe t.stats t.st_latency (now t - Queue.take cl.cl_sent_at);
+  if not (Queue.is_empty cl.cl_span) then
+    Kperf.async_end (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_port
+      (Queue.take cl.cl_span);
+  (* per-event port lookups use [Hashtbl.find]: [find_opt] boxes a [Some] *)
+  (match Hashtbl.find t.traffic cl.cl_port with
+  | ps -> ps.ps_responses <- ps.ps_responses + 1
+  | exception Not_found -> ());
   if cl.cl_done >= cl.cl_total then begin
     cl.cl_finished <- true;
     (match port_state t cl.cl_port with
@@ -391,7 +452,7 @@ let response_done t cl =
     | None -> ());
     Bq.release t.pool cl.cl_resp;
     (* FIN rides the final ack: the server sees EOF once it drains. *)
-    match Hashtbl.find_opt t.socks cl.cl_conn with
+    match find_sock t cl.cl_conn with
     | Some (S_conn c) -> c.cn_peer_closed <- true
     | _ -> ()
   end
@@ -429,25 +490,31 @@ let client_rx t cl b off len =
 
 (* ---------- NIC-side injection ---------- *)
 
-type connect_result = C_ok of int * int | C_drop of int | C_refused
+(* A connect attempt's result: the new conn's id, or one of these two
+   codes.  The attempt leaves the listener it reached in
+   [t.attempt_lid] (-1 when refused). *)
+let conn_dropped = -1
+let conn_refused = -2
 
-let connect_attempt t ~port ~client =
-  match Hashtbl.find_opt t.ports port with
-  | None -> C_refused
-  | Some lid -> (
-      match Hashtbl.find_opt t.socks lid with
+let connect_attempt t ~port =
+  t.attempt_lid <- -1;
+  match Hashtbl.find t.ports port with
+  | exception Not_found -> conn_refused
+  | lid -> (
+      match find_sock t lid with
       | Some (S_listen l) when l.l_backlog > 0 ->
+          t.attempt_lid <- lid;
           if Queue.length l.l_queue >= l.l_backlog then begin
             l.l_drops <- l.l_drops + 1;
             Kstats.incr t.stats t.st_drops;
-            (match port_state t port with
-            | Some ps -> ps.ps_drops <- ps.ps_drops + 1
-            | None -> ());
+            (match Hashtbl.find t.traffic port with
+            | ps -> ps.ps_drops <- ps.ps_drops + 1
+            | exception Not_found -> ());
             Instrument.emit ~pid:0 ~obj:port ~value:l.l_drops ~kind:backlog_drop
               ~file:"knet.ml" ~line:0 ();
-            Kperf.instant (Kernel.perf t.kn) ~arg:port ~cat:"net"
-              ~name:"backlog_drop" ();
-            C_drop lid
+            Kperf.instant (Kernel.perf t.kn) ~pid:0 ~arg:port ~cat:"net"
+              ~name:"backlog_drop";
+            conn_dropped
           end
           else begin
             let id = fresh_id t in
@@ -461,29 +528,28 @@ let connect_attempt t ~port ~client =
                 cn_closed = false;
                 cn_accepted = false;
                 cn_drain_scheduled = false;
-                cn_client = client;
+                cn_client = None;
               }
             in
-            Hashtbl.replace t.socks id (S_conn c);
+            set_sock t id (S_conn c);
             Queue.push id l.l_queue;
             Kstats.incr t.stats t.st_conns;
-            C_ok (lid, id)
+            id
           end
-      | _ -> C_refused)
+      | _ -> conn_refused)
 
 let inject_connect t ~port =
-  match connect_attempt t ~port ~client:None with
-  | C_ok (_, id) -> Some id
-  | C_drop _ | C_refused -> None
+  let id = connect_attempt t ~port in
+  if id >= 0 then Some id else None
 
 (* Errno-carrying variant: the two rejection paths are distinct — a SYN
    dropped by a full backlog looks like a timeout to the client, while a
    port nobody listens on is actively refused. *)
 let inject_connect_result t ~port =
-  match connect_attempt t ~port ~client:None with
-  | C_ok (_, id) -> Ok id
-  | C_drop _ -> Error V.ETIMEDOUT
-  | C_refused -> Error V.ECONNREFUSED
+  let id = connect_attempt t ~port in
+  if id >= 0 then Ok id
+  else if id = conn_dropped then Error V.ETIMEDOUT
+  else Error V.ECONNREFUSED
 
 let deliver_bytes t c s pos len =
   let space = t.rcvbuf - Bq.length c.cn_recv in
@@ -496,13 +562,13 @@ let deliver_bytes t c s pos len =
   n
 
 let inject_bytes t ~sock s =
-  match Hashtbl.find_opt t.socks sock with
+  match find_sock t sock with
   | Some (S_conn c) when not c.cn_closed ->
       deliver_bytes t c s 0 (String.length s)
   | _ -> 0
 
 let inject_fin t ~sock =
-  match Hashtbl.find_opt t.socks sock with
+  match find_sock t sock with
   | Some (S_conn c) -> c.cn_peer_closed <- true
   | _ -> ()
 
@@ -534,7 +600,8 @@ let time_out t cl c =
   cl.cl_txq <- [];
   Bq.release t.pool cl.cl_resp;
   Queue.iter
-    (fun span -> Kperf.async_end (Kernel.perf t.kn) ~arg:cl.cl_port span)
+    (fun span ->
+      Kperf.async_end (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_port span)
     cl.cl_span;
   Queue.clear cl.cl_span;
   c.cn_peer_closed <- true
@@ -546,29 +613,30 @@ let touch t a b =
 (* Records in [touched_a]/[touched_b] the sock ids whose readiness the
    event may have changed. *)
 let process_event t = function
-  | Ev_connect cl -> (
-      match connect_attempt t ~port:cl.cl_port ~client:(Some cl) with
-      | C_ok (lid, id) ->
-          cl.cl_fails <- 0;
-          cl.cl_conn <- id;
-          let burst = min cl.cl_pipeline cl.cl_total in
-          for k = 0 to burst - 1 do
-            (* tiny per-request skew keeps deliveries ordered *)
-            schedule_request t cl ~req:k ~send_at:(now t + (k * 16))
-          done;
-          cl.cl_sent <- burst;
-          touch t lid id
-      | C_drop lid ->
-          (* client backs off and redials *)
-          Kstats.incr t.stats t.st_redials;
-          push_ev t (now t + backoff_delay t cl) (Ev_connect cl);
-          touch t lid (-1)
-      | C_refused ->
-          Kstats.incr t.stats t.st_redials;
-          push_ev t (now t + backoff_delay t cl) (Ev_connect cl);
-          touch t (-1) (-1))
+  | Ev_connect cl ->
+      let id = connect_attempt t ~port:cl.cl_port in
+      if id >= 0 then begin
+        (match find_sock t id with
+        | Some (S_conn c) -> c.cn_client <- Some cl
+        | _ -> ());
+        cl.cl_fails <- 0;
+        cl.cl_conn <- id;
+        let burst = min cl.cl_pipeline cl.cl_total in
+        for k = 0 to burst - 1 do
+          (* tiny per-request skew keeps deliveries ordered *)
+          schedule_request t cl ~req:k ~send_at:(now t + (k * 16))
+        done;
+        cl.cl_sent <- burst;
+        touch t t.attempt_lid id
+      end
+      else begin
+        (* dropped or refused: the client backs off and redials *)
+        Kstats.incr t.stats t.st_redials;
+        push_ev t (now t + backoff_delay t cl) cl.cl_connect;
+        touch t t.attempt_lid (-1)
+      end
   | Ev_deliver cl -> (
-      match (Hashtbl.find_opt t.socks cl.cl_conn, cl.cl_txq) with
+      match (find_sock t cl.cl_conn, cl.cl_txq) with
       | Some (S_conn c), data :: rest when not c.cn_closed ->
           if Kfault.fire t.fault t.site_wire_drop then begin
             cl.cl_drops <- cl.cl_drops + 1;
@@ -580,12 +648,12 @@ let process_event t = function
                  frames behind it wait their turn, as TCP's sequence
                  numbers would make them *)
               Kstats.incr t.stats t.st_retransmits;
-              (match port_state t cl.cl_port with
-              | Some ps -> ps.ps_retrans <- ps.ps_retrans + 1
-              | None -> ());
-              Kperf.instant (Kernel.perf t.kn) ~arg:cl.cl_port ~cat:"retry"
-                ~name:"net.retransmit" ();
-              push_ev t (now t + backoff_delay t cl) (Ev_deliver cl)
+              (match Hashtbl.find t.traffic cl.cl_port with
+              | ps -> ps.ps_retrans <- ps.ps_retrans + 1
+              | exception Not_found -> ());
+              Kperf.instant (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_port
+                ~cat:"retry" ~name:"net.retransmit";
+              push_ev t (now t + backoff_delay t cl) cl.cl_deliver
             end;
             touch t c.cn_id (-1)
           end
@@ -596,14 +664,14 @@ let process_event t = function
             let n = deliver_bytes t c data 0 len in
             if n < len then begin
               cl.cl_txq <- String.sub data n (len - n) :: rest;
-              push_ev t (now t + (max 1 (wire t / 4))) (Ev_deliver cl)
+              push_ev t (now t + (max 1 (wire t / 4))) cl.cl_deliver
             end
             else cl.cl_txq <- rest;
             touch t c.cn_id (-1)
           end
       | _ -> touch t (-1) (-1))
   | Ev_drain id -> (
-      match Hashtbl.find_opt t.socks id with
+      match find_sock t id with
       | Some (S_conn c) ->
           c.cn_drain_scheduled <- false;
           let q = c.cn_send in
@@ -620,23 +688,19 @@ let process_event t = function
       | None | Some (S_new _) | Some (S_listen _) -> touch t (-1) (-1))
 
 let pump t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.heap with
-    | Some (due, _, _) when due <= now t ->
-        (match Heap.pop t.heap with
-        | Some (_, _, ev) -> process_event t ev
-        | None -> ())
-    | _ -> continue := false
+  while (not (Heap.is_empty t.heap)) && Heap.top_due t.heap <= now t do
+    process_event t (Heap.pop t.heap)
   done
 
 (* Advance the clock (I/O wait) to the next event and process it. *)
 let advance_and_process t =
-  match Heap.pop t.heap with
-  | None -> touch t (-1) (-1)
-  | Some (due, _, ev) ->
-      if due > now t then Kernel.charge_io t.kn (due - now t);
-      process_event t ev
+  if Heap.is_empty t.heap then touch t (-1) (-1)
+  else begin
+    let due = Heap.top_due t.heap in
+    let ev = Heap.pop t.heap in
+    if due > now t then Kernel.charge_io t.kn (due - now t);
+    process_event t ev
+  end
 
 let step t =
   if Heap.is_empty t.heap then false
@@ -650,12 +714,12 @@ let step t =
 let socket t =
   charge t;
   let id = fresh_id t in
-  Hashtbl.replace t.socks id (S_new { sn_port = 0 });
+  set_sock t id (S_new { sn_port = 0 });
   id
 
 let bind t ~sock ~port =
   charge t;
-  match Hashtbl.find_opt t.socks sock with
+  match find_sock t sock with
   | Some (S_new s) ->
       if port <= 0 then Error V.EINVAL
       else if Hashtbl.mem t.ports port then Error V.EADDRINUSE
@@ -669,12 +733,12 @@ let bind t ~sock ~port =
 
 let listen t ~sock ~backlog =
   charge t;
-  match Hashtbl.find_opt t.socks sock with
+  match find_sock t sock with
   | Some (S_new s) ->
       if s.sn_port = 0 then Error V.EINVAL
       else if backlog <= 0 then Error V.EINVAL
       else begin
-        Hashtbl.replace t.socks sock
+        set_sock t sock
           (S_listen
              {
                l_id = sock;
@@ -693,23 +757,23 @@ let listen t ~sock ~backlog =
 
 let accept t ~sock =
   charge t;
-  match Hashtbl.find_opt t.socks sock with
+  match find_sock t sock with
   | Some (S_listen l) -> (
       match Queue.take_opt l.l_queue with
       | Some id ->
-          (match Hashtbl.find_opt t.socks id with
+          (match find_sock t id with
           | Some (S_conn c) -> c.cn_accepted <- true
           | _ -> ());
           Kstats.incr t.stats t.st_accepts;
-          Kperf.instant (Kernel.perf t.kn) ~arg:id ~cat:"net" ~name:"accept"
-            ();
+          Kperf.instant (Kernel.perf t.kn) ~pid:0 ~arg:id ~cat:"net"
+            ~name:"accept";
           Ok id
       | None -> Error V.EAGAIN)
   | Some (S_new _) | Some (S_conn _) -> Error V.EINVAL
   | None -> Error V.EBADF
 
 let conn_of t sock =
-  match Hashtbl.find_opt t.socks sock with
+  match find_sock t sock with
   | Some (S_conn c) -> Ok c
   | Some (S_new _) | Some (S_listen _) -> Error V.ENOTSOCK
   | None -> Error V.EBADF
@@ -825,29 +889,29 @@ let close_conn t c =
   c.cn_closed <- true;
   Bq.release t.pool c.cn_recv;
   Bq.release t.pool c.cn_send;
-  Hashtbl.remove t.socks c.cn_id
+  clear_sock t c.cn_id
 
 let close t ~sock =
   charge t;
   Hashtbl.iter (fun _ e -> ep_del e sock) t.eps;
   if Hashtbl.mem t.eps sock then Hashtbl.remove t.eps sock
   else
-    match Hashtbl.find_opt t.socks sock with
+    match find_sock t sock with
     | None -> ()
     | Some (S_new s) ->
         if s.sn_port <> 0 && Hashtbl.find_opt t.ports s.sn_port = Some sock
         then Hashtbl.remove t.ports s.sn_port;
-        Hashtbl.remove t.socks sock
+        clear_sock t sock
     | Some (S_listen l) ->
         if Hashtbl.find_opt t.ports l.l_port = Some sock then
           Hashtbl.remove t.ports l.l_port;
         Queue.iter
           (fun id ->
-            match Hashtbl.find_opt t.socks id with
+            match find_sock t id with
             | Some (S_conn c) -> close_conn t c
             | _ -> ())
           l.l_queue;
-        Hashtbl.remove t.socks sock
+        clear_sock t sock
     | Some (S_conn c) -> close_conn t c
 
 let epoll_create t =
@@ -864,7 +928,7 @@ let epoll_ctl t ~ep ~sock ~op =
   | Some e -> (
       match op with
       | `Add (mask, cookie) ->
-          if not (Hashtbl.mem t.socks sock) then Error V.EBADF
+          if find_sock t sock = None then Error V.EBADF
           else begin
             ep_add e sock mask cookie;
             Ok ()
@@ -874,7 +938,7 @@ let epoll_ctl t ~ep ~sock ~op =
           Ok ())
 
 let ready_mask t id =
-  match Hashtbl.find_opt t.socks id with
+  match find_sock t id with
   | Some (S_listen l) -> if Queue.length l.l_queue > 0 then ep_in else 0
   | Some (S_conn c) ->
       let m = ref 0 in
@@ -948,18 +1012,18 @@ let epoll_wait t ~ep ~max =
 let pool_consistent t =
   let queues = ref [] in
   let add q = if not (List.memq q !queues) then queues := q :: !queues in
-  Hashtbl.iter
-    (fun _ -> function
-      | S_conn c ->
+  Array.iter
+    (function
+      | Some (S_conn c) ->
           add c.cn_recv;
           add c.cn_send;
           Option.iter (fun cl -> add cl.cl_resp) c.cn_client
-      | S_new _ | S_listen _ -> ())
+      | Some (S_new _ | S_listen _) | None -> ())
     t.socks;
-  for i = 0 to t.heap.Heap.len - 1 do
-    match Heap.get t.heap i with
-    | _, _, (Ev_connect cl | Ev_deliver cl) -> add cl.cl_resp
-    | _, _, Ev_drain _ -> ()
+  for i = 0 to Heap.length t.heap - 1 do
+    match t.heap.Heap.evs.(i) with
+    | Ev_connect cl | Ev_deliver cl -> add cl.cl_resp
+    | Ev_drain _ -> ()
   done;
   let live =
     List.filter_map
@@ -1035,9 +1099,15 @@ module Traffic = struct
           cl_finished = false;
           cl_fails = 0;
           cl_drops = 0;
+          cl_connect = no_ev;
+          cl_deliver = no_ev;
         }
       in
-      push_ev t (now t + spec.start + (i * spec.spacing)) (Ev_connect cl)
+      (* built once here, not per redial or per delivery; a [let rec]
+         record would cost a second, dummy copy of the client *)
+      cl.cl_connect <- Ev_connect cl;
+      cl.cl_deliver <- Ev_deliver cl;
+      push_ev t (now t + spec.start + (i * spec.spacing)) cl.cl_connect
     done
 
   let completed t ~port =

@@ -189,6 +189,31 @@ val pump : t -> unit
     process it; [false] when the heap is empty. *)
 val step : t -> bool
 
+(** The traffic generator's event heap, exposed for its model test: a
+    binary min-heap on [(due, seq)] with the keys in two [int] arrays
+    and the events in a third.  [pop] returns the entry with the least
+    [due], the least [seq] among equal dues; a slot that no longer
+    holds a pending entry holds [dummy]. *)
+module Heap : sig
+  type 'a t
+
+  (** An empty heap with room for 64 entries; it doubles when full. *)
+  val create : 'a -> 'a t
+
+  val length : 'a t -> int
+  val is_empty : 'a t -> bool
+  val push : 'a t -> int -> int -> 'a -> unit
+
+  (** The least entry's due; the heap must not be empty. *)
+  val top_due : 'a t -> int
+
+  (** Remove and return the least entry; the heap must not be empty. *)
+  val pop : 'a t -> 'a
+
+  (** [x] is physically in some slot, pending or not. *)
+  val holds : 'a t -> 'a -> bool
+end
+
 (** The pool's ownership rule holds: no buffer is both in a live queue
     and on a free list, none is on a free list twice, no two live queues
     share one, and every free buffer is its size class's exact size.

@@ -232,12 +232,12 @@ let with_span t ?(pid = 0) ?(arg = 0) ~cat ~name f =
         raise e
   end
 
-let instant t ?(pid = 0) ?(arg = 0) ~cat ~name () =
+let instant t ~pid ~arg ~cat ~name =
   if t.enabled then
     let cpu = clamp_cpu t (t.cpu ()) in
     emit t ~kind:Instant ~id:0 ~parent:(top_of t cpu) ~cat ~name ~pid ~arg
 
-let async_begin t ?(pid = 0) ?(arg = 0) ~cat ~name () =
+let async_begin t ~pid ~arg ~cat ~name =
   if not t.enabled then 0
   else begin
     let id = t.next_id in
@@ -249,7 +249,7 @@ let async_begin t ?(pid = 0) ?(arg = 0) ~cat ~name () =
     id
   end
 
-let async_end t ?(pid = 0) ?(arg = 0) id =
+let async_end t ~pid ~arg id =
   if t.enabled && id > 0 then begin
     let cat, name =
       match Hashtbl.find_opt t.pending_async id with

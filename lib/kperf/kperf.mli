@@ -93,15 +93,14 @@ val span_end : t -> pid:int -> arg:int -> int -> unit
 val with_span :
   t -> ?pid:int -> ?arg:int -> cat:string -> name:string -> (unit -> 'a) -> 'a
 
-(** A point event, parented to the current span. *)
-val instant :
-  t -> ?pid:int -> ?arg:int -> cat:string -> name:string -> unit -> unit
+(** A point event, parented to the current span.  [pid] and [arg] are
+    required for the same reason as {!span_begin}'s. *)
+val instant : t -> pid:int -> arg:int -> cat:string -> name:string -> unit
 
 (** Open an asynchronous span (not part of any CPU stack). *)
-val async_begin :
-  t -> ?pid:int -> ?arg:int -> cat:string -> name:string -> unit -> int
+val async_begin : t -> pid:int -> arg:int -> cat:string -> name:string -> int
 
-val async_end : t -> ?pid:int -> ?arg:int -> int -> unit
+val async_end : t -> pid:int -> arg:int -> int -> unit
 
 (** Innermost open span on the active CPU (0 when none / disabled). *)
 val current_span : t -> int

@@ -233,7 +233,7 @@ let drain t sys completed =
      the index of the first op that did not complete. *)
   let note_partial () =
     Kstats.incr t.kstats t.st_partial;
-    Kperf.instant perf ~pid ~arg:!pos ~cat:"ring" ~name:"partial" ()
+    Kperf.instant perf ~pid ~arg:!pos ~cat:"ring" ~name:"partial"
   in
   let stop_partial = ref false in
   (try

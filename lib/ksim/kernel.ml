@@ -89,7 +89,7 @@ let create ?(config = default_config) () =
     Kfault.create ~enabled:!Kfault.default_enabled ~stats:kstats
       ~now:(fun () -> Sim_clock.now clock)
       ~on_fire:(fun ~name ~occurrence ->
-        Kperf.instant perf ~arg:occurrence ~cat:"kfault" ~name ();
+        Kperf.instant perf ~pid:0 ~arg:occurrence ~cat:"kfault" ~name;
         Instrument.emit ~pid:(Scheduler.current sched).Kproc.pid ~obj:0
           ~value:occurrence ~kind:kfault_inject ~file:("kfault:" ^ name)
           ~line:0 ())

@@ -126,7 +126,7 @@ let context_switch t =
       let pid =
         match t.currents.(cpu) with Some p -> p.Kproc.pid | None -> 0
       in
-      Kperf.instant perf ~pid ~arg:cpu ~cat:"sched" ~name:"context_switch" ()
+      Kperf.instant perf ~pid ~arg:cpu ~cat:"sched" ~name:"context_switch"
   | None -> ());
   t.slice_start.(cpu) <- Sim_clock.now t.clock;
   (* rotate this CPU's runqueue *)

@@ -252,8 +252,8 @@ let rec eintr_restart sys n =
   else begin
     let k = Systable.kernel sys in
     Systable.count_eintr_restart sys;
-    Kperf.instant (Ksim.Kernel.perf k) ~pid:(current_pid sys) ~cat:"retry"
-      ~name:"eintr_restart" ();
+    Kperf.instant (Ksim.Kernel.perf k) ~pid:(current_pid sys) ~arg:0
+      ~cat:"retry" ~name:"eintr_restart";
     Ksim.Kernel.exit_kernel k;
     charge_stub k;
     Ksim.Kernel.enter_kernel k;

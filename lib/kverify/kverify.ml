@@ -69,7 +69,7 @@ let violation t ~pid ~prev sysno =
   t.n_violations <- t.n_violations + 1;
   Kstats.incr (Kernel.stats t.kernel) t.s_violations;
   Kperf.instant (Kernel.perf t.kernel) ~pid ~arg:(Sysno.to_int sysno)
-    ~cat:"kverify" ~name:"sfi-violation" ();
+    ~cat:"kverify" ~name:"sfi-violation";
   Ksim.Instrument.emit ~pid ~obj:(Sysno.to_int sysno)
     ~value:(match prev with Some p -> Sysno.to_int p | None -> -1)
     ~kind:sfi_violation ~file:__FILE__ ~line:__LINE__ ();

@@ -141,7 +141,7 @@ let read_block t blk =
       if Kfault.fire t.fault t.site_short then begin
         charge t (cost.Ksim.Cost_model.disk_read_block / 2);
         Kstats.incr t.kstats t.st_rereads;
-        Kperf.instant perf ~arg:blk ~cat:"retry" ~name:"blockdev.reread" ()
+        Kperf.instant perf ~pid:0 ~arg:blk ~cat:"retry" ~name:"blockdev.reread"
       end;
       (* injected hard failure: the driver's retries are exhausted *)
       if Kfault.fire t.fault t.site_eio then begin

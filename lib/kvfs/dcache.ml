@@ -65,7 +65,7 @@ let record_result t found =
     (* misses are the interesting rarity in a flamegraph: each one means
        a directory scan follows *)
     match t.perf with
-    | Some perf -> Kperf.instant perf ~cat:"vfs" ~name:"dcache.miss" ()
+    | Some perf -> Kperf.instant perf ~pid:0 ~arg:0 ~cat:"vfs" ~name:"dcache.miss"
     | None -> ()
   end
 

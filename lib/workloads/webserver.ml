@@ -246,6 +246,11 @@ let net_doc_index cfg ~conn ~req =
   in
   (h land max_int) mod cfg.docs.documents
 
+(* Every document's request line, indexed by document: built once per
+   install instead of formatted per request. *)
+let net_request_lines cfg =
+  Array.init cfg.docs.documents (fun i -> Printf.sprintf "GET %d\n" i)
+
 (* Responses are framed as an 8-byte little-endian body length followed
    by the body; the traffic generator parses the same frame. *)
 let net_header len =
@@ -346,6 +351,7 @@ let net_init t =
           | Some make -> make sys
           | None -> Kring.create sys)
   | Net_naive | Net_consolidated | Net_sendfile -> ());
+  let lines = net_request_lines cfg in
   Knet.Traffic.install
     (Ksyscall.Systable.net sys)
     {
@@ -356,9 +362,7 @@ let net_init t =
       start = cfg.start;
       spacing = cfg.spacing;
       think = cfg.think;
-      req_of =
-        (fun ~conn ~req ->
-          Printf.sprintf "GET %d\n" (net_doc_index cfg ~conn ~req));
+      req_of = (fun ~conn ~req -> lines.(net_doc_index cfg ~conn ~req));
     };
   if cfg.shed then
     t.nshed_counter <-

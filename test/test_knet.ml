@@ -96,6 +96,63 @@ let test_bounded_sendq () =
   Alcotest.(check (result int errno)) "no space left" (Ok 0)
     (Knet.send_space net ~sock:conn)
 
+(* The socket table is indexed by id: ids past its end, closed ids and
+   the conns a closing listener still queues all read as absent. *)
+let test_socket_table () =
+  let _kernel, net = bare () in
+  let ebadf = Error Kvfs.Vtypes.EBADF in
+  Alcotest.(check (result unit errno)) "bind past the table" ebadf
+    (Knet.bind net ~sock:100_000 ~port:81);
+  Alcotest.(check (result bytes errno)) "recv past the table" ebadf
+    (Knet.recv net ~sock:100_000 ~len:8);
+  Alcotest.(check (result bytes errno)) "recv on a negative id" ebadf
+    (Knet.recv net ~sock:(-3) ~len:8);
+  Alcotest.(check int) "inject past the table" 0
+    (Knet.inject_bytes net ~sock:100_000 "x");
+  let ep = Knet.epoll_create net in
+  Alcotest.(check (result unit errno)) "epoll_ctl on an absent id" ebadf
+    (Knet.epoll_ctl net ~ep ~sock:100_000 ~op:(`Add (Knet.ep_in, 0)));
+  (* grow the table well past its first 64 slots *)
+  let socks = List.init 200 (fun _ -> Knet.socket net) in
+  List.iteri
+    (fun i id ->
+      Alcotest.(check (result unit errno)) "grown slot binds" (Ok ())
+        (Knet.bind net ~sock:id ~port:(1000 + i)))
+    socks;
+  let l = listener ~port:80 ~backlog:4 net in
+  let queued =
+    List.init 3 (fun _ -> Option.get (Knet.inject_connect net ~port:80))
+  in
+  let conn = Result.get_ok (Knet.accept net ~sock:l) in
+  Alcotest.(check int) "accept pops the oldest" (List.hd queued) conn;
+  ignore (Knet.inject_bytes net ~sock:(List.nth queued 1) "queued bytes");
+  Knet.close net ~sock:conn;
+  Alcotest.(check (result bytes errno)) "recv after close" ebadf
+    (Knet.recv net ~sock:conn ~len:8);
+  Alcotest.(check (result int errno)) "send after close" ebadf
+    (Knet.send net ~sock:conn ~data:(Bytes.of_string "x"));
+  Knet.close net ~sock:conn;
+  Knet.close net ~sock:l;
+  List.iter
+    (fun id ->
+      Alcotest.(check (result bytes errno)) "queued conn closed with it" ebadf
+        (Knet.recv net ~sock:id ~len:8))
+    (List.tl queued);
+  Alcotest.(check (result int errno)) "accept on a closed listener" ebadf
+    (Knet.accept net ~sock:l);
+  Alcotest.(check (result int errno)) "port no longer listening"
+    (Error Kvfs.Vtypes.ECONNREFUSED)
+    (Knet.inject_connect_result net ~port:80);
+  Alcotest.(check bool) "queued storage back in the pool" true
+    (Knet.pool_consistent net);
+  let l2 = listener ~port:80 ~backlog:1 net in
+  Alcotest.(check bool) "fresh id past the closed ones" true (l2 > l);
+  Alcotest.(check bool) "port rebinds" true
+    (Knet.inject_connect net ~port:80 <> None);
+  Alcotest.(check (result int errno)) "full backlog times out"
+    (Error Kvfs.Vtypes.ETIMEDOUT)
+    (Knet.inject_connect_result net ~port:80)
+
 (* --- epoll --------------------------------------------------------------- *)
 
 let test_epoll_level_triggered () =
@@ -729,7 +786,8 @@ let epoll_serve net ~port ~(bodies : Bytes.t array) =
    [Host_words]: a response body is over 256 words, so its buffers go
    straight to the major heap, where a minor-words count alone cannot
    see them.  Copying each response through growing per-queue buffers
-   costs about 2,200 words here; pooled, in-place queues about 400. *)
+   costs about 2,200 words here; pooled, in-place queues and the flat
+   event heap about 350. *)
 let test_traffic_alloc_per_response () =
   let _kernel, net = bare () in
   let bodies =
@@ -750,6 +808,88 @@ let test_traffic_alloc_per_response () =
   Alcotest.(check bool)
     (Printf.sprintf "under 800 words per response (got %.0f)" per)
     true (per < 800.)
+
+(* --- the event heap ------------------------------------------------------ *)
+
+(* The flat event heap against a model: interleaved pushes (dues drawn
+   from a small range, so they collide) and pops.  Three pushes to each
+   pop over 150..400 ops leave about 75..200 entries pending, so nearly
+   every case grows the heap past its first 64 slots.  Every pop must
+   return the pending entry a stable sort by (due, seq) puts first, and
+   no popped event may stay reachable from the heap's arrays. *)
+type hop = H_push of int | H_pop
+
+let qcheck_heap_model =
+  QCheck.Test.make ~name:"event heap = stable sort by (due, seq)" ~count:300
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (function H_push d -> Printf.sprintf "+%d" d | H_pop -> "-")
+              ops))
+       QCheck.Gen.(
+         list_size (int_range 150 400)
+           (frequency
+              [ (3, map (fun d -> H_push d) (int_bound 7)); (1, return H_pop) ])))
+    (fun ops ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let h = Knet.Heap.create (ref (-1)) in
+      (* pending entries in push order: (due, seq, event) *)
+      let model = ref [] and seq = ref 0 in
+      let pop () =
+        let sorted =
+          List.stable_sort (fun (d1, _, _) (d2, _, _) -> compare d1 d2) !model
+        in
+        match sorted with
+        | [] -> ()
+        | (due, s, want) :: _ ->
+            if Knet.Heap.top_due h <> due then
+              fail "top due %d, model %d" (Knet.Heap.top_due h) due;
+            let got = Knet.Heap.pop h in
+            if got != want then fail "popped seq %d, model seq %d" !got s;
+            if Knet.Heap.holds h got then fail "popped seq %d still reachable" s;
+            model := List.filter (fun (_, s', _) -> s' <> s) !model
+      in
+      List.iter
+        (function
+          | H_push due ->
+              incr seq;
+              let ev = ref !seq in
+              Knet.Heap.push h due !seq ev;
+              model := !model @ [ (due, !seq, ev) ]
+          | H_pop -> pop ())
+        ops;
+      while !model <> [] do
+        pop ()
+      done;
+      if not (Knet.Heap.is_empty h) then fail "heap not empty after draining";
+      Knet.Heap.length h = 0)
+
+(* Host words per processed event on the redial path: a flash crowd of
+   clients dials a listener whose backlog of 4 is never accepted, so
+   after the first few connects every event is a dropped SYN and a
+   backoff redial.  Boxing each heap entry, each connect result and each
+   optional argument cost 20 words per event; the flat heap and prebuilt
+   events cost none, and even one fresh 2-word event per redial fails. *)
+let test_redial_alloc_per_event () =
+  let _kernel, net = bare () in
+  let _l = listener ~port:80 ~backlog:4 net in
+  Knet.Traffic.install net
+    { Knet.Traffic.default with
+      port = 80; conns = 500; requests_per_conn = 1; start = 0; spacing = 0 };
+  for _ = 1 to 5_000 do
+    ignore (Knet.step net)
+  done;
+  let events = 20_000 in
+  let before = Host_words.now () in
+  for _ = 1 to events do
+    ignore (Knet.step net)
+  done;
+  let per = (Host_words.now () -. before) /. float_of_int events in
+  Alcotest.(check bool) "still redialling" true (Knet.pending_events net >= 496);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 1 word per redial event (got %.1f)" per)
+    true (per < 1.)
 
 (* --- the syscall boundary ------------------------------------------------ *)
 
@@ -878,6 +1018,7 @@ let () =
           Alcotest.test_case "bind errors" `Quick test_bind_errors;
           Alcotest.test_case "backlog drops" `Quick test_backlog_drops;
           Alcotest.test_case "bounded send queue" `Quick test_bounded_sendq;
+          Alcotest.test_case "id-indexed socket table" `Quick test_socket_table;
         ] );
       ( "epoll",
         [
@@ -896,6 +1037,12 @@ let () =
             test_timeout_releases_stream;
           Alcotest.test_case "traffic allocation per response" `Quick
             test_traffic_alloc_per_response;
+        ] );
+      ( "events",
+        [
+          QCheck_alcotest.to_alcotest qcheck_heap_model;
+          Alcotest.test_case "redial allocation per event" `Quick
+            test_redial_alloc_per_event;
         ] );
       ( "syscalls",
         [

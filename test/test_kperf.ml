@@ -25,7 +25,7 @@ let test_overflow_overwrite () =
   let t = mk ~mode:Kperf.Overwrite ~ring_capacity:4 () in
   for i = 1 to 10 do
     tick ();
-    Kperf.instant t ~arg:i ~cat:"t" ~name:"x" ()
+    Kperf.instant t ~pid:0 ~arg:i ~cat:"t" ~name:"x"
   done;
   Alcotest.(check int) "emitted" 10 (Kperf.emitted t);
   Alcotest.(check int) "overwritten" 6 (Kperf.overwritten t);
@@ -40,7 +40,7 @@ let test_overflow_drop () =
   let t = mk ~mode:Kperf.Drop ~ring_capacity:4 () in
   for i = 1 to 10 do
     tick ();
-    Kperf.instant t ~arg:i ~cat:"t" ~name:"x" ()
+    Kperf.instant t ~pid:0 ~arg:i ~cat:"t" ~name:"x"
   done;
   Alcotest.(check int) "emitted" 10 (Kperf.emitted t);
   Alcotest.(check int) "drops" 6 (Kperf.drops t);
@@ -56,7 +56,7 @@ let test_overflow_kstats () =
     Kperf.create ~enabled:true ~mode:Kperf.Drop ~ring_capacity:2 ~stats ()
   in
   for _ = 1 to 5 do
-    Kperf.instant t ~cat:"t" ~name:"x" ()
+    Kperf.instant t ~pid:0 ~arg:0 ~cat:"t" ~name:"x"
   done;
   let counter name =
     match Kstats.find stats name with
@@ -201,10 +201,10 @@ let test_chrome_roundtrip () =
   tick ();
   let s = Kperf.span_begin t ~pid:7 ~arg:42 ~cat:"c\"at" ~name:"sp\\an" in
   tick ();
-  Kperf.instant t ~cat:"i" ~name:"mark" ();
-  let a = Kperf.async_begin t ~cat:"net" ~name:"req" () in
+  Kperf.instant t ~pid:0 ~arg:0 ~cat:"i" ~name:"mark";
+  let a = Kperf.async_begin t ~pid:0 ~arg:0 ~cat:"net" ~name:"req" in
   tick ();
-  Kperf.async_end t a;
+  Kperf.async_end t ~pid:0 ~arg:0 a;
   Kperf.span_end t ~pid:0 ~arg:43 s;
   let evs = Kperf.events t in
   let json = Kperf.chrome_of_events ~ncpus:1 evs in

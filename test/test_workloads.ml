@@ -267,6 +267,18 @@ let test_net_variants_equivalent () =
   Alcotest.(check bool) "sendfile copies less" true (sfcopy < ncopy);
   Alcotest.(check bool) "ring copies less" true (rcopy < ncopy)
 
+(* The precomputed request lines are the per-request format's strings. *)
+let test_net_request_lines () =
+  let config = net_small Workloads.Webserver.Net_naive in
+  let lines = Workloads.Webserver.net_request_lines config in
+  Alcotest.(check int) "one line per document"
+    config.Workloads.Webserver.docs.Workloads.Webserver.documents
+    (Array.length lines);
+  Array.iteri
+    (fun i line ->
+      Alcotest.(check string) "GET line" (Printf.sprintf "GET %d\n" i) line)
+    lines
+
 let test_net_smp_completes () =
   let t = Core.boot_with { Core.Config.default with ncpus = Some 2 } in
   let config =
@@ -364,6 +376,7 @@ let () =
         [
           Alcotest.test_case "E14 variants equivalent" `Quick test_net_variants_equivalent;
           Alcotest.test_case "E14 smp completes" `Quick test_net_smp_completes;
+          Alcotest.test_case "E14 request lines = GET format" `Quick test_net_request_lines;
         ] );
       ( "smp",
         [
