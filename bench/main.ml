@@ -1332,10 +1332,14 @@ let e17 () =
       Core.ok
         (Core.Syscall.sys_open_read_close sys ~path:"/dst" ~maxlen:8192)
     in
-    (tm.Ksim.Kernel.elapsed, slots, Digest.to_hex (Digest.bytes dst), Core.kopt t)
+    ( tm.Ksim.Kernel.elapsed,
+      slots,
+      Digest.to_hex (Digest.bytes dst),
+      Core.kopt t,
+      Cosy.Cosy_exec.stats cx )
   in
-  let sbase_cy, sbase_slots, sbase_dig, _ = splice_cell verify_cfg in
-  let sopt_cy, sopt_slots, sopt_dig, kopt = splice_cell opt_cfg in
+  let sbase_cy, sbase_slots, sbase_dig, _, _ = splice_cell verify_cfg in
+  let sopt_cy, sopt_slots, sopt_dig, kopt, cst = splice_cell opt_cfg in
   if sbase_slots <> sopt_slots || sbase_dig <> sopt_dig then
     pf "  !! splice compound diverged (slots or /dst bytes differ)\n";
   let sspeed = float_of_int sbase_cy /. float_of_int (max 1 sopt_cy) in
@@ -1345,7 +1349,7 @@ let e17 () =
   let ko = Option.get kopt in
   pf "  cache: %d hits %d misses %d compiles; fd cache: %d resolved %d reused\n"
     (Core.Opt.hits ko) (Core.Opt.misses ko) (Core.Opt.compiles ko)
-    (Core.Opt.fd_resolved ko) (Core.Opt.fd_reused ko);
+    cst.Cosy.Cosy_exec.fd_resolved cst.Cosy.Cosy_exec.fd_reused;
   add_row "E17"
     (Printf.sprintf
        "{\"section\":\"splice\",\"submissions\":%d,\"cycles_verified\":%d,\
@@ -1355,7 +1359,7 @@ let e17 () =
        nsubmit sbase_cy sopt_cy sspeed
        (sbase_slots = sopt_slots && sbase_dig = sopt_dig)
        (Core.Opt.hits ko) (Core.Opt.misses ko) (Core.Opt.compiles ko)
-       (Core.Opt.fd_resolved ko) (Core.Opt.fd_reused ko));
+       cst.Cosy.Cosy_exec.fd_resolved cst.Cosy.Cosy_exec.fd_reused);
   (* --- part 1c: cache amortization on one compound ------------------- *)
   let t = Core.boot_with opt_cfg in
   let cx = Core.cosy t in

@@ -12,14 +12,14 @@ module Syscall = Ksyscall.Syscall
 (* What admission decided about a submitted compound.  [Dynamic]: run
    it under the watchdog at the full per-op cost.  [Verified]: its loops
    were proven bounded, so it runs on the cheaper per-op cost with the
-   watchdog elided.  [Compiled run]: it was admitted and compiled (or
-   found in a compiled-program cache); the thunk executes the
-   specialized program — observably identical results, cheaper
-   accounting — and returns (slots, ops executed, back-edges). *)
+   watchdog elided.  [Compiled plan]: it was admitted and compiled (or
+   found in a compiled-program cache); the same op loop runs the plan's
+   ops and rewrites in place of a decode — observably identical
+   results, cheaper accounting. *)
 type admission =
   | Dynamic
   | Verified
-  | Compiled of (unit -> int array * int * int)
+  | Compiled of Cosy_plan.t
 
 type t = {
   sys : Ksyscall.Systable.t;
@@ -42,6 +42,11 @@ type t = {
      default) is today's dynamic-only safety, bit-for-bit. *)
   mutable admit : (Compound.t -> admission) option;
   mutable watchdog_elisions : int;
+  (* a plan's fd-resolution cache: the descriptors resolved so far in
+     the running execution, emptied when a plan starts *)
+  mutable fd_cache : int list;
+  mutable fd_resolved : int;
+  mutable fd_reused : int;
 }
 
 let create ?(shared_size = 65536) ?policy ?user_program sys =
@@ -86,6 +91,9 @@ let create ?(shared_size = 65536) ?policy ?user_program sys =
     user_calls = 0;
     admit = None;
     watchdog_elisions = 0;
+    fd_cache = [];
+    fd_resolved = 0;
+    fd_reused = 0;
   }
 
 let shared t = t.shared
@@ -325,8 +333,147 @@ let do_call_user t slots fname args =
       Cosy_safety.record_safe_run t.safety fname;
       result
 
+(* --- compiled plans ---------------------------------------------------- *)
+
+(* The fd-resolution cache: each distinct descriptor value is resolved
+   (and charged) once per plan execution; [close] evicts, so a reused fd
+   number re-resolves. *)
+let resolve_fd t clock cost fd =
+  if List.mem fd t.fd_cache then t.fd_reused <- t.fd_reused + 1
+  else begin
+    Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.kopt_fd_resolve;
+    t.fd_resolved <- t.fd_resolved + 1;
+    t.fd_cache <- fd :: t.fd_cache
+  end
+
+let count_op t =
+  t.ops_executed <- t.ops_executed + 1;
+  Kstats.incr t.kstats t.st_ops
+
+let gate_verdict t req =
+  Ksyscall.Usyscall.verdict t.sys (Syscall.sysno_of_req req)
+
+(* One original op of a pair, acting on the gate verdict already taken
+   for it; a read's payload lands at [sink]. *)
+let decided t verdict req sink =
+  let reply = Ksyscall.Usyscall.apply_verdict t.sys verdict req in
+  deposit t sink reply;
+  Syscall.reply_to_retval reply
+
+(* A coalesced pair: one gate verdict per original op, in original order
+   ([Usyscall.verdict] charges the gate's probe, so cycles and automaton
+   state match the interpreter), one bulk transfer when both allow, else
+   the two original ops under the verdicts already taken. *)
+let coalesce t clock cost slots (c : Cosy_plan.coalesce) =
+  count_op t;
+  count_op t;
+  Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.kopt_exec_op;
+  let fd = int_arg slots c.fd in
+  resolve_fd t clock cost fd;
+  let req_a, req_b =
+    match c.kind with
+    | Cosy_plan.G_read ->
+        (Syscall.Read { fd; len = c.len_a }, Syscall.Read { fd; len = c.len_b })
+    | Cosy_plan.G_pread ->
+        ( Syscall.Pread { fd; off = c.foff; len = c.len_a },
+          Syscall.Pread { fd; off = c.foff + c.len_a; len = c.len_b } )
+    | Cosy_plan.G_write ->
+        let d = Shared_buffer.read t.shared ~off:c.off ~len:(c.len_a + c.len_b) in
+        ( Syscall.Write { fd; data = Bytes.sub d 0 c.len_a },
+          Syscall.Write { fd; data = Bytes.sub d c.len_a c.len_b } )
+  in
+  let d_a = gate_verdict t req_a in
+  let d_b = gate_verdict t req_b in
+  match (d_a, d_b) with
+  | Ksyscall.Systable.Gate_allow, Ksyscall.Systable.Gate_allow -> (
+      let perf = Ksim.Kernel.perf (Ksyscall.Systable.kernel t.sys) in
+      let name =
+        match c.kind with
+        | Cosy_plan.G_read -> "bulk.read"
+        | Cosy_plan.G_pread -> "bulk.pread"
+        | Cosy_plan.G_write -> "bulk.write"
+      in
+      let span = Kperf.span_begin perf ~pid:0 ~arg:0 ~cat:"kopt" ~name in
+      let len = c.len_a + c.len_b in
+      let bulk =
+        match c.kind with
+        | Cosy_plan.G_read -> Syscall.Read { fd; len }
+        | Cosy_plan.G_pread -> Syscall.Pread { fd; off = c.foff; len }
+        | Cosy_plan.G_write ->
+            let data = Shared_buffer.read t.shared ~off:c.off ~len in
+            Syscall.Write { fd; data }
+      in
+      let reply = Ksyscall.Usyscall.service t.sys bulk in
+      Kperf.span_end perf ~pid:0 ~arg:0 span;
+      (* sequential-position semantics split the merged transfer exactly
+         where the pair's two would, and a read's payload lands
+         contiguously from [off] *)
+      let split n =
+        let r_a = min c.len_a n in
+        slots.(c.dst_a) <- r_a;
+        slots.(c.dst_b) <- n - r_a
+      in
+      match reply with
+      | Ok (Syscall.R_bytes data) ->
+          Shared_buffer.write t.shared ~off:c.off data;
+          split (Bytes.length data)
+      | Ok (Syscall.R_int w) -> split w
+      | Ok _ -> raise (Exec_error "unexpected bulk reply")
+      | Error _ ->
+          let rv = Syscall.reply_to_retval reply in
+          slots.(c.dst_a) <- rv;
+          slots.(c.dst_b) <- rv)
+  | _ ->
+      let sink_a, sink_b =
+        match c.kind with
+        | Cosy_plan.G_read | Cosy_plan.G_pread ->
+            (Cosy_op.Shared c.off, Cosy_op.Shared (c.off + c.len_a))
+        | Cosy_plan.G_write -> (Cosy_op.Const 0, Cosy_op.Const 0)
+      in
+      slots.(c.dst_a) <- decided t d_a req_a sink_a;
+      slots.(c.dst_b) <- decided t d_b req_b sink_b
+
+(* A fused read->write: one splice-style dispatch charge, then the two
+   ops strictly in order — the write sources the shared region after the
+   read's deposit, stale suffix on a short read included. *)
+let fuse t clock cost slots (f : Cosy_plan.fuse) =
+  Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.kopt_fused_op;
+  let perf = Ksim.Kernel.perf (Ksyscall.Systable.kernel t.sys) in
+  let span = Kperf.span_begin perf ~pid:0 ~arg:0 ~cat:"kopt" ~name:"splice.rw" in
+  (try
+     count_op t;
+     let fd_r = int_arg slots f.fd_r in
+     resolve_fd t clock cost fd_r;
+     let req_r = Syscall.Read { fd = fd_r; len = f.len } in
+     slots.(f.dst_r) <-
+       decided t (gate_verdict t req_r) req_r (Cosy_op.Shared f.off);
+     count_op t;
+     let fd_w = int_arg slots f.fd_w in
+     resolve_fd t clock cost fd_w;
+     let req_w =
+       Syscall.Write
+         { fd = fd_w; data = Shared_buffer.read t.shared ~off:f.off ~len:f.len }
+     in
+     slots.(f.dst_w) <- decided t (gate_verdict t req_w) req_w (Cosy_op.Const 0)
+   with e ->
+     Kperf.span_end perf ~pid:0 ~arg:0 span;
+     raise e);
+  Kperf.span_end perf ~pid:0 ~arg:0 span
+
+(* --- the op loop ------------------------------------------------------ *)
+
+(* A loop back-edge: the preemption checkpoint, and the watchdog unless
+   admission proved the compound's loops bounded. *)
+let backedge t kernel ~admitted =
+  t.backedges <- t.backedges + 1;
+  Kstats.incr t.kstats t.st_backedges;
+  Ksim.Scheduler.checkpoint (Ksim.Kernel.sched kernel);
+  if not admitted then Cosy_safety.watchdog_check t.safety
+
 (* The compound's kernel stay, between the trap and the return: arm the
-   watchdog, admit, then run.  Returns the final register file. *)
+   watchdog, admit, then run.  One loop runs every admission outcome;
+   only the per-op charge, the watchdog on back-edges and, under a plan,
+   the rewritten positions differ.  Returns the final register file. *)
 let execute t sys compound =
   let kernel = Ksyscall.Systable.kernel sys in
   let cost = Ksim.Kernel.cost kernel in
@@ -336,43 +483,69 @@ let execute t sys compound =
   (* admission: judge the compound before running a single op, inside
      the kernel stay with the watchdog armed.  The hook charges its own
      costs; anything it does not admit (including every compound when no
-     hook is installed) takes today's dynamic path. *)
+     hook is installed) takes the dynamic path. *)
   let admission =
     match t.admit with None -> Dynamic | Some admit -> admit compound
   in
-  let verified =
+  let admitted =
     match admission with
     | Dynamic -> false
     | Verified | Compiled _ ->
         t.watchdog_elisions <- t.watchdog_elisions + 1;
         true
   in
-  let per_op_cost =
-    if verified then cost.Ksim.Cost_model.cosy_exec_op_verified
-    else cost.Ksim.Cost_model.cosy_exec_op
-  in
-  match admission with
-  | Compiled run ->
-      let slots, ops_run, backedges = run () in
-      t.ops_executed <- t.ops_executed + ops_run;
-      Kstats.add t.kstats t.st_ops ops_run;
-      t.backedges <- t.backedges + backedges;
-      Kstats.add t.kstats t.st_backedges backedges;
-      slots
-  | Dynamic | Verified ->
-      let ops, slot_count =
+  let ops, slot_count =
+    match admission with
+    | Compiled p ->
+        (* a plan skips the decode; each proven counted loop's
+           per-iteration checks run once, up front *)
+        if p.Cosy_plan.n_loops > 0 then
+          Ksim.Sim_clock.advance clock
+            (p.Cosy_plan.n_loops * cost.Ksim.Cost_model.kopt_loop_hoist);
+        t.fd_cache <- [];
+        (p.Cosy_plan.ops, p.Cosy_plan.slot_count)
+    | Dynamic | Verified ->
         Compound.decode ~clock ~per_op:cost.Ksim.Cost_model.cosy_decode_op
           compound
-      in
-      let slots = Array.make slot_count 0 in
-      let pc = ref 0 in
-      let running = ref true in
-      while !running && !pc < Array.length ops do
-        let cur = !pc in
-        t.ops_executed <- t.ops_executed + 1;
-        Kstats.incr t.kstats t.st_ops;
-        Ksim.Sim_clock.advance clock per_op_cost;
-        (match ops.(cur) with
+  in
+  let slots = Array.make slot_count 0 in
+  (* the per-op charge: the interpreter's full or verified rate, or the
+     kopt rate under a plan — the hoisted rate for a non-syscall op
+     inside a proven counted loop *)
+  let op_rate =
+    match admission with
+    | Dynamic -> cost.Ksim.Cost_model.cosy_exec_op
+    | Verified -> cost.Ksim.Cost_model.cosy_exec_op_verified
+    | Compiled _ -> cost.Ksim.Cost_model.kopt_exec_op
+  in
+  let pc = ref 0 in
+  let running = ref true in
+  while !running && !pc < Array.length ops do
+    let cur = !pc in
+    let rewrite =
+      match admission with
+      | Compiled p -> p.Cosy_plan.rewrites.(cur)
+      | Dynamic | Verified -> Cosy_plan.Keep
+    in
+    match rewrite with
+    | Cosy_plan.Coalesce c ->
+        coalesce t clock cost slots c;
+        pc := cur + 2
+    | Cosy_plan.Fuse f ->
+        fuse t clock cost slots f;
+        pc := cur + 2
+    | Cosy_plan.Skip -> raise (Exec_error "jump into a merged pair")
+    | Cosy_plan.Keep | Cosy_plan.Cache_fd | Cosy_plan.Cache_close -> (
+        let op = ops.(cur) in
+        count_op t;
+        Ksim.Sim_clock.advance clock
+          (match (admission, op) with
+          | ( Compiled p,
+              Cosy_op.(Set _ | Arith _ | Jmp _ | Jz _ | Call_user _ | Halt) )
+            when p.Cosy_plan.hoisted.(cur) ->
+              cost.Ksim.Cost_model.kopt_exec_op_hoisted
+          | _ -> op_rate);
+        match op with
         | Cosy_op.Set { dst; src } ->
             slots.(dst) <- int_arg slots src;
             incr pc
@@ -399,26 +572,24 @@ let execute t sys compound =
             slots.(dst) <- v;
             incr pc
         | Cosy_op.Syscall { dst; sysno; args } ->
-            slots.(dst) <- do_syscall t slots sysno args;
+            (match (rewrite, args) with
+            | (Cosy_plan.Cache_fd | Cosy_plan.Cache_close), fd :: _ ->
+                (* resolved before the syscall's span opens *)
+                let fd = int_arg slots fd in
+                resolve_fd t clock cost fd;
+                slots.(dst) <- do_syscall t slots sysno args;
+                (match rewrite with
+                | Cosy_plan.Cache_close ->
+                    t.fd_cache <- List.filter (fun f -> f <> fd) t.fd_cache
+                | _ -> ())
+            | _ -> slots.(dst) <- do_syscall t slots sysno args);
             incr pc
         | Cosy_op.Jmp target ->
-            if target <= cur then begin
-              t.backedges <- t.backedges + 1;
-              Kstats.incr t.kstats t.st_backedges;
-              Ksim.Scheduler.checkpoint (Ksim.Kernel.sched kernel);
-              (* verified compounds proved their loops bounded at
-                 admission; the preemption checkpoint above still runs *)
-              if not verified then Cosy_safety.watchdog_check t.safety
-            end;
+            if target <= cur then backedge t kernel ~admitted;
             pc := target
         | Cosy_op.Jz { cond; target } ->
             if int_arg slots cond = 0 then begin
-              if target <= cur then begin
-                t.backedges <- t.backedges + 1;
-                Kstats.incr t.kstats t.st_backedges;
-                Ksim.Scheduler.checkpoint (Ksim.Kernel.sched kernel);
-                if not verified then Cosy_safety.watchdog_check t.safety
-              end;
+              if target <= cur then backedge t kernel ~admitted;
               pc := target
             end
             else incr pc
@@ -426,8 +597,8 @@ let execute t sys compound =
             slots.(dst) <- do_call_user t slots fname args;
             incr pc
         | Cosy_op.Halt -> running := false)
-      done;
-      slots
+  done;
+  slots
 
 (* Submit a compound for execution: the single boundary crossing that
    replaces the whole marked code segment's worth of syscalls.  The stay
@@ -451,11 +622,6 @@ let submit t compound =
   Kperf.span_end perf ~pid ~arg:(t.ops_executed - ops_before) span;
   slots
 
-(* Exported for the kopt plan executor, which replays the same lowering
-   (typed request or in-place read, service dispatch, deposit, kperf
-   span) for the syscall ops it does not rewrite. *)
-let exec_syscall = do_syscall
-
 type stats = {
   submits : int;
   ops_executed : int;
@@ -463,6 +629,8 @@ type stats = {
   user_calls : int;
   watchdog_kills : int;
   segment_loads : int;
+  fd_resolved : int;
+  fd_reused : int;
 }
 
 let stats (t : t) =
@@ -473,4 +641,6 @@ let stats (t : t) =
     user_calls = t.user_calls;
     watchdog_kills = Cosy_safety.watchdog_kills t.safety;
     segment_loads = Cosy_safety.segment_loads t.safety;
+    fd_resolved = t.fd_resolved;
+    fd_reused = t.fd_reused;
   }

@@ -2,6 +2,8 @@
 
     [submit] crosses the boundary once, decodes the compound (charging
     per-op decode cost), and executes the operations in kernel mode.
+    One op loop runs every {!admission} outcome, compiled plans
+    included.
     Syscall ops dispatch to the same in-kernel service routines ordinary
     syscalls use, so every permission check still runs — only crossings
     and copies disappear.  Loop back-edges hit the scheduler's preemption
@@ -27,21 +29,27 @@ val shared : t -> Shared_buffer.t
 
 val safety : t -> Cosy_safety.t
 
-(** What admission decided about one submitted compound. *)
+(** What admission decided about one submitted compound.  Every
+    outcome runs in the same op loop and counts ops (a rewritten pair
+    as two) and back-edges as they execute, so a kill mid-compound
+    leaves the same counts on every path. *)
 type admission =
   | Dynamic
       (** not admitted: run under the back-edge watchdog on the full
-          [cosy_exec_op] cost — today's path, bit-for-bit *)
+          [cosy_exec_op] cost *)
   | Verified
       (** statically verified: run on the cheaper [cosy_exec_op_verified]
           cost with the back-edge watchdog elided (its loops were proven
           bounded — the preemption checkpoint still runs) *)
-  | Compiled of (unit -> int array * int * int)
+  | Compiled of Cosy_plan.t
       (** admitted and compiled (or found in a compiled-program cache):
-          the thunk executes the specialized program and returns the
-          final register file plus the logical op and back-edge counts
-          it performed, which [submit] folds into the extension's
-          counters; the watchdog is elided as for [Verified] *)
+          the plan's ops run without a decode, after a
+          [n_loops * kopt_loop_hoist] preamble, at [kopt_exec_op] (or
+          [kopt_exec_op_hoisted] for a non-syscall op in a proven
+          counted loop); its rewrites run coalesced and fused pairs
+          (one gate verdict per original op, in order) and resolve fd
+          operands through a per-execution cache that [close] evicts.
+          The watchdog is elided as for [Verified]. *)
 
 (** Install/remove the admission hook.  [submit] calls it once per
     compound, inside the kernel stay after the safety watchdog is armed;
@@ -52,18 +60,6 @@ val set_admission : t -> (Compound.t -> admission) option -> unit
 
 (** Compounds admitted on the watchdog-elided path so far. *)
 val watchdog_elisions : t -> int
-
-(** {1 Interpreter internals exposed for the kopt plan executor} *)
-
-(** Resolve an integer operand against the register file.
-    @raise Exec_error on out-of-range slots or string immediates. *)
-val int_arg : int array -> Cosy_op.arg -> int
-
-(** [exec_syscall t slots sysno args] lowers one syscall op to a typed
-    request, dispatches it through the same in-kernel service path
-    [submit] uses (gate, service routine, kperf span, shared-buffer
-    deposit), and returns the C-style return value. *)
-val exec_syscall : t -> int array -> int -> Cosy_op.arg list -> int
 
 (** Execute a compound in the shared kernel stay
     ({!Ksyscall.Usyscall.stay}); returns the final register file.  Every
@@ -86,6 +82,8 @@ type stats = {
   user_calls : int;
   watchdog_kills : int;
   segment_loads : int;
+  fd_resolved : int;  (** distinct fd resolutions charged under plans *)
+  fd_reused : int;    (** fd uses a plan's resolution cache answered *)
 }
 
 val stats : t -> stats

@@ -51,10 +51,11 @@ type t = {
   safe_runs : (string, int) Hashtbl.t;  (* user fn -> clean completions *)
   mutable watchdog_kills : int;
   mutable segment_loads : int;
-  fault : (Kfault.t * Kfault.site) option;  (* cosy.watchdog_early *)
+  fault : Kfault.t;
+  site_early : Kfault.site;  (* cosy.watchdog_early *)
 }
 
-let create ?fault ~policy ~clock ~cost () =
+let create ~fault ~policy ~clock ~cost () =
   {
     policy;
     clock;
@@ -63,8 +64,8 @@ let create ?fault ~policy ~clock ~cost () =
     safe_runs = Hashtbl.create 8;
     watchdog_kills = 0;
     segment_loads = 0;
-    fault =
-      Option.map (fun kf -> (kf, Kfault.register kf "cosy.watchdog_early")) fault;
+    fault;
+    site_early = Kfault.register fault "cosy.watchdog_early";
   }
 
 let arm t = t.entry_cycles <- Ksim.Sim_clock.now t.clock
@@ -78,11 +79,7 @@ let watchdog_check t =
   (* injected early expiry: the timer interrupt fired spuriously while
      the compound was still under budget — same kill path, same
      cleanup, which is exactly what the sweep needs to exercise *)
-  let early =
-    match t.fault with
-    | Some (kf, site) -> Kfault.fire kf site
-    | None -> false
-  in
+  let early = Kfault.fire t.fault t.site_early in
   if used > t.policy.watchdog_budget || early then begin
     t.watchdog_kills <- t.watchdog_kills + 1;
     raise (Watchdog_expired { used; budget = t.policy.watchdog_budget })

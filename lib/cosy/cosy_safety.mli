@@ -32,7 +32,7 @@ type t
     raise {!Watchdog_expired} while still under budget, exercising the
     kill/cleanup path on demand. *)
 val create :
-  ?fault:Kfault.t ->
+  fault:Kfault.t ->
   policy:policy ->
   clock:Ksim.Sim_clock.t ->
   cost:Ksim.Cost_model.t ->

@@ -1,8 +1,10 @@
 (** kopt: optimizing admitted programs.
 
     An optimization pass that runs after {!Kverify} admits a Cosy
-    compound or kring batch, compiling it into a specialized internal
-    program:
+    compound or kring batch, compiling it into a specialized program.
+    kopt keeps only the compiler ({!Plan}) and the cache: a compiled
+    compound is a {!Cosy.Cosy_plan.t} that {!Cosy.Cosy_exec}'s one op
+    loop runs, and a batch plan is a {!Kring.plan}.  The rewrites:
 
     - {b fd-resolution caching}: each distinct descriptor value is
       resolved (and charged) once per execution; [close] evicts.
@@ -64,11 +66,5 @@ val hits : t -> int
 val misses : t -> int
 
 val compiles : t -> int
-
-(** Distinct fd resolutions charged across executions. *)
-val fd_resolved : t -> int
-
-(** fd uses answered by the per-execution resolution cache. *)
-val fd_reused : t -> int
 
 val cache_size : t -> int

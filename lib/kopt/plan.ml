@@ -22,44 +22,20 @@
    Rewrites are refused whenever equivalence is not syntactically
    evident: non-contiguous or overlapping ranges, fd operands that
    differ or depend on the first op's result, non-constant lengths, or
-   a jump landing between the two halves of a pair.  Execution lives in
-   {!Kopt}; instructions stay indexed by original op position so the
-   compound's jumps need no relocation. *)
+   a jump landing between the two halves of a pair.  The compiler also
+   marks, once, which syscall ops take a descriptor operand (resolved
+   through the per-execution fd cache; [close] evicts).  Execution lives
+   in {!Cosy.Cosy_exec}, which runs the {!Cosy.Cosy_plan.t} built here;
+   positions stay the original op indices, so the compound's jumps need
+   no relocation. *)
 
 module Op = Cosy.Cosy_op
-
-type group_kind = G_read | G_pread | G_write
-
-type instr =
-  | I_op of Op.op  (* unchanged: executes exactly like the interpreter *)
-  | I_coalesce of {
-      kind : group_kind;
-      dst_a : int;
-      dst_b : int;
-      fd : Op.arg;  (* syntactically identical in both halves *)
-      off : int;    (* shared offset of the merged range *)
-      len_a : int;
-      len_b : int;
-      foff : int;   (* pread only: file offset of the merged range *)
-    }
-  | I_fuse of {
-      dst_r : int;
-      dst_w : int;
-      fd_r : Op.arg;
-      fd_w : Op.arg;
-      off : int;
-      len : int;
-    }
-  | I_skip  (* second half of a pair; unreachable by construction *)
+module P = Cosy.Cosy_plan
 
 type t = {
-  instrs : instr array;
-  hoisted : bool array;  (* op index lies inside a proven counted loop *)
-  n_loops : int;
-  slot_count : int;
-  op_count : int;
+  code : P.t;
   coalesced_pairs : int;
-  coalesced_bytes : int;
+  coalesced_bytes : int;  (* bytes moved by merged transfers *)
   fused_pairs : int;
   hoisted_ops : int;
 }
@@ -99,9 +75,9 @@ let pair_rewrite ~shared_size ops i =
              && o2 = o1 + n1
              && o1 + n1 + n2 <= shared_size ->
           Some
-            (I_coalesce
+            (P.Coalesce
                {
-                 kind = G_read;
+                 kind = P.G_read;
                  dst_a;
                  dst_b;
                  fd = fd1;
@@ -122,9 +98,9 @@ let pair_rewrite ~shared_size ops i =
              && f2 = f1 + n1
              && o1 + n1 + n2 <= shared_size ->
           Some
-            (I_coalesce
+            (P.Coalesce
                {
-                 kind = G_pread;
+                 kind = P.G_pread;
                  dst_a;
                  dst_b;
                  fd = fd1;
@@ -141,9 +117,9 @@ let pair_rewrite ~shared_size ops i =
              && o2 = o1 + n1
              && o1 + n1 + n2 <= shared_size ->
           Some
-            (I_coalesce
+            (P.Coalesce
                {
-                 kind = G_write;
+                 kind = P.G_write;
                  dst_a;
                  dst_b;
                  fd = fd1;
@@ -159,13 +135,24 @@ let pair_rewrite ~shared_size ops i =
           [ fd_w; Op.Shared o2; Op.Const n2 ] )
         when o1 = o2 && n1 = n2 && n1 >= 0 && o1 >= 0 && indep fd_w
              && o1 + n1 <= shared_size ->
-          Some (I_fuse { dst_r = dst_a; dst_w = dst_b; fd_r; fd_w; off = o1; len = n1 })
+          Some (P.Fuse { dst_r = dst_a; dst_w = dst_b; fd_r; fd_w; off = o1; len = n1 })
       | _ -> None)
   | _ -> None
 
+(* A syscall whose first operand is a file descriptor goes through the
+   fd-resolution cache; [close] also evicts. *)
+let fd_rewrite = function
+  | Op.Syscall { args = _ :: _; sysno; _ } -> (
+      match name_of sysno with
+      | "close" -> P.Cache_close
+      | "read" | "write" | "pread" | "pwrite" | "lseek" | "fstat" | "fsync" ->
+          P.Cache_fd
+      | _ -> P.Keep)
+  | _ -> P.Keep
+
 let compile ~shared_size ~(loops : Kverify.Checker.loop list) ops ~slot_count =
   let n = Array.length ops in
-  let instrs = Array.make n I_skip in
+  let rewrites = Array.make n P.Skip in
   let hoisted = Array.make n false in
   List.iter
     (fun { Kverify.Checker.l_head; l_back; _ } ->
@@ -185,29 +172,23 @@ let compile ~shared_size ~(loops : Kverify.Checker.loop list) ops ~slot_count =
         pair_rewrite ~shared_size ops cur
       else None
     in
-    (match paired with
-    | Some (I_coalesce c as ins) ->
-        instrs.(cur) <- ins;
-        instrs.(cur + 1) <- I_skip;
+    match paired with
+    | Some (P.Coalesce c as rw) ->
+        rewrites.(cur) <- rw;
         incr coalesced_pairs;
         coalesced_bytes := !coalesced_bytes + c.len_a + c.len_b;
         i := cur + 2
-    | Some (I_fuse _ as ins) ->
-        instrs.(cur) <- ins;
-        instrs.(cur + 1) <- I_skip;
+    | Some (P.Fuse _ as rw) ->
+        rewrites.(cur) <- rw;
         incr fused_pairs;
         i := cur + 2
-    | Some (I_op _ | I_skip) | None ->
-        instrs.(cur) <- I_op ops.(cur);
-        i := cur + 1)
+    | Some (P.Keep | P.Cache_fd | P.Cache_close | P.Skip) | None ->
+        rewrites.(cur) <- fd_rewrite ops.(cur);
+        i := cur + 1
   done;
   let hoisted_ops = Array.fold_left (fun a h -> if h then a + 1 else a) 0 hoisted in
   {
-    instrs;
-    hoisted;
-    n_loops = List.length loops;
-    slot_count;
-    op_count = n;
+    code = { P.ops; rewrites; hoisted; n_loops = List.length loops; slot_count };
     coalesced_pairs = !coalesced_pairs;
     coalesced_bytes = !coalesced_bytes;
     fused_pairs = !fused_pairs;
@@ -217,31 +198,33 @@ let compile ~shared_size ~(loops : Kverify.Checker.loop list) ops ~slot_count =
 (* --- pretty-printing (kverify_tool opt) --------------------------------- *)
 
 let pp_kind ppf = function
-  | G_read -> Fmt.string ppf "read"
-  | G_pread -> Fmt.string ppf "pread"
-  | G_write -> Fmt.string ppf "write"
+  | P.G_read -> Fmt.string ppf "read"
+  | P.G_pread -> Fmt.string ppf "pread"
+  | P.G_write -> Fmt.string ppf "write"
 
-let pp_instr ppf = function
-  | I_op op -> Op.pp_op ppf op
-  | I_coalesce { kind; dst_a; dst_b; fd; off; len_a; len_b; foff } ->
+let pp_at code ppf i =
+  match code.P.rewrites.(i) with
+  | P.Keep | P.Cache_fd | P.Cache_close -> Op.pp_op ppf code.P.ops.(i)
+  | P.Coalesce { kind; dst_a; dst_b; fd; off; len_a; len_b; foff } ->
       Fmt.pf ppf "r%d,r%d := bulk_%a(%a, shared+%d, %d+%d%t)" dst_a dst_b
         pp_kind kind Op.pp_arg fd off len_a len_b (fun ppf ->
-          if kind = G_pread then Fmt.pf ppf ", @%d" foff)
-  | I_fuse { dst_r; dst_w; fd_r; fd_w; off; len } ->
+          if kind = P.G_pread then Fmt.pf ppf ", @%d" foff)
+  | P.Fuse { dst_r; dst_w; fd_r; fd_w; off; len } ->
       Fmt.pf ppf "r%d,r%d := splice(%a -> %a, shared+%d, %d)" dst_r dst_w
         Op.pp_arg fd_r Op.pp_arg fd_w off len
-  | I_skip -> Fmt.string ppf "(merged into previous)"
+  | P.Skip -> Fmt.string ppf "(merged into previous)"
 
 let pp ppf t =
-  Fmt.pf ppf "ops: %d -> %d instructions@." t.op_count
-    (t.op_count - t.coalesced_pairs - t.fused_pairs);
+  let code = t.code in
+  let n = Array.length code.P.ops in
+  Fmt.pf ppf "ops: %d -> %d instructions@." n
+    (n - t.coalesced_pairs - t.fused_pairs);
   Fmt.pf ppf
     "coalesced pairs: %d (%d bytes), fused pairs: %d, counted loops: %d \
      (%d ops hoisted)@."
-    t.coalesced_pairs t.coalesced_bytes t.fused_pairs t.n_loops t.hoisted_ops;
+    t.coalesced_pairs t.coalesced_bytes t.fused_pairs code.P.n_loops
+    t.hoisted_ops;
   Array.iteri
-    (fun i ins ->
-      Fmt.pf ppf "  %3d%s %a@." i
-        (if t.hoisted.(i) then "*" else " ")
-        pp_instr ins)
-    t.instrs
+    (fun i hoisted ->
+      Fmt.pf ppf "  %3d%s %a@." i (if hoisted then "*" else " ") (pp_at code) i)
+    code.P.hoisted

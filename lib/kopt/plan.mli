@@ -1,56 +1,26 @@
-(** The kopt compiler: rewrite an admitted compound into a specialized
-    program.
+(** The kopt compiler: rewrite an admitted compound into a
+    {!Cosy.Cosy_plan.t}, which {!Cosy.Cosy_exec} runs in its one op loop.
 
     Purely syntactic — runs over the decoded ops of a compound the
     {!Kverify.Checker} already admitted, pairing adjacent syscall ops it
     can prove equivalent to a single bulk transfer (coalescing), a
-    splice-style dispatch (fusion), and marking the spans of proven
-    counted loops for invariant hoisting.  Instructions stay indexed by
-    original op position, so the compound's jumps need no relocation:
-    the second half of a pair becomes an unreachable {!I_skip} (pairing
-    is refused when a jump targets it).
+    splice-style dispatch (fusion), marking the spans of proven counted
+    loops for invariant hoisting, and marking the syscall ops whose
+    first operand is a descriptor for the fd-resolution cache.
+    Positions stay the original op indices, so the compound's jumps need
+    no relocation: the second half of a pair becomes an unreachable
+    [Skip] (pairing is refused when a jump targets it).
 
     Refusal is the default: non-contiguous or overlapping ranges,
     differing fd operands, an fd that depends on the first op's result,
     or non-constant lengths all leave the ops untouched. *)
 
-type group_kind = G_read | G_pread | G_write
-
-type instr =
-  | I_op of Cosy.Cosy_op.op
-      (** unchanged: executes exactly like the interpreter *)
-  | I_coalesce of {
-      kind : group_kind;
-      dst_a : int;
-      dst_b : int;
-      fd : Cosy.Cosy_op.arg;  (** syntactically identical in both halves *)
-      off : int;              (** shared offset of the merged range *)
-      len_a : int;
-      len_b : int;
-      foff : int;             (** pread only: file offset of the range *)
-    }  (** two adjacent transfers on contiguous ranges, one bulk copy *)
-  | I_fuse of {
-      dst_r : int;
-      dst_w : int;
-      fd_r : Cosy.Cosy_op.arg;
-      fd_w : Cosy.Cosy_op.arg;
-      off : int;
-      len : int;
-    }  (** read→write of the same region, one splice dispatch *)
-  | I_skip  (** second half of a pair; unreachable by construction *)
-
 type t = {
-  instrs : instr array;
-  hoisted : bool array;
-      (** op index lies inside a proven counted loop: per-iteration
-          checks hoisted, body runs at [kopt_exec_op_hoisted] *)
-  n_loops : int;
-  slot_count : int;
-  op_count : int;          (** original op count *)
+  code : Cosy.Cosy_plan.t;  (** what [Cosy_exec] runs *)
   coalesced_pairs : int;
-  coalesced_bytes : int;   (** bytes moved by merged transfers *)
+  coalesced_bytes : int;    (** bytes moved by merged transfers *)
   fused_pairs : int;
-  hoisted_ops : int;
+  hoisted_ops : int;        (** ops inside proven counted loops *)
 }
 
 (** [compile ~shared_size ~loops ops ~slot_count] builds the plan for an
@@ -62,8 +32,6 @@ val compile :
   Cosy.Cosy_op.op array ->
   slot_count:int ->
   t
-
-val pp_instr : Format.formatter -> instr -> unit
 
 (** Render the whole plan: rewrite summary plus one line per original
     op index ([*] marks hoisted spans). *)

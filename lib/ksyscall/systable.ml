@@ -31,7 +31,7 @@ type t = {
   mutable tracer : (trace_record -> unit) option;
   (* the (single) dispatch-admission hook; [None] costs one branch *)
   mutable gate : gate option;
-  counts : (Sysno.t, int) Hashtbl.t;
+  counts : int array;  (* per-syscall invocations, by [Sysno.to_int] *)
   mutable total_syscalls : int;
   (* kstats handles, lazily registered per syscall, by [Sysno.to_int] *)
   st_counters : Kstats.counter option array;
@@ -56,7 +56,7 @@ let create ?root_fs ?dcache_shards kernel =
     net = Knet.create kernel;
     tracer = None;
     gate = None;
-    counts = Hashtbl.create 64;
+    counts = Array.make nsysno 0;
     total_syscalls = 0;
     st_counters = Array.make nsysno None;
     st_hists = Array.make nsysno None;
@@ -145,8 +145,8 @@ let observe_latency t ~sysno ~cycles =
    disabled tracer costs one branch. *)
 let record t ~sysno ~req ~bytes_in ~bytes_out ~ok =
   t.total_syscalls <- t.total_syscalls + 1;
-  Hashtbl.replace t.counts sysno
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts sysno));
+  let i = Sysno.to_int sysno in
+  t.counts.(i) <- t.counts.(i) + 1;
   let stats = Ksim.Kernel.stats t.kernel in
   if Kstats.is_enabled stats then begin
     Kstats.incr stats t.st_total;
@@ -167,9 +167,5 @@ let record t ~sysno ~req ~bytes_in ~bytes_out ~ok =
           timestamp = Ksim.Kernel.now t.kernel;
         }
 
-let count t sysno = Option.value ~default:0 (Hashtbl.find_opt t.counts sysno)
+let count t sysno = t.counts.(Sysno.to_int sysno)
 let total_syscalls t = t.total_syscalls
-
-let counts t =
-  Hashtbl.fold (fun sysno n acc -> (sysno, n) :: acc) t.counts []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)

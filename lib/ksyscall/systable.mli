@@ -84,6 +84,3 @@ val observe_latency : t -> sysno:Sysno.t -> cycles:int -> unit
 val count : t -> Sysno.t -> int
 
 val total_syscalls : t -> int
-
-(** All per-syscall counts, most frequent first. *)
-val counts : t -> (Sysno.t * int) list

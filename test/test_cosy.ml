@@ -159,6 +159,22 @@ let test_watchdog_kills_infinite_loop () =
   in
   ignore cost;
   let exec = Cosy_exec.create ~policy sys in
+  (* a counted loop whose 100k iterations run far past the budget: it
+     would finish were the back-edge watchdog skipped *)
+  let c = Cosy_lib.create () in
+  let i = Cosy_lib.set_fresh c (Cosy_op.Const 0) in
+  let top = Cosy_lib.next_index c in
+  let cond =
+    Cosy_lib.arith_fresh c Cosy_op.Alt (Cosy_op.Slot i) (Cosy_op.Const 100_000)
+  in
+  let exit_at = Cosy_lib.next_index c in
+  Cosy_lib.jz c (Cosy_op.Slot cond) 0;
+  Cosy_lib.arith c ~dst:i Cosy_op.Aadd (Cosy_op.Slot i) (Cosy_op.Const 1);
+  Cosy_lib.jmp c top;
+  Cosy_lib.patch_jump c ~at:exit_at ~target:(Cosy_lib.next_index c);
+  (match Cosy_exec.submit exec (Cosy_lib.finish c) with
+  | _ -> Alcotest.fail "expected watchdog kill of the long loop"
+  | exception Cosy_safety.Watchdog_expired _ -> ());
   let c = Cosy_lib.create () in
   let top = Cosy_lib.next_index c in
   ignore (Cosy_lib.arith_fresh c Cosy_op.Aadd (Cosy_op.Const 1) (Cosy_op.Const 1));
@@ -168,7 +184,7 @@ let test_watchdog_kills_infinite_loop () =
      Alcotest.fail "expected watchdog kill"
    with Cosy_safety.Watchdog_expired { used; budget } ->
      Alcotest.(check bool) "used > budget" true (used > budget));
-  Alcotest.(check int) "kill recorded" 1 (Cosy_exec.stats exec).Cosy_exec.watchdog_kills;
+  Alcotest.(check int) "kills recorded" 2 (Cosy_exec.stats exec).Cosy_exec.watchdog_kills;
   Alcotest.(check bool) "mode restored" true (Ksim.Kernel.mode kernel = Ksim.Kernel.User)
 
 (* --- user functions & segmentation ---------------------------------------- *)

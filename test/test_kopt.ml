@@ -9,6 +9,7 @@ module Op = Cosy.Cosy_op
 module Compound = Cosy.Compound
 module Exec = Cosy.Cosy_exec
 module Plan = Kopt.Plan
+module P = Cosy.Cosy_plan
 module Checker = Kverify.Checker
 
 let sysno name = Option.get (Op.sysno_of_name name)
@@ -32,7 +33,8 @@ let file_bytes t path =
   | Error e -> Printf.sprintf "errno:%d" (Kvfs.Vtypes.errno_code e)
 
 (* run one compound on a fresh system; capture slots (or the exception),
-   the shared buffer, and the virtual cycles the submit cost *)
+   the shared buffer, the virtual cycles the submit cost, and the
+   extension *)
 let run_one ?(setup = fun _ -> ()) cfg compound =
   let t = Core.boot_with cfg in
   setup t;
@@ -47,21 +49,21 @@ let run_one ?(setup = fun _ -> ()) cfg compound =
   let shared =
     Cosy.Shared_buffer.read_string (Exec.shared cx) ~off:0 ~len:shared_size
   in
-  (t, !result, shared, tm.Ksim.Kernel.elapsed)
+  (t, !result, shared, tm.Ksim.Kernel.elapsed, cx)
 
 (* the core property: verified interpretation and optimized execution
    of the same compound are observably identical *)
 let check_twins ?setup what ops ~slot_count =
   let compound = Compound.encode ~slot_count ops in
-  let tv, rv, sv, cyv = run_one ?setup verify_cfg compound in
-  let topt, ro, so, cyo = run_one ?setup opt_cfg compound in
+  let tv, rv, sv, cyv, _ = run_one ?setup verify_cfg compound in
+  let topt, ro, so, cyo, cxo = run_one ?setup opt_cfg compound in
   Alcotest.(check (result (array int) string))
     (what ^ ": slots") rv ro;
   Alcotest.(check bool) (what ^ ": shared bytes") true (sv = so);
   Alcotest.(check string)
     (what ^ ": file /f end state")
     (file_bytes tv "/f") (file_bytes topt "/f");
-  (tv, topt, cyv, cyo)
+  (tv, topt, cyv, cyo, cxo)
 
 (* cycles of a second (steady-state) submission: on the optimized system
    the compile cost has amortized and the cache hit skips admission *)
@@ -122,13 +124,16 @@ let test_plan_coalesce () =
   in
   Alcotest.(check (pair int int)) "one coalesced pair" (1, 0) (counts plan);
   Alcotest.(check int) "1024 bytes merged" 1024 plan.Plan.coalesced_bytes;
-  (match plan.Plan.instrs.(1) with
-  | Plan.I_coalesce { kind = Plan.G_read; off = 0; len_a = 512; len_b = 512; _ }
-    -> ()
+  (match plan.Plan.code.P.rewrites.(1) with
+  | P.Coalesce { kind = P.G_read; off = 0; len_a = 512; len_b = 512; _ } -> ()
   | _ -> Alcotest.fail "op 1 should be the merged bulk read");
-  match plan.Plan.instrs.(2) with
-  | Plan.I_skip -> ()
-  | _ -> Alcotest.fail "op 2 should be skipped"
+  (match plan.Plan.code.P.rewrites.(2) with
+  | P.Skip -> ()
+  | _ -> Alcotest.fail "op 2 should be skipped");
+  (* descriptor operands are marked for the fd cache at compile time *)
+  match (plan.Plan.code.P.rewrites.(0), plan.Plan.code.P.rewrites.(3)) with
+  | P.Keep, P.Cache_close -> ()
+  | _ -> Alcotest.fail "open should run as decoded, close should evict"
 
 (* each guard that must refuse pairing, as (name, ops) *)
 let refusals =
@@ -196,8 +201,8 @@ let test_plan_fuse () =
       ]
   in
   Alcotest.(check (pair int int)) "one fused pair" (0, 1) (counts plan);
-  match plan.Plan.instrs.(2) with
-  | Plan.I_fuse { off = 0; len = 1024; _ } -> ()
+  match plan.Plan.code.P.rewrites.(2) with
+  | P.Fuse { off = 0; len = 1024; _ } -> ()
   | _ -> Alcotest.fail "op 2 should be the splice"
 
 let getpid_loop iters =
@@ -214,10 +219,10 @@ let getpid_loop iters =
 
 let test_plan_hoist () =
   let plan = compile ~slot_count:4 (getpid_loop 10) in
-  Alcotest.(check int) "one counted loop" 1 plan.Plan.n_loops;
+  Alcotest.(check int) "one counted loop" 1 plan.Plan.code.P.n_loops;
   Alcotest.(check bool) "body ops hoisted" true (plan.Plan.hoisted_ops >= 5);
-  Alcotest.(check bool) "loop body marked" true plan.Plan.hoisted.(3);
-  Alcotest.(check bool) "halt not marked" false plan.Plan.hoisted.(7)
+  Alcotest.(check bool) "loop body marked" true plan.Plan.code.P.hoisted.(3);
+  Alcotest.(check bool) "halt not marked" false plan.Plan.code.P.hoisted.(7)
 
 (* --- execution equivalence ----------------------------------------------- *)
 
@@ -277,7 +282,7 @@ let splice_ops =
 
 let test_exec_fuse_equivalent () =
   let setup t = put_file t "/f" (pattern 1024) in
-  let tv, topt, _, _ =
+  let tv, topt, _, _, _ =
     check_twins ~setup "fused splice" ~slot_count:6 splice_ops
   in
   Alcotest.(check string)
@@ -289,7 +294,7 @@ let test_exec_fuse_stale_suffix () =
      write still sources the full 1024-byte shared range (fresh prefix +
      stale zeros), and the fused dispatch must reproduce that *)
   let setup t = put_file t "/f" (pattern 300) in
-  let tv, topt, _, _ =
+  let tv, topt, _, _, _ =
     check_twins ~setup "short-read splice" ~slot_count:6 splice_ops
   in
   let dv = file_bytes tv "/dst" in
@@ -300,7 +305,7 @@ let test_exec_fd_closed_mid_compound () =
   (* close between two reads: the second must fail EBADF on both paths,
      and the optimizer must re-resolve (not reuse) the dead fd *)
   let setup t = put_file t "/f" (pattern 256) in
-  let _, topt, _, _ =
+  let _, _, _, _, cxo =
     check_twins ~setup "read after close" ~slot_count:4
       [
         sc_open 0 "/f" 0;
@@ -310,18 +315,33 @@ let test_exec_fd_closed_mid_compound () =
         Op.Halt;
       ]
   in
-  let ko = Option.get (Core.kopt topt) in
   Alcotest.(check int) "close evicted: fd resolved twice" 2
-    (Core.Opt.fd_resolved ko)
+    (Exec.stats cxo).Exec.fd_resolved
 
 let test_exec_loop_hoisted_and_faster () =
-  let _, _, cyv, cyo =
+  let _, _, cyv, cyo, _ =
     check_twins "counted getpid loop" ~slot_count:4 (getpid_loop 200)
   in
   Alcotest.(check bool)
     (Printf.sprintf "hoisted loop >=1.3x (%d vs %d cycles)" cyv cyo)
     true
-    (float_of_int cyv /. float_of_int (max 1 cyo) >= 1.3)
+    (float_of_int cyv /. float_of_int (max 1 cyo) >= 1.3);
+  (* one more iteration costs the verified path six ops at the verified
+     rate, the plan five hoisted ops plus the getpid at the full kopt
+     rate (a syscall op is never hoisted); the getpid itself and the
+     back-edge cost the same on both *)
+  let iteration cfg =
+    let cycles n =
+      steady_cycles cfg (Compound.encode ~slot_count:4 (getpid_loop n))
+    in
+    cycles 201 - cycles 200
+  in
+  let c = Ksim.Cost_model.default in
+  Alcotest.(check int) "per-iteration saving"
+    ((6 * c.Ksim.Cost_model.cosy_exec_op_verified)
+    - (5 * c.Ksim.Cost_model.kopt_exec_op_hoisted)
+    - c.Ksim.Cost_model.kopt_exec_op)
+    (iteration verify_cfg - iteration opt_cfg)
 
 let test_fd_cache_counters () =
   (* non-contiguous reads (no coalescing): resolve once, reuse twice *)
@@ -336,10 +356,9 @@ let test_fd_cache_counters () =
         Op.Halt;
       ]
   in
-  let t, _, _, _ = run_one ~setup opt_cfg compound in
-  let ko = Option.get (Core.kopt t) in
-  Alcotest.(check int) "fd resolved once" 1 (Core.Opt.fd_resolved ko);
-  Alcotest.(check int) "fd reused twice" 2 (Core.Opt.fd_reused ko)
+  let _, _, _, _, cx = run_one ~setup opt_cfg compound in
+  Alcotest.(check int) "fd resolved once" 1 (Exec.stats cx).Exec.fd_resolved;
+  Alcotest.(check int) "fd reused twice" 2 (Exec.stats cx).Exec.fd_reused
 
 (* --- the compiled-program cache ------------------------------------------ *)
 
@@ -417,7 +436,7 @@ let test_detached_admission_identity () =
   (* Cosy: an optimizing system whose extension has no admission stage
      runs the dynamic path exactly like a system without kopt *)
   let compound = Compound.encode ~slot_count:4 (getpid_loop 100) in
-  let _, r1, s1, cy1 = run_one Core.Config.default compound in
+  let _, r1, s1, cy1, _ = run_one Core.Config.default compound in
   let t = Core.boot_with { Core.Config.default with optimize = true } in
   let cx = Core.cosy ~shared_size t in
   Exec.set_admission cx None;
@@ -529,10 +548,11 @@ let test_ring_fused_echo_equivalent () =
 
 (* --- gate parity ------------------------------------------------------------ *)
 
-(* An automaton learned from a plain run that opens two files, reads one
-   and closes both, but never reads twice in a row nor writes right
-   after a read: exactly the transitions inside a coalesced read pair
-   and a fused read->write. *)
+(* An automaton learned from a plain run that opens two files, reads one,
+   closes both and calls getpid twice, but never reads twice in a row,
+   writes right after a read, nor mkdirs: exactly the transitions inside
+   a coalesced read pair and a fused read->write, and the op after a
+   getpid loop. *)
 let learned_automaton () =
   let t = Core.boot_with Core.Config.default in
   let recorder = Core.trace t in
@@ -543,12 +563,23 @@ let learned_automaton () =
   ignore (Core.ok (Core.Syscall.sys_read sys ~fd:a ~len:16));
   Core.ok (Core.Syscall.sys_close sys ~fd:a);
   Core.ok (Core.Syscall.sys_close sys ~fd:b);
+  ignore (Core.Syscall.sys_getpid sys);
+  ignore (Core.Syscall.sys_getpid sys);
   Core.Verify.learn recorder
 
 (* one submit under the automaton and gate [policy], interpreted
-   (verified admission) or optimized; the offender's sysno on a kill *)
+   (verified admission) or optimized; the offender's sysno on a kill,
+   and the ops and back-edges counted, from the extension and from
+   kstats *)
 let gated_run ~policy ~optimize automaton compound =
-  let t = Core.boot_with { Core.Config.default with verify = Some policy; optimize } in
+  Kstats.default_enabled := true;
+  let t =
+    Fun.protect
+      ~finally:(fun () -> Kstats.default_enabled := false)
+      (fun () ->
+        Core.boot_with
+          { Core.Config.default with verify = Some policy; optimize })
+  in
   put_file t "/f" (pattern 2048);
   let kv = Option.get (Core.kverify t) in
   Core.Verify.set_automaton kv (Some automaton);
@@ -561,7 +592,17 @@ let gated_run ~policy ~optimize automaton compound =
   in
   let counts = (Core.Verify.checked kv, Core.Verify.violations kv) in
   Core.Verify.set_automaton kv None;
-  (t, result, counts)
+  let st = Exec.stats cx in
+  let kstat name =
+    match Kstats.find (Core.stats t) name with
+    | Some (Kstats.Counter_v v) -> v
+    | _ -> -1
+  in
+  let executed =
+    [ st.Exec.ops_executed; st.Exec.backedges;
+      kstat "cosy.ops_executed"; kstat "cosy.backedges" ]
+  in
+  (t, result, counts, executed)
 
 let test_gate_parity () =
   let automaton = learned_automaton () in
@@ -582,8 +623,8 @@ let test_gate_parity () =
       let compound = Compound.encode ~slot_count:6 ops in
       let run policy optimize = gated_run ~policy ~optimize automaton compound in
       (* Deny: the forbidden op fails EPERM on both paths, the rest runs *)
-      let tv, rv, cv = run Core.Verify.Deny false in
-      let topt, ro, co = run Core.Verify.Deny true in
+      let tv, rv, cv, _ = run Core.Verify.Deny false in
+      let topt, ro, co, _ = run Core.Verify.Deny true in
       Alcotest.(check (result (array int) string)) (what ^ ": deny slots") rv ro;
       Alcotest.(check (pair int int)) (what ^ ": checked/violations") cv co;
       Alcotest.(check int) (what ^ ": one violation") 1 (snd cv);
@@ -594,16 +635,31 @@ let test_gate_parity () =
             (file_bytes tv path) (file_bytes topt path))
         [ "/f"; "/dst" ];
       Alcotest.(check int)
-        (what ^ ": the plan executor ran") 1
+        (what ^ ": compiled") 1
         (Core.Opt.compiles (Option.get (Core.kopt topt)));
-      (* Kill: both paths kill at the same op *)
-      let _, rv, _ = run Core.Verify.Kill false in
-      let _, ro, _ = run Core.Verify.Kill true in
+      (* Kill: both paths kill at the same op, having counted the same
+         ops and back-edges on the way *)
+      let _, rv, _, ev = run Core.Verify.Kill false in
+      let _, ro, _, eo = run Core.Verify.Kill true in
       Alcotest.(check (result (array int) string)) (what ^ ": kill") (Error offender) rv;
-      Alcotest.(check (result (array int) string)) (what ^ ": kill parity") rv ro)
+      Alcotest.(check (result (array int) string)) (what ^ ": kill parity") rv ro;
+      Alcotest.(check bool) (what ^ ": ops counted before the kill") true
+        (List.hd ev > 0);
+      Alcotest.(check (list int))
+        (what ^ ": ops, back-edges, cosy.ops_executed, cosy.backedges")
+        ev eo)
     [
       ("coalesced read pair", coalesced, (1, 0), "read");
       ("fused read->write", splice_ops, (0, 1), "write");
+      ( "getpid loop, then mkdir",
+        (* the loop exits to op 7, here the mkdir *)
+        List.filteri (fun i _ -> i < 7) (getpid_loop 10)
+        @ [
+            Op.Syscall { dst = 4; sysno = sysno "mkdir"; args = [ Op.Str "/d" ] };
+            Op.Halt;
+          ],
+        (0, 0),
+        "mkdir" );
     ]
 
 (* --- the property: random verified compounds are equivalent --------------- *)
@@ -668,9 +724,14 @@ let qcheck_optimized_equivalent =
       let ops = ops_of_gops gops in
       let compound = Compound.encode ~slot_count:8 ops in
       let setup t = put_file t "/f" (pattern 1024) in
-      let tv, rv, sv, _ = run_one ~setup verify_cfg compound in
-      let topt, ro, so, _ = run_one ~setup opt_cfg compound in
-      rv = ro && sv = so && file_bytes tv "/f" = file_bytes topt "/f")
+      (* three arms: dynamic (no admission), verified, optimized *)
+      let observe cfg =
+        let t, r, shared, _, cx = run_one ~setup cfg compound in
+        let st = Exec.stats cx in
+        (r, shared, file_bytes t "/f", st.Exec.ops_executed, st.Exec.backedges)
+      in
+      let dynamic = observe Core.Config.default in
+      dynamic = observe verify_cfg && dynamic = observe opt_cfg)
 
 let () =
   Alcotest.run "kopt"
