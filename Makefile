@@ -1,4 +1,4 @@
-.PHONY: all build test benchmark bench-compare bench-same bench-pairs bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
+.PHONY: all build test benchmark bench-compare bench-same bench-pairs host-profile bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
 
 all: build
 
@@ -127,6 +127,26 @@ bench-pairs:
 	       for (i in bt) { wt += ht[i] > bt[i]; wh += hh[i] < bh[i] } \
 	       printf "here wins %d/%d pairs on host_throughput, %d/%d on host_peak_heap_mb\n", wt, n["here"], wh, n["here"] }' \
 	  "$$base/rows"
+
+# Where one workload's host time goes: `make host-profile W=cosy_db
+# [SECS=20]` runs the benchmark untraced under gprofng's clock profiler
+# (1 ms samples) and prints the top 30 functions by exclusive CPU time.
+# Clock profiling can keep few of its samples on a shared or virtual
+# machine, hence the 20-s default.  The experiment directory goes in a
+# throwaway directory under $(TMPDIR).  Needs gprofng; not part of
+# `check`.
+SECS ?= 20
+host-profile:
+	@test -n "$(W)" || { echo "usage: make host-profile W=<workload> [SECS=20]"; exit 2; }
+	@command -v gprofng > /dev/null || { echo "host-profile: gprofng not found"; exit 2; }
+	@dune build --root . --display quiet benchmark/main.exe && \
+	dir=$$(mktemp -d "$(TMPDIR)/host-profile.XXXXXX") && \
+	trap 'rm -rf "$$dir"' EXIT && \
+	gprofng collect app -p 1 -o "$$dir/run.er" \
+	  ./_build/default/benchmark/main.exe --workload $(W) --seconds $(SECS) \
+	  --trace 0 > "$$dir/run.out" && \
+	grep -E ' (host_throughput|host_peak_heap_mb) ' "$$dir/run.out"; \
+	gprofng display text -limit 30 -functions "$$dir/run.er"
 
 # The C10K serving experiment at full scale: 100/1k/10k connections,
 # four serving variants, 1 and 4 CPUs.  Takes a few minutes.

@@ -124,10 +124,7 @@ let attach_kefence t kf =
    service_close uses: sockets above [Knet.handle_base], VFS files
    below.  Ascending fd order, for determinism. *)
 let reap_fds t (p : Ksim.Kproc.t) =
-  let fds =
-    Hashtbl.fold (fun fd handle acc -> (fd, handle) :: acc) p.Ksim.Kproc.fd_table []
-    |> List.sort compare
-  in
+  let fds = Ksim.Kproc.fds p in
   List.iter
     (fun (fd, handle) ->
       ignore (Ksim.Kproc.release_fd p fd);

@@ -43,7 +43,9 @@ type t
 
 (** [now]/[cpu]/[charge] default to constants suitable for standalone
     use (tests); the kernel wires its clock, scheduler and cost model.
-    [ring_capacity] is per CPU.  Counters register into [stats]. *)
+    [ring_capacity] is per CPU; a CPU's ring is allocated on the first
+    event it stores, so a tracer that records nothing holds no ring
+    storage.  Counters register into [stats]. *)
 val create :
   ?enabled:bool ->
   ?mode:mode ->

@@ -22,7 +22,7 @@ type t = {
   mutable io_wait : int;            (* cycles spent waiting on disk I/O *)
   mutable io_wait_at_entry : int;   (* io_wait snapshot at kernel entry *)
   mutable kernel_budget_used : int; (* continuous kernel cycles (Cosy watchdog) *)
-  mutable fd_table : (int, int) Hashtbl.t; (* fd -> vfs file handle *)
+  mutable fd_table : int Int_table.t; (* fd -> vfs file handle *)
   mutable next_fd : int;
   mutable cwd : string;
 }
@@ -40,7 +40,7 @@ let create ?(cpu = 0) ~pid ~name () =
     io_wait = 0;
     io_wait_at_entry = 0;
     kernel_budget_used = 0;
-    fd_table = Hashtbl.create 16;
+    fd_table = Int_table.create 16;
     next_fd = 3;  (* 0,1,2 reserved as in Unix *)
     cwd = "/";
   }
@@ -48,22 +48,28 @@ let create ?(cpu = 0) ~pid ~name () =
 let alloc_fd t handle =
   let fd = t.next_fd in
   t.next_fd <- t.next_fd + 1;
-  Hashtbl.replace t.fd_table fd handle;
+  Int_table.replace t.fd_table fd handle;
   fd
 
 (* The handle behind [fd], or -1 when none (handles are never
    negative): one table probe and no option box. *)
 let find_fd t fd =
-  match Hashtbl.find t.fd_table fd with h -> h | exception Not_found -> -1
+  match Int_table.find t.fd_table fd with h -> h | exception Not_found -> -1
 
 let release_fd t fd =
-  match Hashtbl.find_opt t.fd_table fd with
+  match Int_table.find_opt t.fd_table fd with
   | None -> None
   | Some h ->
-      Hashtbl.remove t.fd_table fd;
+      Int_table.remove t.fd_table fd;
       Some h
 
-let open_fd_count t = Hashtbl.length t.fd_table
+let open_fd_count t = Int_table.length t.fd_table
+
+(* The open (fd, handle) pairs, ascending by fd whatever the table's
+   bucket order. *)
+let fds t =
+  Int_table.fold (fun fd handle acc -> (fd, handle) :: acc) t.fd_table []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let pp ppf t =
   Fmt.pf ppf "pid=%d %s %a utime=%d stime=%d syscalls=%d" t.pid t.name

@@ -114,15 +114,16 @@ let bucket_of_value v =
       v := !v lsr 1;
       i := !i + 1
     done;
-    min !i (n_buckets - 1)
+    Int.min !i (n_buckets - 1)
   end
 
 let bucket_bounds i =
   if i <= 0 then (0, 1) else (1 lsl i, (1 lsl (i + 1)) - 1)
 
 let record_hist h v =
-  let v = max 0 v in
-  h.buckets.(bucket_of_value v) <- h.buckets.(bucket_of_value v) + 1;
+  let v = Int.max 0 v in
+  let b = bucket_of_value v in
+  h.buckets.(b) <- h.buckets.(b) + 1;
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum + v;
   if v < h.h_min then h.h_min <- v;

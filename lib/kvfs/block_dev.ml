@@ -21,7 +21,7 @@ type t = {
   block_size : int;
   cache_blocks : int;
   policy : policy;
-  cache : (int, bool ref) Hashtbl.t;  (* resident -> reference bit *)
+  cache : bool ref Ksim.Int_table.t;  (* resident -> reference bit *)
   arrival : int Queue.t;              (* clock hand order *)
   kstats : Kstats.t;
   st_reads : Kstats.counter;
@@ -60,7 +60,7 @@ let create ?(block_size = 4096) ?(cache_blocks = 150_000)
     (* start small and let the table grow: sized for [cache_blocks] up
        front it would cost megabytes of buckets per boot, most never
        used; eviction reads only its length and the arrival queue *)
-    cache = Hashtbl.create 256;
+    cache = Ksim.Int_table.create 256;
     arrival = Queue.create ();
     kstats;
     st_reads = Kstats.counter kstats "blockdev.reads";
@@ -98,7 +98,7 @@ let evict_one t =
     match Queue.take_opt t.arrival with
     | None -> ()
     | Some candidate -> (
-        match Hashtbl.find t.cache candidate with
+        match Ksim.Int_table.find t.cache candidate with
         | exception Not_found -> hand ()  (* stale queue entry *)
         | refbit ->
             if t.policy = Second_chance && !refbit then begin
@@ -107,24 +107,28 @@ let evict_one t =
               hand ()
             end
             else begin
-              Hashtbl.remove t.cache candidate;
+              Ksim.Int_table.remove t.cache candidate;
               Kstats.incr t.kstats t.st_evictions
             end)
   in
   hand ()
 
 let touch t blk =
-  match Hashtbl.find t.cache blk with
+  match Ksim.Int_table.find t.cache blk with
   | refbit -> refbit := true
   | exception Not_found ->
-      Hashtbl.replace t.cache blk (ref false);
+      Ksim.Int_table.replace t.cache blk (ref false);
       Queue.push blk t.arrival;
-      if Hashtbl.length t.cache > t.cache_blocks then evict_one t
+      if Ksim.Int_table.length t.cache > t.cache_blocks then evict_one t
+
+(* A freed block leaves the cache at once rather than when the hand
+   reaches it; its queue entry goes stale, which [evict_one] skips. *)
+let forget t blk = Ksim.Int_table.remove t.cache blk
 
 (* Read one block: free on cache hit, seek+transfer on miss. *)
 let read_block t blk =
   Kstats.incr t.kstats t.st_reads;
-  match Hashtbl.find t.cache blk with
+  match Ksim.Int_table.find t.cache blk with
   | refbit ->
       refbit := true;
       Kstats.incr t.kstats t.st_cache_hits
@@ -195,6 +199,8 @@ let image t : image =
   let copy = Hashtbl.create (max 16 (Hashtbl.length t.image)) in
   Hashtbl.iter (fun blk data -> Hashtbl.replace copy blk (Bytes.copy data)) t.image;
   copy
+
+let max_chain t = Ksim.Int_table.max_chain t.cache
 
 type stats = {
   reads : int;

@@ -49,6 +49,11 @@ val block_size : t -> int
 val read_block : t -> int -> unit
 val write_block : t -> int -> unit
 
+(** Drop a freed block from the cache, so a dead file's blocks stop
+    counting against [cache_blocks].  Costs no simulated time; a block
+    not resident is ignored. *)
+val forget : t -> int -> unit
+
 (** [write_block_data t blk data] is {!write_block} (once per spanned
     block) plus durability: the payload enters the image.  Probes the
     [blockdev.crash_point] fault site {e before} persisting, so a fired
@@ -63,6 +68,10 @@ val read_block_data : t -> int -> string option
 (** Deep-copy snapshot of the persistent image — what a reboot may
     start from. *)
 val image : t -> image
+
+(** The longest bucket chain in the cache's table (see
+    {!Ksim.Int_table.max_chain}). *)
+val max_chain : t -> int
 
 type stats = {
   reads : int;

@@ -20,6 +20,9 @@ type inode = {
   kind : Vtypes.kind;
   mutable pages : Bytes.t array;   (* regular files; see the page shape *)
   mutable size : int;
+  (* file block -> disk block, -1 while unallocated; grown on demand
+     and never shrunk, so a truncated file keeps its blocks *)
+  mutable blocks : int array;
   (* directory entries: name -> (ino, arrival sequence); the sequence
      preserves insertion order for readdir without making create O(n).
      Regular files all share [no_children], which is never written. *)
@@ -48,15 +51,15 @@ let dir_count d = Hashtbl.length d.children
 type t = {
   kernel : Ksim.Kernel.t;
   dev : Block_dev.t;
-  inodes : (int, inode) Hashtbl.t;
+  inodes : inode Ksim.Int_table.t;
   mutable next_ino : int;
   mutable next_block : int;        (* naive block placement cursor *)
-  block_of_ino : (int, int) Hashtbl.t; (* [block_key] ino fblock -> disk block *)
-  (* allocation accounting, checked by fsck: which disk blocks are in
-     use, and which data blocks each live inode owns (file blocks only;
-     metadata blocks are keyed by pseudo-ino and never freed) *)
-  bitmap : (int, unit) Hashtbl.t;
-  blocks_of : (int, (int * int) list ref) Hashtbl.t; (* ino -> (fblock, blk) *)
+  (* metadata block of inodes [32m, 32m + 31] at [m], -1 while
+     unallocated; shared by 32 inodes, so never freed *)
+  mutable meta_blocks : int array;
+  (* allocation accounting, checked by fsck against the inodes' block
+     maps and [meta_blocks]: which disk blocks are in use *)
+  bitmap : unit Ksim.Int_table.t;
 }
 
 let root_ino = 1
@@ -67,20 +70,20 @@ let create ?image kernel =
     {
       kernel;
       dev;
-      inodes = Hashtbl.create 1024;
+      inodes = Ksim.Int_table.create 1024;
       next_ino = root_ino + 1;
       next_block = 64;
-      block_of_ino = Hashtbl.create 4096;
-      bitmap = Hashtbl.create 4096;
-      blocks_of = Hashtbl.create 1024;
+      meta_blocks = [||];
+      bitmap = Ksim.Int_table.create 4096;
     }
   in
-  Hashtbl.replace t.inodes root_ino
+  Ksim.Int_table.replace t.inodes root_ino
     {
       ino = root_ino;
       kind = Vtypes.Directory;
       pages = [||];
       size = 0;
+      blocks = [||];
       children = Hashtbl.create 8;
       child_seq = 0;
       nlink = 2;
@@ -92,49 +95,50 @@ let create ?image kernel =
 let block_size t = Block_dev.block_size t.dev
 let dev t = t.dev
 
-let find t ino = Hashtbl.find_opt t.inodes ino
+let find t ino = Ksim.Int_table.find_opt t.inodes ino
 
-(* [block_of_ino]'s key for file block [fblock] (-1 for a metadata
-   block) of inode [ino]: one int, so a lookup boxes no pair.  Keys
-   order as the (ino, fblock) pairs they encode. *)
-let fblock_bits = 31
-let block_key ino fblock = (ino lsl fblock_bits) lor (fblock + 1)
-let key_ino key = key asr fblock_bits
-let key_fblock key = (key land ((1 lsl fblock_bits) - 1)) - 1
+(* Disk blocks are handed out lazily, on first touch, from one cursor
+   that only moves forward; sequential files thus get (mostly)
+   sequential blocks.  The order of first touches fixes every block
+   number, and with them [Block_dev]'s seek costs. *)
+let alloc_block t =
+  let b = t.next_block in
+  t.next_block <- b + 1;
+  Ksim.Int_table.replace t.bitmap b ();
+  b
 
-(* Map a file-relative block to a stable disk block, allocating lazily;
-   sequential files thus get (mostly) sequential blocks. *)
-let disk_block t ino fblock =
-  let key = block_key ino fblock in
-  match Hashtbl.find t.block_of_ino key with
-  | b -> b
-  | exception Not_found ->
-      let b = t.next_block in
-      t.next_block <- t.next_block + 1;
-      Hashtbl.replace t.block_of_ino key b;
-      Hashtbl.replace t.bitmap b ();
-      if fblock >= 0 then begin
-        match Hashtbl.find t.blocks_of ino with
-        | l -> l := (fblock, b) :: !l
-        | exception Not_found ->
-            Hashtbl.replace t.blocks_of ino (ref [ (fblock, b) ])
-      end;
-      b
+(* [map] grown to hold index [i]: at least doubled, the new slots -1
+   (unallocated). *)
+let grown map i =
+  let m = Array.make (Int.max (i + 1) (2 * Array.length map)) (-1) in
+  Array.blit map 0 m 0 (Array.length map);
+  m
 
-let charge_data_io t ~ino ~off ~len ~write =
+let disk_block t inode fblock =
+  if fblock >= Array.length inode.blocks then
+    inode.blocks <- grown inode.blocks fblock;
+  if inode.blocks.(fblock) < 0 then inode.blocks.(fblock) <- alloc_block t;
+  inode.blocks.(fblock)
+
+(* Inodes pack 32 to a metadata block as in Ext2/3, so hot inode tables
+   stay cache-resident even for very large directories. *)
+let meta_block t ~ino =
+  let m = ino lsr 5 in
+  if m >= Array.length t.meta_blocks then t.meta_blocks <- grown t.meta_blocks m;
+  if t.meta_blocks.(m) < 0 then t.meta_blocks.(m) <- alloc_block t;
+  t.meta_blocks.(m)
+
+let charge_data_io t inode ~off ~len ~write =
   let bs = block_size t in
-  let first = off / bs and last = (off + max 0 (len - 1)) / bs in
+  let first = off / bs and last = (off + Int.max 0 (len - 1)) / bs in
   for fb = first to last do
-    let blk = disk_block t ino fb in
+    let blk = disk_block t inode fb in
     if write then Block_dev.write_block t.dev blk
     else Block_dev.read_block t.dev blk
   done
 
-(* Metadata reads charge the block holding the inode; inodes pack 32 to
-   a block as in Ext2/3, so hot inode tables stay cache-resident even
-   for very large directories. *)
-let charge_meta_io t ~ino =
-  Block_dev.read_block t.dev (disk_block t (ino lsr 5) (-1))
+(* Metadata reads charge the block holding the inode. *)
+let charge_meta_io t ~ino = Block_dev.read_block t.dev (meta_block t ~ino)
 
 let blocks_of_size t size = (size + block_size t - 1) / block_size t
 
@@ -165,6 +169,7 @@ let new_inode t kind =
       kind;
       pages = [||];
       size = 0;
+      blocks = [||];
       children =
         (match kind with
         | Vtypes.Directory -> Hashtbl.create 8
@@ -175,22 +180,20 @@ let new_inode t kind =
       refcount = Ksim.Refcount.create ("memfs-ino-" ^ string_of_int ino);
     }
   in
-  Hashtbl.replace t.inodes ino inode;
+  Ksim.Int_table.replace t.inodes ino inode;
   inode
 
-(* Return a dead inode's data blocks to the allocator's books.  The
-   metadata block (pseudo-ino, fblock -1) is shared by 32 inodes and
-   stays allocated. *)
-let free_inode_blocks t ino =
-  match Hashtbl.find_opt t.blocks_of ino with
-  | None -> ()
-  | Some l ->
-      List.iter
-        (fun (fblock, b) ->
-          Hashtbl.remove t.block_of_ino (block_key ino fblock);
-          Hashtbl.remove t.bitmap b)
-        !l;
-      Hashtbl.remove t.blocks_of ino
+(* Return a dead inode's data blocks to the allocator's books and drop
+   them from the buffer cache.  Its metadata block is shared by 32
+   inodes and stays allocated. *)
+let free_inode_blocks t inode =
+  Array.iter
+    (fun b ->
+      if b >= 0 then begin
+        Ksim.Int_table.remove t.bitmap b;
+        Block_dev.forget t.dev b
+      end)
+    inode.blocks
 
 let as_dir t ino =
   match find t ino with
@@ -223,7 +226,7 @@ let create_node t ~dir ~name kind =
           dir_add d name inode.ino;
           d.mtime <- Ksim.Kernel.now t.kernel;
           if kind = Vtypes.Directory then d.nlink <- d.nlink + 1;
-          Block_dev.write_block t.dev (disk_block t (dir lsr 5) (-1));
+          Block_dev.write_block t.dev (meta_block t ~ino:dir);
           Ok inode.ino
         end
 
@@ -249,10 +252,10 @@ let unlink t ~dir ~name =
                                    | Vtypes.Directory -> 1
                                    | Vtypes.Regular -> 0)
                 then begin
-                  Hashtbl.remove t.inodes ino;
-                  free_inode_blocks t ino
+                  Ksim.Int_table.remove t.inodes ino;
+                  free_inode_blocks t inode
                 end;
-                Block_dev.write_block t.dev (disk_block t (dir lsr 5) (-1));
+                Block_dev.write_block t.dev (meta_block t ~ino:dir);
                 Ok ()
               end))
 
@@ -273,7 +276,7 @@ let readdir t ~dir =
       Ok (List.map entry (dir_entries d))
 
 let getattr t ~ino =
-  match Hashtbl.find t.inodes ino with
+  match Ksim.Int_table.find t.inodes ino with
   | exception Not_found -> Error Vtypes.ENOENT
   | inode ->
       charge_cpu t;
@@ -311,7 +314,7 @@ let ensure_pages inode ~bs size =
     let last = inode.pages.(n - 1) in
     let have = Bytes.length last in
     if have < tail then
-      inode.pages.(n - 1) <- grown_page last (min bs (max tail (2 * have)))
+      inode.pages.(n - 1) <- grown_page last (Int.min bs (Int.max tail (2 * have)))
   end
 
 (* Move [len] bytes between [buf] at [pos] and the file at [off]. *)
@@ -320,7 +323,7 @@ let transfer inode ~bs ~off ~len buf pos ~to_file =
   while !done_ < len do
     let at = off + !done_ in
     let page = inode.pages.(at / bs) and o = at mod bs in
-    let n = min (len - !done_) (bs - o) in
+    let n = Int.min (len - !done_) (bs - o) in
     if to_file then Bytes.blit buf (pos + !done_) page o n
     else Bytes.blit page o buf (pos + !done_) n;
     done_ := !done_ + n
@@ -331,24 +334,24 @@ let transfer inode ~bs ~off ~len buf pos ~to_file =
    is this into a buffer of exactly [n] bytes, so the two validate and
    charge the block device identically. *)
 let read_into t ~ino ~off ~len ~into ~pos =
-  match Hashtbl.find t.inodes ino with
+  match Ksim.Int_table.find t.inodes ino with
   | exception Not_found -> Error Vtypes.ENOENT
   | inode ->
       if inode.kind = Vtypes.Directory then Error Vtypes.EISDIR
       else if off < 0 || len < 0 then Error Vtypes.EINVAL
       else begin
-        let n = min len (max 0 (inode.size - off)) in
+        let n = Int.min len (Int.max 0 (inode.size - off)) in
         if pos < 0 || pos > Bytes.length into - n then
           invalid_arg "Memfs.read_into";
-        if n > 0 then charge_data_io t ~ino ~off ~len:n ~write:false;
+        if n > 0 then charge_data_io t inode ~off ~len:n ~write:false;
         transfer inode ~bs:(block_size t) ~off ~len:n into pos ~to_file:false;
         Ok n
       end
 
 let read t ~ino ~off ~len =
   let n =
-    match Hashtbl.find t.inodes ino with
-    | inode when off >= 0 && len >= 0 -> min len (max 0 (inode.size - off))
+    match Ksim.Int_table.find t.inodes ino with
+    | inode when off >= 0 && len >= 0 -> Int.min len (Int.max 0 (inode.size - off))
     | _ | (exception Not_found) -> 0
   in
   let out = Bytes.create n in
@@ -357,7 +360,7 @@ let read t ~ino ~off ~len =
   | Error e -> Error e
 
 let write t ~ino ~off ~data =
-  match Hashtbl.find t.inodes ino with
+  match Ksim.Int_table.find t.inodes ino with
   | exception Not_found -> Error Vtypes.ENOENT
   | inode ->
       if inode.kind = Vtypes.Directory then Error Vtypes.EISDIR
@@ -368,7 +371,7 @@ let write t ~ino ~off ~data =
         transfer inode ~bs ~off ~len data 0 ~to_file:true;
         if off + len > inode.size then inode.size <- off + len;
         inode.mtime <- Ksim.Kernel.now t.kernel;
-        if len > 0 then charge_data_io t ~ino ~off ~len ~write:true;
+        if len > 0 then charge_data_io t inode ~off ~len ~write:true;
         Ok len
       end
 
@@ -421,8 +424,8 @@ let rename t ~src_dir ~src ~dst_dir ~dst =
                  | _ -> ());
               sd.mtime <- Ksim.Kernel.now t.kernel;
               dd.mtime <- sd.mtime;
-              Block_dev.write_block t.dev (disk_block t (src_dir lsr 5) (-1));
-              Block_dev.write_block t.dev (disk_block t (dst_dir lsr 5) (-1));
+              Block_dev.write_block t.dev (meta_block t ~ino:src_dir);
+              Block_dev.write_block t.dev (meta_block t ~ino:dst_dir);
               Ok ()
             end)
 
@@ -457,7 +460,12 @@ let ops t =
     destroy_private = (fun () -> ());
   }
 
-let inode_count t = Hashtbl.length t.inodes
+let inode_count t = Ksim.Int_table.length t.inodes
+
+let max_chain t =
+  Int.max
+    (Ksim.Int_table.max_chain t.inodes)
+    (Ksim.Int_table.max_chain t.bitmap)
 
 (* --- fsck -------------------------------------------------------------- *)
 
@@ -529,11 +537,12 @@ let fsck t =
   in
   walk root_ino;
   let inos =
-    Hashtbl.fold (fun ino _ acc -> ino :: acc) t.inodes [] |> List.sort compare
+    Ksim.Int_table.fold (fun ino _ acc -> ino :: acc) t.inodes []
+    |> List.sort Int.compare
   in
   List.iter
     (fun ino ->
-      let i = Hashtbl.find t.inodes ino in
+      let i = Ksim.Int_table.find t.inodes ino in
       if not (Hashtbl.mem seen ino) then err "orphan inode %d (unreachable)" ino;
       if i.kind = Vtypes.Regular then begin
         let r = Option.value ~default:0 (Hashtbl.find_opt refs ino) in
@@ -544,28 +553,29 @@ let fsck t =
   if Hashtbl.length no_children > 0 then
     err "the shared empty children table has %d entries"
       (Hashtbl.length no_children);
-  (* block accounting: no block mapped twice, every mapped block marked
-     allocated, every allocated block mapped, no block owned by a dead
-     inode (metadata pseudo-inos, fblock -1, are exempt) *)
+  (* block accounting, owners read from the live inodes' block maps
+     (ino, fblock) and the metadata map (inode group, -1): no block
+     mapped twice, every mapped block marked allocated, every allocated
+     block mapped.  A dead inode's blocks have no owner left, so a leak
+     shows as a marked block nothing maps. *)
   let owner = Hashtbl.create 64 in
-  let mappings =
-    Hashtbl.fold (fun k b acc -> (k, b) :: acc) t.block_of_ino []
-    |> List.sort compare
+  let claim who fblock b =
+    if b >= 0 then begin
+      (match Hashtbl.find_opt owner b with
+      | Some (who', fblock') ->
+          err "block %d shared by (%d,%d) and (%d,%d)" b who' fblock' who fblock
+      | None -> Hashtbl.replace owner b (who, fblock));
+      if not (Ksim.Int_table.mem t.bitmap b) then
+        err "block %d mapped by (%d,%d) but free in bitmap" b who fblock
+    end
   in
   List.iter
-    (fun (key, b) ->
-      let ino = key_ino key and fblock = key_fblock key in
-      (match Hashtbl.find_opt owner b with
-      | Some (ino', fblock') ->
-          err "block %d shared by (%d,%d) and (%d,%d)" b ino' fblock' ino fblock
-      | None -> Hashtbl.replace owner b (ino, fblock));
-      if not (Hashtbl.mem t.bitmap b) then
-        err "block %d mapped by (%d,%d) but free in bitmap" b ino fblock;
-      if fblock >= 0 && not (Hashtbl.mem t.inodes ino) then
-        err "leaked block %d: owning inode %d is gone" b ino)
-    mappings;
+    (fun ino -> Array.iteri (claim ino) (Ksim.Int_table.find t.inodes ino).blocks)
+    inos;
+  Array.iteri (fun m b -> claim m (-1) b) t.meta_blocks;
   let marked =
-    Hashtbl.fold (fun b () acc -> b :: acc) t.bitmap [] |> List.sort compare
+    Ksim.Int_table.fold (fun b () acc -> b :: acc) t.bitmap []
+    |> List.sort Int.compare
   in
   List.iter
     (fun b ->

@@ -53,10 +53,15 @@ val rename :
 val fsync : t -> ino:int -> (unit, Vtypes.errno) result
 val inode_count : t -> int
 
+(** The longest bucket chain in memfs's inode table and block bitmap
+    (see {!Ksim.Int_table.max_chain}). *)
+val max_chain : t -> int
+
 (** Full-filesystem invariant check, e2fsck-style: every inode reachable
     from the root, no dangling dentries, directory and file link counts
     correct, no disk block mapped twice, block bitmap in exact agreement
-    with the block map, no blocks owned by dead inodes, and every file's
+    with the live inodes' block maps and the metadata blocks (so no
+    blocks held for dead inodes), and every file's
     pages in shape (as many as its size needs, all full blocks but the
     last, zeros past the size).  Returns
     human-readable complaints; [[]] means clean.  Charges a metadata

@@ -16,7 +16,7 @@ type t = {
   kernel : Ksim.Kernel.t;
   dcache : Dcache.t;
   mutable mounts : mount list;    (* longest prefix first *)
-  files : (int, file) Hashtbl.t;  (* handle -> open file *)
+  files : file Ksim.Int_table.t;  (* handle -> open file *)
   mutable next_handle : int;
   mutable opens : int;
   mutable path_components_resolved : int;
@@ -38,7 +38,7 @@ let create ?(root_fs : Vtypes.ops option) ?(dcache_shards = 1) kernel =
         ~ctx:(Ksim.Kernel.lock_ctx kernel) ~perf:(Ksim.Kernel.perf kernel)
         ~shards:dcache_shards ();
     mounts = [ { prefix = "/"; fs = root_fs } ];
-    files = Hashtbl.create 256;
+    files = Ksim.Int_table.create 256;
     next_handle = 1;
     opens = 0;
     path_components_resolved = 0;
@@ -198,7 +198,7 @@ let open_file t path flags =
             let pos =
               if List.mem O_APPEND flags then st.Vtypes.st_size else 0
             in
-            Hashtbl.replace t.files handle
+            Ksim.Int_table.replace t.files handle
               { handle; ino; fs; pos; closed = false };
             Ok handle
           end)
@@ -206,7 +206,7 @@ let open_file t path flags =
 (* The open file behind [handle].  @raise Not_found if there is none:
    callers map that to EBADF, so a lookup boxes nothing. *)
 let file t handle =
-  let f = Hashtbl.find t.files handle in
+  let f = Ksim.Int_table.find t.files handle in
   if f.closed then raise Not_found else f
 
 let close t handle =
@@ -214,7 +214,7 @@ let close t handle =
   | exception Not_found -> Error Vtypes.EBADF
   | f ->
       f.closed <- true;
-      Hashtbl.remove t.files handle;
+      Ksim.Int_table.remove t.files handle;
       Ok ()
 
 (* A transfer at the file position advances it by the bytes moved. *)
@@ -338,5 +338,6 @@ let fsync t handle =
   | exception Not_found -> Error Vtypes.EBADF
   | f -> f.fs.Vtypes.fsync ~ino:f.ino
 
-let open_file_count t = Hashtbl.length t.files
+let open_file_count t = Ksim.Int_table.length t.files
+let max_chain t = Ksim.Int_table.max_chain t.files
 let path_components_resolved t = t.path_components_resolved

@@ -69,4 +69,8 @@ val rename : t -> src:string -> dst:string -> (unit, Vtypes.errno) result
 val fsync : t -> int -> (unit, Vtypes.errno) result
 
 val open_file_count : t -> int
+
+(** The longest bucket chain in the open-file table (see
+    {!Ksim.Int_table.max_chain}). *)
+val max_chain : t -> int
 val path_components_resolved : t -> int

@@ -67,9 +67,9 @@ let test_oops_reaps_everything () =
   Alcotest.(check int) "victim gone" (procs_before - 1)
     (Ksim.Scheduler.process_count sched);
   Alcotest.(check int) "fd table empty" 0
-    (Hashtbl.length victim.Ksim.Kproc.fd_table);
+    (Ksim.Kproc.open_fd_count victim);
   Alcotest.(check int) "bystander untouched" 0
-    (Hashtbl.length bystander.Ksim.Kproc.fd_table);
+    (Ksim.Kproc.open_fd_count bystander);
   let stats = Core.stats t in
   Alcotest.(check int) "kcrash.oops" 1 (find_counter stats "kcrash.oops");
   Alcotest.(check int) "kcrash.reaped_fds" 3
@@ -103,7 +103,7 @@ let test_oops_leaves_others_untouched () =
     | Some h -> h
     | None -> Alcotest.fail "fd_lose not in survivor's table"
   in
-  Hashtbl.replace victim.Ksim.Kproc.fd_table 3 handle;
+  Ksim.Int_table.replace victim.Ksim.Kproc.fd_table 3 handle;
   Ksim.Kernel.reap kernel victim ~reason:"test";
   (* the victim's underlying vfs handle was closed by the reap... *)
   (match Kvfs.Vfs.close (Ksyscall.Systable.vfs sys) handle with
@@ -113,6 +113,50 @@ let test_oops_leaves_others_untouched () =
   let data = check_ok "read keep" (Core.Syscall.sys_read sys ~fd:fd_keep ~len:max_int) in
   Alcotest.(check string) "survivor's data intact" "survives"
     (Bytes.to_string data)
+
+(* The reaper closes a victim's fds in ascending fd order, whatever
+   order its fd table's buckets hold them in: 50 handles placed at
+   scattered fds, highest first, come back from [Kproc.fds] sorted, and
+   the oops closes every one. *)
+let test_reap_order_ascending () =
+  let t = boot_contained () in
+  let kernel = Core.kernel t in
+  let sys = Core.sys t in
+  let sched = Ksim.Kernel.sched kernel in
+  let survivor = Ksim.Scheduler.current sched in
+  let victim = Ksim.Scheduler.spawn sched ~name:"victim" in
+  let fds = List.init 50 (fun i -> 3 + (((i * 37) + 11) mod 997)) in
+  let handles =
+    List.map
+      (fun fd ->
+        let own =
+          check_ok "open"
+            (Core.Syscall.sys_open sys ~path:(Printf.sprintf "/r%d" fd)
+               ~flags:Core.o_create)
+        in
+        match Ksim.Kproc.release_fd survivor own with
+        | Some h -> (fd, h)
+        | None -> Alcotest.fail "fd not in survivor's table")
+      (List.sort (fun a b -> compare b a) fds)
+  in
+  List.iter
+    (fun (fd, h) -> Ksim.Int_table.replace victim.Ksim.Kproc.fd_table fd h)
+    handles;
+  let table_order =
+    Ksim.Int_table.fold (fun fd _ acc -> fd :: acc) victim.Ksim.Kproc.fd_table []
+  in
+  Alcotest.(check bool) "the table's own order is not ascending" false
+    (table_order = List.sort compare table_order);
+  Alcotest.(check (list int)) "Kproc.fds ascending" (List.sort compare fds)
+    (List.map fst (Ksim.Kproc.fds victim));
+  Ksim.Kernel.reap kernel victim ~reason:"test";
+  Alcotest.(check int) "every fd reaped" 0 (Ksim.Kproc.open_fd_count victim);
+  List.iter
+    (fun (fd, h) ->
+      match Kvfs.Vfs.close (Ksyscall.Systable.vfs sys) h with
+      | Error Kvfs.Vtypes.EBADF -> ()
+      | _ -> Alcotest.failf "fd %d's handle %d still open after the oops" fd h)
+    handles
 
 let test_ring_discard_on_oops () =
   let t = boot_contained () in
@@ -493,6 +537,8 @@ let () =
             test_oops_leaves_others_untouched;
           Alcotest.test_case "ring state discarded" `Quick
             test_ring_discard_on_oops;
+          Alcotest.test_case "reap order ascending" `Quick
+            test_reap_order_ascending;
         ] );
       ( "kill-table",
         List.map

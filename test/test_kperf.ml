@@ -194,6 +194,40 @@ let test_disabled_is_free () =
   Alcotest.(check bool) "enabled overhead under 2%" true
     (float_of_int (cy_on - cy_off) /. float_of_int cy_off < 0.02)
 
+(* A tracer that records nothing holds no ring storage: a disabled
+   4-CPU tracer at the default 65,536-slot capacity reaches under 1k
+   words, however many hooks it is handed.  An enabled one allocates
+   the ring of each CPU it stores on, and keeps every event; rings
+   never used export and clear as empty. *)
+let test_disabled_allocates_nothing () =
+  let words t = Obj.reachable_words (Obj.repr t) in
+  let stats = Kstats.create ~enabled:true () in
+  let off = Kperf.create ~ncpus:4 ~stats () in
+  ignore (Kperf.span_begin off ~pid:1 ~arg:0 ~cat:"t" ~name:"x");
+  Kperf.instant off ~pid:1 ~arg:0 ~cat:"t" ~name:"y";
+  let w_off = words off in
+  if w_off >= 1000 then Alcotest.failf "disabled tracer reaches %d words" w_off;
+  let cpu = ref 2 in
+  let on = Kperf.create ~enabled:true ~ncpus:4 ~stats ~cpu:(fun () -> !cpu) () in
+  Alcotest.(check string) "nothing to export" "" (Kperf.folded on);
+  for i = 1 to 100 do
+    tick ();
+    let id = Kperf.span_begin on ~pid:1 ~arg:i ~cat:"t" ~name:"s" in
+    Kperf.span_end on ~pid:1 ~arg:0 id
+  done;
+  Alcotest.(check int) "keeps what it stores" 200 (List.length (Kperf.events on));
+  let w_on = words on in
+  Alcotest.(check bool) "one ring allocated" true
+    (w_on > 65536 && w_on < 2 * 65536);
+  Alcotest.(check bool) "chrome export" true
+    (contains (Kperf.chrome_json on) "\"traceEvents\"");
+  Kperf.clear on;
+  Alcotest.(check int) "cleared" 0 (List.length (Kperf.events on));
+  cpu := 0;
+  Kperf.instant on ~pid:1 ~arg:7 ~cat:"t" ~name:"after";
+  Alcotest.(check (list int)) "a fresh ring after clear" [ 7 ]
+    (List.map (fun e -> e.Kperf.ev_arg) (Kperf.events on))
+
 (* --- Chrome export round-trip ------------------------------------------- *)
 
 let test_chrome_roundtrip () =
@@ -288,6 +322,8 @@ let () =
         [
           Alcotest.test_case "byte-identical exports" `Quick test_determinism;
           Alcotest.test_case "disabled is free" `Quick test_disabled_is_free;
+          Alcotest.test_case "disabled allocates nothing" `Quick
+            test_disabled_allocates_nothing;
         ] );
       ( "export",
         [

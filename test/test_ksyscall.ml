@@ -365,6 +365,235 @@ let qcheck_req_roundtrip =
        gen_req)
     roundtrip
 
+(* --- the file path's id tables ------------------------------------------ *)
+
+(* A syscall table over a memfs the test can fsck. *)
+let mk_memfs_sys () =
+  let kernel = Ksim.Kernel.create () in
+  let fs = Kvfs.Memfs.create kernel in
+  (kernel, fs, Ksyscall.Systable.create ~root_fs:(Kvfs.Memfs.ops fs) kernel)
+
+let rdwr_creat = [ Kvfs.Vfs.O_RDWR; Kvfs.Vfs.O_CREAT ]
+
+(* Every id table on the file path stays O(1): after 4,000 open
+   two-block files in two directories, no bucket chain in the fd table,
+   the open-file table, memfs's inode table and bitmap, or the buffer
+   cache is longer than 8.  Keys that share their low bits (a block map
+   keyed by (ino lsl 31) lor (fblock + 1), say) would pile into one
+   bucket under an identity hash and fail this. *)
+let test_tables_stay_shallow () =
+  let kernel, fs, sys = mk_memfs_sys () in
+  ignore (ok (Ksyscall.Usyscall.sys_mkdir sys ~path:"/d1"));
+  ignore (ok (Ksyscall.Usyscall.sys_mkdir sys ~path:"/d2"));
+  let one = Bytes.make 1 'x' in
+  for i = 0 to 3999 do
+    let path = Printf.sprintf "/d%d/f%d" (1 + (i land 1)) i in
+    let fd = ok (Ksyscall.Usyscall.sys_open sys ~path ~flags:rdwr_creat) in
+    ignore (ok (Ksyscall.Usyscall.sys_pwrite sys ~fd ~off:0 ~data:one));
+    ignore (ok (Ksyscall.Usyscall.sys_pwrite sys ~fd ~off:4096 ~data:one))
+  done;
+  let p = Ksim.Kernel.current kernel in
+  Alcotest.(check int) "all open" 4000 (Ksim.Kproc.open_fd_count p);
+  Alcotest.(check int) "inodes" 4003 (Kvfs.Memfs.inode_count fs);
+  let shallow name chain =
+    if chain > 8 then Alcotest.failf "%s: a bucket chain of %d" name chain
+  in
+  shallow "fd table" (Ksim.Int_table.max_chain p.Ksim.Kproc.fd_table);
+  shallow "open files" (Kvfs.Vfs.max_chain (Ksyscall.Systable.vfs sys));
+  shallow "memfs" (Kvfs.Memfs.max_chain fs);
+  shallow "buffer cache" (Kvfs.Block_dev.max_chain (Kvfs.Memfs.dev fs))
+
+(* Random open/read/pread/write/close/unlink sequences against a bytes
+   model, with churn that pushes fds, handles and inode numbers far past
+   their tables' initial sizes.  After every step: results equal the
+   model's, a closed fd and its VFS handle answer EBADF, an fd whose
+   file was unlinked answers ENOENT, the open-fd count is the model's,
+   and fsck is clean. *)
+type fp_op =
+  | F_open of int * bool  (* name, create *)
+  | F_read of int * int  (* fd index, length *)
+  | F_pread of int * int * int  (* fd index, offset, length *)
+  | F_write of int * int * char  (* fd index, length, fill *)
+  | F_close of int
+  | F_unlink of int
+  | F_churn of int  (* open n new files at once, then close and unlink them *)
+
+let fp_names = [| "/a"; "/b"; "/d/c" |]
+
+let pp_fp_op = function
+  | F_open (n, c) -> Printf.sprintf "open(%s,%b)" fp_names.(n) c
+  | F_read (f, len) -> Printf.sprintf "read(#%d,%d)" f len
+  | F_pread (f, off, len) -> Printf.sprintf "pread(#%d,%d,%d)" f off len
+  | F_write (f, len, c) -> Printf.sprintf "write(#%d,%d,%C)" f len c
+  | F_close f -> Printf.sprintf "close(#%d)" f
+  | F_unlink n -> Printf.sprintf "unlink(%s)" fp_names.(n)
+  | F_churn n -> Printf.sprintf "churn(%d)" n
+
+type fp_file = { mutable data : Bytes.t; mutable alive : bool }
+
+type fp_fd = {
+  fd : int;
+  handle : int;
+  file : fp_file;
+  mutable pos : int;
+  mutable is_open : bool;
+}
+
+let qcheck_file_path_model =
+  let gen_op =
+    QCheck.Gen.(
+      let name = int_bound (Array.length fp_names - 1) and fdi = int_bound 15 in
+      frequency
+        [
+          (3, map2 (fun n c -> F_open (n, c)) name bool);
+          (3, map2 (fun f len -> F_read (f, len)) fdi (int_bound 9000));
+          ( 3,
+            map3 (fun f off len -> F_pread (f, off, len)) fdi (int_bound 12000)
+              (int_bound 9000) );
+          ( 4,
+            map3 (fun f len c -> F_write (f, len, c)) fdi (int_bound 9000)
+              (char_range 'a' 'z') );
+          (2, map (fun f -> F_close f) fdi);
+          (1, map (fun n -> F_unlink n) name);
+          (1, map (fun n -> F_churn n) (int_range 1 2500));
+        ])
+  in
+  QCheck.Test.make ~name:"fd/handle/inode tables = bytes model, fsck clean"
+    ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_fp_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let kernel, fs, sys = mk_memfs_sys () in
+      let vfs = Ksyscall.Systable.vfs sys in
+      let proc = Ksim.Kernel.current kernel in
+      ignore (ok (Ksyscall.Usyscall.sys_mkdir sys ~path:"/d"));
+      let names = Hashtbl.create 4 and fds = ref [||] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let show = function
+        | Ok _ -> "ok"
+        | Error e -> Kvfs.Vtypes.errno_to_string e
+      in
+      let expect op what want got =
+        match (want, got) with
+        | Ok w, Ok g when w = g -> ()
+        | Error w, Error g when w = g -> ()
+        | _ ->
+            fail "%s: %s gave %s, model %s" (pp_fp_op op) what (show got)
+              (show want)
+      in
+      (* the model's answer on an fd: EBADF once closed, ENOENT once its
+         file is unlinked *)
+      let usable r =
+        if not r.is_open then Error Kvfs.Vtypes.EBADF
+        else if not r.file.alive then Error Kvfs.Vtypes.ENOENT
+        else Ok r
+      in
+      let model_read r ~off ~len =
+        let n = max 0 (min len (Bytes.length r.file.data - off)) in
+        if n = 0 then Bytes.empty else Bytes.sub r.file.data off n
+      in
+      let pick f k = if Array.length !fds = 0 then () else k !fds.(f mod Array.length !fds) in
+      List.iter
+        (fun op ->
+          (match op with
+          | F_open (n, create) -> (
+              let path = fp_names.(n) in
+              let flags = if create then rdwr_creat else [ Kvfs.Vfs.O_RDWR ] in
+              let got = Ksyscall.Usyscall.sys_open sys ~path ~flags in
+              let file =
+                match Hashtbl.find_opt names path with
+                | Some file -> Some file
+                | None when create ->
+                    let file = { data = Bytes.empty; alive = true } in
+                    Hashtbl.replace names path file;
+                    Some file
+                | None -> None
+              in
+              match (file, got) with
+              | Some file, Ok fd ->
+                  let handle = Ksim.Kproc.find_fd proc fd in
+                  fds :=
+                    Array.append !fds
+                      [| { fd; handle; file; pos = 0; is_open = true } |]
+              | None, Error Kvfs.Vtypes.ENOENT -> ()
+              | _ -> fail "%s: got %s" (pp_fp_op op) (show got))
+          | F_read (f, len) ->
+              pick f (fun r ->
+                  let got = Ksyscall.Usyscall.sys_read sys ~fd:r.fd ~len in
+                  let want =
+                    Result.map (fun r -> model_read r ~off:r.pos ~len) (usable r)
+                  in
+                  expect op "read" want got;
+                  Result.iter (fun d -> r.pos <- r.pos + Bytes.length d) got)
+          | F_pread (f, off, len) ->
+              pick f (fun r ->
+                  expect op "pread"
+                    (Result.map (fun r -> model_read r ~off ~len) (usable r))
+                    (Ksyscall.Usyscall.sys_pread sys ~fd:r.fd ~off ~len))
+          | F_write (f, len, c) ->
+              pick f (fun r ->
+                  let got =
+                    Ksyscall.Usyscall.sys_write sys ~fd:r.fd
+                      ~data:(Bytes.make len c)
+                  in
+                  expect op "write" (Result.map (fun _ -> len) (usable r)) got;
+                  if Result.is_ok got then begin
+                    let d = r.file.data in
+                    let m = Bytes.make (max (Bytes.length d) (r.pos + len)) '\000' in
+                    Bytes.blit d 0 m 0 (Bytes.length d);
+                    Bytes.fill m r.pos len c;
+                    r.file.data <- m;
+                    r.pos <- r.pos + len
+                  end)
+          | F_close f ->
+              pick f (fun r ->
+                  let want = if r.is_open then Ok () else Error Kvfs.Vtypes.EBADF in
+                  expect op "close" want (Ksyscall.Usyscall.sys_close sys ~fd:r.fd);
+                  r.is_open <- false)
+          | F_unlink n -> (
+              let path = fp_names.(n) in
+              let got = Ksyscall.Usyscall.sys_unlink sys ~path in
+              match Hashtbl.find_opt names path with
+              | Some file ->
+                  expect op "unlink" (Ok ()) got;
+                  file.alive <- false;
+                  Hashtbl.remove names path
+              | None -> expect op "unlink" (Error Kvfs.Vtypes.ENOENT) got)
+          | F_churn n ->
+              let live = Ksim.Kproc.open_fd_count proc in
+              let tmp i = Printf.sprintf "/d/t%d" i in
+              let fds =
+                Array.init n (fun i ->
+                    ok (Ksyscall.Usyscall.sys_open sys ~path:(tmp i) ~flags:rdwr_creat))
+              in
+              if Ksim.Kproc.open_fd_count proc <> live + n then
+                fail "%s: %d fds open, model %d" (pp_fp_op op)
+                  (Ksim.Kproc.open_fd_count proc) (live + n);
+              Array.iteri
+                (fun i fd ->
+                  ok (Ksyscall.Usyscall.sys_close sys ~fd);
+                  ok (Ksyscall.Usyscall.sys_unlink sys ~path:(tmp i)))
+                fds);
+          Array.iter
+            (fun r ->
+              if not r.is_open then
+                match Kvfs.Vfs.read vfs r.handle 1 with
+                | Error Kvfs.Vtypes.EBADF -> ()
+                | got ->
+                    fail "%s: closed handle %d gave %s" (pp_fp_op op) r.handle
+                      (show got))
+            !fds;
+          let live = Array.fold_left (fun n r -> n + Bool.to_int r.is_open) 0 !fds in
+          if Ksim.Kproc.open_fd_count proc <> live then
+            fail "%s: %d fds open, model %d" (pp_fp_op op)
+              (Ksim.Kproc.open_fd_count proc) live;
+          match Kvfs.Memfs.fsck fs with
+          | [] -> ()
+          | errs -> fail "%s: fsck: %s" (pp_fp_op op) (String.concat "; " errs))
+        ops;
+      true)
+
 let () =
   Alcotest.run "ksyscall"
     [
@@ -392,5 +621,11 @@ let () =
           Alcotest.test_case "wire roundtrip, all sysnos" `Quick
             test_req_roundtrip_all_sysnos;
           QCheck_alcotest.to_alcotest qcheck_req_roundtrip;
+        ] );
+      ( "file-path",
+        [
+          Alcotest.test_case "id tables stay shallow" `Quick
+            test_tables_stay_shallow;
+          QCheck_alcotest.to_alcotest qcheck_file_path_model;
         ] );
     ]
