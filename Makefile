@@ -1,4 +1,4 @@
-.PHONY: all build test benchmark bench-compare bench-same bench-pairs host-profile bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
+.PHONY: all build test benchmark bench-compare bench-same bench-pairs host-profile net-lines bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
 
 all: build
 
@@ -127,6 +127,17 @@ bench-pairs:
 	       for (i in bt) { wt += ht[i] > bt[i]; wh += hh[i] < bh[i] } \
 	       printf "here wins %d/%d pairs on host_throughput, %d/%d on host_peak_heap_mb\n", wt, n["here"], wh, n["here"] }' \
 	  "$$base/rows"
+
+# Added, removed and net .ml/.mli lines under lib/, bench/ and test/,
+# this working tree against revision BASE: `make net-lines BASE=<rev>`.
+# New files count once they are staged (`git add`).  Not part of `check`.
+net-lines:
+	@test -n "$(BASE)" || { echo "usage: make net-lines BASE=<rev>"; exit 2; }
+	@for d in lib bench test; do \
+	  git diff --numstat $(BASE) -- "$$d/*.ml" "$$d/*.mli" | \
+	    awk -v d="$$d/" '{ a += $$1; r += $$2 } \
+	      END { printf "%-7s +%d -%d net %+d\n", d, a, r, a - r }'; \
+	done
 
 # Where one workload's host time goes: `make host-profile W=cosy_db
 # [SECS=20]` runs the benchmark untraced under gprofng's clock profiler

@@ -39,6 +39,15 @@ let add_row xid json =
   | Some r -> r := json :: !r
   | None -> Hashtbl.add extra_rows xid (ref [ json ])
 
+(* E15, E18 and E19 each also write their rows to a file of their own:
+   {"experiment":"<id>","rows":[...]}. *)
+let write_rows_json path id rows =
+  let oc = open_out path in
+  Printf.fprintf oc "{\"experiment\":\"%s\",\"rows\":[%s]}\n" id
+    (String.concat "," rows);
+  close_out oc;
+  pf "\n  wrote %s\n" path
+
 let find_counter stats name =
   match Kstats.find stats name with Some (Kstats.Counter_v v) -> v | _ -> 0
 
@@ -1038,16 +1047,7 @@ let e15 () =
         rows
   | None -> ());
   (* machine-readable tracing-overhead summary *)
-  let oc = open_out "BENCH_kperf.json" in
-  output_string oc "{\"experiment\":\"E15\",\"rows\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then output_string oc ",";
-      output_string oc row)
-    (List.rev !kperf_rows);
-  output_string oc "]}\n";
-  close_out oc;
-  pf "\n  wrote BENCH_kperf.json\n"
+  write_rows_json "BENCH_kperf.json" "E15" (List.rev !kperf_rows)
 
 (* a Cosy compound shaped like Cosy-GCC's counted loops: getpid in a
    provably bounded loop, the boundary-dominated case §2.3 targets;
@@ -1531,16 +1531,7 @@ let e18 () =
       kfault_rows := row :: !kfault_rows;
       add_row "E18" row)
     net_variants;
-  let oc = open_out "BENCH_kfault.json" in
-  output_string oc "{\"experiment\":\"E18\",\"rows\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then output_string oc ",";
-      output_string oc row)
-    (List.rev !kfault_rows);
-  output_string oc "]}\n";
-  close_out oc;
-  pf "\n  wrote BENCH_kfault.json\n"
+  write_rows_json "BENCH_kfault.json" "E18" (List.rev !kfault_rows)
 
 (* ----------------------------------------------------------------- E19 *)
 
@@ -1693,16 +1684,7 @@ let e19 () =
        (List.length s.Resilience.cs_rows)
        consistent recovered s.Resilience.cs_corrupt);
 
-  let oc = open_out "BENCH_kcrash.json" in
-  output_string oc "{\"experiment\":\"E19\",\"rows\":[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then output_string oc ",";
-      output_string oc r)
-    (List.rev !kcrash_rows);
-  output_string oc "]}\n";
-  close_out oc;
-  pf "\n  wrote BENCH_kcrash.json\n"
+  write_rows_json "BENCH_kcrash.json" "E19" (List.rev !kcrash_rows)
 
 (* ------------------------------------------------- Bechamel microbench *)
 

@@ -8,6 +8,7 @@
 exception Exec_error of string
 
 module Syscall = Ksyscall.Syscall
+module Sysno = Ksyscall.Sysno
 
 (* What admission decided about a submitted compound.  [Dynamic]: run
    it under the watchdog at the full per-op cost.  [Verified]: its loops
@@ -147,8 +148,11 @@ let open_flags_of_int v =
 (* --- syscall ops ----------------------------------------------------- *)
 
 (* Each syscall op runs under a "cosy:sys.<name>" span; the names are
-   built once. *)
-let span_names = Array.map (fun name -> "sys." ^ name) Cosy_op.syscall_table
+   built once, by wire number. *)
+let span_names =
+  Array.init
+    (List.length Sysno.all)
+    (fun n -> "sys." ^ Sysno.to_string (Option.get (Sysno.of_int n)))
 
 let span_begin t sysno =
   Kperf.span_begin
@@ -173,44 +177,45 @@ let in_data t what len = function
 
 (* Lower a decoded syscall op without an output payload to its typed
    request. *)
-let lower t slots name args =
-  match (name, args) with
-  | "open", [ path; flags ] ->
+let lower t slots sys args =
+  match (sys, args) with
+  | Sysno.Open, [ path; flags ] ->
       Syscall.Open
         {
           path = string_arg t path;
           flags = open_flags_of_int (int_arg slots flags);
         }
-  | "close", [ fd ] -> Syscall.Close { fd = int_arg slots fd }
-  | "write", [ fd; buf; len ] ->
+  | Sysno.Close, [ fd ] -> Syscall.Close { fd = int_arg slots fd }
+  | Sysno.Write, [ fd; buf; len ] ->
       Syscall.Write
         { fd = int_arg slots fd; data = in_data t "write" (int_arg slots len) buf }
-  | "pwrite", [ fd; buf; len; off ] ->
+  | Sysno.Pwrite, [ fd; buf; len; off ] ->
       Syscall.Pwrite
         {
           fd = int_arg slots fd;
           off = int_arg slots off;
           data = in_data t "pwrite" (int_arg slots len) buf;
         }
-  | "lseek", [ fd; off; whence ] ->
+  | Sysno.Lseek, [ fd; off; whence ] ->
       Syscall.Lseek
         {
           fd = int_arg slots fd;
           off = int_arg slots off;
           whence = Syscall.whence_of_int (int_arg slots whence);
         }
-  | "stat", [ path ] -> Syscall.Stat { path = string_arg t path }
-  | "fstat", [ fd ] -> Syscall.Fstat { fd = int_arg slots fd }
-  | "mkdir", [ path ] -> Syscall.Mkdir { path = string_arg t path }
-  | "unlink", [ path ] -> Syscall.Unlink { path = string_arg t path }
-  | "rename", [ src; dst ] ->
+  | Sysno.Stat, [ path ] -> Syscall.Stat { path = string_arg t path }
+  | Sysno.Fstat, [ fd ] -> Syscall.Fstat { fd = int_arg slots fd }
+  | Sysno.Mkdir, [ path ] -> Syscall.Mkdir { path = string_arg t path }
+  | Sysno.Unlink, [ path ] -> Syscall.Unlink { path = string_arg t path }
+  | Sysno.Rename, [ src; dst ] ->
       Syscall.Rename { src = string_arg t src; dst = string_arg t dst }
-  | "fsync", [ fd ] -> Syscall.Fsync { fd = int_arg slots fd }
-  | "getpid", [] -> Syscall.Getpid
+  | Sysno.Fsync, [ fd ] -> Syscall.Fsync { fd = int_arg slots fd }
+  | Sysno.Getpid, [] -> Syscall.Getpid
   | _ ->
       raise
-        (Exec_error (Printf.sprintf "%s: bad argument count (%d)" name
-                       (List.length args)))
+        (Exec_error
+           (Printf.sprintf "%s: bad argument count (%d)" (Sysno.to_string sys)
+              (List.length args)))
 
 (* The same in-kernel service dispatch the synchronous wrappers and the
    kring use, under the op's span. *)
@@ -265,7 +270,7 @@ let read_op t sysno kind ~fd ~off ~len buf =
   | _ ->
       let req =
         match kind with
-        | Ksyscall.Sysno.Read -> Syscall.Read { fd; len }
+        | Sysno.Read -> Syscall.Read { fd; len }
         | _ -> Syscall.Pread { fd; off; len }
       in
       let reply = dispatch t sysno req in
@@ -280,29 +285,31 @@ let read_op t sysno kind ~fd ~off ~len buf =
    it.  Nothing here allocates per call but the request itself and what
    the service routine returns. *)
 let do_syscall t slots sysno args =
-  if sysno < 0 || sysno >= Array.length Cosy_op.syscall_table then
-    raise (Exec_error (Printf.sprintf "bad syscall number %d" sysno));
-  let name = Cosy_op.syscall_table.(sysno) in
-  match (name, args) with
-  | "read", [ fd; buf; len ] ->
+  let sys =
+    match Cosy_op.syscall sysno with
+    | Some (sys, _) -> sys
+    | None -> raise (Exec_error (Printf.sprintf "bad syscall number %d" sysno))
+  in
+  match (sys, args) with
+  | Sysno.Read, [ fd; buf; len ] ->
       check_sink "read" buf;
       let len = int_arg slots len in
       let fd = int_arg slots fd in
-      read_op t sysno Ksyscall.Sysno.Read ~fd ~off:0 ~len buf
-  | "pread", [ fd; buf; len; off ] ->
+      read_op t sysno Sysno.Read ~fd ~off:0 ~len buf
+  | Sysno.Pread, [ fd; buf; len; off ] ->
       check_sink "pread" buf;
       let len = int_arg slots len in
       let off = int_arg slots off in
       let fd = int_arg slots fd in
-      read_op t sysno Ksyscall.Sysno.Pread ~fd ~off ~len buf
-  | "readdir", [ path; buf ] ->
+      read_op t sysno Sysno.Pread ~fd ~off ~len buf
+  | Sysno.Readdir, [ path; buf ] ->
       check_sink "readdir" buf;
       let reply =
         dispatch t sysno (Syscall.Readdir { path = string_arg t path })
       in
       deposit t buf reply;
       Syscall.reply_to_retval reply
-  | _ -> Syscall.reply_to_retval (dispatch t sysno (lower t slots name args))
+  | _ -> Syscall.reply_to_retval (dispatch t sysno (lower t slots sys args))
 
 (* Execute a user-supplied function inside the kernel under the active
    protection mode. *)

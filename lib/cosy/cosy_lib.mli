@@ -39,7 +39,7 @@ val arith_fresh : t -> Cosy_op.arith -> Cosy_op.arg -> Cosy_op.arg -> int
 exception Unknown_syscall of string
 
 (** Emit a syscall op; returns its result slot.
-    @raise Unknown_syscall for names outside {!Cosy_op.syscall_table}. *)
+    @raise Unknown_syscall for names outside {!Cosy_op.syscalls}. *)
 val syscall : t -> string -> Cosy_op.arg list -> int
 
 (** Emit a user-function call (executed in the kernel under the active

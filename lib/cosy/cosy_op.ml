@@ -38,24 +38,54 @@ type op =
   | Call_user of { dst : int; fname : string; args : arg list }
   | Halt
 
-(* Fixed syscall numbering shared by encoder and kernel extension. *)
-let syscall_table =
-  [|
-    "open"; "close"; "read"; "write"; "pread"; "pwrite"; "lseek"; "stat";
-    "fstat"; "readdir"; "mkdir"; "unlink"; "rename"; "fsync"; "getpid";
-  |]
+module Sysno = Ksyscall.Sysno
 
+(* The compound syscall set: every syscall a compound may name, with the
+   kind of each operand.  The encoder, the kverify checker, the lowering
+   in [Cosy_exec] and kopt's planner all read this one table.  A
+   compound names a syscall by its wire number, which is its
+   [Sysno.to_int]. *)
+type kind =
+  | Fd    (* a descriptor: an integer operand kopt's fd cache resolves *)
+  | Int   (* Const / Slot / Shared-as-offset *)
+  | Path  (* immediate string or NUL-terminated shared bytes *)
+  | Out   (* output buffer: shared or null (discard) *)
+  | In    (* input payload: shared or immediate *)
+
+let syscalls : (Sysno.t * kind list) list =
+  Sysno.
+    [
+      (Open, [ Path; Int ]);
+      (Close, [ Fd ]);
+      (Read, [ Fd; Out; Int ]);
+      (Write, [ Fd; In; Int ]);
+      (Pread, [ Fd; Out; Int; Int ]);
+      (Pwrite, [ Fd; In; Int; Int ]);
+      (Lseek, [ Fd; Int; Int ]);
+      (Stat, [ Path ]);
+      (Fstat, [ Fd ]);
+      (Readdir, [ Path; Out ]);
+      (Mkdir, [ Path ]);
+      (Unlink, [ Path ]);
+      (Rename, [ Path; Path ]);
+      (Fsync, [ Fd ]);
+      (Getpid, []);
+    ]
+
+(* [syscalls] indexed by wire number *)
+let by_wire =
+  let a = Array.make (List.length Sysno.all) None in
+  List.iter (fun ((s, _) as row) -> a.(Sysno.to_int s) <- Some row) syscalls;
+  a
+
+(* The row a decoded wire number names; [None] outside the set. *)
+let syscall n = if n >= 0 && n < Array.length by_wire then by_wire.(n) else None
+
+(* The wire number of the named syscall, if a compound may call it. *)
 let sysno_of_name name =
-  let rec go i =
-    if i >= Array.length syscall_table then None
-    else if syscall_table.(i) = name then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let name_of_sysno n =
-  if n >= 0 && n < Array.length syscall_table then Some syscall_table.(n)
-  else None
+  match Sysno.of_string name with
+  | Some s when Option.is_some (syscall (Sysno.to_int s)) -> Some (Sysno.to_int s)
+  | _ -> None
 
 let pp_op ppf = function
   | Set { dst; src } -> Fmt.pf ppf "r%d := %a" dst pp_arg src
@@ -63,7 +93,7 @@ let pp_op ppf = function
       Fmt.pf ppf "r%d := %a %a %a" dst pp_arg a pp_arith op pp_arg b
   | Syscall { dst; sysno; args } ->
       Fmt.pf ppf "r%d := sys_%s(%a)" dst
-        (Option.value ~default:"?" (name_of_sysno sysno))
+        (match syscall sysno with Some (s, _) -> Sysno.to_string s | None -> "?")
         Fmt.(list ~sep:(any ", ") pp_arg)
         args
   | Jmp target -> Fmt.pf ppf "jmp %d" target

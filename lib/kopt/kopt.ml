@@ -78,7 +78,7 @@ let try_plan t ~shared_size compound =
   let clock = Kernel.clock t.kernel in
   Ksim.Sim_clock.advance clock cost.Ksim.Cost_model.kopt_cache_probe;
   let pid = (Kernel.current t.kernel).Ksim.Kproc.pid in
-  let key = (pid, Digest.string (Bytes.to_string compound.Cosy.Compound.buf)) in
+  let key = (pid, Digest.bytes compound.Cosy.Compound.buf) in
   (* injected cache invalidation: the entry is dropped at the moment of
      the probe (as if the process's cache had been flushed), turning the
      hit into a miss — the compound recompiles, observably identical *)

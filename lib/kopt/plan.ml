@@ -31,6 +31,7 @@
 
 module Op = Cosy.Cosy_op
 module P = Cosy.Cosy_plan
+module Sysno = Ksyscall.Sysno
 
 type t = {
   code : P.t;
@@ -40,7 +41,8 @@ type t = {
   hoisted_ops : int;
 }
 
-let name_of sysno = Option.value ~default:"?" (Op.name_of_sysno sysno)
+(* The syscall a wire number names, if a compound may call it. *)
+let sysno_of n = Option.map fst (Op.syscall n)
 
 (* Does [arg] read the given slot?  Used to refuse pairing when the
    second op depends on the first one's result. *)
@@ -65,73 +67,41 @@ let pair_rewrite ~shared_size ops i =
   | ( Op.Syscall { dst = dst_a; sysno = s1; args = args_a },
       Op.Syscall { dst = dst_b; sysno = s2; args = args_b } ) -> (
       let indep fd = not (arg_uses_slot dst_a fd) in
-      match (name_of s1, args_a, name_of s2, args_b) with
+      (* same fd, not the first op's result; adjacent shared ranges *)
+      let contiguous fd1 o1 n1 fd2 o2 n2 =
+        fd1 = fd2 && indep fd2 && n1 >= 0 && n2 >= 0 && o1 >= 0
+        && o2 = o1 + n1
+        && o1 + n1 + n2 <= shared_size
+      in
+      let coalesce kind fd off len_a len_b foff =
+        Some (P.Coalesce { kind; dst_a; dst_b; fd; off; len_a; len_b; foff })
+      in
+      match (sysno_of s1, args_a, sysno_of s2, args_b) with
       (* read fd, shared+o1, n1 ; read fd, shared+o1+n1, n2 *)
-      | ( "read",
+      | ( Some Sysno.Read,
           [ fd1; Op.Shared o1; Op.Const n1 ],
-          "read",
+          Some Sysno.Read,
           [ fd2; Op.Shared o2; Op.Const n2 ] )
-        when fd1 = fd2 && indep fd2 && n1 >= 0 && n2 >= 0 && o1 >= 0
-             && o2 = o1 + n1
-             && o1 + n1 + n2 <= shared_size ->
-          Some
-            (P.Coalesce
-               {
-                 kind = P.G_read;
-                 dst_a;
-                 dst_b;
-                 fd = fd1;
-                 off = o1;
-                 len_a = n1;
-                 len_b = n2;
-                 foff = 0;
-               })
+        when contiguous fd1 o1 n1 fd2 o2 n2 ->
+          coalesce P.G_read fd1 o1 n1 n2 0
       (* pread: ranges must be contiguous in the shared buffer AND in
          the file *)
-      | ( "pread",
+      | ( Some Sysno.Pread,
           [ fd1; Op.Shared o1; Op.Const n1; Op.Const f1 ],
-          "pread",
+          Some Sysno.Pread,
           [ fd2; Op.Shared o2; Op.Const n2; Op.Const f2 ] )
-        when fd1 = fd2 && indep fd2 && n1 >= 0 && n2 >= 0 && o1 >= 0
-             && f1 >= 0
-             && o2 = o1 + n1
-             && f2 = f1 + n1
-             && o1 + n1 + n2 <= shared_size ->
-          Some
-            (P.Coalesce
-               {
-                 kind = P.G_pread;
-                 dst_a;
-                 dst_b;
-                 fd = fd1;
-                 off = o1;
-                 len_a = n1;
-                 len_b = n2;
-                 foff = f1;
-               })
-      | ( "write",
+        when contiguous fd1 o1 n1 fd2 o2 n2 && f1 >= 0 && f2 = f1 + n1 ->
+          coalesce P.G_pread fd1 o1 n1 n2 f1
+      | ( Some Sysno.Write,
           [ fd1; Op.Shared o1; Op.Const n1 ],
-          "write",
+          Some Sysno.Write,
           [ fd2; Op.Shared o2; Op.Const n2 ] )
-        when fd1 = fd2 && indep fd2 && n1 >= 0 && n2 >= 0 && o1 >= 0
-             && o2 = o1 + n1
-             && o1 + n1 + n2 <= shared_size ->
-          Some
-            (P.Coalesce
-               {
-                 kind = P.G_write;
-                 dst_a;
-                 dst_b;
-                 fd = fd1;
-                 off = o1;
-                 len_a = n1;
-                 len_b = n2;
-                 foff = 0;
-               })
+        when contiguous fd1 o1 n1 fd2 o2 n2 ->
+          coalesce P.G_write fd1 o1 n1 n2 0
       (* read fd_r, shared+o, n ; write fd_w, shared+o, n — splice *)
-      | ( "read",
+      | ( Some Sysno.Read,
           [ fd_r; Op.Shared o1; Op.Const n1 ],
-          "write",
+          Some Sysno.Write,
           [ fd_w; Op.Shared o2; Op.Const n2 ] )
         when o1 = o2 && n1 = n2 && n1 >= 0 && o1 >= 0 && indep fd_w
              && o1 + n1 <= shared_size ->
@@ -143,10 +113,9 @@ let pair_rewrite ~shared_size ops i =
    fd-resolution cache; [close] also evicts. *)
 let fd_rewrite = function
   | Op.Syscall { args = _ :: _; sysno; _ } -> (
-      match name_of sysno with
-      | "close" -> P.Cache_close
-      | "read" | "write" | "pread" | "pwrite" | "lseek" | "fstat" | "fsync" ->
-          P.Cache_fd
+      match Op.syscall sysno with
+      | Some (Sysno.Close, _) -> P.Cache_close
+      | Some (_, Op.Fd :: _) -> P.Cache_fd
       | _ -> P.Keep)
   | _ -> P.Keep
 

@@ -1,8 +1,8 @@
 (* First-class syscall numbers.  One constructor per system call the
    simulated kernel offers, including the consolidated calls of §2.2.
-   The numbering of the first fifteen matches the Cosy compound
-   encoding's fixed syscall table, so a compound's integer sysno and a
-   [Sysno.t] agree on the wire. *)
+   [to_int] is the wire number: a Cosy compound names a syscall by it,
+   and [Cosy.Cosy_op.syscalls] lists which of them a compound may call.
+   Renumbering a constructor changes the compound encoding. *)
 
 type t =
   | Open
@@ -84,41 +84,6 @@ let to_int = function
   | Recv_send -> 30
   | Sendfile_sock -> 31
 
-let of_int = function
-  | 0 -> Some Open
-  | 1 -> Some Close
-  | 2 -> Some Read
-  | 3 -> Some Write
-  | 4 -> Some Pread
-  | 5 -> Some Pwrite
-  | 6 -> Some Lseek
-  | 7 -> Some Stat
-  | 8 -> Some Fstat
-  | 9 -> Some Readdir
-  | 10 -> Some Mkdir
-  | 11 -> Some Unlink
-  | 12 -> Some Rename
-  | 13 -> Some Fsync
-  | 14 -> Some Getpid
-  | 15 -> Some Readdirplus
-  | 16 -> Some Open_read_close
-  | 17 -> Some Open_write_close
-  | 18 -> Some Sendfile
-  | 19 -> Some Open_fstat
-  | 20 -> Some Socket
-  | 21 -> Some Bind
-  | 22 -> Some Listen
-  | 23 -> Some Accept
-  | 24 -> Some Recv
-  | 25 -> Some Send
-  | 26 -> Some Epoll_create
-  | 27 -> Some Epoll_ctl
-  | 28 -> Some Epoll_wait
-  | 29 -> Some Accept_recv
-  | 30 -> Some Recv_send
-  | 31 -> Some Sendfile_sock
-  | _ -> None
-
 let to_string = function
   | Open -> "open"
   | Close -> "close"
@@ -153,6 +118,13 @@ let to_string = function
   | Recv_send -> "recv_send"
   | Sendfile_sock -> "sendfile_sock"
 
+(* [of_int] decodes every kring entry, so it indexes rather than scans *)
+let by_int =
+  let a = Array.make (List.length all) None in
+  List.iter (fun t -> a.(to_int t) <- Some t) all;
+  a
+
+let of_int n = if n >= 0 && n < Array.length by_int then by_int.(n) else None
 let of_string s = List.find_opt (fun t -> to_string t = s) all
 
 let equal (a : t) (b : t) = a = b

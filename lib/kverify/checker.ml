@@ -1,11 +1,12 @@
 (* Static compound verification (after the eBPF verifier's
    admission-before-execution discipline): prove, before a single op
    runs, that a Cosy compound or a kring batch is well-formed — every
-   opcode decodes, every syscall matches its [Sysno] descriptor's
-   argument shape, every shared-buffer reference is in bounds, and every
-   loop back-edge is provably bounded.  Programs that pass run with the
-   dynamic watchdog elided; anything the analysis cannot prove falls
-   back to the dynamic path, so the checker only ever *subtracts* work.
+   opcode decodes, every syscall's operands match their kinds in the
+   compound syscall table ([Cosy_op.syscalls]), every shared-buffer
+   reference is in bounds, and every loop back-edge is provably
+   bounded.  Programs that pass run with the dynamic watchdog elided;
+   anything the analysis cannot prove falls back to the dynamic path,
+   so the checker only ever *subtracts* work.
 
    The analysis is deliberately conservative.  Boundedness in particular
    recognises exactly the counted-loop idiom Cosy-GCC emits —
@@ -45,66 +46,38 @@ type verdict =
 
 let is_verified = function Verified _ -> true | Rejected _ -> false
 
-(* --- argument-shape descriptors ---------------------------------------- *)
-
-(* The shape of one compound syscall argument, derived from the typed
-   [Syscall.req] constructor the op lowers to. *)
-type shape =
-  | A_int      (* Const / Slot / Shared-as-offset *)
-  | A_str      (* path: immediate string or NUL-terminated shared bytes *)
-  | A_out      (* output buffer: shared or null (discard) *)
-  | A_in       (* input payload: shared or immediate *)
-
-(* Per-syscall argument shapes, keyed by [Sysno]; mirrors the lowering
-   in [Cosy_exec.do_syscall] one for one. *)
-let compound_shapes : (Sysno.t * shape list) list =
-  [
-    (Sysno.Open, [ A_str; A_int ]);
-    (Sysno.Close, [ A_int ]);
-    (Sysno.Read, [ A_int; A_out; A_int ]);
-    (Sysno.Write, [ A_int; A_in; A_int ]);
-    (Sysno.Pread, [ A_int; A_out; A_int; A_int ]);
-    (Sysno.Pwrite, [ A_int; A_in; A_int; A_int ]);
-    (Sysno.Lseek, [ A_int; A_int; A_int ]);
-    (Sysno.Stat, [ A_str ]);
-    (Sysno.Fstat, [ A_int ]);
-    (Sysno.Readdir, [ A_str; A_out ]);
-    (Sysno.Mkdir, [ A_str ]);
-    (Sysno.Unlink, [ A_str ]);
-    (Sysno.Rename, [ A_str; A_str ]);
-    (Sysno.Fsync, [ A_int ]);
-    (Sysno.Getpid, []);
-  ]
-
 let reject fmt = Fmt.kstr (fun m -> Error m) fmt
 
-let check_arg ~shared_size ~slot_count what shape (arg : Cosy_op.arg) =
+(* One operand against its kind in [Cosy_op.syscalls]; a descriptor is
+   checked as any integer operand. *)
+let check_arg ~shared_size ~slot_count what kind (arg : Cosy_op.arg) =
   let shared_ok off = off >= 0 && off < shared_size in
-  match (shape, arg) with
-  | A_int, Cosy_op.Const _ -> Ok ()
-  | A_int, Cosy_op.Slot i ->
+  match (kind, arg) with
+  | (Cosy_op.Fd | Cosy_op.Int), Cosy_op.Const _ -> Ok ()
+  | (Cosy_op.Fd | Cosy_op.Int), Cosy_op.Slot i ->
       if i >= 0 && i < slot_count then Ok ()
       else reject "%s: slot %d out of range" what i
-  | A_int, Cosy_op.Shared off ->
+  | (Cosy_op.Fd | Cosy_op.Int), Cosy_op.Shared off ->
       if shared_ok off then Ok ()
       else reject "%s: shared offset %d out of bounds" what off
-  | A_int, Cosy_op.Str _ -> reject "%s: string where an int is expected" what
-  | A_str, Cosy_op.Str _ -> Ok ()
-  | A_str, Cosy_op.Shared off ->
+  | (Cosy_op.Fd | Cosy_op.Int), Cosy_op.Str _ ->
+      reject "%s: string where an int is expected" what
+  | Cosy_op.Path, Cosy_op.Str _ -> Ok ()
+  | Cosy_op.Path, Cosy_op.Shared off ->
       if shared_ok off then Ok ()
       else reject "%s: shared string offset %d out of bounds" what off
-  | A_str, (Cosy_op.Const _ | Cosy_op.Slot _) ->
+  | Cosy_op.Path, (Cosy_op.Const _ | Cosy_op.Slot _) ->
       reject "%s: path must be immediate or shared" what
-  | A_out, Cosy_op.Shared off ->
+  | Cosy_op.Out, Cosy_op.Shared off ->
       if shared_ok off then Ok ()
       else reject "%s: output buffer offset %d out of bounds" what off
-  | A_out, Cosy_op.Const 0 -> Ok ()   (* discard *)
-  | A_out, _ -> reject "%s: output buffer must be shared or null" what
-  | A_in, Cosy_op.Shared off ->
+  | Cosy_op.Out, Cosy_op.Const 0 -> Ok ()   (* discard *)
+  | Cosy_op.Out, _ -> reject "%s: output buffer must be shared or null" what
+  | Cosy_op.In, Cosy_op.Shared off ->
       if shared_ok off then Ok ()
       else reject "%s: input buffer offset %d out of bounds" what off
-  | A_in, Cosy_op.Str _ -> Ok ()
-  | A_in, _ -> reject "%s: input buffer must be shared or immediate" what
+  | Cosy_op.In, Cosy_op.Str _ -> Ok ()
+  | Cosy_op.In, _ -> reject "%s: input buffer must be shared or immediate" what
 
 (* --- bounded back-edges ------------------------------------------------- *)
 
@@ -269,7 +242,7 @@ let verify_ops ~shared_size ~slot_count (ops : Cosy_op.op array) =
             check
               (check_arg ~shared_size ~slot_count
                  (Printf.sprintf "op %d (set)" idx)
-                 A_int src)
+                 Cosy_op.Int src)
       | Cosy_op.Arith { dst; a; b; _ } ->
           if dst < 0 || dst >= slot_count then
             fail (Printf.sprintf "op %d: arith to slot %d out of range" idx dst)
@@ -277,11 +250,11 @@ let verify_ops ~shared_size ~slot_count (ops : Cosy_op.op array) =
             check
               (check_arg ~shared_size ~slot_count
                  (Printf.sprintf "op %d (arith)" idx)
-                 A_int a);
+                 Cosy_op.Int a);
             check
               (check_arg ~shared_size ~slot_count
                  (Printf.sprintf "op %d (arith)" idx)
-                 A_int b)
+                 Cosy_op.Int b)
           end
       | Cosy_op.Syscall { dst; sysno; args } -> (
           if dst < 0 || dst >= slot_count then
@@ -289,31 +262,22 @@ let verify_ops ~shared_size ~slot_count (ops : Cosy_op.op array) =
               (Printf.sprintf "op %d: syscall result slot %d out of range" idx
                  dst)
           else
-            match
-              Option.bind (Cosy_op.name_of_sysno sysno) Sysno.of_string
-            with
+            match Cosy_op.syscall sysno with
             | None -> fail (Printf.sprintf "op %d: bad opcode sys_%d" idx sysno)
-            | Some sys -> (
-                match List.assoc_opt sys compound_shapes with
-                | None ->
-                    fail
-                      (Printf.sprintf "op %d: %s not callable from a compound"
-                         idx (Sysno.to_string sys))
-                | Some shapes ->
-                    if List.length shapes <> List.length args then
-                      fail
-                        (Printf.sprintf "op %d: %s takes %d args, got %d" idx
-                           (Sysno.to_string sys) (List.length shapes)
-                           (List.length args))
-                    else
-                      List.iter2
-                        (fun shape arg ->
-                          check
-                            (check_arg ~shared_size ~slot_count
-                               (Printf.sprintf "op %d (%s)" idx
-                                  (Sysno.to_string sys))
-                               shape arg))
-                        shapes args))
+            | Some (sys, kinds) ->
+                if List.length kinds <> List.length args then
+                  fail
+                    (Printf.sprintf "op %d: %s takes %d args, got %d" idx
+                       (Sysno.to_string sys) (List.length kinds)
+                       (List.length args))
+                else
+                  List.iter2
+                    (fun kind arg ->
+                      check
+                        (check_arg ~shared_size ~slot_count
+                           (Printf.sprintf "op %d (%s)" idx (Sysno.to_string sys))
+                           kind arg))
+                    kinds args)
       | Cosy_op.Jmp target ->
           if not (target_ok target) then
             fail (Printf.sprintf "op %d: jump to %d out of range" idx target)
@@ -323,7 +287,7 @@ let verify_ops ~shared_size ~slot_count (ops : Cosy_op.op array) =
           check
             (check_arg ~shared_size ~slot_count
                (Printf.sprintf "op %d (jz)" idx)
-               A_int cond);
+               Cosy_op.Int cond);
           if not (target_ok target) then
             fail (Printf.sprintf "op %d: jump to %d out of range" idx target)
           else if target <= idx then

@@ -1,10 +1,10 @@
 (** Static admission checker for compounds and ring batches.
 
     Verifies, before execution, that a program cannot misbehave on
-    shape: opcodes decode, syscall arguments match their {!Ksyscall.Sysno}
-    descriptors, shared-buffer references stay in bounds, and every loop
-    back-edge follows the provably-bounded counted-loop idiom Cosy-GCC
-    emits.  A [Verified] program runs with the dynamic watchdog elided;
+    shape: opcodes decode, syscall operands match their kinds in
+    {!Cosy.Cosy_op.syscalls}, shared-buffer references stay in bounds,
+    and every loop back-edge follows the provably-bounded counted-loop
+    idiom Cosy-GCC emits.  A [Verified] program runs with the dynamic watchdog elided;
     a [Rejected] one falls back bit-for-bit to the dynamic path. *)
 
 (** One proven counted loop (op indices inclusive; the body is

@@ -4,10 +4,11 @@
    seek-bound in E6/E7.
 
    Eviction is second-chance (clock): each resident block carries a
-   reference bit, set on every hit.  The evictor walks the arrival queue;
-   a block with its bit set is spared (bit cleared, re-queued) and the
-   first block with a clear bit is evicted.  Hot blocks therefore survive
-   a scan that would flush a plain FIFO. *)
+   reference bit, set on every hit.  The evictor walks the clock ring from
+   the oldest arrival; a block with its bit set is spared (bit cleared,
+   moved to the newest end) and the first block with a clear bit is
+   evicted.  Hot blocks therefore survive a scan that would flush a plain
+   FIFO. *)
 
 type policy = Fifo | Second_chance
 
@@ -16,13 +17,23 @@ type policy = Fifo | Second_chance
    table is the only state a reboot may consult. *)
 type image = (int, Bytes.t) Hashtbl.t
 
+(* A resident block's place on the clock ring: circular and doubly
+   linked through a per-device sentinel, so the hand takes the oldest
+   entry and [forget] unlinks a freed block in O(1). *)
+type slot = {
+  blk : int;
+  mutable referenced : bool;
+  mutable prev : slot;
+  mutable next : slot;
+}
+
 type t = {
   kernel : Ksim.Kernel.t;
   block_size : int;
   cache_blocks : int;
   policy : policy;
-  cache : bool ref Ksim.Int_table.t;  (* resident -> reference bit *)
-  arrival : int Queue.t;              (* clock hand order *)
+  cache : slot Ksim.Int_table.t;      (* resident block -> its slot *)
+  ring : slot;                        (* sentinel; [ring.next] is oldest *)
   kstats : Kstats.t;
   st_reads : Kstats.counter;
   st_writes : Kstats.counter;
@@ -52,6 +63,7 @@ exception Power_loss
 let create ?(block_size = 4096) ?(cache_blocks = 150_000)
     ?(policy = Second_chance) ?image kernel =
   let kstats = Ksim.Kernel.stats kernel in
+  let rec ring = { blk = -1; referenced = false; prev = ring; next = ring } in
   {
     kernel;
     block_size;
@@ -59,9 +71,9 @@ let create ?(block_size = 4096) ?(cache_blocks = 150_000)
     policy;
     (* start small and let the table grow: sized for [cache_blocks] up
        front it would cost megabytes of buckets per boot, most never
-       used; eviction reads only its length and the arrival queue *)
+       used; eviction reads only its length and the clock ring *)
     cache = Ksim.Int_table.create 256;
-    arrival = Queue.create ();
+    ring;
     kstats;
     st_reads = Kstats.counter kstats "blockdev.reads";
     st_writes = Kstats.counter kstats "blockdev.writes";
@@ -93,44 +105,63 @@ let seek_cost t blk =
   else if distance <= 8 then cost.Ksim.Cost_model.disk_seek / 100
   else cost.Ksim.Cost_model.disk_seek
 
-let evict_one t =
-  let rec hand () =
-    match Queue.take_opt t.arrival with
-    | None -> ()
-    | Some candidate -> (
-        match Ksim.Int_table.find t.cache candidate with
-        | exception Not_found -> hand ()  (* stale queue entry *)
-        | refbit ->
-            if t.policy = Second_chance && !refbit then begin
-              refbit := false;
-              Queue.push candidate t.arrival;
-              hand ()
-            end
-            else begin
-              Ksim.Int_table.remove t.cache candidate;
-              Kstats.incr t.kstats t.st_evictions
-            end)
-  in
-  hand ()
+let unlink s =
+  s.prev.next <- s.next;
+  s.next.prev <- s.prev
+
+let push_newest t s =
+  s.prev <- t.ring.prev;
+  s.next <- t.ring;
+  t.ring.prev.next <- s;
+  t.ring.prev <- s
+
+let rec evict_one t =
+  let s = t.ring.next in
+  if s != t.ring then begin
+    unlink s;
+    if t.policy = Second_chance && s.referenced then begin
+      s.referenced <- false;
+      push_newest t s;
+      evict_one t
+    end
+    else begin
+      Ksim.Int_table.remove t.cache s.blk;
+      Kstats.incr t.kstats t.st_evictions
+    end
+  end
 
 let touch t blk =
   match Ksim.Int_table.find t.cache blk with
-  | refbit -> refbit := true
+  | s -> s.referenced <- true
   | exception Not_found ->
-      Ksim.Int_table.replace t.cache blk (ref false);
-      Queue.push blk t.arrival;
+      let s = { blk; referenced = false; prev = t.ring; next = t.ring } in
+      push_newest t s;
+      Ksim.Int_table.replace t.cache blk s;
       if Ksim.Int_table.length t.cache > t.cache_blocks then evict_one t
 
-(* A freed block leaves the cache at once rather than when the hand
-   reaches it; its queue entry goes stale, which [evict_one] skips. *)
-let forget t blk = Ksim.Int_table.remove t.cache blk
+(* A freed block leaves the cache and the ring at once rather than when
+   the hand reaches it.  A queue that skipped such entries lazily would
+   evict in the same order while freed block numbers are never reused,
+   as memfs guarantees (it allocates from a forward cursor). *)
+let forget t blk =
+  match Ksim.Int_table.find t.cache blk with
+  | s ->
+      unlink s;
+      Ksim.Int_table.remove t.cache blk
+  | exception Not_found -> ()
+
+let resident t = Ksim.Int_table.length t.cache
+
+let ring_length t =
+  let rec count s n = if s == t.ring then n else count s.next (n + 1) in
+  count t.ring.next 0
 
 (* Read one block: free on cache hit, seek+transfer on miss. *)
 let read_block t blk =
   Kstats.incr t.kstats t.st_reads;
   match Ksim.Int_table.find t.cache blk with
-  | refbit ->
-      refbit := true;
+  | s ->
+      s.referenced <- true;
       Kstats.incr t.kstats t.st_cache_hits
   | exception Not_found ->
       Kstats.incr t.kstats t.st_cache_misses;

@@ -49,10 +49,15 @@ val block_size : t -> int
 val read_block : t -> int -> unit
 val write_block : t -> int -> unit
 
-(** Drop a freed block from the cache, so a dead file's blocks stop
-    counting against [cache_blocks].  Costs no simulated time; a block
-    not resident is ignored. *)
+(** Drop a freed block from the cache and the clock ring, so a dead
+    file's blocks stop counting against [cache_blocks].  Costs no
+    simulated time; a block not resident is ignored. *)
 val forget : t -> int -> unit
+
+(** Blocks in the cache, and entries on the clock ring (walked; one per
+    resident block). *)
+val resident : t -> int
+val ring_length : t -> int
 
 (** [write_block_data t blk data] is {!write_block} (once per spanned
     block) plus durability: the payload enters the image.  Probes the

@@ -318,6 +318,88 @@ let qcheck_backedge_rejected =
     arb_good_ops (fun ops ->
       not (Checker.is_verified (verify (ops @ [ Cosy_op.Jmp 0 ]))))
 
+(* --- the checker and the lowering read one syscall table ---------------- *)
+
+(* Run a one-syscall compound dynamically on a fresh system; [Some m]
+   when the lowering refused its operands ([Exec_error m]). *)
+let exec_error compound =
+  let cx = Core.cosy ~shared_size:4096 (boot ()) in
+  match Cosy.Cosy_exec.submit cx compound with
+  | _ -> None
+  | exception Cosy.Cosy_exec.Exec_error m -> Some m
+  | exception Invalid_argument _ -> None   (* a length past the buffer *)
+
+(* An operand of any kind, in or out of range. *)
+let gen_operand =
+  QCheck.Gen.(
+    oneof
+      [
+        return (Cosy_op.Const 0);
+        map (fun n -> Cosy_op.Const n) (int_range 1 5);
+        map (fun i -> Cosy_op.Slot i) (int_range 0 9);
+        map (fun off -> Cosy_op.Shared off) (int_range 0 4095);
+        map (fun off -> Cosy_op.Shared off) (int_range 4096 5000);
+        oneofl [ Cosy_op.Str "/f"; Cosy_op.Str "/d" ];
+      ])
+
+(* A syscall op on wire numbers 0-40 (table rows twice as often as the
+   rest), usually with its row's arity. *)
+let arb_one_syscall =
+  let rows = List.map (fun (s, _) -> Sysno.to_int s) Cosy_op.syscalls in
+  let gen =
+    QCheck.Gen.(
+      frequency [ (2, oneofl rows); (1, int_range 0 40) ] >>= fun sysno ->
+      let arity =
+        match Cosy_op.syscall sysno with
+        | Some (_, kinds) ->
+            frequency [ (3, return (List.length kinds)); (1, int_range 0 5) ]
+        | None -> int_range 0 5
+      in
+      arity >>= fun n ->
+      map (fun args -> Cosy_op.Syscall { dst = 0; sysno; args })
+        (list_repeat n gen_operand))
+  in
+  QCheck.make ~print:(Fmt.to_to_string Cosy_op.pp_op) gen
+
+let qcheck_checker_agrees_with_lowering =
+  QCheck.Test.make ~name:"checker never admits what the lowering refuses"
+    ~count:2000 arb_one_syscall (fun op ->
+      let compound = Compound.encode ~slot_count:8 [ op; Cosy_op.Halt ] in
+      match
+        (Checker.verify_compound ~shared_size:4096 compound, exec_error compound)
+      with
+      | Checker.Verified _, Some m ->
+          QCheck.Test.fail_reportf "admitted, then execution raised %S" m
+      | _ -> true)
+
+(* Every row, with operands of its kinds, survives encode/decode, names
+   itself by name, verifies and runs without an operand error. *)
+let test_table_rows () =
+  List.iter
+    (fun (sys, kinds) ->
+      let name = Sysno.to_string sys in
+      let sysno = Sysno.to_int sys in
+      let arg = function
+        | Cosy_op.Fd -> Cosy_op.Slot 1
+        | Cosy_op.Int -> Cosy_op.Const 2
+        | Cosy_op.Path -> Cosy_op.Str "/f"
+        | Cosy_op.Out -> Cosy_op.Shared 64
+        | Cosy_op.In -> Cosy_op.Str "data"
+      in
+      let op = Cosy_op.Syscall { dst = 0; sysno; args = List.map arg kinds } in
+      let compound = Compound.encode ~slot_count:8 [ op; Cosy_op.Halt ] in
+      let ops, _ = Compound.decode compound in
+      Alcotest.(check bool) (name ^ " round-trips") true (ops.(0) = op);
+      Alcotest.(check (option int)) (name ^ " by name") (Some sysno)
+        (Cosy_op.sysno_of_name name);
+      Alcotest.(check bool) (name ^ " same row") true
+        (Cosy_op.syscall sysno = Some (sys, kinds));
+      Alcotest.(check bool) (name ^ " verifies") true
+        (Checker.is_verified (Checker.verify_compound ~shared_size:4096 compound));
+      Alcotest.(check (option string)) (name ^ " lowers") None
+        (exec_error compound))
+    Cosy_op.syscalls
+
 (* --- admission changes cost, never results ------------------------------ *)
 
 let run_loop_compound t =
@@ -459,6 +541,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_wellformed_verifies;
           QCheck_alcotest.to_alcotest qcheck_mutations_rejected;
           QCheck_alcotest.to_alcotest qcheck_backedge_rejected;
+          Alcotest.test_case "syscall table rows" `Quick test_table_rows;
+          QCheck_alcotest.to_alcotest qcheck_checker_agrees_with_lowering;
         ] );
       ( "admission",
         [

@@ -179,6 +179,77 @@ let test_block_dev_cache () =
   Alcotest.(check int) "one miss" 1 s.Kvfs.Block_dev.misses;
   Alcotest.(check int) "one hit" 1 s.Kvfs.Block_dev.hits
 
+(* A PostMark run frees thousands of blocks; their clock-hand entries
+   must not pile up behind the ~100 that stay resident (a lazily pruned
+   queue once kept 6,579 entries for 95 resident blocks). *)
+let test_block_dev_freed_blocks () =
+  let kernel = Ksim.Kernel.create () in
+  let fs = Kvfs.Memfs.create kernel in
+  let sys = Ksyscall.Systable.create ~root_fs:(Kvfs.Memfs.ops fs) kernel in
+  let config = { Workloads.Postmark.default_config with transactions = 5_000 } in
+  ignore (Workloads.Postmark.run ~config sys);
+  let dev = Kvfs.Memfs.dev fs in
+  let resident = Kvfs.Block_dev.resident dev in
+  Alcotest.(check bool) "blocks stay resident" true (resident > 0);
+  Alcotest.(check int) "one ring entry per resident block" resident
+    (Kvfs.Block_dev.ring_length dev)
+
+(* The clock ring evicts exactly as the lazily pruned arrival queue it
+   replaced (modelled here), as long as a freed block number is never
+   used again: random reads, writes and forgets over a 6-block cache,
+   each forgotten number retired for good. *)
+let qcheck_block_dev_clock_model =
+  QCheck.Test.make ~name:"clock ring = lazily pruned queue" ~count:300
+    QCheck.(list_of_size (Gen.int_range 1 200) (pair (int_range 0 3) (int_range 0 9)))
+    (fun steps ->
+      let dev = Kvfs.Block_dev.create ~cache_blocks:6 (mk_kernel ()) in
+      let cache = Hashtbl.create 16 and queue = Queue.create () in
+      let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let rec evict () =
+        match Queue.take_opt queue with
+        | None -> ()
+        | Some b -> (
+            match Hashtbl.find_opt cache b with
+            | None -> evict ()
+            | Some bit when !bit ->
+                bit := false;
+                Queue.push b queue;
+                evict ()
+            | Some _ ->
+                Hashtbl.remove cache b;
+                incr evictions)
+      in
+      let generation = Array.make 10 0 in
+      List.iter
+        (fun (op, k) ->
+          let blk = (k * 1000) + generation.(k) in
+          if op = 0 then begin
+            Kvfs.Block_dev.forget dev blk;
+            Hashtbl.remove cache blk;
+            generation.(k) <- generation.(k) + 1
+          end
+          else begin
+            let read = op > 1 in
+            if read then Kvfs.Block_dev.read_block dev blk
+            else Kvfs.Block_dev.write_block dev blk;
+            match Hashtbl.find_opt cache blk with
+            | Some bit ->
+                bit := true;
+                if read then incr hits
+            | None ->
+                if read then incr misses;
+                Hashtbl.replace cache blk (ref false);
+                Queue.push blk queue;
+                if Hashtbl.length cache > 6 then evict ()
+          end)
+        steps;
+      let s = Kvfs.Block_dev.stats dev in
+      s.Kvfs.Block_dev.hits = !hits
+      && s.Kvfs.Block_dev.misses = !misses
+      && s.Kvfs.Block_dev.evictions = !evictions
+      && Kvfs.Block_dev.resident dev = Hashtbl.length cache
+      && Kvfs.Block_dev.ring_length dev = Hashtbl.length cache)
+
 (* --- dcache ---------------------------------------------------------------- *)
 
 let test_dcache () =
@@ -778,6 +849,9 @@ let () =
         [
           Alcotest.test_case "cache" `Quick test_block_dev_cache;
           Alcotest.test_case "second chance" `Quick test_block_dev_second_chance;
+          Alcotest.test_case "freed blocks leave the ring" `Quick
+            test_block_dev_freed_blocks;
+          QCheck_alcotest.to_alcotest qcheck_block_dev_clock_model;
         ] );
       ( "dcache",
         [
