@@ -81,9 +81,13 @@ bench-same:
 # side `--workload W --seed SEED --seconds <run_seconds> --trace 0`; odd
 # pairs run base first, even pairs this tree first.  Prints every pair, then each side's median
 # and quartiles of host_throughput and host_peak_heap_mb, the pairs this
-# tree wins on each, and the runs' attempted counts.  Informational:
-# host metrics are noisy, so read the quartiles, not one pair.  Takes
-# about 2 * N * run_seconds.
+# tree wins on each, and the runs' attempted counts.  Then it runs each
+# side once more at `--seconds 0.001` (the 10-repetition minimum) and
+# prints that run's host_peak_heap_mb and host_alloc_words_per_op: at
+# equal work, so a peak heap that moved with structure reads apart from
+# one that moved because a faster run kept more latency samples.
+# Informational: host metrics are noisy, so read the quartiles, not one
+# pair.  Takes about 2 * N * run_seconds.
 SEED ?= 1
 bench-pairs:
 	@test -n "$(BASE)" && test -n "$(W)" && test -n "$(N)" || \
@@ -126,7 +130,18 @@ bench-pairs:
 	         printf "%-4s attempted%s\n", side, at[side] } \
 	       for (i in bt) { wt += ht[i] > bt[i]; wh += hh[i] < bh[i] } \
 	       printf "here wins %d/%d pairs on host_throughput, %d/%d on host_peak_heap_mb\n", wt, n["here"], wh, n["here"] }' \
-	  "$$base/rows"
+	  "$$base/rows" && \
+	"$$base/_build/default/benchmark/main.exe" --workload $(W) --seed $(SEED) \
+	  --seconds 0.001 --trace 0 > "$$base/base.min" && \
+	./_build/default/benchmark/main.exe --workload $(W) --seed $(SEED) \
+	  --seconds 0.001 --trace 0 > "$$base/here.min" && \
+	for m in host_peak_heap_mb host_alloc_words_per_op; do \
+	  awk -v m=$$m '$$2 == m { v[FILENAME] = $$3 } \
+	    END { b = v[ARGV[1]]; h = v[ARGV[2]]; \
+	      printf "equal work (--seconds 0.001) %-24s base %9.2f  here %9.2f  (%+.1f%%)\n", \
+	        m, b, h, b ? 100 * (h - b) / b : 0 }' \
+	    "$$base/base.min" "$$base/here.min"; \
+	done
 
 # Added, removed and net .ml/.mli lines under lib/, bench/ and test/,
 # this working tree against revision BASE: `make net-lines BASE=<rev>`.

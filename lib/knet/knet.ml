@@ -2,14 +2,16 @@
 
    The server half (listeners, backlogs, bounded per-connection buffers,
    level-triggered epoll) is real data structures; the client half is a
-   discrete-event traffic generator on a global min-heap keyed by
-   (due-cycle, insertion-seq), so a run is a deterministic function of
-   the installed traffic specs and the cost model.  Blocking epoll_wait
+   discrete-event traffic generator on one event queue ordered by
+   (due-cycle, insertion-seq) — sorted FIFO lanes, one per push delay in
+   effect ([Lanes]) — so a run is a deterministic function of the
+   installed traffic specs and the cost model.  Blocking epoll_wait
    advances the simulated clock as I/O wait — the process is asleep on a
    wait queue until the "NIC" delivers something interesting. *)
 
 module Kernel = Ksim.Kernel
 module Kproc = Ksim.Kproc
+module Int_table = Ksim.Int_table
 module Instrument = Ksim.Instrument
 module V = Kvfs.Vtypes
 
@@ -119,130 +121,212 @@ module Bq = struct
     b
 end
 
-(* Binary min-heap on (due, seq): FIFO among events due the same cycle.
-   The keys live in two int arrays and the events in a third, so a push
-   boxes nothing and a sift compares ints.  Sifts move a hole and write
-   the moving entry once.  A popped or vacated slot holds [dummy], so
-   the heap keeps no processed event alive. *)
-module Heap = struct
-  type 'a t = {
+(* The traffic generator's event queue: sorted FIFO lanes on (due, seq)
+   (the interface has the cost model).  The clock never goes back and
+   events are pushed at [now + d] for a handful of delays, so events
+   pushed with the same delay arrive in key order: a push appends to the
+   lane whose tail is the greatest key below its own, and a pop takes
+   the least head.  Keys and events sit in parallel arrays, so a push
+   boxes nothing and compares ints. *)
+module Lanes = struct
+  type 'a lane = {
     mutable due : int array;
     mutable seq : int array;
-    mutable evs : 'a array;
+    mutable evs : 'a array;          (* capacity a power of two, or 0 *)
+    mutable head : int;              (* slot of the lane's least entry *)
+    mutable len : int;
+  }
+
+  type 'a t = {
+    mutable lanes : 'a lane array;   (* [0, live) hold entries, then the
+                                        [made - live] empty ones *)
+    mutable live : int;
+    mutable made : int;
+    mutable best : int;              (* live lane with the least head *)
     mutable len : int;
     dummy : 'a;
   }
 
+  let min_cap = 16
+
+  (* A drained lane keeps storage up to this many slots. *)
+  let keep_cap = 256
+
+  let empty_lane () = { due = [||]; seq = [||]; evs = [||]; head = 0; len = 0 }
+
   let create dummy =
-    {
-      due = Array.make 64 0;
-      seq = Array.make 64 0;
-      evs = Array.make 64 dummy;
-      len = 0;
-      dummy;
-    }
+    { lanes = [||]; live = 0; made = 0; best = -1; len = 0; dummy }
 
-  let length h = h.len
-  let is_empty h = h.len = 0
+  let length q = q.len
+  let is_empty q = q.len = 0
+  let width q = q.made
 
-  (* Slot [i]'s key is below (d, s). *)
-  let below h i (d : int) (s : int) =
-    let di = h.due.(i) in
-    di < d || (di = d && h.seq.(i) < s)
+  let tail l = (l.head + l.len - 1) land (Array.length l.due - 1)
 
-  let set h i d s ev =
-    h.due.(i) <- d;
-    h.seq.(i) <- s;
-    h.evs.(i) <- ev
-
-  let move h ~src ~dst = set h dst h.due.(src) h.seq.(src) h.evs.(src)
-
-  let grow h =
-    let n = 2 * Array.length h.due in
-    let extend a fill =
-      let b = Array.make n fill in
-      Array.blit a 0 b 0 h.len;
-      b
-    in
-    h.due <- extend h.due 0;
-    h.seq <- extend h.seq 0;
-    h.evs <- extend h.evs h.dummy
-
-  let push h due seq ev =
-    if h.len = Array.length h.due then grow h;
-    let i = ref h.len in
-    h.len <- h.len + 1;
-    while !i > 0 && not (below h ((!i - 1) / 2) due seq) do
-      let p = (!i - 1) / 2 in
-      move h ~src:p ~dst:!i;
-      i := p
+  let grow dummy l =
+    let cap = Array.length l.due in
+    let n = max min_cap (2 * cap) in
+    let due = Array.make n 0 and seq = Array.make n 0 in
+    let evs = Array.make n dummy in
+    for k = 0 to l.len - 1 do
+      let j = (l.head + k) land (cap - 1) in
+      due.(k) <- l.due.(j);
+      seq.(k) <- l.seq.(j);
+      evs.(k) <- l.evs.(j)
     done;
-    set h !i due seq ev
+    l.due <- due;
+    l.seq <- seq;
+    l.evs <- evs;
+    l.head <- 0
 
-  (* The top's due cycle; the heap must not be empty. *)
-  let top_due h = h.due.(0)
-
-  (* Remove and return the top event; the heap must not be empty.  The
-     last entry fills the hole the top leaves, sifting down. *)
-  let pop h =
-    let top = h.evs.(0) in
-    let n = h.len - 1 in
-    h.len <- n;
-    let d = h.due.(n) and s = h.seq.(n) and ev = h.evs.(n) in
-    h.evs.(n) <- h.dummy;
-    if n > 0 then begin
-      let i = ref 0 and sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 in
-        if l >= n then sifting := false
-        else begin
-          let c =
-            if l + 1 < n && below h (l + 1) h.due.(l) h.seq.(l) then l + 1
-            else l
-          in
-          if below h c d s then begin
-            move h ~src:c ~dst:!i;
-            i := c
-          end
-          else sifting := false
-        end
-      done;
-      set h !i d s ev
+  (* The first empty lane, made live. *)
+  let open_lane q =
+    if q.live = q.made then begin
+      if q.made = Array.length q.lanes then
+        q.lanes <-
+          Array.init
+            (max 4 (2 * q.made))
+            (fun i -> if i < q.made then q.lanes.(i) else empty_lane ());
+      q.made <- q.made + 1
     end;
-    top
+    q.live <- q.live + 1;
+    q.live - 1
+
+  (* The live lane with the least head; -1 when none is live. *)
+  let least q =
+    let best = ref (-1) and bd = ref 0 and bs = ref 0 in
+    for i = 0 to q.live - 1 do
+      let l = q.lanes.(i) in
+      let d = l.due.(l.head) and s = l.seq.(l.head) in
+      if !best < 0 || d < !bd || (d = !bd && s < !bs) then begin
+        best := i;
+        bd := d;
+        bs := s
+      end
+    done;
+    !best
+
+  let push q d s ev =
+    let pick = ref (-1) and pd = ref 0 and ps = ref 0 in
+    for i = 0 to q.live - 1 do
+      let l = q.lanes.(i) in
+      let j = tail l in
+      let td = l.due.(j) and ts = l.seq.(j) in
+      if
+        (td < d || (td = d && ts < s))
+        && (!pick < 0 || td > !pd || (td = !pd && ts > !ps))
+      then begin
+        pick := i;
+        pd := td;
+        ps := ts
+      end
+    done;
+    let i = if !pick >= 0 then !pick else open_lane q in
+    let l = q.lanes.(i) in
+    if l.len = Array.length l.due then grow q.dummy l;
+    let j = (l.head + l.len) land (Array.length l.due - 1) in
+    l.due.(j) <- d;
+    l.seq.(j) <- s;
+    l.evs.(j) <- ev;
+    l.len <- l.len + 1;
+    q.len <- q.len + 1;
+    if l.len = 1 then begin
+      (* a new head: it leads if it is below the old least head *)
+      let b = if q.best < 0 then l else q.lanes.(q.best) in
+      let bd = b.due.(b.head) in
+      if q.best < 0 || d < bd || (d = bd && s < b.seq.(b.head)) then
+        q.best <- i
+    end
+
+  (* The least head's due; the queue must not be empty. *)
+  let top_due q =
+    let l = q.lanes.(q.best) in
+    l.due.(l.head)
+
+  (* A drained lane [i] moves behind the live ones. *)
+  let retire q i =
+    let l = q.lanes.(i) in
+    l.head <- 0;
+    if Array.length l.due > keep_cap then begin
+      l.due <- [||];
+      l.seq <- [||];
+      l.evs <- [||]
+    end;
+    let last = q.live - 1 in
+    q.lanes.(i) <- q.lanes.(last);
+    q.lanes.(last) <- l;
+    q.live <- last
+
+  (* Remove and return the least entry; the queue must not be empty. *)
+  let pop q =
+    let l = q.lanes.(q.best) in
+    let h = l.head in
+    let ev = l.evs.(h) in
+    l.evs.(h) <- q.dummy;
+    l.head <- (h + 1) land (Array.length l.due - 1);
+    l.len <- l.len - 1;
+    q.len <- q.len - 1;
+    if l.len = 0 then retire q q.best;
+    q.best <- least q;
+    ev
+
+  (* Every pending event, in no particular order. *)
+  let iter f q =
+    for i = 0 to q.live - 1 do
+      let l = q.lanes.(i) in
+      for k = 0 to l.len - 1 do
+        f l.evs.((l.head + k) land (Array.length l.due - 1))
+      done
+    done
 
   (* [x] is stored in some slot, live or vacated: a test-time check that
      popped events are unreachable. *)
-  let holds h x = Array.exists (fun e -> e == x) h.evs
+  let holds q x =
+    Array.exists (fun l -> Array.exists (fun e -> e == x) l.evs) q.lanes
 end
+
+(* A port's client population, as [Traffic.install] takes it. *)
+type traffic_spec = {
+  port : int;
+  conns : int;
+  requests_per_conn : int;
+  pipeline : int;
+  start : int;
+  spacing : int;
+  think : int;
+  req_of : conn:int -> req:int -> string;
+}
 
 (* One simulated client driving one connection.  It carries its own
    connect and deliver events, built once, so a redial or a delivery
-   pushes an existing value. *)
+   pushes an existing value, and it shares its port's spec. *)
 type client = {
   cl_seq : int;                      (* arrival index within its port *)
-  cl_port : int;
-  cl_total : int;                    (* requests it will issue *)
-  cl_pipeline : int;
-  cl_think : int;
-  cl_req_of : int -> string;
+  cl_spec : traffic_spec;
   mutable cl_conn : int;             (* conn sock id; -1 before connect *)
-  mutable cl_sent : int;
+  mutable cl_sent : int;             (* requests scheduled so far *)
   mutable cl_done : int;
-  cl_hdr : Bytes.t;                  (* 8-byte response length accumulator *)
+  mutable cl_hdr : int;              (* response length, little-endian
+                                        bytes so far *)
   mutable cl_hdr_got : int;
   mutable cl_body_left : int;
-  cl_sent_at : int Queue.t;          (* client-side send instants, FIFO *)
-  cl_span : int Queue.t;             (* kperf async span ids, same FIFO *)
+  cl_inflight : int array;           (* requests [cl_acked, cl_sent): the
+                                        send instant and kperf async span
+                                        of request r at [2 * (r mod
+                                        pipeline)] and the slot after *)
+  mutable cl_acked : int;
   cl_resp : Bq.t;                    (* raw response stream until digest *)
   mutable cl_finished : bool;
   mutable cl_fails : int;            (* consecutive failures, drives backoff *)
   mutable cl_drops : int;            (* consecutive wire drops of the head
                                         frame, bounded by [wire_retries] *)
-  mutable cl_txq : string list;      (* unacked tx data, strict FIFO: a
+  mutable cl_tx : int;               (* unacked tx data: requests
+                                        [cl_tx, cl_sent), strict FIFO, the
+                                        head from byte [cl_tx_off] on; a
                                         retransmitted frame keeps its place
                                         at the head, so later pipelined
                                         frames cannot overtake it *)
+  mutable cl_tx_off : int;
   mutable cl_connect : ev;           (* [Ev_connect] of this client *)
   mutable cl_deliver : ev;           (* [Ev_deliver] of this client *)
 }
@@ -250,11 +334,12 @@ type client = {
 and ev =
   | Ev_connect of client
   | Ev_deliver of client
-      (* a delivery tick: the payload lives in [cl_txq], not the event,
-         so per-connection byte order survives retransmit delays *)
+      (* a delivery tick: the payload is the head of the client's tx
+         queue, not the event, so per-connection byte order survives
+         retransmit delays *)
   | Ev_drain of int
 
-(* A placeholder event: the heap's vacated slots and a client's event
+(* A placeholder event: the queue's vacated slots and a client's event
    fields before [install] fills them.  A static constant, so it is
    never in the minor heap. *)
 let no_ev = Ev_drain (-1)
@@ -269,6 +354,7 @@ type conn = {
   mutable cn_accepted : bool;
   mutable cn_drain_scheduled : bool;
   mutable cn_client : client option;
+  cn_drain : ev;                     (* [Ev_drain] of this conn *)
 }
 
 type listener = {
@@ -284,14 +370,19 @@ type sock =
   | S_listen of listener
   | S_conn of conn
 
-(* An epoll interest set indexed by socket id.  Ids are dense and never
-   reused, so walking the arrays upward from [ep_low] visits the
-   registrations in creation order without a fold or a sort. *)
+(* An epoll interest set indexed by socket id.  Ids are never reused,
+   and the registered ids form a doubly linked list in ascending order
+   ([ep_next]/[ep_prev], -1 at the ends), so a scan visits the
+   registrations in creation order and skips closed ids without a
+   fold, a sort or a walk over dead slots. *)
 type ep = {
   mutable ep_mask : int array;       (* per sock id; -1 = not registered *)
   mutable ep_cookie : int array;
-  mutable ep_count : int;            (* registered sockets *)
-  mutable ep_low : int;              (* no registration below this id *)
+  mutable ep_next : int array;       (* next registered id above *)
+  mutable ep_prev : int array;       (* next registered id below *)
+  mutable ep_low : int;              (* least registered id; -1 = none *)
+  mutable ep_high : int;             (* greatest registered id *)
+  mutable ep_walked : int;           (* slots the last scan read *)
 }
 
 type port_state = {
@@ -300,7 +391,8 @@ type port_state = {
   mutable ps_responses : int;
   mutable ps_drops : int;
   mutable ps_retrans : int;          (* wire frames lost and re-sent *)
-  ps_digests : string array;         (* per-connection, arrival order *)
+  ps_digests : string array;         (* per-connection raw digest, arrival
+                                        order; "" until completed *)
 }
 
 type t = {
@@ -308,12 +400,12 @@ type t = {
   rcvbuf : int;
   sndbuf : int;
   mutable socks : sock option array; (* by id; ids are never reused *)
-  eps : (int, ep) Hashtbl.t;
-  ports : (int, int) Hashtbl.t;      (* port -> listener sock id *)
-  heap : ev Heap.t;
-  mutable seq : int;                 (* heap insertion tiebreaker *)
+  eps : ep Int_table.t;              (* by epoll id *)
+  ports : int Int_table.t;           (* port -> listener sock id *)
+  events : ev Lanes.t;
+  mutable seq : int;                 (* event insertion tiebreaker *)
   mutable next_id : int;
-  traffic : (int, port_state) Hashtbl.t;
+  traffic : port_state Int_table.t;  (* by port *)
   mutable stage : Bytes.t;           (* shared transmit staging region *)
   pool : Pool.t;                     (* free queue storage *)
   mutable touched_a : int;           (* sock ids the last event may have *)
@@ -349,12 +441,12 @@ let create ?(rcvbuf = 16 * 1024) ?(sndbuf = 32 * 1024) kn =
     rcvbuf;
     sndbuf;
     socks = Array.make 64 None;
-    eps = Hashtbl.create 4;
-    ports = Hashtbl.create 4;
-    heap = Heap.create no_ev;
+    eps = Int_table.create 4;
+    ports = Int_table.create 4;
+    events = Lanes.create no_ev;
     seq = 0;
     next_id = 1;
-    traffic = Hashtbl.create 4;
+    traffic = Int_table.create 4;
     stage = Bytes.create 0;
     pool = Pool.create ();
     touched_a = -1;
@@ -388,14 +480,15 @@ let wire t = (Kernel.cost t.kn).wire_latency
 
 let push_ev t due ev =
   t.seq <- t.seq + 1;
-  Heap.push t.heap (max due (now t)) t.seq ev
+  Lanes.push t.events (max due (now t)) t.seq ev
 
 let fresh_id t =
   let id = t.next_id in
   t.next_id <- id + 1;
   id
 
-let pending_events t = Heap.length t.heap
+let pending_events t = Lanes.length t.events
+let event_lanes t = Lanes.width t.events
 
 (* The socket table: a lookup returns the stored option, so it hashes
    and allocates nothing; ids past the table are absent. *)
@@ -416,38 +509,47 @@ let clear_sock t id = t.socks.(id) <- None
 
 (* ---------- client side (runs at event-processing time) ---------- *)
 
-let port_state t port = Hashtbl.find_opt t.traffic port
+let port_state t port = Int_table.find_opt t.traffic port
 
-let schedule_request t cl ~req ~send_at =
-  Queue.push send_at cl.cl_sent_at;
+(* Requests in flight never outnumber the pipeline: a client sends at
+   most [pipeline] at connect and one more per response. *)
+let inflight_slot cl r = 2 * (r mod (Array.length cl.cl_inflight / 2))
+
+(* Schedule the client's next request, [cl_sent], to leave at
+   [send_at]. *)
+let schedule_request t cl ~send_at =
+  let i = inflight_slot cl cl.cl_sent in
+  cl.cl_inflight.(i) <- send_at;
   (* a request outlives any single syscall — send, kernel-side service,
      drain, client rx can each happen in different kernel stays — so it
      is an *async* span, keyed by id on its own Perfetto track *)
-  Queue.push
-    (Kperf.async_begin (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_port ~cat:"net"
-       ~name:"request")
-    cl.cl_span;
-  cl.cl_txq <- cl.cl_txq @ [ cl.cl_req_of req ];
+  cl.cl_inflight.(i + 1) <-
+    Kperf.async_begin (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_spec.port
+      ~cat:"net" ~name:"request";
+  cl.cl_sent <- cl.cl_sent + 1;
   push_ev t (send_at + wire t) cl.cl_deliver
 
 let response_done t cl =
   cl.cl_done <- cl.cl_done + 1;
-  if not (Queue.is_empty cl.cl_sent_at) then
-    Kstats.observe t.stats t.st_latency (now t - Queue.take cl.cl_sent_at);
-  if not (Queue.is_empty cl.cl_span) then
-    Kperf.async_end (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_port
-      (Queue.take cl.cl_span);
-  (* per-event port lookups use [Hashtbl.find]: [find_opt] boxes a [Some] *)
-  (match Hashtbl.find t.traffic cl.cl_port with
+  let spec = cl.cl_spec in
+  if cl.cl_acked < cl.cl_sent then begin
+    let i = inflight_slot cl cl.cl_acked in
+    cl.cl_acked <- cl.cl_acked + 1;
+    Kstats.observe t.stats t.st_latency (now t - cl.cl_inflight.(i));
+    Kperf.async_end (Kernel.perf t.kn) ~pid:0 ~arg:spec.port
+      cl.cl_inflight.(i + 1)
+  end;
+  (* per-event port lookups use [find]: [find_opt] boxes a [Some] *)
+  (match Int_table.find t.traffic spec.port with
   | ps -> ps.ps_responses <- ps.ps_responses + 1
   | exception Not_found -> ());
-  if cl.cl_done >= cl.cl_total then begin
+  if cl.cl_done >= spec.requests_per_conn then begin
     cl.cl_finished <- true;
-    (match port_state t cl.cl_port with
+    (match port_state t spec.port with
     | Some ps ->
         let q = cl.cl_resp in
         ps.ps_digests.(cl.cl_seq) <-
-          Digest.to_hex (Digest.subbytes q.Bq.buf q.Bq.off q.Bq.len);
+          Digest.subbytes q.Bq.buf q.Bq.off q.Bq.len;
         ps.ps_completed <- ps.ps_completed + 1
     | None -> ());
     Bq.release t.pool cl.cl_resp;
@@ -456,11 +558,8 @@ let response_done t cl =
     | Some (S_conn c) -> c.cn_peer_closed <- true
     | _ -> ()
   end
-  else if cl.cl_sent < cl.cl_total then begin
-    let send_at = now t + cl.cl_think in
-    schedule_request t cl ~req:cl.cl_sent ~send_at;
-    cl.cl_sent <- cl.cl_sent + 1
-  end
+  else if cl.cl_sent < spec.requests_per_conn then
+    schedule_request t cl ~send_at:(now t + spec.think)
 
 (* Parse [len] drained bytes of [b] from [off] against the
    8-byte-length + body framing. *)
@@ -476,12 +575,15 @@ let client_rx t cl b off len =
       if cl.cl_body_left = 0 then response_done t cl
     end
     else begin
-      let n = min (8 - cl.cl_hdr_got) (stop - !pos) in
-      Bytes.blit b !pos cl.cl_hdr cl.cl_hdr_got n;
-      cl.cl_hdr_got <- cl.cl_hdr_got + n;
-      pos := !pos + n;
+      (* one header byte; the top bit of the 64 falls off, as
+         [Int64.to_int] drops it *)
+      let byte = Char.code (Bytes.get b !pos) in
+      cl.cl_hdr <- cl.cl_hdr lor (byte lsl (8 * cl.cl_hdr_got));
+      cl.cl_hdr_got <- cl.cl_hdr_got + 1;
+      incr pos;
       if cl.cl_hdr_got = 8 then begin
-        cl.cl_body_left <- Int64.to_int (Bytes.get_int64_le cl.cl_hdr 0);
+        cl.cl_body_left <- cl.cl_hdr;
+        cl.cl_hdr <- 0;
         cl.cl_hdr_got <- 0;
         if cl.cl_body_left = 0 then response_done t cl
       end
@@ -498,7 +600,7 @@ let conn_refused = -2
 
 let connect_attempt t ~port =
   t.attempt_lid <- -1;
-  match Hashtbl.find t.ports port with
+  match Int_table.find t.ports port with
   | exception Not_found -> conn_refused
   | lid -> (
       match find_sock t lid with
@@ -507,7 +609,7 @@ let connect_attempt t ~port =
           if Queue.length l.l_queue >= l.l_backlog then begin
             l.l_drops <- l.l_drops + 1;
             Kstats.incr t.stats t.st_drops;
-            (match Hashtbl.find t.traffic port with
+            (match Int_table.find t.traffic port with
             | ps -> ps.ps_drops <- ps.ps_drops + 1
             | exception Not_found -> ());
             Instrument.emit ~pid:0 ~obj:port ~value:l.l_drops ~kind:backlog_drop
@@ -529,6 +631,7 @@ let connect_attempt t ~port =
                 cn_accepted = false;
                 cn_drain_scheduled = false;
                 cn_client = None;
+                cn_drain = Ev_drain id;
               }
             in
             set_sock t id (S_conn c);
@@ -597,13 +700,14 @@ let wire_retries = 15
 let time_out t cl c =
   Kstats.incr t.stats (Kstats.counter t.stats "retry.net_timeouts");
   cl.cl_finished <- true;
-  cl.cl_txq <- [];
+  cl.cl_tx <- cl.cl_sent;
+  cl.cl_tx_off <- 0;
   Bq.release t.pool cl.cl_resp;
-  Queue.iter
-    (fun span ->
-      Kperf.async_end (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_port span)
-    cl.cl_span;
-  Queue.clear cl.cl_span;
+  for r = cl.cl_acked to cl.cl_sent - 1 do
+    Kperf.async_end (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_spec.port
+      cl.cl_inflight.(inflight_slot cl r + 1)
+  done;
+  cl.cl_acked <- cl.cl_sent;
   c.cn_peer_closed <- true
 
 let touch t a b =
@@ -614,19 +718,20 @@ let touch t a b =
    event may have changed. *)
 let process_event t = function
   | Ev_connect cl ->
-      let id = connect_attempt t ~port:cl.cl_port in
+      let id = connect_attempt t ~port:cl.cl_spec.port in
       if id >= 0 then begin
         (match find_sock t id with
         | Some (S_conn c) -> c.cn_client <- Some cl
         | _ -> ());
         cl.cl_fails <- 0;
         cl.cl_conn <- id;
-        let burst = min cl.cl_pipeline cl.cl_total in
+        let burst =
+          min (max 1 cl.cl_spec.pipeline) cl.cl_spec.requests_per_conn
+        in
         for k = 0 to burst - 1 do
           (* tiny per-request skew keeps deliveries ordered *)
-          schedule_request t cl ~req:k ~send_at:(now t + (k * 16))
+          schedule_request t cl ~send_at:(now t + (k * 16))
         done;
-        cl.cl_sent <- burst;
         touch t t.attempt_lid id
       end
       else begin
@@ -636,8 +741,8 @@ let process_event t = function
         touch t t.attempt_lid (-1)
       end
   | Ev_deliver cl -> (
-      match (find_sock t cl.cl_conn, cl.cl_txq) with
-      | Some (S_conn c), data :: rest when not c.cn_closed ->
+      match find_sock t cl.cl_conn with
+      | Some (S_conn c) when cl.cl_tx < cl.cl_sent && not c.cn_closed ->
           if Kfault.fire t.fault t.site_wire_drop then begin
             cl.cl_drops <- cl.cl_drops + 1;
             if cl.cl_drops > wire_retries then time_out t cl c
@@ -648,10 +753,10 @@ let process_event t = function
                  frames behind it wait their turn, as TCP's sequence
                  numbers would make them *)
               Kstats.incr t.stats t.st_retransmits;
-              (match Hashtbl.find t.traffic cl.cl_port with
+              (match Int_table.find t.traffic cl.cl_spec.port with
               | ps -> ps.ps_retrans <- ps.ps_retrans + 1
               | exception Not_found -> ());
-              Kperf.instant (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_port
+              Kperf.instant (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_spec.port
                 ~cat:"retry" ~name:"net.retransmit";
               push_ev t (now t + backoff_delay t cl) cl.cl_deliver
             end;
@@ -660,13 +765,18 @@ let process_event t = function
           else begin
             cl.cl_fails <- 0;
             cl.cl_drops <- 0;
-            let len = String.length data in
-            let n = deliver_bytes t c data 0 len in
+            let data = cl.cl_spec.req_of ~conn:cl.cl_seq ~req:cl.cl_tx in
+            let off = cl.cl_tx_off in
+            let len = String.length data - off in
+            let n = deliver_bytes t c data off len in
             if n < len then begin
-              cl.cl_txq <- String.sub data n (len - n) :: rest;
+              cl.cl_tx_off <- off + n;
               push_ev t (now t + (max 1 (wire t / 4))) cl.cl_deliver
             end
-            else cl.cl_txq <- rest;
+            else begin
+              cl.cl_tx <- cl.cl_tx + 1;
+              cl.cl_tx_off <- 0
+            end;
             touch t c.cn_id (-1)
           end
       | _ -> touch t (-1) (-1))
@@ -688,22 +798,22 @@ let process_event t = function
       | None | Some (S_new _) | Some (S_listen _) -> touch t (-1) (-1))
 
 let pump t =
-  while (not (Heap.is_empty t.heap)) && Heap.top_due t.heap <= now t do
-    process_event t (Heap.pop t.heap)
+  while (not (Lanes.is_empty t.events)) && Lanes.top_due t.events <= now t do
+    process_event t (Lanes.pop t.events)
   done
 
 (* Advance the clock (I/O wait) to the next event and process it. *)
 let advance_and_process t =
-  if Heap.is_empty t.heap then touch t (-1) (-1)
+  if Lanes.is_empty t.events then touch t (-1) (-1)
   else begin
-    let due = Heap.top_due t.heap in
-    let ev = Heap.pop t.heap in
+    let due = Lanes.top_due t.events in
+    let ev = Lanes.pop t.events in
     if due > now t then Kernel.charge_io t.kn (due - now t);
     process_event t ev
   end
 
 let step t =
-  if Heap.is_empty t.heap then false
+  if Lanes.is_empty t.events then false
   else begin
     advance_and_process t;
     true
@@ -722,10 +832,10 @@ let bind t ~sock ~port =
   match find_sock t sock with
   | Some (S_new s) ->
       if port <= 0 then Error V.EINVAL
-      else if Hashtbl.mem t.ports port then Error V.EADDRINUSE
+      else if Int_table.mem t.ports port then Error V.EADDRINUSE
       else begin
         s.sn_port <- port;
-        Hashtbl.replace t.ports port sock;
+        Int_table.replace t.ports port sock;
         Ok ()
       end
   | Some (S_listen _) | Some (S_conn _) -> Error V.EINVAL
@@ -801,7 +911,7 @@ let recv t ~sock ~len =
 let schedule_drain t c =
   if (not c.cn_drain_scheduled) && Bq.length c.cn_send > 0 then begin
     c.cn_drain_scheduled <- true;
-    push_ev t (now t + wire t) (Ev_drain c.cn_id)
+    push_ev t (now t + wire t) c.cn_drain
   end
 
 let send_space t ~sock =
@@ -857,6 +967,14 @@ let send_kernel t ~sock data =
 
 let interest e id = if id < Array.length e.ep_mask then e.ep_mask.(id) else -1
 
+(* Link unregistered [id] into the registration list between [p] and
+   [n] (-1: an end). *)
+let link e p id n =
+  e.ep_prev.(id) <- p;
+  e.ep_next.(id) <- n;
+  if p < 0 then e.ep_low <- id else e.ep_next.(p) <- id;
+  if n < 0 then e.ep_high <- id else e.ep_prev.(n) <- id
+
 let ep_add e id mask cookie =
   let len = Array.length e.ep_mask in
   if id >= len then begin
@@ -866,11 +984,26 @@ let ep_add e id mask cookie =
       b
     in
     e.ep_mask <- grow e.ep_mask (-1);
-    e.ep_cookie <- grow e.ep_cookie 0
+    e.ep_cookie <- grow e.ep_cookie 0;
+    e.ep_next <- grow e.ep_next (-1);
+    e.ep_prev <- grow e.ep_prev (-1)
   end;
   if e.ep_mask.(id) < 0 then begin
-    e.ep_count <- e.ep_count + 1;
-    if id < e.ep_low then e.ep_low <- id
+    (* the registered id below [id] (-1: none); sockets register in
+       creation order, so it is nearly always the highest, and
+       otherwise a walk down finds it *)
+    let p =
+      if e.ep_low < 0 || id < e.ep_low then -1
+      else if id > e.ep_high then e.ep_high
+      else begin
+        let p = ref (id - 1) in
+        while e.ep_mask.(!p) < 0 do
+          decr p
+        done;
+        !p
+      end
+    in
+    link e p id (if p < 0 then e.ep_low else e.ep_next.(p))
   end;
   (* readiness only ever has these bits, so masking keeps every answer
      and leaves -1 free to mean "not registered" *)
@@ -880,8 +1013,9 @@ let ep_add e id mask cookie =
 let ep_del e id =
   if interest e id >= 0 then begin
     e.ep_mask.(id) <- -1;
-    e.ep_count <- e.ep_count - 1;
-    if e.ep_count = 0 then e.ep_low <- max_int
+    let p = e.ep_prev.(id) and n = e.ep_next.(id) in
+    if p < 0 then e.ep_low <- n else e.ep_next.(p) <- n;
+    if n < 0 then e.ep_high <- p else e.ep_prev.(n) <- p
   end
 
 (* A closed connection's queues hand their storage back to the pool. *)
@@ -891,20 +1025,24 @@ let close_conn t c =
   Bq.release t.pool c.cn_send;
   clear_sock t c.cn_id
 
+(* Unbind [port] if [sock] holds it. *)
+let release_port t port sock =
+  match Int_table.find t.ports port with
+  | lid -> if lid = sock then Int_table.remove t.ports port
+  | exception Not_found -> ()
+
 let close t ~sock =
   charge t;
-  Hashtbl.iter (fun _ e -> ep_del e sock) t.eps;
-  if Hashtbl.mem t.eps sock then Hashtbl.remove t.eps sock
+  Int_table.fold (fun _ e () -> ep_del e sock) t.eps ();
+  if Int_table.mem t.eps sock then Int_table.remove t.eps sock
   else
     match find_sock t sock with
     | None -> ()
     | Some (S_new s) ->
-        if s.sn_port <> 0 && Hashtbl.find_opt t.ports s.sn_port = Some sock
-        then Hashtbl.remove t.ports s.sn_port;
+        release_port t s.sn_port sock;
         clear_sock t sock
     | Some (S_listen l) ->
-        if Hashtbl.find_opt t.ports l.l_port = Some sock then
-          Hashtbl.remove t.ports l.l_port;
+        release_port t l.l_port sock;
         Queue.iter
           (fun id ->
             match find_sock t id with
@@ -917,13 +1055,21 @@ let close t ~sock =
 let epoll_create t =
   charge t;
   let id = fresh_id t in
-  Hashtbl.replace t.eps id
-    { ep_mask = [||]; ep_cookie = [||]; ep_count = 0; ep_low = max_int };
+  Int_table.replace t.eps id
+    {
+      ep_mask = [||];
+      ep_cookie = [||];
+      ep_next = [||];
+      ep_prev = [||];
+      ep_low = -1;
+      ep_high = -1;
+      ep_walked = 0;
+    };
   id
 
 let epoll_ctl t ~ep ~sock ~op =
   charge t;
-  match Hashtbl.find_opt t.eps ep with
+  match Int_table.find_opt t.eps ep with
   | None -> Error V.EBADF
   | Some e -> (
       match op with
@@ -951,35 +1097,38 @@ let ready_mask t id =
 (* HUP is delivered whether requested or not, as in epoll(7). *)
 let effective_ready t id mask = ready_mask t id land (mask lor ep_hup)
 
-(* The first [max] ready registrations in id order.  The walk starts at
-   the low-water id (raised here past any freed prefix) and stops at
-   [max] hits or once every registration has been seen. *)
+(* The first [left] ready registrations from [id] on, in id order: a
+   walk along the registration list that stops at [left] hits or at its
+   end, building the list front to back. *)
+let[@tail_mod_cons] rec collect t e id left =
+  if left <= 0 || id < 0 then []
+  else begin
+    e.ep_walked <- e.ep_walked + 1;
+    let r = effective_ready t id e.ep_mask.(id) in
+    if r <> 0 then (e.ep_cookie.(id), r) :: collect t e e.ep_next.(id) (left - 1)
+    else collect t e e.ep_next.(id) left
+  end
+
 let scan t e max =
-  let acc = ref [] and hits = ref 0 and seen = ref 0 and id = ref e.ep_low in
-  while !hits < max && !seen < e.ep_count do
-    let mask = e.ep_mask.(!id) in
-    if mask >= 0 then begin
-      if !seen = 0 then e.ep_low <- !id;
-      incr seen;
-      let r = effective_ready t !id mask in
-      if r <> 0 then begin
-        incr hits;
-        acc := (e.ep_cookie.(!id), r) :: !acc
-      end
-    end;
-    incr id
-  done;
-  List.rev !acc
+  e.ep_walked <- 0;
+  collect t e e.ep_low max
+
+(* A touched id (-1: none) is registered with [e] and ready. *)
+let touched_ready t e id =
+  id >= 0
+  &&
+  let mask = interest e id in
+  mask >= 0 && effective_ready t id mask <> 0
 
 let epoll_wait t ~ep ~max =
   charge t;
   Kstats.incr t.stats t.st_epoll_waits;
-  match Hashtbl.find_opt t.eps ep with
+  match Int_table.find_opt t.eps ep with
   | None -> Error V.EBADF
   | Some e ->
       pump t;
       let r = scan t e max in
-      if r <> [] || Heap.is_empty t.heap then Ok r
+      if r <> [] || Lanes.is_empty t.events then Ok r
       else begin
         (* Nothing ready: sleep on the wait queue until the traffic
            generator wakes us.  Only sockets an event touched are
@@ -989,20 +1138,20 @@ let epoll_wait t ~ep ~max =
         let saved = p.Kproc.state in
         p.Kproc.state <- Kproc.Blocked;
         let woken = ref false in
-        let ready id =
-          id >= 0
-          &&
-          let mask = interest e id in
-          mask >= 0 && effective_ready t id mask <> 0
-        in
-        while (not !woken) && not (Heap.is_empty t.heap) do
+        while (not !woken) && not (Lanes.is_empty t.events) do
           advance_and_process t;
-          if ready t.touched_a || ready t.touched_b then woken := true
+          if touched_ready t e t.touched_a || touched_ready t e t.touched_b
+          then woken := true
         done;
         p.Kproc.state <- saved;
         Kstats.incr t.stats t.st_epoll_wakeups;
         Ok (scan t e max)
       end
+
+(* Slots the last scan of epoll instance [ep] read; 0 for an unknown
+   id. *)
+let epoll_scan_slots t ~ep =
+  match Int_table.find_opt t.eps ep with Some e -> e.ep_walked | None -> 0
 
 (* ---------- pool consistency ---------- *)
 
@@ -1020,11 +1169,10 @@ let pool_consistent t =
           Option.iter (fun cl -> add cl.cl_resp) c.cn_client
       | Some (S_new _ | S_listen _) | None -> ())
     t.socks;
-  for i = 0 to Heap.length t.heap - 1 do
-    match t.heap.Heap.evs.(i) with
-    | Ev_connect cl | Ev_deliver cl -> add cl.cl_resp
-    | Ev_drain _ -> ()
-  done;
+  Lanes.iter
+    (function
+      | Ev_connect cl | Ev_deliver cl -> add cl.cl_resp | Ev_drain _ -> ())
+    t.events;
   let live =
     List.filter_map
       (fun q -> if Bytes.length q.Bq.buf > 0 then Some q.Bq.buf else None)
@@ -1040,7 +1188,7 @@ let pool_consistent t =
 (* ---------- traffic generation ---------- *)
 
 module Traffic = struct
-  type spec = {
+  type spec = traffic_spec = {
     port : int;
     conns : int;
     requests_per_conn : int;
@@ -1076,25 +1224,22 @@ module Traffic = struct
         ps_digests = Array.make spec.conns "";
       }
     in
-    Hashtbl.replace t.traffic spec.port ps;
+    Int_table.replace t.traffic spec.port ps;
     for i = 0 to spec.conns - 1 do
       let cl =
         {
           cl_seq = i;
-          cl_port = spec.port;
-          cl_total = spec.requests_per_conn;
-          cl_pipeline = max 1 spec.pipeline;
-          cl_think = spec.think;
-          cl_req_of = (fun req -> spec.req_of ~conn:i ~req);
+          cl_spec = spec;
           cl_conn = -1;
           cl_sent = 0;
           cl_done = 0;
-          cl_hdr = Bytes.create 8;
+          cl_hdr = 0;
           cl_hdr_got = 0;
           cl_body_left = 0;
-          cl_sent_at = Queue.create ();
-          cl_span = Queue.create ();
-          cl_txq = [];
+          cl_inflight = Array.make (2 * max 1 spec.pipeline) 0;
+          cl_acked = 0;
+          cl_tx = 0;
+          cl_tx_off = 0;
           cl_resp = Bq.create ();
           cl_finished = false;
           cl_fails = 0;
@@ -1125,7 +1270,9 @@ module Traffic = struct
   let digest t ~port =
     match port_state t port with
     | Some ps ->
+        let hex d = if d = "" then d else Digest.to_hex d in
         Digest.to_hex
-          (Digest.string (String.concat "," (Array.to_list ps.ps_digests)))
+          (Digest.string
+             (String.concat "," (Array.to_list (Array.map hex ps.ps_digests))))
     | None -> Digest.to_hex (Digest.string "")
 end

@@ -5,8 +5,8 @@
     backlogs, per-connection bounded send/receive buffers, and a
     level-triggered epoll-style readiness multiplexer.  The client side
     is a discrete-event traffic generator: connection attempts, request
-    bytes and NIC drains are events on a global heap ordered by due
-    cycle, processed in deterministic order interleaved with the
+    bytes and NIC drains are events on one queue ordered by due cycle
+    ({!Lanes}), processed in deterministic order interleaved with the
     scheduler — an [epoll_wait] with nothing ready blocks by advancing
     the clock (as I/O wait, like a process asleep on a wait queue) to
     the next network event.
@@ -102,16 +102,20 @@ val epoll_ctl :
   (unit, Kvfs.Vtypes.errno) result
 
 (** Level-triggered wait: returns up to [max] ready [(cookie, mask)]
-    pairs in socket-creation order.  The interest set is indexed by
-    socket id, so the host work of one scan is proportional to [max]
-    plus the registrations it skips (not ready, or ids freed below
-    them), not to the size of the interest set.  When nothing is ready
+    pairs in socket-creation order.  The registered ids are a linked
+    list in id order, so the host work of one scan is proportional to
+    [max] plus the registered sockets it passes that are not ready;
+    closed or never-registered ids cost nothing.  When nothing is ready
     but network events are pending, blocks the current process (clock
     advances as I/O wait) until an event makes a registered socket
-    ready; returns [[]] only when the traffic heap is exhausted and
+    ready; returns [[]] only when the event queue is exhausted and
     nothing is ready. *)
 val epoll_wait :
   t -> ep:int -> max:int -> ((int * int) list, Kvfs.Vtypes.errno) result
+
+(** Slots (socket ids) the last readiness scan of epoll instance [ep]
+    read; 0 for an unknown id.  For the scan-cost guard in the tests. *)
+val epoll_scan_slots : t -> ep:int -> int
 
 (** {1 NIC-side injection}
 
@@ -151,7 +155,7 @@ module Traffic : sig
 
   val default : spec
 
-  (** Schedule [spec.conns] connection attempts on the event heap.
+  (** Schedule [spec.conns] connection attempts on the event queue.
       Clients expect responses framed as an 8-byte little-endian body
       length followed by the body; each completed response feeds the
       [net.request.latency] histogram and a per-connection stream
@@ -182,33 +186,60 @@ end
 (** Network events not yet delivered. *)
 val pending_events : t -> int
 
+(** The most lanes the event queue has had open at once ({!Lanes.width}). *)
+val event_lanes : t -> int
+
 (** Process every event due at or before the current clock. *)
 val pump : t -> unit
 
 (** Advance the clock (as I/O wait) to the next pending event and
-    process it; [false] when the heap is empty. *)
+    process it; [false] when the event queue is empty. *)
 val step : t -> bool
 
-(** The traffic generator's event heap, exposed for its model test: a
-    binary min-heap on [(due, seq)] with the keys in two [int] arrays
-    and the events in a third.  [pop] returns the entry with the least
-    [due], the least [seq] among equal dues; a slot that no longer
-    holds a pending entry holds [dummy]. *)
-module Heap : sig
+(** The traffic generator's event queue, exposed for its model tests:
+    sorted FIFO lanes on [(due, seq)].  [pop] returns the entry with the
+    least [due], the least [seq] among equal dues; [(due, seq)] is a
+    strict total order, so the pop sequence does not depend on how the
+    entries are spread over lanes.
+
+    Each lane is a ring (parallel [int] arrays of dues and seqs and an
+    array of events) whose entries are in key order.  [push] appends to
+    the lane whose tail is the greatest key below the new one; when the
+    new key is below every tail it takes an empty lane, or opens one.
+    [pop] takes the least head across the open lanes, so it costs
+    O(lanes), and [push] costs the same plus an amortized ring append;
+    [top_due] is O(1).  The open lanes never outnumber the longest
+    decreasing run of pushed keys.  The queue is meant for a monotone
+    clock: when every push is at [now + d] and [now] never goes back,
+    such a run has strictly decreasing delays, so the number of lanes
+    is at most the number of distinct push delays + 1, the extra lane
+    for a run of increasing keys pushed at once ({!Traffic.install}'s
+    arrivals).  Any order of pushes stays correct; it only opens more
+    lanes.
+
+    A slot that no longer holds a pending entry holds [dummy].  A lane
+    that drains gives back storage over 256 slots, so a burst (the 10k
+    install-time arrivals) holds memory only while it lasts. *)
+module Lanes : sig
   type 'a t
 
-  (** An empty heap with room for 64 entries; it doubles when full. *)
+  (** An empty queue whose vacated slots hold [dummy]. *)
   val create : 'a -> 'a t
 
   val length : 'a t -> int
   val is_empty : 'a t -> bool
+
+  (** [push q due seq x]; the [seq]s of pending entries must differ. *)
   val push : 'a t -> int -> int -> 'a -> unit
 
-  (** The least entry's due; the heap must not be empty. *)
+  (** The least entry's due; the queue must not be empty. *)
   val top_due : 'a t -> int
 
-  (** Remove and return the least entry; the heap must not be empty. *)
+  (** Remove and return the least entry; the queue must not be empty. *)
   val pop : 'a t -> 'a
+
+  (** The most lanes open at once so far. *)
+  val width : 'a t -> int
 
   (** [x] is physically in some slot, pending or not. *)
   val holds : 'a t -> 'a -> bool

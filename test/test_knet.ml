@@ -1,6 +1,6 @@
 (* knet: the simulated socket layer — listening sockets and backlogs,
    bounded per-connection buffers, level-triggered epoll readiness,
-   blocking waits that ride the traffic-generator event heap, and the
+   blocking waits that ride the traffic-generator event queue, and the
    syscall-boundary plumbing (fd mapping, sendfile-to-socket). *)
 
 let errno = Alcotest.testable Kvfs.Vtypes.pp_errno ( = )
@@ -176,7 +176,7 @@ let test_epoll_level_triggered () =
   let conn = Result.get_ok (Knet.accept net ~sock:s) in
   Alcotest.(check int) "same connection" cl conn;
   Alcotest.(check (result (list (pair int int)) errno))
-    "consumed: nothing ready, heap empty" (Ok [])
+    "consumed: nothing ready, event queue empty" (Ok [])
     (Knet.epoll_wait net ~ep ~max:8);
   ignore (Knet.inject_bytes net ~sock:conn "r");
   (match
@@ -415,6 +415,38 @@ let test_epoll_wait_cost_is_max_bound () =
   Alcotest.(check bool)
     (Printf.sprintf "fewer than 2000 minor words (got %.0f)" words)
     true (words < 2_000.)
+
+(* Closed ids cost a scan nothing: behind a long-lived listener, 2,000
+   connections open, register and close, and the scan that follows
+   reads only the registrations left.  A walk over every id from the
+   listener up, as a low-water mark gives, reads about 2,000 slots. *)
+let test_epoll_scan_skips_closed () =
+  let _kernel, net = bare () in
+  let l = listener ~backlog:4 net in
+  let ep = Knet.epoll_create net in
+  ignore (Knet.epoll_ctl net ~ep ~sock:l ~op:(`Add (Knet.ep_in, l)));
+  let conn () =
+    ignore (Knet.inject_connect net ~port:80);
+    let id = Result.get_ok (Knet.accept net ~sock:l) in
+    ignore (Knet.epoll_ctl net ~ep ~sock:id ~op:(`Add (Knet.ep_in, id)));
+    id
+  in
+  for _ = 1 to 2_000 do
+    Knet.close net ~sock:(conn ())
+  done;
+  let live = List.init 3 (fun _ -> conn ()) in
+  ignore (Knet.inject_bytes net ~sock:(List.nth live 2) "x");
+  Alcotest.(check (result (list int) errno))
+    "only the live conn with bytes is ready"
+    (Ok [ List.nth live 2 ])
+    (Result.map (List.map fst) (Knet.epoll_wait net ~ep ~max:8));
+  let registered = 1 + List.length live in
+  let slots = Knet.epoll_scan_slots net ~ep in
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer than %d slots read (got %d)"
+       (2 * (registered + 1)) slots)
+    true
+    (slots < 2 * (registered + 1))
 
 (* --- queue storage ------------------------------------------------------- *)
 
@@ -782,21 +814,25 @@ let epoll_serve net ~port ~(bodies : Bytes.t array) =
   loop ();
   !sent
 
+(* Eight framed responses of 2-3 KB: an 8-byte little-endian length,
+   then the body. *)
+let framed_bodies () =
+  Array.init 8 (fun i ->
+      let n = 2048 + (i * 128) in
+      let b = Bytes.make (8 + n) 'x' in
+      Bytes.set_int64_le b 0 (Int64.of_int n);
+      b)
+
 (* Host words allocated per response by the knet data path, counted by
    [Host_words]: a response body is over 256 words, so its buffers go
    straight to the major heap, where a minor-words count alone cannot
    see them.  Copying each response through growing per-queue buffers
    costs about 2,200 words here; pooled, in-place queues and the flat
-   event heap about 350. *)
+   event queue about 340, most of it the pool filling up (the warm test
+   below leaves that share out). *)
 let test_traffic_alloc_per_response () =
   let _kernel, net = bare () in
-  let bodies =
-    Array.init 8 (fun i ->
-        let n = 2048 + (i * 128) in
-        let b = Bytes.make (8 + n) 'x' in
-        Bytes.set_int64_le b 0 (Int64.of_int n);
-        b)
-  in
+  let bodies = framed_bodies () in
   Knet.Traffic.install net
     { Knet.Traffic.default with port = 80; conns = 200; requests_per_conn = 2 };
   let before = Host_words.now () in
@@ -809,14 +845,44 @@ let test_traffic_alloc_per_response () =
     (Printf.sprintf "under 800 words per response (got %.0f)" per)
     true (per < 800.)
 
-(* --- the event heap ------------------------------------------------------ *)
+(* Words per response once the pool is warm: the same traffic served a
+   second time on the same stack, with request lines built before the
+   run as the webserver builds them.  The first pass leaves every
+   buffer the second needs on the pool's free lists, so this reads the
+   per-request and per-response garbage of knet and the server loop
+   ([Printf]'s and the pool's shares left out).  With a fresh drain
+   event per drain, a tx-list copy and two [Queue] cells per request and
+   a hex digest per client, it read 99. *)
+let test_warm_alloc_per_response () =
+  let _kernel, net = bare () in
+  let bodies = framed_bodies () in
+  let lines = Array.init 8 (fun i -> Printf.sprintf "GET %d\n" i) in
+  let serve port =
+    Knet.Traffic.install net
+      { Knet.Traffic.default with
+        port; conns = 200; requests_per_conn = 2;
+        req_of = (fun ~conn ~req -> lines.((conn + req) land 7)) };
+    epoll_serve net ~port ~bodies
+  in
+  ignore (serve 80);
+  let before = Host_words.now () in
+  let sent = serve 81 in
+  let per = (Host_words.now () -. before) /. float_of_int sent in
+  Alcotest.(check int) "every client completed" 200
+    (Knet.Traffic.completed net ~port:81);
+  Alcotest.(check bool)
+    (Printf.sprintf "under 90 words per response (got %.0f)" per)
+    true (per < 90.)
 
-(* The flat event heap against a model: interleaved pushes (dues drawn
-   from a small range, so they collide) and pops.  Three pushes to each
-   pop over 150..400 ops leave about 75..200 entries pending, so nearly
-   every case grows the heap past its first 64 slots.  Every pop must
-   return the pending entry a stable sort by (due, seq) puts first, and
-   no popped event may stay reachable from the heap's arrays. *)
+(* --- the event queue ----------------------------------------------------- *)
+
+(* The event queue against a model: interleaved pushes (dues drawn from
+   a small range, so they collide, in no particular order) and pops.
+   Three pushes to each pop over 150..400 ops leave about 75..200
+   entries pending, so lanes open and grow past their first slots.
+   Every pop must return the pending entry a stable sort by (due, seq)
+   puts first, and no popped event may stay reachable from the queue's
+   arrays. *)
 type hop = H_push of int | H_pop
 
 let qcheck_heap_model =
@@ -833,7 +899,7 @@ let qcheck_heap_model =
               [ (3, map (fun d -> H_push d) (int_bound 7)); (1, return H_pop) ])))
     (fun ops ->
       let fail fmt = QCheck.Test.fail_reportf fmt in
-      let h = Knet.Heap.create (ref (-1)) in
+      let h = Knet.Lanes.create (ref (-1)) in
       (* pending entries in push order: (due, seq, event) *)
       let model = ref [] and seq = ref 0 in
       let pop () =
@@ -843,11 +909,11 @@ let qcheck_heap_model =
         match sorted with
         | [] -> ()
         | (due, s, want) :: _ ->
-            if Knet.Heap.top_due h <> due then
-              fail "top due %d, model %d" (Knet.Heap.top_due h) due;
-            let got = Knet.Heap.pop h in
+            if Knet.Lanes.top_due h <> due then
+              fail "top due %d, model %d" (Knet.Lanes.top_due h) due;
+            let got = Knet.Lanes.pop h in
             if got != want then fail "popped seq %d, model seq %d" !got s;
-            if Knet.Heap.holds h got then fail "popped seq %d still reachable" s;
+            if Knet.Lanes.holds h got then fail "popped seq %d still reachable" s;
             model := List.filter (fun (_, s', _) -> s' <> s) !model
       in
       List.iter
@@ -855,22 +921,210 @@ let qcheck_heap_model =
           | H_push due ->
               incr seq;
               let ev = ref !seq in
-              Knet.Heap.push h due !seq ev;
+              Knet.Lanes.push h due !seq ev;
               model := !model @ [ (due, !seq, ev) ]
           | H_pop -> pop ())
         ops;
       while !model <> [] do
         pop ()
       done;
-      if not (Knet.Heap.is_empty h) then fail "heap not empty after draining";
-      Knet.Heap.length h = 0)
+      if not (Knet.Lanes.is_empty h) then fail "queue not empty after draining";
+      Knet.Lanes.length h = 0)
+
+(* Lanes order by the whole key, not by due and then lane: the seqs
+   here are a shuffle, so equal dues arrive out of seq order and land in
+   different lanes.  (knet's own seqs rise with every push, and then
+   equal dues happen to sit in lane order too.)  Every pop must return
+   the least pending (due, seq). *)
+let qcheck_lanes_any_seq =
+  QCheck.Test.make ~name:"event lanes = sort by (due, seq), seqs in any order"
+    ~count:300
+    (QCheck.make
+       ~print:(fun keys ->
+         String.concat " "
+           (List.map
+              (function
+                | Some (d, s) -> Printf.sprintf "+%d/%d" d s | None -> "-")
+              keys))
+       QCheck.Gen.(
+         int_range 20 120 >>= fun n ->
+         shuffle_l (List.init n Fun.id) >>= fun seqs ->
+         flatten_l
+           (List.map
+              (fun s ->
+                map2
+                  (fun d pop -> if pop then [ Some (d, s); None ] else [ Some (d, s) ])
+                  (int_bound 3) (int_bound 2 >|= ( = ) 0))
+              seqs)
+         >|= List.concat))
+    (fun ops ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let q = Knet.Lanes.create (-1) in
+      let pending = ref [] in
+      let pop () =
+        match List.sort compare !pending with
+        | [] -> ()
+        | ((d, s) as least) :: _ ->
+            if Knet.Lanes.top_due q <> d then
+              fail "top due %d, want %d" (Knet.Lanes.top_due q) d;
+            let got = Knet.Lanes.pop q in
+            if got <> s then fail "popped seq %d, want %d/%d" got d s;
+            pending := List.filter (( <> ) least) !pending
+      in
+      List.iter
+        (function
+          | Some (d, s) ->
+              Knet.Lanes.push q d s s;
+              pending := (d, s) :: !pending
+          | None -> pop ())
+        ops;
+      while !pending <> [] do
+        pop ()
+      done;
+      Knet.Lanes.is_empty q)
+
+(* The event queue as knet drives it: a monotone clock, each push at
+   [now + d].  Steps push with a delay from a small set, push an
+   install-style run (increasing dues, all at once), push a decreasing
+   run (one key below the last, so every push opens a lane), pop, or
+   let the clock jump.  A pop moves the clock to the popped due, as
+   knet's I/O wait does.  Checked against a stable sort by (due, seq):
+   [top_due] before every pop, each popped event, that no popped event
+   stays reachable, and that no more lanes open than the longest
+   decreasing run of pushed keys (what patience sorting guarantees). *)
+type mop =
+  | M_push of int          (* delay index *)
+  | M_install of int * int (* arrivals, spacing *)
+  | M_falling of int       (* arrivals in decreasing due order *)
+  | M_pop
+  | M_jump of int
+
+let pp_mop = function
+  | M_push d -> Printf.sprintf "+%d" d
+  | M_install (n, s) -> Printf.sprintf "i%dx%d" n s
+  | M_falling n -> Printf.sprintf "f%d" n
+  | M_pop -> "-"
+  | M_jump k -> Printf.sprintf "j%d" k
+
+let delays = [| 0; 5; 20; 21; 80; 160; 320 |]
+
+(* The length of the longest strictly decreasing subsequence of the
+   (due, seq) keys [keys], in push order: [ends.(k)] is the greatest
+   last key of a decreasing subsequence of length [k + 1], so [ends]
+   decreases and each key replaces the first end not above it. *)
+let longest_falling keys =
+  let ends = Array.make (List.length keys) (0, 0) and n = ref 0 in
+  let above (d1, s1) (d2, s2) = d1 > d2 || (d1 = d2 && s1 > s2) in
+  List.iter
+    (fun key ->
+      let lo = ref 0 and hi = ref !n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if above ends.(mid) key then lo := mid + 1 else hi := mid
+      done;
+      ends.(!lo) <- key;
+      if !lo = !n then incr n)
+    keys;
+  !n
+
+let qcheck_lanes_monotone =
+  QCheck.Test.make ~name:"event lanes under a monotone clock = sorted model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_mop ops))
+       QCheck.Gen.(
+         list_size (int_range 100 250)
+           (frequency
+              [
+                (8, map (fun d -> M_push d) (int_bound (Array.length delays - 1)));
+                (1, map2 (fun n s -> M_install (n, s)) (int_range 1 20) (int_bound 9));
+                (1, map (fun n -> M_falling n) (int_range 1 6));
+                (6, return M_pop);
+                (1, map (fun k -> M_jump k) (int_bound 50));
+              ])))
+    (fun ops ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let q = Knet.Lanes.create (ref (-1)) in
+      let now = ref 0 and seq = ref 0 in
+      (* pending entries, kept stably sorted by due *)
+      let model = ref [] and keys = ref [] in
+      let push due =
+        incr seq;
+        let ev = ref !seq in
+        Knet.Lanes.push q due !seq ev;
+        let rec insert = function
+          | ((d, _, _) as x) :: rest when d <= due -> x :: insert rest
+          | rest -> (due, !seq, ev) :: rest
+        in
+        model := insert !model;
+        keys := (due, !seq) :: !keys
+      in
+      let pop () =
+        match !model with
+        | [] -> ()
+        | (due, s, want) :: rest ->
+            if Knet.Lanes.top_due q <> due then
+              fail "top due %d, model %d" (Knet.Lanes.top_due q) due;
+            let got = Knet.Lanes.pop q in
+            if got != want then fail "popped seq %d, model seq %d" !got s;
+            if Knet.Lanes.holds q got then fail "popped seq %d still reachable" s;
+            model := rest;
+            now := max !now due
+      in
+      List.iter
+        (function
+          | M_push d -> push (!now + delays.(d))
+          | M_install (n, spacing) ->
+              for i = 0 to n - 1 do
+                push (!now + 100 + (i * spacing))
+              done
+          | M_falling n ->
+              for i = 0 to n - 1 do
+                push (!now + 400 - (i * 7))
+              done
+          | M_pop -> pop ()
+          | M_jump k -> now := !now + k)
+        ops;
+      while !model <> [] do
+        pop ()
+      done;
+      if not (Knet.Lanes.is_empty q) then fail "queue not empty after draining";
+      let bound = longest_falling (List.rev !keys) in
+      if Knet.Lanes.width q > bound then
+        fail "%d lanes opened, longest falling run %d" (Knet.Lanes.width q) bound;
+      Knet.Lanes.length q = 0)
+
+(* A 2,000-connection flash crowd on the naive epoll server, with its
+   backlog drops, backoff redials, pipelined requests, think time and
+   drains, keeps its event queue to a few lanes: the push delays are
+   few, and so are the lanes. *)
+let test_flash_crowd_lanes () =
+  let t = Core.boot_with Core.Config.default in
+  Kstats.set_enabled (Core.stats t) true;
+  let sys = Core.sys t in
+  let config =
+    { Workloads.Webserver.net_default_config with
+      variant = Workloads.Webserver.Net_naive; conns = 2_000; spacing = 50 }
+  in
+  Workloads.Webserver.net_setup ~config sys;
+  let r = Workloads.Webserver.run_net ~config sys in
+  let net = Core.net t in
+  Alcotest.(check int) "every connection served" 2_000
+    r.Workloads.Webserver.n_completed;
+  Alcotest.(check bool) "the backlog overflowed" true
+    (find_counter (Core.stats t) "retry.net_redials" > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 8 lanes open (got %d)" (Knet.event_lanes net))
+    true
+    (Knet.event_lanes net <= 8)
 
 (* Host words per processed event on the redial path: a flash crowd of
    clients dials a listener whose backlog of 4 is never accepted, so
    after the first few connects every event is a dropped SYN and a
-   backoff redial.  Boxing each heap entry, each connect result and each
-   optional argument cost 20 words per event; the flat heap and prebuilt
-   events cost none, and even one fresh 2-word event per redial fails. *)
+   backoff redial.  Boxing each queue entry, each connect result and
+   each optional argument cost 20 words per event; flat lanes and
+   prebuilt events cost none, and even one fresh 2-word event per redial
+   fails. *)
 let test_redial_alloc_per_event () =
   let _kernel, net = bare () in
   let _l = listener ~port:80 ~backlog:4 net in
@@ -1029,6 +1283,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_epoll_order;
           Alcotest.test_case "wait cost is bounded by max" `Quick
             test_epoll_wait_cost_is_max_bound;
+          Alcotest.test_case "scan skips closed ids" `Quick
+            test_epoll_scan_skips_closed;
         ] );
       ( "storage",
         [
@@ -1037,10 +1293,16 @@ let () =
             test_timeout_releases_stream;
           Alcotest.test_case "traffic allocation per response" `Quick
             test_traffic_alloc_per_response;
+          Alcotest.test_case "warm allocation per response" `Quick
+            test_warm_alloc_per_response;
         ] );
       ( "events",
         [
           QCheck_alcotest.to_alcotest qcheck_heap_model;
+          QCheck_alcotest.to_alcotest qcheck_lanes_any_seq;
+          QCheck_alcotest.to_alcotest qcheck_lanes_monotone;
+          Alcotest.test_case "a flash crowd opens few lanes" `Quick
+            test_flash_crowd_lanes;
           Alcotest.test_case "redial allocation per event" `Quick
             test_redial_alloc_per_event;
         ] );
