@@ -27,9 +27,12 @@ bench-smoke:
 # Byte-identity check for refactors that must not move a simulated
 # number: export revision BASE into a throwaway directory under
 # $(TMPDIR), run the smoke bench there and here, and compare stdout and
-# the four BENCH_*.json artifacts; then run every workload benchmark
-# briefly in both trees and diff its deterministic sim_* lines.  Exits 1
-# on any difference: `make bench-same BASE=HEAD~1`.  Also prints each
+# the four BENCH_*.json artifacts (a JSON file whose bytes differ is
+# compared once more under `jq -S`, to tell a key-order change from a
+# value change; it still counts as a difference); then run every
+# workload benchmark briefly in both trees and diff its deterministic
+# sim_* lines.  Exits 1 on any difference: `make bench-same
+# BASE=HEAD~1`.  Also prints each
 # workload's host_alloc_words_per_op, host_peak_heap_mb and setup_s for
 # BASE and for this tree side by side (informational, never gated;
 # setup_s is one wall-clock reading, so noisy).  EXPS="E4 E17 ..."
@@ -49,7 +52,15 @@ bench-same:
 	dune exec --root . bench/main.exe -- smoke > "$$base/smoke.here" && \
 	status=0 && \
 	{ cmp "$$base/smoke.out" "$$base/smoke.here" || status=1; } && \
-	for f in $(BENCH_ARTIFACTS); do cmp "$$base/$$f" "$$f" || status=1; done; \
+	for f in $(BENCH_ARTIFACTS); do \
+	  cmp "$$base/$$f" "$$f" && continue; \
+	  status=1; \
+	  jq -S . "$$base/$$f" > "$$base/$$f.base.sorted" && \
+	  jq -S . "$$f" > "$$base/$$f.here.sorted" && \
+	  if cmp -s "$$base/$$f.base.sorted" "$$base/$$f.here.sorted"; \
+	  then echo "bench-same: $$f equal under jq -S (key order differs)"; \
+	  else echo "bench-same: $$f differs under jq -S too"; fi; \
+	done; \
 	for e in $(EXPS); do \
 	  (cd "$$base" && dune exec --root . bench/main.exe -- $$e) > "$$base/$$e.base"; \
 	  dune exec --root . bench/main.exe -- $$e > "$$base/$$e.here"; \

@@ -677,25 +677,25 @@ let e11 () =
             Ksim.Cost_model.default.Ksim.Cost_model.user_stub * scale / 4;
         }
       in
-      let config = { Ksim.Kernel.default_config with cost } in
+      let config = { Core.Config.default with cost } in
       let dcfg =
         { Workloads.Database.default_config with records = sc 1_000; lookups = sc 2_000 }
       in
       let db =
-        let t1 = Core.boot_with { Core.Config.default with kernel = config } in
+        let t1 = Core.boot_with config in
         Workloads.Database.setup ~config:dcfg (Core.sys t1);
         let p = Workloads.Database.run_plain ~config:dcfg (Core.sys t1) in
-        let t2 = Core.boot_with { Core.Config.default with kernel = config } in
+        let t2 = Core.boot_with config in
         Workloads.Database.setup ~config:dcfg (Core.sys t2);
         let c, _ = Workloads.Database.run_cosy ~config:dcfg (Core.sys t2) in
         pct_faster p.Workloads.Database.times.Ksim.Kernel.elapsed
           c.Workloads.Database.times.Ksim.Kernel.elapsed
       in
       let ls =
-        let t1 = Core.boot_with { Core.Config.default with kernel = config } in
+        let t1 = Core.boot_with config in
         Workloads.Lsdir.setup (Core.sys t1) ~dir:"/d" ~n:(sc 1_000);
         let p = Workloads.Lsdir.run_plain (Core.sys t1) ~dir:"/d" in
-        let t2 = Core.boot_with { Core.Config.default with kernel = config } in
+        let t2 = Core.boot_with config in
         Workloads.Lsdir.setup (Core.sys t2) ~dir:"/d" ~n:(sc 1_000);
         let m = Workloads.Lsdir.run_readdirplus (Core.sys t2) ~dir:"/d" in
         pct_faster p.Workloads.Lsdir.times.Ksim.Kernel.elapsed

@@ -46,10 +46,10 @@ type fs_choice =
 *)
 module Config = struct
   type t = {
-    kernel : Ksim.Kernel.config;   (* simulated-hardware shape *)
-    ncpus : int option;            (* overrides [kernel.ncpus] when set *)
+    cost : Ksim.Cost_model.t;      (* prices every simulated operation *)
+    ncpus : int option;            (* simulated CPUs; [None] = 1 *)
     dcache_shards : int option;    (* dentry-cache locking mode *)
-    trace : bool option;           (* force kperf on/off for this system *)
+    trace : bool option;           (* [Some true] boots kperf on *)
     fs : fs_choice;
     verify : Kverify.policy option;
         (* [Some p] boots with a kverify instance installed as the
@@ -76,7 +76,7 @@ module Config = struct
 
   let default =
     {
-      kernel = Ksim.Kernel.default_config;
+      cost = Ksim.Cost_model.default;
       ncpus = None;
       dcache_shards = None;
       trace = None;
@@ -140,16 +140,9 @@ let ok = function Ok v -> v | Error e -> raise (Sys_error e)
 let on_boot : (t -> unit) ref = ref (fun _ -> ())
 
 let boot_with ?image (cfg : Config.t) =
-  let config =
-    match cfg.ncpus with
-    | None -> cfg.kernel
-    | Some n -> { cfg.kernel with Ksim.Kernel.ncpus = n }
-  in
-  let kernel = Ksim.Kernel.create ~config () in
-  (* ?trace overrides the boot-time default for this system only *)
-  (match cfg.trace with
-  | Some on -> Kperf.set_enabled (Ksim.Kernel.perf kernel) on
-  | None -> ());
+  let kernel = Ksim.Kernel.create ~cost:cfg.cost ?ncpus:cfg.ncpus () in
+  (* a tracer boots off; [trace] is the one way to boot it on *)
+  if cfg.trace = Some true then Kperf.set_enabled (Ksim.Kernel.perf kernel) true;
   let kefence_ref = ref None in
   let wrapfs_ref = ref None in
   let journalfs_ref = ref None in

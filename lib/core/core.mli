@@ -47,14 +47,16 @@ type fs_choice =
     ]} *)
 module Config : sig
   type t = {
-    kernel : Ksim.Kernel.config;  (** simulated-hardware shape *)
-    ncpus : int option;  (** overrides [kernel.ncpus] when set *)
+    cost : Ksim.Cost_model.t;
+        (** prices every simulated operation (default
+            [Cost_model.default]) *)
+    ncpus : int option;  (** simulated CPUs; [None] (default) boots 1 *)
     dcache_shards : int option;
         (** dentry-cache locking: 1 = global [dcache_lock], more =
             per-shard locks with lockless reads (see {!Kvfs.Dcache}) *)
     trace : bool option;
-        (** force the kperf tracer on/off for this system, overriding
-            [!Kperf.default_enabled] *)
+        (** [Some true] boots this system with the kperf tracer on,
+            [Some false] or [None] (default) with it off *)
     fs : fs_choice;
     verify : Kverify.policy option;
         (** [Some p]: boot with a {!Kverify.t} installed as the dispatch
@@ -101,9 +103,9 @@ val sys : t -> Ksyscall.Systable.t
 val stats : t -> Kstats.t
 
 (** The kperf tracer: per-CPU trace rings and causal spans.  Enabled at
-    boot when [!Kperf.default_enabled] (or via [Config.trace]);
-    toggle later with [Kperf.set_enabled].  Disabled, every tracepoint
-    is a single branch and the simulated clock is untouched. *)
+    boot by [Config.trace]; toggle later with [Kperf.set_enabled].
+    Disabled, every tracepoint is a single branch and the simulated
+    clock is untouched. *)
 val perf : t -> Kperf.t
 
 (** The kernel's fault-injection engine (see {!Kfault}).  Disarmed by

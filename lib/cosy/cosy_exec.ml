@@ -68,7 +68,7 @@ let create ?(shared_size = 65536) ?policy ?user_program sys =
             ~clock ~cost ~base_vpn ~pages
         in
         ignore (Minic.Interp.parse_and_load interp ~file:"cosy_user.c" src);
-        let page_size = Ksim.Kernel.page_size kernel in
+        let page_size = Ksim.Kernel.page_size in
         (Some interp, Some (base_vpn * page_size, pages * page_size))
   in
   let kstats = Ksim.Kernel.stats kernel in

@@ -188,8 +188,6 @@ let oops t (p : Ksim.Kproc.t) ~reason =
 let install t =
   Ksim.Kernel.set_reaper t.kernel (Some (fun p ~reason -> oops t p ~reason))
 
-let uninstall t = Ksim.Kernel.set_reaper t.kernel None
-
 let reports t = List.rev t.reports
 let oops_count t = List.length t.reports
 

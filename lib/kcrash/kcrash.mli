@@ -64,8 +64,6 @@ val create : Ksim.Kernel.t -> Ksyscall.Systable.t -> t
     fault) on every entry path — through {!oops}. *)
 val install : t -> unit
 
-val uninstall : t -> unit
-
 (** The oops path itself: kill [p] and reap everything it held, then
     emit a ["kcrash-oops"] event.  The kernel stay's unwind has already
     returned to user mode. *)

@@ -89,8 +89,7 @@ let handler t (fault : Ksim.Fault.t) : Ksim.Address_space.resolution =
     Ksim.Address_space.Kill
   else begin
     let space = Ksim.Kernel.kspace t.kernel in
-    let page_size = Ksim.Kernel.page_size t.kernel in
-    let vpn = fault.Ksim.Fault.addr / page_size in
+    let vpn = fault.Ksim.Fault.addr / Ksim.Kernel.page_size in
     match Hashtbl.find_opt t.guardians vpn with
     | None -> Ksim.Address_space.Kill (* not one of ours *)
     | Some (buf_addr, buf_size) ->

@@ -7,8 +7,6 @@
    clock only.  [fire] never charges cycles; recovery costs belong to
    the subsystem that reacts to the fault. *)
 
-let default_enabled = ref true
-
 type trigger =
   | Every_nth of int
   | Prob of { seed : int; ppm : int }
@@ -29,9 +27,7 @@ type site = {
 }
 
 type t = {
-  mutable enabled : bool;
-  mutable armed : bool;
-  mutable live : bool;  (* enabled && armed: the one hot-path load *)
+  mutable armed : bool;  (* the one hot-path load *)
   stats : Kstats.t option;
   now : unit -> int;
   on_fire : name:string -> occurrence:int -> unit;
@@ -41,12 +37,10 @@ type t = {
   mutable st_fires : Kstats.counter option;  (* kfault.fires *)
 }
 
-let create ?(enabled = !default_enabled) ?stats ?(now = fun () -> 0)
+let create ?stats ?(now = fun () -> 0)
     ?(on_fire = fun ~name:_ ~occurrence:_ -> ()) () =
   {
-    enabled;
     armed = false;
-    live = false;
     stats;
     now;
     on_fire;
@@ -56,9 +50,6 @@ let create ?(enabled = !default_enabled) ?stats ?(now = fun () -> 0)
     st_fires = None;
   }
 
-let relive t = t.live <- t.enabled && t.armed
-let set_enabled t v = t.enabled <- v; relive t
-let is_enabled t = t.enabled
 let is_armed t = t.armed
 
 (* splitmix64-style scramble on OCaml's native ints: good enough to
@@ -121,10 +112,9 @@ let arm ?(strict = true) t plans =
       | Some s -> arm_site s p)
     plans;
   t.plans <- plans;
-  t.armed <- true;
-  relive t
+  t.armed <- true
 
-let disarm t = t.armed <- false; relive t
+let disarm t = t.armed <- false
 
 let fired t s =
   s.s_fires <- s.s_fires + 1;
@@ -146,7 +136,7 @@ let fired t s =
   t.on_fire ~name:s.s_name ~occurrence:s.s_occ
 
 let fire t s =
-  if not t.live then false
+  if not t.armed then false
   else begin
     s.s_occ <- s.s_occ + 1;
     match s.s_armed with

@@ -29,12 +29,6 @@
     digests byte-identical or cleanly failed).  [Resilience] in the
     core facade builds that harness; [bin/kfault_tool.exe] drives it. *)
 
-(** Engines created while this is [true] boot enabled (mirrors
-    [Kstats.default_enabled] / [Kperf.default_enabled]).  A disabled
-    engine never fires, counts nothing, and registers only site
-    handles. *)
-val default_enabled : bool ref
-
 type t
 type site
 
@@ -52,22 +46,21 @@ type trigger =
 
 type plan = { site : string; trigger : trigger }
 
-(** [now] is the simulated clock (defaults to a constant, suitable for
-    standalone tests); the kernel wires [Sim_clock.now].  Per-site and
-    aggregate fire counters register into [stats].  [on_fire] runs with
-    the site name and the occurrence index on every fire; the kernel
-    wires it to a kperf instant (cat ["kfault"]) and a ["kfault-inject"]
-    instrument event. *)
+(** A new engine is disarmed: {!arm} is its one switch.  [now] is the
+    simulated clock (defaults to a constant, suitable for standalone
+    tests); the kernel wires [Sim_clock.now].  The aggregate
+    [kfault.fires] counter and the per-site [kfault.<site>] counters
+    register into [stats] on their first fire, so a report from a
+    disarmed or counting-mode engine holds no kfault metrics at all.
+    [on_fire] runs with the site name and the occurrence index on every
+    fire; the kernel wires it to a kperf instant (cat ["kfault"]) and a
+    ["kfault-inject"] instrument event. *)
 val create :
-  ?enabled:bool ->
   ?stats:Kstats.t ->
   ?now:(unit -> int) ->
   ?on_fire:(name:string -> occurrence:int -> unit) ->
   unit ->
   t
-
-val set_enabled : t -> bool -> unit
-val is_enabled : t -> bool
 
 (** {1 Sites} *)
 

@@ -4,10 +4,11 @@
    path as lock and refcount events, and user space can reconstruct
    metric time series from the ring alone.
 
-   Event encoding: [obj] is the metric's registration index, [value] is
-   its scalar reading (counter value, gauge value, or histogram count),
-   [file] carries the metric name, and [line] the snapshot sequence
-   number — the fields a real kernel feed would pack into its record. *)
+   Event encoding: [obj] is the metric's position in name order (its
+   index in [Kstats.dump]), [value] is its scalar reading (counter
+   value, gauge value, or histogram count), [file] carries the metric
+   name, and [line] the snapshot sequence number — the fields a real
+   kernel feed would pack into its record. *)
 
 let snapshot = Ksim.Instrument.custom "kstats-snapshot"
 
@@ -34,13 +35,10 @@ let emit t =
   t.snapshots <- t.snapshots + 1;
   t.last <- Ksim.Kernel.now t.kernel;
   List.iteri
-    (fun i name ->
-      match Kstats.find stats name with
-      | None -> ()
-      | Some view ->
-          Ksim.Instrument.emit ~pid:0 ~obj:i ~value:(scalar_of_view view)
-            ~kind:snapshot ~file:name ~line:t.snapshots ())
-    (Kstats.names stats)
+    (fun i (name, view) ->
+      Ksim.Instrument.emit ~pid:0 ~obj:i ~value:(scalar_of_view view)
+        ~kind:snapshot ~file:name ~line:t.snapshots ())
+    (Kstats.dump stats)
 
 (* Called from wherever is convenient (timer tick, syscall exit, bench
    loop): emits only when at least [interval] cycles have passed. *)

@@ -14,7 +14,8 @@ type t
     cycles between {!tick}-driven snapshots (default 1M). *)
 val create : ?interval:int -> Ksim.Kernel.t -> t
 
-(** Emit one snapshot of every registered metric right now. *)
+(** Emit one snapshot of every registered metric right now, in name
+    order: each event's [obj] is the metric's index in [Kstats.dump]. *)
 val emit : t -> unit
 
 (** Emit a snapshot only if [interval] cycles have passed since the last

@@ -28,7 +28,6 @@ module Cx = Cosy.Cosy_exec
 type t = {
   kernel : Kernel.t;
   kv : Kverify.t;
-  cache_capacity : int;
   cache : (int * string, Plan.t) Hashtbl.t;  (* (pid, digest) -> plan *)
   order : (int * string) Queue.t;            (* FIFO eviction *)
   mutable hits : int;
@@ -43,15 +42,15 @@ type t = {
   site_invalidate : Kfault.site;
 }
 
-let create ?(cache_capacity = 64) kv sys =
-  if cache_capacity <= 0 then
-    invalid_arg "Kopt.create: cache_capacity must be positive";
+(* compiled programs the cache holds before FIFO eviction *)
+let cache_capacity = 64
+
+let create kv sys =
   let kernel = Systable.kernel sys in
   let kstats = Kernel.stats kernel in
   {
     kernel;
     kv;
-    cache_capacity;
     cache = Hashtbl.create 16;
     order = Queue.create ();
     hits = 0;
@@ -115,7 +114,7 @@ let try_plan t ~shared_size compound =
           Kperf.span_end perf ~pid:0 ~arg:0 span;
           t.compiles <- t.compiles + 1;
           Kstats.incr t.kstats t.s_compiles;
-          if Hashtbl.length t.cache >= t.cache_capacity then
+          if Hashtbl.length t.cache >= cache_capacity then
             (match Queue.take_opt t.order with
             | Some old -> Hashtbl.remove t.cache old
             | None -> ());

@@ -31,11 +31,10 @@ module Plan = Plan
 
 type t
 
-(** [create ?cache_capacity kv sys] builds an optimizer bound to the
-    kernel behind [sys], running admission through [kv].
-    [cache_capacity] bounds the compiled-program cache (default 64,
-    FIFO eviction). *)
-val create : ?cache_capacity:int -> Kverify.t -> Ksyscall.Systable.t -> t
+(** [create kv sys] builds an optimizer bound to the kernel behind
+    [sys], running admission through [kv].  Its compiled-program cache
+    holds 64 programs, with FIFO eviction. *)
+val create : Kverify.t -> Ksyscall.Systable.t -> t
 
 (** The Cosy admission hook for [Cosy_exec.set_admission], in place of
     [Kverify.admit_compound]: the optimizer runs admission itself with

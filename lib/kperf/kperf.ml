@@ -23,10 +23,6 @@
 
 type mode = Overwrite | Drop
 
-(* Tracers created while this is [true] start enabled (mirrors
-   [Kstats.default_enabled]). *)
-let default_enabled = ref false
-
 type ev_kind = Begin | End | Instant | Async_begin | Async_end
 
 type event = {

@@ -20,10 +20,6 @@
     (counting [kperf.ring.drops]). *)
 type mode = Overwrite | Drop
 
-(** Tracers created while [true] start enabled (mirrors
-    [Kstats.default_enabled]). *)
-val default_enabled : bool ref
-
 type ev_kind = Begin | End | Instant | Async_begin | Async_end
 
 type event = {

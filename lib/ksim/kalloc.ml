@@ -41,16 +41,14 @@ type t = {
   vm_end_vpn : int;
   vm_areas : (int, area) Hashtbl.t;    (* the paper's vfree hash table *)
   vm_owner : (int, int) Hashtbl.t;     (* addr -> owning pid (containment) *)
-  (* who owns fresh allocations; the kernel wires this to the scheduler's
-     current pid after boot *)
-  mutable pid_source : (unit -> int) option;
+  pid : unit -> int;                   (* owner of fresh allocations *)
   mutable vm_pages_live : int;
   mutable vm_pages_high_water : int;
   mutable vm_bytes_requested : int;
   mutable vm_allocs : int;
-  (* fault injection: the kernel wires the engine right after boot (the
-     engine needs the kstats registry that Kernel.create also owns) *)
-  mutable fault : (Kfault.t * Kfault.site * Kfault.site) option;
+  fault : Kfault.t;
+  site_kmalloc : Kfault.site;
+  site_vmalloc : Kfault.site;
 }
 
 (* Virtual layout of the simulated kernel address space, in pages. *)
@@ -59,8 +57,12 @@ let kmalloc_limit_pages = 0x8000
 let vmalloc_base_vpn = 0x10000
 let vmalloc_limit_pages = 0x40000
 
-let create ?(stats = Kstats.create ()) ~space ~clock ~cost () =
+let create ?(stats = Kstats.create ()) ~space ~clock ~cost ~fault ~pid () =
   let page_size = Address_space.page_size space in
+  (* vmalloc's site registers first: a site's id seeds its Prob stream,
+     so this order fixes both allocators' fault schedules *)
+  let site_vmalloc = Kfault.register fault "kalloc.vmalloc" in
+  let site_kmalloc = Kfault.register fault "kalloc.kmalloc" in
   {
     space;
     clock;
@@ -83,24 +85,17 @@ let create ?(stats = Kstats.create ()) ~space ~clock ~cost () =
     vm_end_vpn = vmalloc_base_vpn + vmalloc_limit_pages;
     vm_areas = Hashtbl.create 512;
     vm_owner = Hashtbl.create 512;
-    pid_source = None;
+    pid;
     vm_pages_live = 0;
     vm_pages_high_water = 0;
     vm_bytes_requested = 0;
     vm_allocs = 0;
-    fault = None;
+    fault;
+    site_kmalloc;
+    site_vmalloc;
   }
 
-let set_fault t kf =
-  t.fault <-
-    Some (kf, Kfault.register kf "kalloc.kmalloc", Kfault.register kf "kalloc.vmalloc")
-
-let set_pid_source t f = t.pid_source <- f
-
-let note_owner t owners addr =
-  match t.pid_source with
-  | Some f -> Hashtbl.replace owners addr (f ())
-  | None -> ()
+let note_owner t owners addr = Hashtbl.replace owners addr (t.pid ())
 
 exception Out_of_memory of string
 
@@ -113,10 +108,8 @@ let kmalloc t size =
   Sim_clock.advance t.clock t.cost.Cost_model.kmalloc_cost;
   Kstats.incr t.stats t.st_kmallocs;
   Kstats.add t.stats t.st_alloc_bytes size;
-  (match t.fault with
-  | Some (kf, km, _) when Kfault.fire kf km ->
-      raise (Out_of_memory "kmalloc: injected failure (kfault)")
-  | _ -> ());
+  if Kfault.fire t.fault t.site_kmalloc then
+    raise (Out_of_memory "kmalloc: injected failure (kfault)");
   (* align to 8 bytes like the slab allocator's minimum object size *)
   let size = (size + 7) land lnot 7 in
   if size > t.slab_left then begin
@@ -154,10 +147,8 @@ let kfree t addr =
 let vmalloc ?(guard = false) ?(align_end = true) t size =
   if size <= 0 then invalid_arg "vmalloc: size";
   Sim_clock.advance t.clock t.cost.Cost_model.vmalloc_cost;
-  (match t.fault with
-  | Some (kf, _, vm) when Kfault.fire kf vm ->
-      raise (Out_of_memory "vmalloc: injected failure (kfault)")
-  | _ -> ());
+  if Kfault.fire t.fault t.site_vmalloc then
+    raise (Out_of_memory "vmalloc: injected failure (kfault)");
   let npages = pages_for t size in
   let total = npages + (if guard then 1 else 0) in
   if t.vm_next_vpn + total + 1 > t.vm_end_vpn then

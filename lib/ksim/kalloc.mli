@@ -21,27 +21,23 @@ type area = {
 type t
 
 (** [stats] receives allocation counters and the live-page gauge;
-    defaults to a disabled registry. *)
+    defaults to a disabled registry.  [fault] gets the [kalloc.vmalloc]
+    and [kalloc.kmalloc] sites, registered here in that order (an armed
+    plan makes the corresponding allocator raise {!Out_of_memory} as if
+    the region were exhausted).  [pid] names the owner of each fresh
+    allocation (the kernel passes the scheduler's current pid); crash
+    containment uses it to find what a dying process holds. *)
 val create :
   ?stats:Kstats.t ->
   space:Address_space.t ->
   clock:Sim_clock.t ->
   cost:Cost_model.t ->
+  fault:Kfault.t ->
+  pid:(unit -> int) ->
   unit ->
   t
 
 exception Out_of_memory of string
-
-(** Wire the fault-injection engine: registers the [kalloc.kmalloc] and
-    [kalloc.vmalloc] sites (an armed plan makes the corresponding
-    allocator raise {!Out_of_memory} as if the region were exhausted).
-    The kernel calls this once at boot. *)
-val set_fault : t -> Kfault.t -> unit
-
-(** Wire the owner of fresh allocations (the scheduler's current pid);
-    crash containment uses it to find what a dying process holds.  The
-    kernel calls this once at boot; [None] disables ownership tracking. *)
-val set_pid_source : t -> (unit -> int) option -> unit
 
 (** Slab allocation; 8-byte aligned.  @raise Invalid_argument on
     non-positive size, {!Out_of_memory} when the region is exhausted
@@ -82,7 +78,7 @@ type reap = {
 }
 
 (** Crash containment: free every live kmalloc and vmalloc owned by
-    [pid] (per {!set_pid_source} attribution), through the normal
+    [pid] (as {!create}'s [pid] source named it), through the normal
     kfree/vfree paths — normal charges, guardian-PTE unmaps and TLB
     shootdowns included.  Ascending address order, for determinism. *)
 val reap_pid : t -> int -> reap

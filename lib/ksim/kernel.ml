@@ -2,21 +2,12 @@
    spaces, allocators, scheduler.  Every higher-level library takes a
    [Kernel.t] and builds on it. *)
 
-type config = {
-  page_size : int;
-  cost : Cost_model.t;
-  phys_frames_hint : int;
-  ncpus : int;
-}
-
-let default_config =
-  { page_size = 4096; cost = Cost_model.default; phys_frames_hint = 1024;
-    ncpus = 1 }
+let page_size = 4096
 
 type mode = User | Kernel_mode
 
 type t = {
-  config : config;
+  cost : Cost_model.t;
   clock : Sim_clock.t;
   mem : Phys_mem.t;
   kspace : Address_space.t;    (* kernel virtual address space *)
@@ -46,37 +37,27 @@ let user_heap_base_vpn = 0x400
 
 let kfault_inject = Instrument.custom "kfault-inject"
 
-let create ?(config = default_config) () =
+let create ?(cost = Cost_model.default) ?(ncpus = 1) () =
   let clock = Sim_clock.create () in
   let kstats = Kstats.create ~enabled:!Kstats.default_enabled () in
-  let mem = Phys_mem.create ~page_size:config.page_size in
+  let mem = Phys_mem.create ~page_size in
   let kspace =
-    Address_space.create ~stats:kstats ~name:"kernel" ~mem ~clock
-      ~cost:config.cost ()
+    Address_space.create ~stats:kstats ~name:"kernel" ~mem ~clock ~cost ()
   in
   let uspace =
-    Address_space.create ~stats:kstats ~name:"user" ~mem ~clock
-      ~cost:config.cost ()
+    Address_space.create ~stats:kstats ~name:"user" ~mem ~clock ~cost ()
   in
-  let alloc =
-    Kalloc.create ~stats:kstats ~space:kspace ~clock ~cost:config.cost ()
-  in
-  let sched =
-    Scheduler.create ~stats:kstats ~ncpus:config.ncpus ~clock ~cost:config.cost
-      ()
-  in
+  let sched = Scheduler.create ~stats:kstats ~ncpus ~clock ~cost () in
   (* The tracer sits below ksim in the library graph, so the kernel wires
      it up with closures: timestamps off the simulated clock, the active
      CPU off the scheduler, and a per-event charge off the cost model.
      Disabled (the default) it never runs any of them, keeping traced and
      untraced runs bit-for-bit identical. *)
   let perf =
-    Kperf.create ~enabled:!Kperf.default_enabled ~ncpus:config.ncpus
-      ~stats:kstats
+    Kperf.create ~ncpus ~stats:kstats
       ~now:(fun () -> Sim_clock.now clock)
       ~cpu:(fun () -> Scheduler.active_cpu sched)
-      ~charge:(fun () ->
-        Sim_clock.advance clock config.cost.Cost_model.trace_emit)
+      ~charge:(fun () -> Sim_clock.advance clock cost.Cost_model.trace_emit)
       ()
   in
   Scheduler.set_perf sched perf;
@@ -86,7 +67,7 @@ let create ?(config = default_config) () =
      Disarmed (always, until a harness arms a plan) every site probe is
      one branch and nothing else runs. *)
   let fault =
-    Kfault.create ~enabled:!Kfault.default_enabled ~stats:kstats
+    Kfault.create ~stats:kstats
       ~now:(fun () -> Sim_clock.now clock)
       ~on_fire:(fun ~name ~occurrence ->
         Kperf.instant perf ~pid:0 ~arg:occurrence ~cat:"kfault" ~name;
@@ -95,10 +76,17 @@ let create ?(config = default_config) () =
           ~line:0 ())
       ()
   in
-  Kalloc.set_fault alloc fault;
+  (* the allocator registers the first two fault sites, kalloc.vmalloc
+     and kalloc.kmalloc: a site's id seeds its Prob stream, and the
+     sweep visits sites in registration order *)
+  let alloc =
+    Kalloc.create ~stats:kstats ~space:kspace ~clock ~cost ~fault
+      ~pid:(fun () -> (Scheduler.current sched).Kproc.pid)
+      ()
+  in
   let k =
     {
-      config;
+      cost;
       clock;
       mem;
       kspace;
@@ -115,7 +103,7 @@ let create ?(config = default_config) () =
         {
           Spinlock.sched;
           clock;
-          cost = config.cost;
+          cost;
           stats = kstats;
           registry = Spinlock.new_registry ();
         };
@@ -129,13 +117,10 @@ let create ?(config = default_config) () =
     }
   in
   ignore (Scheduler.spawn sched ~name:"init");
-  Kalloc.set_pid_source alloc
-    (Some (fun () -> (Scheduler.current sched).Kproc.pid));
   k
 
 let clock t = t.clock
-let cost t = t.config.cost
-let page_size t = t.config.page_size
+let cost t = t.cost
 let kspace t = t.kspace
 let uspace t = t.uspace
 let alloc t = t.alloc
@@ -190,12 +175,12 @@ let enter_kernel t =
   (* the trap itself is system time: record entry before charging it *)
   p.Kproc.kernel_entry <- Sim_clock.now t.clock;
   p.Kproc.io_wait_at_entry <- p.Kproc.io_wait;
-  Sim_clock.advance t.clock t.config.cost.Cost_model.syscall_entry
+  Sim_clock.advance t.clock t.cost.Cost_model.syscall_entry
 
 let exit_kernel t =
   if t.mode = User then
     raise (Kernel_mode_violation "exit_kernel: not in kernel mode");
-  Sim_clock.advance t.clock t.config.cost.Cost_model.syscall_exit;
+  Sim_clock.advance t.clock t.cost.Cost_model.syscall_exit;
   t.mode <- User;
   let p = current t in
   let entry = p.Kproc.kernel_entry in
@@ -226,7 +211,7 @@ let charge_kernel t cycles = Sim_clock.advance t.clock cycles
 let copy_from_user t ~uaddr ~len =
   if t.mode <> Kernel_mode then
     raise (Kernel_mode_violation "copy_from_user in user mode");
-  Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
+  Sim_clock.advance t.clock (Cost_model.copy_cost t.cost len);
   t.bytes_copied_user_to_kernel <- t.bytes_copied_user_to_kernel + len;
   Kstats.add t.kstats t.st_bytes_in len;
   Address_space.read_bytes t.uspace ~addr:uaddr ~len
@@ -235,7 +220,7 @@ let copy_to_user t ~uaddr src =
   if t.mode <> Kernel_mode then
     raise (Kernel_mode_violation "copy_to_user in user mode");
   let len = Bytes.length src in
-  Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
+  Sim_clock.advance t.clock (Cost_model.copy_cost t.cost len);
   t.bytes_copied_kernel_to_user <- t.bytes_copied_kernel_to_user + len;
   Kstats.add t.kstats t.st_bytes_out len;
   Address_space.write_bytes t.uspace ~addr:uaddr src
@@ -246,13 +231,13 @@ let copy_to_user t ~uaddr src =
 let charge_copy_from_user t len =
   if t.mode <> Kernel_mode then
     raise (Kernel_mode_violation "copy_from_user in user mode");
-  Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
+  Sim_clock.advance t.clock (Cost_model.copy_cost t.cost len);
   t.bytes_copied_user_to_kernel <- t.bytes_copied_user_to_kernel + len
 
 let charge_copy_to_user t len =
   if t.mode <> Kernel_mode then
     raise (Kernel_mode_violation "copy_to_user in user mode");
-  Sim_clock.advance t.clock (Cost_model.copy_cost t.config.cost len);
+  Sim_clock.advance t.clock (Cost_model.copy_cost t.cost len);
   t.bytes_copied_kernel_to_user <- t.bytes_copied_kernel_to_user + len
 
 let crossings t = t.user_kernel_crossings
@@ -282,11 +267,11 @@ let irq_depth t = t.irq_depth
    kernel's, live in the shared physical pool. *)
 let user_alloc t size =
   if size <= 0 then invalid_arg "user_alloc";
-  let npages = (size + t.config.page_size - 1) / t.config.page_size in
+  let npages = (size + page_size - 1) / page_size in
   let vpn = t.user_brk_vpn in
   t.user_brk_vpn <- t.user_brk_vpn + npages + 1;
   Address_space.map_fresh t.uspace ~vpn ~npages ~writable:true;
-  vpn * t.config.page_size
+  vpn * page_size
 
 (* --- process statistics ----------------------------------------------- *)
 

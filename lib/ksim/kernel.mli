@@ -8,24 +8,20 @@
     accounting in which disk waits count toward elapsed time but not
     system time. *)
 
-type config = {
-  page_size : int;
-  cost : Cost_model.t;
-  phys_frames_hint : int;
-  ncpus : int;  (** simulated CPUs; 1 in [default_config] *)
-}
-
-val default_config : config
+(** Bytes per page, in both address spaces and in physical memory. *)
+val page_size : int
 
 type mode = User | Kernel_mode
 
 type t
 
-val create : ?config:config -> unit -> t
+(** Boot a machine: [cost] prices every simulated operation (default
+    [Cost_model.default]), [ncpus] is the number of simulated CPUs
+    (default 1). *)
+val create : ?cost:Cost_model.t -> ?ncpus:int -> unit -> t
 
 val clock : t -> Sim_clock.t
 val cost : t -> Cost_model.t
-val page_size : t -> int
 
 (** Kernel virtual address space (where kmalloc/vmalloc memory lives). *)
 val kspace : t -> Address_space.t
@@ -42,7 +38,7 @@ val sched : t -> Scheduler.t
 val stats : t -> Kstats.t
 
 (** The kperf tracer: per-CPU trace rings and causal spans.  Created
-    enabled when [Kperf.default_enabled] was set at boot; while disabled
+    disabled ([Kperf.set_enabled] turns it on); while disabled
     every emit is a single branch and the simulated clock is never
     touched, so untraced runs are bit-for-bit identical to pre-kperf
     runs.  While enabled each stored record charges

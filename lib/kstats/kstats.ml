@@ -39,14 +39,9 @@ type hist = {
 
 type metric = Counter of counter | Gauge of gauge | Hist of hist
 
-type t = {
-  mutable enabled : bool;
-  by_name : (string, metric) Hashtbl.t;
-  mutable names : string list; (* reverse registration order *)
-}
+type t = { mutable enabled : bool; by_name : (string, metric) Hashtbl.t }
 
-let create ?(enabled = false) () =
-  { enabled; by_name = Hashtbl.create 64; names = [] }
+let create ?(enabled = false) () = { enabled; by_name = Hashtbl.create 64 }
 
 let set_enabled t on = t.enabled <- on
 let is_enabled t = t.enabled
@@ -61,7 +56,6 @@ let register t name make =
   | None ->
       let m = make () in
       Hashtbl.replace t.by_name name m;
-      t.names <- name :: t.names;
       m
 
 let counter t name =
@@ -218,8 +212,10 @@ let view = function
   | Gauge g -> Gauge_v { value = g.g; max = g.g_max }
   | Hist h -> Hist_v (view_hist h)
 
-(* Metrics in registration order. *)
-let names t = List.rev t.names
+(* Metrics by name, so no report depends on which subsystem the kernel
+   happened to build first. *)
+let names t =
+  List.sort String.compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.by_name [])
 
 let dump t =
   List.map (fun n -> (n, view (Hashtbl.find t.by_name n))) (names t)

@@ -87,7 +87,10 @@ type view =
   | Gauge_v of { value : int; max : int }
   | Hist_v of hist_view
 
-(** Metric names in registration order. *)
+(** Metric names in ascending byte order ([String.compare]).  Every
+    listing below ({!dump}, {!merge_into}, {!pp_report}, {!to_json})
+    follows it, so a report never depends on the order in which
+    subsystems registered their metrics. *)
 val names : t -> string list
 
 val dump : t -> (string * view) list

@@ -125,7 +125,16 @@ let by_int =
   a
 
 let of_int n = if n >= 0 && n < Array.length by_int then by_int.(n) else None
-let of_string s = List.find_opt (fun t -> to_string t = s) all
+
+(* [of_string] names every syscall of every Cosy compound a library
+   builds: a scan with no closure that answers with [by_int]'s own
+   [Some t], so a lookup allocates nothing *)
+let rec named s = function
+  | [] -> None
+  | t :: rest ->
+      if String.equal (to_string t) s then by_int.(to_int t) else named s rest
+
+let of_string s = named s all
 
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare (to_int a) (to_int b)

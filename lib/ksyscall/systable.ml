@@ -105,7 +105,6 @@ let set_tracer t f = t.tracer <- Some f
 let clear_tracer t = t.tracer <- None
 
 let set_gate t g = t.gate <- Some g
-let clear_gate t = t.gate <- None
 let gate t = t.gate
 
 (* Handle caches keep the hot path at one array load after the enabled

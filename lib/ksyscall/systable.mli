@@ -59,14 +59,12 @@ type gate_decision =
 
 type gate = pid:int -> sysno:Sysno.t -> gate_decision
 
-(** Install/remove the (single) dispatch-admission gate
-    ([Usyscall.verdict] consults it for every request, whatever the entry
-    path).  Kverify's
+(** Install the (single) dispatch-admission gate ([Usyscall.verdict]
+    consults it for every request, whatever the entry path).  Kverify's
     syscall-flow automaton installs itself here; with no gate installed
     the check is one [None] branch and zero cycles. *)
 val set_gate : t -> gate -> unit
 
-val clear_gate : t -> unit
 val gate : t -> gate option
 
 (** Used by the dispatcher to account and publish one completed syscall

@@ -9,7 +9,11 @@ type ngram = Sysno.t list
 
 type t = { counts : (ngram, int) Hashtbl.t }
 
-let mine ?(min_len = 2) ?(max_len = 4) recorder =
+(* n-gram lengths mined, inclusive *)
+let min_len = 2
+let max_len = 4
+
+let mine recorder =
   let t = { counts = Hashtbl.create 1024 } in
   let bump key =
     Hashtbl.replace t.counts key

@@ -7,8 +7,8 @@ type ngram = Ksyscall.Sysno.t list
 
 type t
 
-(** Mine all n-grams with lengths in [[min_len, max_len]] (defaults 2–4). *)
-val mine : ?min_len:int -> ?max_len:int -> Recorder.t -> t
+(** Mine all n-grams of 2 to 4 syscalls. *)
+val mine : Recorder.t -> t
 
 val count : t -> ngram -> int
 

@@ -105,7 +105,6 @@ let gate t : Systable.gate =
       else violation t ~pid ~prev sysno
 
 let install t sys = Systable.set_gate sys (gate t)
-let uninstall _t sys = Systable.clear_gate sys
 
 (* --- static admission ----------------------------------------------------- *)
 

@@ -44,13 +44,10 @@ val automaton : t -> Sfi.t option
 (** Compile an automaton from a recorded trace. *)
 val learn : Ktrace.Recorder.t -> Sfi.t
 
-(** Install/remove this instance as the dispatch gate.  With no
-    automaton set the gate allows everything but still sits on the
-    path; prefer not installing at all for a true zero-cost off
-    state. *)
+(** Install this instance as the dispatch gate.  With no automaton set
+    the gate allows everything and charges nothing, so an installed but
+    empty gate leaves cycles, digests and kstats as they were. *)
 val install : t -> Ksyscall.Systable.t -> unit
-
-val uninstall : t -> Ksyscall.Systable.t -> unit
 
 (** {1 Static admission} — every admission pass charges
     [Cost_model.verify_admit_op] per op/request, verified or not, and

@@ -29,7 +29,6 @@ type slot = {
 
 type t = {
   kernel : Ksim.Kernel.t;
-  block_size : int;
   cache_blocks : int;
   policy : policy;
   cache : slot Ksim.Int_table.t;      (* resident block -> its slot *)
@@ -60,13 +59,14 @@ exception Io_error of int
    the image alone. *)
 exception Power_loss
 
-let create ?(block_size = 4096) ?(cache_blocks = 150_000)
+let block_size = 4096
+
+let create ?(cache_blocks = 150_000)
     ?(policy = Second_chance) ?image kernel =
   let kstats = Ksim.Kernel.stats kernel in
   let rec ring = { blk = -1; referenced = false; prev = ring; next = ring } in
   {
     kernel;
-    block_size;
     cache_blocks;
     policy;
     (* start small and let the table grow: sized for [cache_blocks] up
@@ -91,7 +91,6 @@ let create ?(block_size = 4096) ?(cache_blocks = 150_000)
     last_block = 0;
   }
 
-let block_size t = t.block_size
 
 (* Disk transfers are I/O wait: they advance elapsed time but do not
    count as system (CPU) time, like a process blocked in the elevator. *)
@@ -210,7 +209,7 @@ let write_block_data t blk data =
   if Kfault.fire t.fault t.site_crash then raise Power_loss;
   write_block t blk;
   (* a payload longer than one block occupies the following slots too *)
-  for i = 1 to (max 1 (String.length data) - 1) / t.block_size do
+  for i = 1 to (max 1 (String.length data) - 1) / block_size do
     write_block t (blk + i)
   done;
   Hashtbl.replace t.image blk (Bytes.of_string data)
@@ -220,7 +219,7 @@ let read_block_data t blk =
   | None -> None
   | Some data ->
       read_block t blk;
-      for i = 1 to (max 1 (Bytes.length data) - 1) / t.block_size do
+      for i = 1 to (max 1 (Bytes.length data) - 1) / block_size do
         read_block t (blk + i)
       done;
       Some (Bytes.to_string data)

@@ -42,10 +42,10 @@ type image
     the paper's 884 MB testbed); [policy] defaults to [Second_chance].
     [image] seeds the persistent payload store (reboot-from-disk). *)
 val create :
-  ?block_size:int -> ?cache_blocks:int -> ?policy:policy -> ?image:image ->
-  Ksim.Kernel.t -> t
+  ?cache_blocks:int -> ?policy:policy -> ?image:image -> Ksim.Kernel.t -> t
 
-val block_size : t -> int
+(** Bytes per block. *)
+val block_size : int
 val read_block : t -> int -> unit
 val write_block : t -> int -> unit
 

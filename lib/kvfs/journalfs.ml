@@ -222,7 +222,7 @@ let apply_op t op =
    abort record is counted and discarded, never applied. *)
 let replay t =
   let dev = Memfs.dev t.inner in
-  let bs = Memfs.block_size t.inner in
+  let bs = Block_dev.block_size in
   let rec scan slot acc =
     match Block_dev.read_block_data dev (journal_base + slot) with
     | None -> (slot, List.rev acc)
@@ -300,17 +300,19 @@ let replay t =
   t.last_recover <- Some info;
   info
 
+(* The module's working memory: [interp_pages] pages at
+   [interp_base_vpn] in kernel space. *)
+let interp_base_vpn = 0x60000
+let interp_pages = 256
+
 (* [transform] is the "compiler": identity models GCC, the KGCC
-   instrumentation pass models KGCC.  [interp_pages] bounds the module's
-   working memory. *)
-(* [attach] runs right after the interpreter is created and before the
-   module's code is loaded or any buffer allocated — KGCC hooks its
-   runtime (object-map observer + check externs) here so that it sees
-   every allocation. *)
+   instrumentation pass models KGCC.  [attach] runs right after the
+   interpreter is created and before the module's code is loaded or any
+   buffer allocated — KGCC hooks its runtime (object-map observer +
+   check externs) here so that it sees every allocation. *)
 let create ?(transform = fun (p : Minic.Ast.program) -> p)
     ?(attach = fun (_ : Minic.Interp.t) -> ())
-    ?(data_journal = false) ?(durable = false) ?image
-    ?(interp_base_vpn = 0x60000) ?(interp_pages = 256) kernel =
+    ?(data_journal = false) ?(durable = false) ?image kernel =
   let inner = Memfs.create ?image kernel in
   let interp =
     Minic.Interp.create
@@ -404,7 +406,7 @@ let write_wal t s =
   stage_bytes t ~addr:t.work_buf (Bytes.of_string (String.sub s 0 len));
   let sum = hot t "jfs_checksum" [ t.work_buf; len ] in
   t.checksum_acc <- (t.checksum_acc + sum) land 0xffffff;
-  let bs = Memfs.block_size t.inner in
+  let bs = Block_dev.block_size in
   let slot = t.j_cursor in
   t.j_cursor <- t.j_cursor + 1 + ((max 1 (String.length s) - 1) / bs);
   Block_dev.write_block_data (Memfs.dev t.inner) (journal_base + slot) s

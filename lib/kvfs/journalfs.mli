@@ -45,8 +45,6 @@ val create :
   ?data_journal:bool ->
   ?durable:bool ->
   ?image:Block_dev.image ->
-  ?interp_base_vpn:int ->
-  ?interp_pages:int ->
   Ksim.Kernel.t ->
   t
 

@@ -92,7 +92,6 @@ let create ?image kernel =
     };
   t
 
-let block_size t = Block_dev.block_size t.dev
 let dev t = t.dev
 
 let find t ino = Ksim.Int_table.find_opt t.inodes ino
@@ -129,7 +128,7 @@ let meta_block t ~ino =
   t.meta_blocks.(m)
 
 let charge_data_io t inode ~off ~len ~write =
-  let bs = block_size t in
+  let bs = Block_dev.block_size in
   let first = off / bs and last = (off + Int.max 0 (len - 1)) / bs in
   for fb = first to last do
     let blk = disk_block t inode fb in
@@ -140,7 +139,8 @@ let charge_data_io t inode ~off ~len ~write =
 (* Metadata reads charge the block holding the inode. *)
 let charge_meta_io t ~ino = Block_dev.read_block t.dev (meta_block t ~ino)
 
-let blocks_of_size t size = (size + block_size t - 1) / block_size t
+let blocks_of_size size =
+  (size + Block_dev.block_size - 1) / Block_dev.block_size
 
 (* In-kernel CPU for a metadata operation: hash lookups, permission
    checks, inode locking. *)
@@ -150,13 +150,13 @@ let charge_cpu ?(scale = 1) t =
     (Ksim.Kernel.clock t.kernel)
     (scale * cost.Ksim.Cost_model.vfs_op)
 
-let stat_of t inode =
+let stat_of inode =
   {
     Vtypes.st_ino = inode.ino;
     st_kind = inode.kind;
     st_size = inode.size;
     st_nlink = inode.nlink;
-    st_blocks = blocks_of_size t inode.size;
+    st_blocks = blocks_of_size inode.size;
     st_mtime = inode.mtime;
   }
 
@@ -281,7 +281,7 @@ let getattr t ~ino =
   | inode ->
       charge_cpu t;
       charge_meta_io t ~ino;
-      Ok (stat_of t inode)
+      Ok (stat_of inode)
 
 (* --- paged file data ----------------------------------------------- *)
 
@@ -344,7 +344,8 @@ let read_into t ~ino ~off ~len ~into ~pos =
         if pos < 0 || pos > Bytes.length into - n then
           invalid_arg "Memfs.read_into";
         if n > 0 then charge_data_io t inode ~off ~len:n ~write:false;
-        transfer inode ~bs:(block_size t) ~off ~len:n into pos ~to_file:false;
+        transfer inode ~bs:Block_dev.block_size ~off ~len:n into pos
+          ~to_file:false;
         Ok n
       end
 
@@ -366,7 +367,7 @@ let write t ~ino ~off ~data =
       if inode.kind = Vtypes.Directory then Error Vtypes.EISDIR
       else if off < 0 then Error Vtypes.EINVAL
       else begin
-        let len = Bytes.length data and bs = block_size t in
+        let len = Bytes.length data and bs = Block_dev.block_size in
         ensure_pages inode ~bs (off + len);
         transfer inode ~bs ~off ~len data 0 ~to_file:true;
         if off + len > inode.size then inode.size <- off + len;
@@ -382,7 +383,7 @@ let truncate t ~ino ~size =
       if inode.kind = Vtypes.Directory then Error Vtypes.EISDIR
       else if size < 0 then Error Vtypes.EINVAL
       else begin
-        let bs = block_size t in
+        let bs = Block_dev.block_size in
         if size >= inode.size then ensure_pages inode ~bs size
         else begin
           (* drop the pages past the new end, zero the new last page's
@@ -435,7 +436,7 @@ let fsync t ~ino =
   | Some inode ->
       (* flush: charge full write cost for each dirty block *)
       let cost = Ksim.Kernel.cost t.kernel in
-      let blocks = blocks_of_size t inode.size in
+      let blocks = blocks_of_size inode.size in
       Ksim.Kernel.charge_io t.kernel
         (blocks * cost.Ksim.Cost_model.disk_write_block / 20);
       Ok ()
@@ -472,9 +473,9 @@ let max_chain t =
 (* Complaints about [i]'s pages: as many as its size needs, every one
    but the last a full block, the last large enough, and nothing but
    zeros past [size]. *)
-let page_shape t i complain =
+let page_shape i complain =
   let err fmt = Printf.ksprintf complain fmt in
-  let bs = block_size t in
+  let bs = Block_dev.block_size in
   let n = Array.length i.pages in
   if n <> (i.size + bs - 1) / bs then
     err "file %d: %d pages for size %d" i.ino n i.size;
@@ -548,7 +549,7 @@ let fsck t =
         let r = Option.value ~default:0 (Hashtbl.find_opt refs ino) in
         if i.nlink <> r then err "file %d: nlink %d but %d dentries" ino i.nlink r
       end;
-      page_shape t i (fun s -> errs := s :: !errs))
+      page_shape i (fun s -> errs := s :: !errs))
     inos;
   if Hashtbl.length no_children > 0 then
     err "the shared empty children table has %d entries"

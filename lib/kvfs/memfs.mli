@@ -17,7 +17,6 @@ val root_ino : int
 (** [image] seeds the block device's persistent store (see
     {!Block_dev.image}); relevant when journalfs mounts with replay. *)
 val create : ?image:Block_dev.image -> Ksim.Kernel.t -> t
-val block_size : t -> int
 val dev : t -> Block_dev.t
 
 (** The operations vector (pass to {!Vfs.create} or stack wrapfs over). *)

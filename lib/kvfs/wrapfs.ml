@@ -32,7 +32,6 @@ type t = {
   (* per-inode private data, as in the paper: "each Wrapfs object
      contains a private data field which gets dynamically allocated" *)
   private_data : (int, int) Hashtbl.t;  (* lower ino -> buffer addr *)
-  private_size : int;
   mutable name_copies : int;
   mutable page_copies : int;
   (* one reusable staging page, as the kernel's page cache provides;
@@ -43,12 +42,11 @@ type t = {
   mutable overflow_bytes : int;
 }
 
-let create ?(private_size = 80) ~allocator lower =
+let create ~allocator lower =
   {
     lower;
     allocator;
     private_data = Hashtbl.create 1024;
-    private_size;
     name_copies = 0;
     page_copies = 0;
     page_pool = None;
@@ -57,15 +55,18 @@ let create ?(private_size = 80) ~allocator lower =
 
 let inject_overflow t n = t.overflow_bytes <- n
 
-(* Attach private data to a lower inode on first sight; the 80-byte
-   default matches the paper's measured mean allocation size. *)
+(* Per-inode private data: 80 bytes, the paper's measured mean
+   allocation size. *)
+let private_size = 80
+
+(* Attach private data to a lower inode on first sight. *)
 let ensure_private t ino =
   if not (Hashtbl.mem t.private_data ino) then begin
-    let addr = t.allocator.alloc t.private_size in
+    let addr = t.allocator.alloc private_size in
     (* initialize the private area: a real write through the MMU *)
     Ksim.Address_space.write_bytes ~pc:"wrapfs.ml:ensure_private"
       t.allocator.space ~addr
-      (Bytes.make t.private_size '\000');
+      (Bytes.make private_size '\000');
     Hashtbl.replace t.private_data ino addr
   end
 

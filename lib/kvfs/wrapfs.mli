@@ -22,9 +22,9 @@ val kmalloc_allocator : Ksim.Kernel.t -> allocator
 
 type t
 
-(** [create ?private_size ~allocator lower]; [private_size] defaults to
-    the paper's measured 80 bytes per object. *)
-val create : ?private_size:int -> allocator:allocator -> Vtypes.ops -> t
+(** [create ~allocator lower]; each lower inode gets an 80-byte private
+    area (the paper's measured mean object size) on first sight. *)
+val create : allocator:allocator -> Vtypes.ops -> t
 
 (** Fault injection for tests and demos: overrun every temporary name
     buffer by [n] bytes. *)

@@ -98,17 +98,9 @@ let crash_config =
    skipped, exactly as power loss would skip them. *)
 let power_loss_marker = "POWER_LOSS"
 
-let run_with ?(plans = []) ?(config = default_run_config) () =
-  let t = Core.boot_with config in
-  (* kstats registries boot disabled; the report and the retry.*
-     counters are part of the run's observable record, so turn them on *)
-  Kstats.set_enabled (Core.stats t) true;
+let exercise t =
   let sys = Core.sys t in
   let kernel = Core.kernel t in
-  let fault = Core.fault t in
-  (* non-strict: the ring and Cosy sites register mid-run and pick the
-     plan up at registration *)
-  Kfault.arm ~strict:false fault plans;
   let buf = Buffer.create 4096 in
   let errs = ref [] in
   let killed = ref 0 in
@@ -278,16 +270,25 @@ let run_with ?(plans = []) ?(config = default_run_config) () =
       if r.Workloads.Webserver.n_completed < net_config.conns then
         err "net" Kvfs.Vtypes.ETIMEDOUT);
 
-  ( {
-      r_cycles = Ksim.Kernel.now kernel;
-      r_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
-      r_errs = List.rev !errs;
-      r_killed = !killed;
-      r_escaped = !escaped;
-      r_counts = Kfault.counts fault;
-      r_stats = Fmt.str "%a" Kstats.pp_report (Core.stats t);
-    },
-    t )
+  {
+    r_cycles = Ksim.Kernel.now kernel;
+    r_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
+    r_errs = List.rev !errs;
+    r_killed = !killed;
+    r_escaped = !escaped;
+    r_counts = Kfault.counts (Core.fault t);
+    r_stats = Fmt.str "%a" Kstats.pp_report (Core.stats t);
+  }
+
+let run_with ?(plans = []) ?(config = default_run_config) () =
+  let t = Core.boot_with config in
+  (* kstats registries boot disabled; the report and the retry.*
+     counters are part of the run's observable record, so turn them on *)
+  Kstats.set_enabled (Core.stats t) true;
+  (* non-strict: the ring and Cosy sites register mid-run and pick the
+     plan up at registration *)
+  Kfault.arm ~strict:false (Core.fault t) plans;
+  (exercise t, t)
 
 let run ?plans () = fst (run_with ?plans ())
 

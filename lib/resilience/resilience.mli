@@ -31,6 +31,10 @@ type run_result = {
   r_stats : string;  (** rendered kstats report, for identity checks *)
 }
 
+(** Run the standard workload on [t] as it stands: its kstats registry
+    and fault engine stay as the caller left them. *)
+val exercise : Core.t -> run_result
+
 (** Run the standard workload on a fresh system under [plans]
     (default: empty = counting mode).  Never raises: anything a phase
     throws beyond clean errnos/kills lands in [r_escaped]. *)

@@ -582,7 +582,7 @@ let rd_cost =
 (* A system holding [content] in /f, with /f and / open. *)
 let rd_twin content =
   let kernel =
-    Ksim.Kernel.create ~config:{ Ksim.Kernel.default_config with cost = rd_cost } ()
+    Ksim.Kernel.create ~cost:rd_cost ()
   in
   Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
   let sys = Ksyscall.Systable.create kernel in

@@ -299,7 +299,17 @@ let test_stats_feed () =
   Alcotest.(check bool) "kernel.crossings captured" true
     (match List.assoc_opt "kernel.crossings" metrics with
     | Some v -> v >= 1
-    | None -> false)
+    | None -> false);
+  (* [obj] is the metric's position in the registry's name-ordered dump *)
+  Alcotest.(check (list (pair int string))) "obj is the dump position"
+    (List.mapi (fun i (name, _) -> (i, name))
+       (Kstats.dump (Ksim.Kernel.stats kernel)))
+    (List.filter_map
+       (fun e ->
+         Option.map
+           (fun (name, _) -> (e.Ksim.Instrument.obj, name))
+           (Kmonitor.Stats_feed.decode e))
+       events)
 
 (* --- monitors ------------------------------------------------------------ *)
 

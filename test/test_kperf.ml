@@ -97,10 +97,7 @@ let test_nesting () =
    drained kring batch must be parented (directly or transitively) to
    the batch's one ring:enter span. *)
 let test_kring_batch_parenting () =
-  Kperf.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Kperf.default_enabled := false)
-  @@ fun () ->
-  let t = Core.boot_with Core.Config.default in
+  let t = Core.boot_with { Core.Config.default with trace = Some true } in
   let ring = Core.ring t in
   let reqs =
     [
@@ -152,10 +149,7 @@ let test_kring_batch_parenting () =
 (* --- determinism -------------------------------------------------------- *)
 
 let traced_postmark () =
-  Kperf.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Kperf.default_enabled := false)
-  @@ fun () ->
-  let t = Core.boot_with Core.Config.default in
+  let t = Core.boot_with { Core.Config.default with trace = Some true } in
   let cfg =
     { Workloads.Postmark.default_config with files = 20; transactions = 60 }
   in
@@ -278,10 +272,7 @@ let test_json_parser () =
 (* --- kmonitor bridge ----------------------------------------------------- *)
 
 let test_perf_bridge () =
-  Kperf.default_enabled := true;
-  Fun.protect ~finally:(fun () -> Kperf.default_enabled := false)
-  @@ fun () ->
-  let t = Core.boot_with Core.Config.default in
+  let t = Core.boot_with { Core.Config.default with trace = Some true } in
   let d = Core.enable_monitoring t in
   Fun.protect ~finally:(fun () -> Core.disable_monitoring t) @@ fun () ->
   Core.perf_feed t;

@@ -155,7 +155,8 @@ let mk_kalloc () =
   let clock = Ksim.Sim_clock.create () in
   let mem = Ksim.Phys_mem.create ~page_size:4096 in
   let space = Ksim.Address_space.create ~name:"k" ~mem ~clock ~cost:zero () in
-  Ksim.Kalloc.create ~space ~clock ~cost:zero ()
+  Ksim.Kalloc.create ~space ~clock ~cost:zero ~fault:(Kfault.create ())
+    ~pid:(fun () -> 0) ()
 
 let test_kmalloc () =
   let ka = mk_kalloc () in

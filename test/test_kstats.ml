@@ -1,7 +1,8 @@
 (* Tests for the kernel-wide metrics registry: log₂ bucket geometry,
    percentiles, merging, registration semantics, the disabled hot path,
-   and — the property everything else leans on — cycle neutrality:
-   enabling kstats must not change a single simulated cycle. *)
+   JSON, and name order: no listing depends on the order in which
+   metrics were registered.  That enabling kstats moves no simulated
+   cycle is test_core's quiet-extension property. *)
 
 (* --- bucket geometry ----------------------------------------------------- *)
 
@@ -99,7 +100,7 @@ let test_registration () =
   Alcotest.(check int) "same handle" 2 (Kstats.counter_value c1);
   Alcotest.check_raises "type clash" (Kstats.Type_clash "x") (fun () ->
       ignore (Kstats.gauge t "x"));
-  Alcotest.(check (list string)) "registration order" [ "x" ] (Kstats.names t)
+  Alcotest.(check (list string)) "one name" [ "x" ] (Kstats.names t)
 
 let test_disabled_noop () =
   let t = Kstats.create () in
@@ -133,39 +134,65 @@ let test_json () =
   Alcotest.(check string) "escaping" "a\\\"b\\\\c\\n"
     (Kstats.json_escape "a\"b\\c\n")
 
-(* --- cycle neutrality ----------------------------------------------------- *)
+(* --- name order ------------------------------------------------------------ *)
 
-(* The load-bearing property: a kernel with metrics enabled executes the
-   exact same simulated-cycle trajectory as one with them disabled.
-   Run an identical syscall workload on both and compare clocks. *)
-let run_workload t =
-  let sys = Core.sys t in
-  for i = 0 to 19 do
-    let path = Printf.sprintf "/f%d" i in
-    let fd = Core.ok (Core.Syscall.sys_open sys ~path ~flags:Core.o_create) in
-    ignore
-      (Core.ok (Core.Syscall.sys_write sys ~fd ~data:(Bytes.make 100 'x')));
-    ignore (Core.ok (Core.Syscall.sys_fstat sys ~fd));
-    Core.ok (Core.Syscall.sys_close sys ~fd);
-    ignore (Core.ok (Core.Syscall.sys_stat sys ~path))
-  done;
-  ignore (Core.ok (Core.Syscall.sys_readdir sys ~path:"/"));
-  Ksim.Kernel.now (Core.kernel t)
+(* One metric to register: a name, a kind (counter, gauge, histogram)
+   and a reading. *)
+let register t (name, kind, v) =
+  match kind with
+  | 0 -> Kstats.add t (Kstats.counter t name) v
+  | 1 -> Kstats.set t (Kstats.gauge t name) v
+  | _ -> Kstats.observe t (Kstats.histogram t name) v
 
-let test_cycle_neutral () =
-  let saved = !Kstats.default_enabled in
-  Kstats.default_enabled := false;
-  let off = run_workload (Core.boot_with Core.Config.default) in
-  Kstats.default_enabled := true;
-  let t_on = Core.boot_with Core.Config.default in
-  let on = run_workload t_on in
-  Kstats.default_enabled := saved;
-  Alcotest.(check int) "identical cycle trajectory" off on;
-  (* and the enabled run really did record *)
-  match Kstats.find (Core.stats t_on) "syscall.total" with
-  | Some (Kstats.Counter_v v) ->
-      Alcotest.(check bool) "metrics recorded" true (v > 0)
-  | _ -> Alcotest.fail "syscall.total missing"
+(* Every listing goes by name, so registries holding the same metrics,
+   registered in any two orders, print the same bytes. *)
+let qcheck_registration_order_free =
+  let gen =
+    QCheck.Gen.(
+      let* specs =
+        list_size (1 -- 24)
+          (triple (map (Printf.sprintf "m.%02d") (int_bound 40)) (int_bound 2)
+             (int_bound 5_000))
+      in
+      (* one kind per name *)
+      let specs =
+        List.fold_left
+          (fun acc ((n, _, _) as s) ->
+            if List.exists (fun (m, _, _) -> m = n) acc then acc else s :: acc)
+          [] specs
+      in
+      let* shuffled = shuffle_l specs in
+      return (specs, shuffled))
+  in
+  QCheck.Test.make ~count:200 ~name:"registration order never shows"
+    (QCheck.make gen)
+    (fun (specs, shuffled) ->
+      let build specs =
+        let t = Kstats.create ~enabled:true () in
+        List.iter (register t) specs;
+        t
+      in
+      let a = build specs and b = build shuffled in
+      let merged src =
+        let into = Kstats.create ~enabled:true () in
+        Kstats.merge_into ~into src;
+        Kstats.to_json into
+      in
+      Kstats.dump a = Kstats.dump b
+      && Kstats.to_json a = Kstats.to_json b
+      && Fmt.str "%a" Kstats.pp_report a = Fmt.str "%a" Kstats.pp_report b
+      && merged a = merged b
+      && Kstats.names a = List.sort String.compare (Kstats.names a))
+
+(* A booted kernel registers its metrics subsystem by subsystem; the
+   listing still comes out sorted. *)
+let test_booted_names_sorted () =
+  let stats = Core.stats (Core.boot_with Core.Config.default) in
+  let names = Kstats.names stats in
+  Alcotest.(check bool) "many metrics" true (List.length names > 20);
+  Alcotest.(check (list string)) "sorted" (List.sort String.compare names) names;
+  Alcotest.(check (list string)) "dump follows names" names
+    (List.map fst (Kstats.dump stats))
 
 let () =
   Alcotest.run "kstats"
@@ -182,6 +209,10 @@ let () =
           Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
           Alcotest.test_case "json" `Quick test_json;
         ] );
-      ( "neutrality",
-        [ Alcotest.test_case "cycle neutral" `Quick test_cycle_neutral ] );
+      ( "order",
+        [
+          QCheck_alcotest.to_alcotest qcheck_registration_order_free;
+          Alcotest.test_case "booted kernel sorted" `Quick
+            test_booted_names_sorted;
+        ] );
     ]

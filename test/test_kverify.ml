@@ -472,30 +472,6 @@ let test_verified_ring_cheaper_same_replies () =
   Alcotest.(check bool) "replies carry payload" true (out_off > 0);
   Alcotest.(check int) "same bytes copied to user" out_off out_on
 
-(* --- disabled verifier is bit-for-bit free ------------------------------ *)
-
-let workload sys =
-  ignore (Core.ok (Core.Syscall.sys_mkdir sys ~path:"/w"));
-  for i = 0 to 19 do
-    let path = Printf.sprintf "/w/f%d" i in
-    let fd = Core.ok (Core.Syscall.sys_open sys ~path ~flags:Core.o_create) in
-    ignore (Core.ok (Core.Syscall.sys_write sys ~fd ~data:(Bytes.make 40 'x')));
-    ignore (Core.ok (Core.Syscall.sys_close sys ~fd))
-  done;
-  ignore (Core.ok (Core.Syscall.sys_readdir sys ~path:"/w"))
-
-let test_disabled_identical () =
-  let cycles policy =
-    let t = Core.boot_with { Core.Config.default with verify = policy } in
-    workload (Core.sys t);
-    Ksim.Kernel.now (Core.kernel t)
-  in
-  let base = cycles None in
-  Alcotest.(check int) "two disabled runs identical" base (cycles None);
-  (* installed gate with no automaton: still free *)
-  Alcotest.(check int) "armed-but-empty identical" base
-    (cycles (Some Core.Verify.Log))
-
 let test_kstats_counters () =
   Kstats.default_enabled := true;
   let t = boot ~policy:Core.Verify.Log () in
@@ -555,8 +531,6 @@ let () =
         ] );
       ( "zero-cost-off",
         [
-          Alcotest.test_case "disabled bit-for-bit" `Quick
-            test_disabled_identical;
           Alcotest.test_case "kstats counters" `Quick test_kstats_counters;
         ] );
     ]

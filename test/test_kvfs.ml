@@ -1,12 +1,9 @@
 (* Tests for the VFS substrate: memfs, block device, dcache, vfs layer,
    wrapfs, journalfs. *)
 
-let zero_config =
-  { Ksim.Kernel.default_config with cost = Ksim.Cost_model.zero }
-
 (* Enable the registry: Dcache/Block_dev stats are derived from kstats. *)
 let mk_kernel () =
-  let kernel = Ksim.Kernel.create ~config:zero_config () in
+  let kernel = Ksim.Kernel.create ~cost:Ksim.Cost_model.zero () in
   Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
   kernel
 
@@ -756,7 +753,7 @@ let qcheck_read_into =
 
 (* --- wrapfs ------------------------------------------------------------------ *)
 
-let mk_wrapfs ?(kernel = Ksim.Kernel.create ~config:zero_config ()) () =
+let mk_wrapfs ?(kernel = Ksim.Kernel.create ~cost:Ksim.Cost_model.zero ()) () =
   let lower = Kvfs.Memfs.ops (Kvfs.Memfs.create kernel) in
   let w = Kvfs.Wrapfs.create ~allocator:(Kvfs.Wrapfs.kmalloc_allocator kernel) lower in
   (kernel, w, Kvfs.Vfs.create ~root_fs:(Kvfs.Wrapfs.ops w) kernel)
