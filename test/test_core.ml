@@ -128,7 +128,7 @@ let quiet_names q =
 (* The stacks the per-extension tests ran on, with a weight: plain
    memfs, the sweep system (wrapfs over kmalloc with the optimizer), and
    the crash system's journalfs with the optimizer, drawn less often
-   because its interpreted module makes a run about 100 times slower. *)
+   because its interpreted module makes a run over 100 times slower. *)
 let quiet_bases =
   [ (4, (Core.Memfs, false)); (4, (Core.Wrapfs_kmalloc, true));
     (1, (Core.Journalfs, true)) ]
