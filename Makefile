@@ -167,11 +167,13 @@ net-lines:
 
 # Where one workload's host time goes: `make host-profile W=cosy_db
 # [SECS=20]` runs the benchmark untraced under gprofng's clock profiler
-# (1 ms samples) and prints the top 30 functions by exclusive CPU time.
-# Clock profiling can keep few of its samples on a shared or virtual
-# machine, hence the 20-s default.  The experiment directory goes in a
-# throwaway directory under $(TMPDIR).  Needs gprofng; not part of
-# `check`.
+# (1 ms samples) and prints the top 30 functions by exclusive CPU time,
+# then how many clock samples that table rests on beside the user CPU
+# seconds they sample.  Clock profiling can keep few of its samples on a
+# shared or virtual machine (under a hundred in an 8-s run), and a share
+# read from so few is noise, hence the 20-s default.  The experiment
+# directory goes in a throwaway directory under $(TMPDIR).  Needs
+# gprofng; not part of `check`.
 SECS ?= 20
 host-profile:
 	@test -n "$(W)" || { echo "usage: make host-profile W=<workload> [SECS=20]"; exit 2; }
@@ -183,7 +185,9 @@ host-profile:
 	  ./_build/default/benchmark/main.exe --workload $(W) --seconds $(SECS) \
 	  --trace 0 > "$$dir/run.out" && \
 	grep -E ' (host_throughput|host_peak_heap_mb) ' "$$dir/run.out"; \
-	gprofng display text -limit 30 -functions "$$dir/run.er"
+	gprofng display text -limit 30 -functions "$$dir/run.er" | tee "$$dir/top.txt" && \
+	cpu=$$(gprofng display text -statistics "$$dir/run.er" | awk '/User CPU:/ { print $$3 }') && \
+	awk -v cpu="$$cpu" '/<Total>/ { printf "host-profile: %d clock samples kept (1 ms each) over %s s of user CPU\n", $$1 * 1000 + 0.5, cpu }' "$$dir/top.txt"
 
 # The C10K serving experiment at full scale: 100/1k/10k connections,
 # four serving variants, 1 and 4 CPUs.  Takes a few minutes.

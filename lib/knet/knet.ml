@@ -22,18 +22,22 @@ let ep_hup = 4
 
 let backlog_drop = Instrument.custom "net-backlog-drop"
 
-(* Free byte buffers, one free list per size class: class [k] holds
+(* Free byte buffers, one free stack per size class: class [k] holds
    buffers of exactly [min_cap lsl k] bytes.  A request pops only from
    its own class, so a small free buffer is never popped, found too
-   small and pushed back.  Each socket stack owns its pool ([t.pool]),
-   so two kernels never share a buffer. *)
+   small and pushed back.  A stack is an array with a count, so handing
+   a buffer back allocates nothing.  Each socket stack owns its pool
+   ([t.pool]), so two kernels never share a buffer. *)
 module Pool = struct
-  type t = Bytes.t list array
+  type stack = { mutable items : Bytes.t array; mutable n : int }
+  type t = stack array
 
-  let min_cap = 256
+  (* Small: a connection's queue often holds one request line, and
+     thousands of connections wait at once. *)
+  let min_cap = 16
 
-  (* 256 B .. 1 GB: far past any queue bound *)
-  let create () : t = Array.make 23 []
+  (* 16 B .. 1 GB: far past any queue bound *)
+  let create () : t = Array.init 27 (fun _ -> { items = [||]; n = 0 })
 
   let class_of len =
     let k = ref 0 in
@@ -45,21 +49,32 @@ module Pool = struct
   (* A buffer of at least [len] bytes, recycled when the class has one. *)
   let take p len =
     let k = class_of len in
-    match p.(k) with
-    | b :: rest ->
-        p.(k) <- rest;
-        b
-    | [] -> Bytes.create (min_cap lsl k)
+    let s = p.(k) in
+    if s.n = 0 then Bytes.create (min_cap lsl k)
+    else begin
+      s.n <- s.n - 1;
+      let b = s.items.(s.n) in
+      s.items.(s.n) <- Bytes.empty;
+      b
+    end
 
   let give p b =
-    let k = class_of (Bytes.length b) in
-    p.(k) <- b :: p.(k)
+    let s = p.(class_of (Bytes.length b)) in
+    if s.n = Array.length s.items then begin
+      let items = Array.make (max 8 (2 * s.n)) Bytes.empty in
+      Array.blit s.items 0 items 0 s.n;
+      s.items <- items
+    end;
+    s.items.(s.n) <- b;
+    s.n <- s.n + 1
 
   (* Every free buffer, each checked to be exactly its class's size. *)
   let free_buffers p =
     Array.to_list p
-    |> List.mapi (fun k free ->
-           List.map (fun b -> (Bytes.length b = min_cap lsl k, b)) free)
+    |> List.mapi (fun k s ->
+           List.init s.n (fun i ->
+               let b = s.items.(i) in
+               (Bytes.length b = min_cap lsl k, b)))
     |> List.concat
 end
 
@@ -163,9 +178,9 @@ module Lanes = struct
 
   let tail l = (l.head + l.len - 1) land (Array.length l.due - 1)
 
-  let grow dummy l =
+  (* Move the lane's entries to [n >= l.len] slots. *)
+  let resize dummy l n =
     let cap = Array.length l.due in
-    let n = max min_cap (2 * cap) in
     let due = Array.make n 0 and seq = Array.make n 0 in
     let evs = Array.make n dummy in
     for k = 0 to l.len - 1 do
@@ -205,6 +220,8 @@ module Lanes = struct
       end
     done;
     !best
+
+  let grow dummy l = resize dummy l (max min_cap (2 * Array.length l.due))
 
   let push q d s ev =
     let pick = ref (-1) and pd = ref 0 and ps = ref 0 in
@@ -266,7 +283,13 @@ module Lanes = struct
     l.head <- (h + 1) land (Array.length l.due - 1);
     l.len <- l.len - 1;
     q.len <- q.len - 1;
-    if l.len = 0 then retire q q.best;
+    if l.len = 0 then retire q q.best
+    else if Array.length l.due > keep_cap && 4 * l.len < Array.length l.due
+    then
+      (* a lane that never drains (it takes new events as fast as it
+         gives them) halves once a quarter full, so a burst's storage
+         goes back while it lasts *)
+      resize q.dummy l (Array.length l.due / 2);
     q.best <- least q;
     ev
 
@@ -298,8 +321,8 @@ type traffic_spec = {
 }
 
 (* One simulated client driving one connection.  It carries its own
-   connect and deliver events, built once, so a redial or a delivery
-   pushes an existing value, and it shares its port's spec. *)
+   event, built once, so a redial or a delivery pushes an existing
+   value, and it shares its port's spec. *)
 type client = {
   cl_seq : int;                      (* arrival index within its port *)
   cl_spec : traffic_spec;
@@ -327,16 +350,16 @@ type client = {
                                         at the head, so later pipelined
                                         frames cannot overtake it *)
   mutable cl_tx_off : int;
-  mutable cl_connect : ev;           (* [Ev_connect] of this client *)
-  mutable cl_deliver : ev;           (* [Ev_deliver] of this client *)
+  mutable cl_ev : ev;                (* [Ev_client] of this client *)
 }
 
 and ev =
-  | Ev_connect of client
-  | Ev_deliver of client
-      (* a delivery tick: the payload is the head of the client's tx
-         queue, not the event, so per-connection byte order survives
-         retransmit delays *)
+  | Ev_client of client
+      (* a connect attempt until the client is connected, a delivery
+         tick after: no client has both pending, so one event serves.
+         A tick's payload is the head of the client's tx queue, not the
+         event, so per-connection byte order survives retransmit
+         delays *)
   | Ev_drain of int
 
 (* A placeholder event: the queue's vacated slots and a client's event
@@ -395,6 +418,9 @@ type port_state = {
                                         order; "" until completed *)
 }
 
+(* One memoised response stream: its bytes and their raw digest. *)
+type memo_entry = { m_bytes : Bytes.t; m_digest : string }
+
 type t = {
   kn : Kernel.t;
   rcvbuf : int;
@@ -408,6 +434,10 @@ type t = {
   traffic : port_state Int_table.t;  (* by port *)
   mutable stage : Bytes.t;           (* shared transmit staging region *)
   pool : Pool.t;                     (* free queue storage *)
+  memo : memo_entry list Int_table.t;
+                                     (* finished streams by length *)
+  mutable memo_bytes : int;          (* stream bytes the memo holds *)
+  mutable memo_hits : int;
   mutable touched_a : int;           (* sock ids the last event may have *)
   mutable touched_b : int;           (* made ready; -1 = none *)
   mutable attempt_lid : int;         (* listener of the last connect
@@ -449,6 +479,9 @@ let create ?(rcvbuf = 16 * 1024) ?(sndbuf = 32 * 1024) kn =
     traffic = Int_table.create 4;
     stage = Bytes.create 0;
     pool = Pool.create ();
+    memo = Int_table.create 64;
+    memo_bytes = 0;
+    memo_hits = 0;
     touched_a = -1;
     touched_b = -1;
     attempt_lid = -1;
@@ -487,8 +520,15 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
+let memo_bytes t = t.memo_bytes
+let memo_hits t = t.memo_hits
 let pending_events t = Lanes.length t.events
 let event_lanes t = Lanes.width t.events
+
+(* The next size of an id-indexed table of [len] slots: ids are never
+   reused, so the tables only grow, and 1.5x leaves less slack than
+   doubling where ten thousand ids pass. *)
+let grown len = len + (len / 2)
 
 (* The socket table: a lookup returns the stored option, so it hashes
    and allocates nothing; ids past the table are absent. *)
@@ -498,7 +538,7 @@ let find_sock t id =
 let set_sock t id s =
   let len = Array.length t.socks in
   if id >= len then begin
-    let b = Array.make (max (id + 1) (2 * len)) None in
+    let b = Array.make (max (id + 1) (grown len)) None in
     Array.blit t.socks 0 b 0 len;
     t.socks <- b
   end;
@@ -527,7 +567,66 @@ let schedule_request t cl ~send_at =
     Kperf.async_begin (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_spec.port
       ~cat:"net" ~name:"request";
   cl.cl_sent <- cl.cl_sent + 1;
-  push_ev t (send_at + wire t) cl.cl_deliver
+  push_ev t (send_at + wire t) cl.cl_ev
+
+(* ---------- the stream digest memo ---------- *)
+
+(* Stream bytes the memo may hold: far above the distinct streams of a
+   C10K input (72 streams, ~330 KB), far below its peak heap.  Streams
+   of one length are few there (a document pair in either order), and
+   a lookup compares with at most [memo_per_len] of them. *)
+let memo_cap = 1 lsl 20
+let memo_per_len = 8
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* [a] equals [b.[off .. off + length a - 1]]: word by word on unboxed
+   64-bit loads, then the sub-word tail byte by byte. *)
+let equal_sub a b off =
+  let len = Bytes.length a in
+  let words = len - (len land 7) in
+  let i = ref 0 in
+  while !i < words && get64u a !i = get64u b (off + !i) do
+    i := !i + 8
+  done;
+  if !i < words then false
+  else begin
+    while !i < len && Bytes.unsafe_get a !i = Bytes.unsafe_get b (off + !i) do
+      incr i
+    done;
+    !i = len
+  end
+
+(* The digest of the entry whose bytes equal [q]'s; "" when none (a raw
+   digest is 16 bytes). *)
+let rec memo_find q = function
+  | [] -> ""
+  | e :: rest ->
+      if equal_sub e.m_bytes q.Bq.buf q.Bq.off then e.m_digest
+      else memo_find q rest
+
+(* The raw MD5 of a finished client's stream.  A stream byte-equal to a
+   memoised one reuses its digest, so MD5 runs once per distinct stream
+   and a repeat costs one compare and allocates nothing; any other
+   stream is hashed, and kept while the memo is under its cap. *)
+let stream_digest t q =
+  let len = q.Bq.len in
+  let bucket =
+    match Int_table.find t.memo len with l -> l | exception Not_found -> []
+  in
+  match memo_find q bucket with
+  | "" ->
+      let d = Digest.subbytes q.Bq.buf q.Bq.off len in
+      if t.memo_bytes + len <= memo_cap && List.length bucket < memo_per_len
+      then begin
+        let e = { m_bytes = Bytes.sub q.Bq.buf q.Bq.off len; m_digest = d } in
+        Int_table.replace t.memo len (e :: bucket);
+        t.memo_bytes <- t.memo_bytes + len
+      end;
+      d
+  | d ->
+      t.memo_hits <- t.memo_hits + 1;
+      d
 
 let response_done t cl =
   cl.cl_done <- cl.cl_done + 1;
@@ -547,9 +646,7 @@ let response_done t cl =
     cl.cl_finished <- true;
     (match port_state t spec.port with
     | Some ps ->
-        let q = cl.cl_resp in
-        ps.ps_digests.(cl.cl_seq) <-
-          Digest.subbytes q.Bq.buf q.Bq.off q.Bq.len;
+        ps.ps_digests.(cl.cl_seq) <- stream_digest t cl.cl_resp;
         ps.ps_completed <- ps.ps_completed + 1
     | None -> ());
     Bq.release t.pool cl.cl_resp;
@@ -717,7 +814,7 @@ let touch t a b =
 (* Records in [touched_a]/[touched_b] the sock ids whose readiness the
    event may have changed. *)
 let process_event t = function
-  | Ev_connect cl ->
+  | Ev_client cl when cl.cl_conn < 0 ->
       let id = connect_attempt t ~port:cl.cl_spec.port in
       if id >= 0 then begin
         (match find_sock t id with
@@ -737,10 +834,10 @@ let process_event t = function
       else begin
         (* dropped or refused: the client backs off and redials *)
         Kstats.incr t.stats t.st_redials;
-        push_ev t (now t + backoff_delay t cl) cl.cl_connect;
+        push_ev t (now t + backoff_delay t cl) cl.cl_ev;
         touch t t.attempt_lid (-1)
       end
-  | Ev_deliver cl -> (
+  | Ev_client cl -> (
       match find_sock t cl.cl_conn with
       | Some (S_conn c) when cl.cl_tx < cl.cl_sent && not c.cn_closed ->
           if Kfault.fire t.fault t.site_wire_drop then begin
@@ -758,7 +855,7 @@ let process_event t = function
               | exception Not_found -> ());
               Kperf.instant (Kernel.perf t.kn) ~pid:0 ~arg:cl.cl_spec.port
                 ~cat:"retry" ~name:"net.retransmit";
-              push_ev t (now t + backoff_delay t cl) cl.cl_deliver
+              push_ev t (now t + backoff_delay t cl) cl.cl_ev
             end;
             touch t c.cn_id (-1)
           end
@@ -771,7 +868,7 @@ let process_event t = function
             let n = deliver_bytes t c data off len in
             if n < len then begin
               cl.cl_tx_off <- off + n;
-              push_ev t (now t + (max 1 (wire t / 4))) cl.cl_deliver
+              push_ev t (now t + (max 1 (wire t / 4))) cl.cl_ev
             end
             else begin
               cl.cl_tx <- cl.cl_tx + 1;
@@ -979,7 +1076,7 @@ let ep_add e id mask cookie =
   let len = Array.length e.ep_mask in
   if id >= len then begin
     let grow a fill =
-      let b = Array.make (max (id + 1) (max 64 (2 * len))) fill in
+      let b = Array.make (max (id + 1) (max 64 (grown len))) fill in
       Array.blit a 0 b 0 len;
       b
     in
@@ -1171,7 +1268,7 @@ let pool_consistent t =
     t.socks;
   Lanes.iter
     (function
-      | Ev_connect cl | Ev_deliver cl -> add cl.cl_resp | Ev_drain _ -> ())
+      | Ev_client cl -> add cl.cl_resp | Ev_drain _ -> ())
     t.events;
   let live =
     List.filter_map
@@ -1244,15 +1341,13 @@ module Traffic = struct
           cl_finished = false;
           cl_fails = 0;
           cl_drops = 0;
-          cl_connect = no_ev;
-          cl_deliver = no_ev;
+          cl_ev = no_ev;
         }
       in
       (* built once here, not per redial or per delivery; a [let rec]
          record would cost a second, dummy copy of the client *)
-      cl.cl_connect <- Ev_connect cl;
-      cl.cl_deliver <- Ev_deliver cl;
-      push_ev t (now t + spec.start + (i * spec.spacing)) cl.cl_connect
+      cl.cl_ev <- Ev_client cl;
+      push_ev t (now t + spec.start + (i * spec.spacing)) cl.cl_ev
     done
 
   let completed t ~port =

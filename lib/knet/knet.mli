@@ -18,10 +18,10 @@
     {b Queue storage.}  Each byte queue (a connection's receive and
     send queues, a simulated client's response stream) is one [Bytes.t]
     with an offset and a length.  Capacities are powers of two from
-    256 B.  A queue takes its storage from the stack's pool on its first
+    16 B.  A queue takes its storage from the stack's pool on its first
     push; when it outgrows it, the live bytes move to a buffer of the
     next size class and the old one goes back.  The pool keeps one free
-    list per size class, and it belongs to one [t], so two kernels
+    stack per size class, and it belongs to one [t], so two kernels
     never share a buffer.  Storage goes back to the pool when the queue
     is done: on {!close} of a connection, for connections still queued
     on a closing listener, and for a client's response stream once it
@@ -179,9 +179,28 @@ module Traffic : sig
 
   (** Digest over every connection's full response byte stream, in
       connection-arrival order — equal iff two runs served byte-identical
-      streams. *)
+      streams.  Each stream's MD5 is exact: a finished stream that is
+      byte-for-byte equal to one in the stack's memo reuses that
+      stream's digest, and any other stream is hashed. *)
   val digest : t -> port:int -> string
 end
+
+(** {2 The stream digest memo}
+
+    Each stack keeps the finished streams it has hashed, keyed by
+    length, with their raw digests, so MD5 runs once per distinct
+    stream and a repeat costs one word-wise compare.  Streams go in
+    while the memo holds at most [memo_cap] bytes (and at most a few
+    streams of one length); past that, streams are hashed and not
+    kept. *)
+
+val memo_cap : int
+
+(** Stream bytes the memo holds. *)
+val memo_bytes : t -> int
+
+(** Finished streams whose digest came from the memo. *)
+val memo_hits : t -> int
 
 (** Network events not yet delivered. *)
 val pending_events : t -> int
@@ -218,7 +237,8 @@ val step : t -> bool
     lanes.
 
     A slot that no longer holds a pending entry holds [dummy].  A lane
-    that drains gives back storage over 256 slots, so a burst (the 10k
+    that drains gives back storage over 256 slots, and one over 256
+    slots that falls to a quarter full halves, so a burst (the 10k
     install-time arrivals) holds memory only while it lasts. *)
 module Lanes : sig
   type 'a t
@@ -246,7 +266,7 @@ module Lanes : sig
 end
 
 (** The pool's ownership rule holds: no buffer is both in a live queue
-    and on a free list, none is on a free list twice, no two live queues
+    and on a free stack, none is on a free stack twice, no two live queues
     share one, and every free buffer is its size class's exact size.
     Quadratic in the number of buffers; meant for tests. *)
 val pool_consistent : t -> bool

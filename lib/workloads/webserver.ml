@@ -266,7 +266,9 @@ type pending =
 
 type nconn = {
   nc_fd : int;
-  nc_inbuf : Buffer.t;            (* bytes received, not yet a full line *)
+  mutable nc_partial : string;    (* bytes received after the last full
+                                     line; thousands of connections wait
+                                     at once, so no per-conn [Buffer] *)
   mutable nc_pending : pending list;  (* response data not yet queued *)
   mutable nc_out : bool;          (* EP_OUT interest currently registered *)
   mutable nc_eof : bool;          (* peer FIN seen and receive side drained *)
@@ -279,6 +281,7 @@ type net_t = {
   mutable nep : int;              (* epoll fd *)
   mutable nring : Kring.t option; (* Net_ring only *)
   mutable ndocs : (int * int) array;  (* doc -> (cached fd, size) *)
+  npaths : string array;          (* doc -> path, built once *)
   nconns : (int, nconn) Hashtbl.t;    (* conn fd -> state *)
   mutable ninit : bool;
   mutable nserved : int;          (* responses generated *)
@@ -307,6 +310,7 @@ let net_make ?(config = net_default_config) sys =
     nep = -1;
     nring = None;
     ndocs = [||];
+    npaths = Array.init config.docs.documents (doc_name config.docs);
     nconns = Hashtbl.create 64;
     ninit = false;
     nserved = 0;
@@ -339,7 +343,7 @@ let net_init t =
             let fd, st =
               Wutil.ok
                 (Ksyscall.Usyscall.sys_open_fstat sys
-                   ~path:(doc_name cfg.docs i) ~flags:[ Kvfs.Vfs.O_RDONLY ])
+                   ~path:t.npaths.(i) ~flags:[ Kvfs.Vfs.O_RDONLY ])
             in
             (fd, st.Kvfs.Vtypes.st_size))
   | Net_naive | Net_consolidated -> ());
@@ -376,11 +380,14 @@ let net_fail e =
   raise (Wutil.Workload_error
            ("webserver/net: unexpected errno " ^ Kvfs.Vtypes.errno_to_string e))
 
-(* Pull complete request lines out of the connection's input buffer,
-   keeping any trailing partial line. *)
-let net_take_lines cs =
-  let s = Buffer.contents cs.nc_inbuf in
-  Buffer.clear cs.nc_inbuf;
+(* Pull complete request lines out of the connection's partial line
+   followed by [data], keeping any trailing partial line. *)
+let net_take_lines cs data =
+  let s =
+    match cs.nc_partial with
+    | "" -> Bytes.to_string data
+    | p -> p ^ Bytes.to_string data
+  in
   let lines = ref [] and start = ref 0 in
   String.iteri
     (fun i c ->
@@ -389,7 +396,9 @@ let net_take_lines cs =
         start := i + 1
       end)
     s;
-  Buffer.add_substring cs.nc_inbuf s !start (String.length s - !start);
+  cs.nc_partial <-
+    (if !start = String.length s then ""
+     else String.sub s !start (String.length s - !start));
   List.rev !lines
 
 let net_parse_doc line =
@@ -436,7 +445,7 @@ let net_queue_response t cs idx =
   else begin
   (match t.ncfg.variant with
   | Net_naive ->
-      let path = doc_name t.ncfg.docs idx in
+      let path = t.npaths.(idx) in
       let fd =
         Wutil.ok (Ksyscall.Usyscall.sys_open sys ~path ~flags:[ Kvfs.Vfs.O_RDONLY ])
       in
@@ -446,7 +455,7 @@ let net_queue_response t cs idx =
         cs.nc_pending
         @ [ Pbytes (Bytes.cat (net_header (Bytes.length body)) body) ]
   | Net_consolidated ->
-      let path = doc_name t.ncfg.docs idx in
+      let path = t.npaths.(idx) in
       let body =
         Wutil.ok (Ksyscall.Usyscall.sys_open_read_close sys ~path ~maxlen:max_int)
       in
@@ -467,10 +476,9 @@ let net_queue_response t cs idx =
 let net_feed t cs data =
   if Bytes.length data = 0 then cs.nc_eof <- true
   else begin
-    Buffer.add_bytes cs.nc_inbuf data;
     List.iter
       (fun line -> net_queue_response t cs (net_parse_doc line))
-      (net_take_lines cs)
+      (net_take_lines cs data)
   end
 
 (* EP_OUT interest is registered only while there is pending output —
@@ -526,7 +534,7 @@ let rec net_flush t cs =
 
 let net_add_conn t fd =
   let cs =
-    { nc_fd = fd; nc_inbuf = Buffer.create 64; nc_pending = [];
+    { nc_fd = fd; nc_partial = ""; nc_pending = [];
       nc_out = false; nc_eof = false }
   in
   Hashtbl.replace t.nconns fd cs;

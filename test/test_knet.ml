@@ -770,14 +770,12 @@ let test_timeout_releases_stream () =
   Alcotest.(check bool) "its stream is back on a free list, only there" true
     (Knet.pool_consistent net)
 
-(* A minimal epoll server over [Knet]: accept everything, answer each
-   newline-terminated request with a canned framed response, close on
-   EOF.  Returns the responses sent. *)
-let epoll_serve net ~port ~(bodies : Bytes.t array) =
+(* A minimal epoll server over [Knet]: accept everything, hand each
+   connection's received bytes to [on_data id b], close on EOF. *)
+let epoll_loop net ~port ~on_data =
   let l = listener ~port ~backlog:64 net in
   let ep = Knet.epoll_create net in
   ignore (Knet.epoll_ctl net ~ep ~sock:l ~op:(`Add (Knet.ep_in, l)));
-  let sent = ref 0 in
   let rec accept_all () =
     match Knet.accept net ~sock:l with
     | Ok id ->
@@ -790,17 +788,7 @@ let epoll_serve net ~port ~(bodies : Bytes.t array) =
     else
       match Knet.recv net ~sock:id ~len:4096 with
       | Ok b when Bytes.length b = 0 -> Knet.close net ~sock:id
-      | Ok b ->
-          Bytes.iter
-            (fun ch ->
-              if ch = '\n' then begin
-                let data = bodies.(!sent mod Array.length bodies) in
-                (match Knet.send net ~sock:id ~data with
-                | Ok n when n = Bytes.length data -> ()
-                | _ -> Alcotest.fail "response did not fit the send queue");
-                incr sent
-              end)
-            b
+      | Ok b -> on_data id b
       | Error _ -> ()
   in
   let rec loop () =
@@ -811,7 +799,23 @@ let epoll_serve net ~port ~(bodies : Bytes.t array) =
         loop ()
     | Error e -> Alcotest.failf "epoll_wait: %s" (Kvfs.Vtypes.errno_to_string e)
   in
-  loop ();
+  loop ()
+
+(* [epoll_loop] answering each newline-terminated request with a canned
+   framed response.  Returns the responses sent. *)
+let epoll_serve net ~port ~(bodies : Bytes.t array) =
+  let sent = ref 0 in
+  epoll_loop net ~port ~on_data:(fun id b ->
+      Bytes.iter
+        (fun ch ->
+          if ch = '\n' then begin
+            let data = bodies.(!sent mod Array.length bodies) in
+            (match Knet.send net ~sock:id ~data with
+            | Ok n when n = Bytes.length data -> ()
+            | _ -> Alcotest.fail "response did not fit the send queue");
+            incr sent
+          end)
+        b);
   !sent
 
 (* Eight framed responses of 2-3 KB: an 8-byte little-endian length,
@@ -845,14 +849,18 @@ let test_traffic_alloc_per_response () =
     (Printf.sprintf "under 800 words per response (got %.0f)" per)
     true (per < 800.)
 
-(* Words per response once the pool is warm: the same traffic served a
-   second time on the same stack, with request lines built before the
-   run as the webserver builds them.  The first pass leaves every
-   buffer the second needs on the pool's free lists, so this reads the
-   per-request and per-response garbage of knet and the server loop
-   ([Printf]'s and the pool's shares left out).  With a fresh drain
-   event per drain, a tx-list copy and two [Queue] cells per request and
-   a hex digest per client, it read 99. *)
+(* Words per response once the pool and the digest memo are warm: the
+   same traffic served a second time on the same stack, with request
+   lines built before the run as the webserver builds them.  The first
+   pass leaves every buffer the second needs on the pool's free stacks
+   and every stream in the memo, so this reads the per-request and
+   per-response garbage of knet and the server loop ([Printf]'s and the
+   pool's shares left out), and every client of the second pass takes
+   its digest from the memo.  With a fresh drain event per drain, a
+   tx-list copy and two [Queue] cells per request and a hex digest per
+   client, it read 99; with a fresh raw digest per client (4 words, 2
+   per response), 79.4; reusing the memo's, 77.4; with free stacks in
+   place of free lists (no cons cell per buffer handed back), 74.2. *)
 let test_warm_alloc_per_response () =
   let _kernel, net = bare () in
   let bodies = framed_bodies () in
@@ -865,14 +873,272 @@ let test_warm_alloc_per_response () =
     epoll_serve net ~port ~bodies
   in
   ignore (serve 80);
+  let hits = Knet.memo_hits net in
   let before = Host_words.now () in
   let sent = serve 81 in
   let per = (Host_words.now () -. before) /. float_of_int sent in
   Alcotest.(check int) "every client completed" 200
     (Knet.Traffic.completed net ~port:81);
+  Alcotest.(check int) "every client hit the memo" 200
+    (Knet.memo_hits net - hits);
   Alcotest.(check bool)
-    (Printf.sprintf "under 90 words per response (got %.0f)" per)
-    true (per < 90.)
+    (Printf.sprintf "under 75 words per response (got %.1f)" per)
+    true (per < 75.)
+
+(* --- the stream digest memo ----------------------------------------------- *)
+
+(* An 8-byte little-endian length, then the body. *)
+let frame body =
+  let h = Bytes.create 8 in
+  Bytes.set_int64_le h 0 (Int64.of_int (String.length body));
+  Bytes.to_string h ^ body
+
+(* The digest [Traffic.digest] must report for these client streams,
+   computed without knet: MD5 per stream, then MD5 over the hex list. *)
+let expected_digest streams =
+  Array.to_list streams
+  |> List.map (fun s -> Digest.to_hex (Digest.string s))
+  |> String.concat "," |> Digest.string |> Digest.to_hex
+
+(* [epoll_loop] for [Traffic] clients whose requests are [req_line]s:
+   request [req] of client [conn] gets the sends [sends.(conn).(req)],
+   with [gaps conn] event steps after each send but the last, so drains
+   cut the client's stream where the sends do. *)
+let frame_serve net ~port ~(sends : string list array array) ~gaps =
+  let partial = Hashtbl.create 64 in
+  let send id s =
+    match Knet.send net ~sock:id ~data:(Bytes.of_string s) with
+    | Ok n when n = String.length s -> ()
+    | _ -> Alcotest.fail "response did not fit the send queue"
+  in
+  let answer id line =
+    Scanf.sscanf line "R%d.%d" (fun conn req ->
+        List.iteri
+          (fun i s ->
+            if i > 0 then
+              for _ = 1 to gaps conn do
+                ignore (Knet.step net)
+              done;
+            send id s)
+          sends.(conn).(req))
+  in
+  let rec feed id = function
+    | [ rest ] -> Hashtbl.replace partial id rest
+    | line :: more ->
+        answer id line;
+        feed id more
+    | [] -> ()
+  in
+  epoll_loop net ~port ~on_data:(fun id b ->
+      let before = Option.value ~default:"" (Hashtbl.find_opt partial id) in
+      feed id (String.split_on_char '\n' (before ^ Bytes.to_string b)))
+
+(* [s.[start .. stop - 1]] in [c]-byte sends, but bytes from [fin] on
+   ride the send before them. *)
+let rec cut c s start fin stop =
+  if fin - start <= c then [ String.sub s start (stop - start) ]
+  else String.sub s start c :: cut c s (start + c) fin stop
+
+(* Serve [streams.(conn)] to [Traffic] clients on [port], one frame per
+   request: the frames end at [ends conn], and bytes past the last end
+   ride the final frame's last send, so they reach the client with it.
+   Each frame goes out in [chunk conn]-byte sends; every client must
+   complete. *)
+let serve_streams net ~port ~(streams : string array) ~ends ~pipeline ~chunk
+    ~gaps =
+  let sends =
+    Array.mapi
+      (fun conn s ->
+        let ends = Array.of_list (ends conn) in
+        let last = Array.length ends - 1 in
+        Array.mapi
+          (fun req fin ->
+            let start = if req = 0 then 0 else ends.(req - 1) in
+            let stop = if req = last then String.length s else fin in
+            cut (chunk conn) s start fin stop)
+          ends)
+      streams
+  in
+  let conns = Array.length streams in
+  Knet.Traffic.install net
+    { Knet.Traffic.default with
+      port; conns; requests_per_conn = Array.length sends.(0); pipeline;
+      req_of = req_line };
+  frame_serve net ~port ~sends ~gaps;
+  Alcotest.(check int) "every client completed" conns
+    (Knet.Traffic.completed net ~port)
+
+type flip = No_flip | First_body | Last | Tail_word
+
+(* One client of the memo qcheck: its two bodies, flip, bytes after the
+   final frame, send size and event steps between sends. *)
+type mclient = {
+  b0 : int;
+  b1 : int;
+  flip : flip;
+  trail : int;
+  chunk : int;
+  gaps : int;
+}
+
+let pp_mclient c =
+  Printf.sprintf "%d%d%s+%d/%d.%d" c.b0 c.b1
+    (match c.flip with
+    | No_flip -> "-"
+    | First_body -> "first"
+    | Last -> "last"
+    | Tail_word -> "tail")
+    c.trail c.chunk c.gaps
+
+(* Three bodies whose frames end off a word boundary. *)
+let memo_bodies =
+  [| String.make 21 'a'; String.init 37 (fun k -> Char.chr (65 + (k mod 26)));
+     String.init 50 (fun k -> Char.chr (48 + (k mod 10))) |]
+
+(* A client's stream: two framed bodies from [memo_bodies], [trail]
+   bytes after the final frame, and at most one byte flipped: the first
+   body byte, the last byte, or one inside the stream's last partial
+   word (the last byte when there is none).  Returns the stream and
+   where its frames end. *)
+let client_stream c =
+  let f0 = frame memo_bodies.(c.b0) in
+  let s = Bytes.of_string (f0 ^ frame memo_bodies.(c.b1) ^ String.make c.trail 'z') in
+  let n = Bytes.length s in
+  let flip_at p = Bytes.set s p (Char.chr (Char.code (Bytes.get s p) lxor 0x40)) in
+  (match c.flip with
+  | No_flip -> ()
+  | First_body -> flip_at 8
+  | Last -> flip_at (n - 1)
+  | Tail_word -> flip_at (n - 1 - ((n land 7) / 2)));
+  (Bytes.to_string s, [ String.length f0; n - c.trail ])
+
+(* Clients served from a small body set, some with one byte flipped,
+   some with bytes after their final frame, sends cut into random chunks
+   with event steps between them: [Traffic.digest] equals MD5 of what
+   each client received, and a client hits the memo only for a stream
+   an earlier client received byte for byte.  Flips at the first body
+   byte, the last byte and inside the last partial word catch a compare
+   that stops at the first word or skips the sub-word tail. *)
+let qcheck_memo_exact =
+  let gen_client =
+    QCheck.Gen.(
+      map
+        (fun ((b0, b1, flip), (trail, chunk, gaps)) ->
+          { b0; b1; flip; trail; chunk; gaps })
+        (pair
+           (triple (int_bound 2) (int_bound 2)
+              (frequency
+                 [ (5, return No_flip); (1, return First_body); (1, return Last);
+                   (1, return Tail_word) ]))
+           (triple
+              (frequency [ (3, return 0); (1, int_range 1 11) ])
+              (int_range 1 64) (int_bound 2))))
+  in
+  QCheck.Test.make ~name:"client digests = MD5 of received bytes, memo or not"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (pipeline, cls) ->
+         Printf.sprintf "pipeline=%d %s" pipeline
+           (String.concat " " (List.map pp_mclient cls)))
+       QCheck.Gen.(pair (int_range 1 2) (list_size (int_range 1 40) gen_client)))
+    (fun (pipeline, cls) ->
+      let cls = Array.of_list cls in
+      let _kernel, net = bare () in
+      let built = Array.map client_stream cls in
+      let streams = Array.map fst built in
+      serve_streams net ~port:80 ~streams
+        ~ends:(fun conn -> snd built.(conn))
+        ~pipeline
+        ~chunk:(fun conn -> cls.(conn).chunk)
+        ~gaps:(fun conn -> cls.(conn).gaps);
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if Knet.Traffic.digest net ~port:80 <> expected_digest streams then
+        fail "client digests differ from MD5 of the streams";
+      let distinct = List.sort_uniq compare (Array.to_list streams) in
+      let repeats = Array.length streams - List.length distinct in
+      let same_len d =
+        List.length
+          (List.filter (fun e -> String.length e = String.length d) distinct)
+      in
+      let hits = Knet.memo_hits net in
+      (* a memo that can hold every distinct stream hits every repeat *)
+      if List.for_all (fun d -> same_len d <= 8) distinct && hits <> repeats
+      then fail "%d memo hits, %d repeated streams" hits repeats;
+      if hits > repeats then
+        fail "%d memo hits, only %d repeated streams" hits repeats;
+      true)
+
+(* Serve [streams], one frame each, and check the digest. *)
+let serve_frames net ~port streams =
+  serve_streams net ~port ~streams
+    ~ends:(fun conn -> [ String.length streams.(conn) ])
+    ~pipeline:1 ~chunk:(fun _ -> 8192) ~gaps:(fun _ -> 0);
+  Alcotest.(check string) "digest = MD5 of the streams"
+    (expected_digest streams) (Knet.Traffic.digest net ~port)
+
+(* Streams that are all different, together past the memo's cap: the
+   memo fills up to its cap and stops, every digest stays exact, and
+   a second pass of the same streams hits exactly the ones it kept. *)
+let test_memo_cap () =
+  let _kernel, net = bare () in
+  let streams =
+    Array.init 300 (fun conn ->
+        frame
+          (String.init (3_500 + conn) (fun k ->
+               Char.chr (97 + ((conn + k) mod 26)))))
+  in
+  serve_frames net ~port:80 streams;
+  let full = Knet.memo_bytes net in
+  Alcotest.(check int) "no stream repeated, no hit" 0 (Knet.memo_hits net);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most memo_cap bytes held (%d)" full)
+    true (full <= Knet.memo_cap);
+  Alcotest.(check bool) "filled to within one stream of the cap" true
+    (full > Knet.memo_cap - 4_000);
+  serve_frames net ~port:81 streams;
+  Alcotest.(check int) "nothing added past the cap" full (Knet.memo_bytes net);
+  (* the streams are 3,508..3,807 bytes long *)
+  let hits = Knet.memo_hits net in
+  Alcotest.(check bool)
+    (Printf.sprintf "the second pass hits each kept stream (%d hits)" hits)
+    true
+    (hits > 0 && hits * 3_508 <= full && full <= hits * 3_807)
+
+(* Distinct streams of one length: the memo keeps eight of them, so a
+   lookup compares with at most eight, and every digest stays exact. *)
+let test_memo_per_length () =
+  let _kernel, net = bare () in
+  let streams = Array.init 40 (fun conn -> frame (Printf.sprintf "%0100d" conn)) in
+  serve_frames net ~port:80 streams;
+  Alcotest.(check int) "eight streams of 108 bytes kept" (8 * 108)
+    (Knet.memo_bytes net);
+  serve_frames net ~port:81 streams;
+  Alcotest.(check int) "the second pass hits those eight" 8
+    (Knet.memo_hits net)
+
+(* Each stack owns its memo: a second kernel starts empty, serves the
+   same streams with the same hits, and hashes its own first copies. *)
+let test_memo_per_kernel () =
+  let streams =
+    Array.init 30 (fun conn -> frame memo_bodies.(conn mod 3) ^ frame memo_bodies.(conn mod 2))
+  in
+  let run net =
+    serve_streams net ~port:80 ~streams
+      ~ends:(fun conn -> [ 8 + String.length memo_bodies.(conn mod 3);
+                           String.length streams.(conn) ])
+      ~pipeline:2 ~chunk:(fun _ -> 4096) ~gaps:(fun _ -> 0);
+    Knet.Traffic.digest net ~port:80
+  in
+  let _, a = bare () and _, b = bare () in
+  let da = run a in
+  Alcotest.(check int) "repeats hit" (30 - 6) (Knet.memo_hits a);
+  Alcotest.(check int) "a fresh stack's memo is empty" 0 (Knet.memo_bytes b);
+  let db = run b in
+  Alcotest.(check string) "same digest" da db;
+  Alcotest.(check int) "the second stack hits only its own entries"
+    (Knet.memo_hits a) (Knet.memo_hits b);
+  Alcotest.(check int) "and holds its own copies" (Knet.memo_bytes a)
+    (Knet.memo_bytes b)
 
 (* --- the event queue ----------------------------------------------------- *)
 
@@ -1295,6 +1561,15 @@ let () =
             test_traffic_alloc_per_response;
           Alcotest.test_case "warm allocation per response" `Quick
             test_warm_alloc_per_response;
+        ] );
+      ( "digest memo",
+        [
+          QCheck_alcotest.to_alcotest qcheck_memo_exact;
+          Alcotest.test_case "the memo stops at its cap" `Quick test_memo_cap;
+          Alcotest.test_case "eight streams per length" `Quick
+            test_memo_per_length;
+          Alcotest.test_case "each stack owns its memo" `Quick
+            test_memo_per_kernel;
         ] );
       ( "events",
         [
