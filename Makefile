@@ -92,7 +92,12 @@ bench-same:
 # side `--workload W --seed SEED --seconds <run_seconds> --trace 0`; odd
 # pairs run base first, even pairs this tree first.  Prints every pair, then each side's median
 # and quartiles of host_throughput and host_peak_heap_mb, the pairs this
-# tree wins on each, and the runs' attempted counts.  Then it runs each
+# tree wins on each, and the runs' attempted counts.  Then, for every
+# end-to-end metric in BENCHMARK.json, the median here/base ratio beside
+# the metric's bound, with `PAST BOUND` where the median moved the wrong
+# way by more than the bound (the rule `make bench-compare` applies), so
+# a side effect on a metric the change did not aim at shows up before
+# the benchmark judges it.  Then it runs each
 # side once more at `--seconds 0.001` (the 10-repetition minimum) and
 # prints that run's host_peak_heap_mb and host_alloc_words_per_op: at
 # equal work, so a peak heap that moved with structure reads apart from
@@ -109,6 +114,8 @@ bench-pairs:
 	git archive "$(BASE)" | tar -x -C "$$base" && \
 	(cd "$$base" && dune build --root . --display quiet benchmark/main.exe) && \
 	dune build --root . --display quiet benchmark/main.exe && \
+	sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*"bound": *\([0-9.]*\).*/\1 \2 \3/p' \
+	  BENCHMARK.json > "$$base/bounds" && \
 	run="--workload $(W) --seed $(SEED) --seconds $$secs --trace 0" && \
 	for i in $$(seq 1 $(N)); do \
 	  if [ $$((i % 2)) = 1 ]; then order="base here"; else order="here base"; fi; \
@@ -124,6 +131,9 @@ bench-pairs:
 	        a = substr($$0, RSTART + 13, RLENGTH - 13) } \
 	      END { printf "%s %d %.1f %.2f %s\n", s, i, t, h, a }' \
 	      "$$base/$$side.$$i" >> "$$base/rows"; \
+	    awk -v s=$$side -v i=$$i 'NR == FNR { e2e[$$1] = 1; next } \
+	      $$2 in e2e { print s, i, $$2, $$3 }' \
+	      "$$base/bounds" "$$base/$$side.$$i" >> "$$base/metrics"; \
 	  done; \
 	  tail -2 "$$base/rows" | awk '{ printf "pair %s %-4s host_throughput %9.1f  host_peak_heap_mb %6.2f  attempted %s\n", $$2, $$1, $$3, $$4, $$5 }'; \
 	done; \
@@ -142,6 +152,19 @@ bench-pairs:
 	       for (i in bt) { wt += ht[i] > bt[i]; wh += hh[i] < bh[i] } \
 	       printf "here wins %d/%d pairs on host_throughput, %d/%d on host_peak_heap_mb\n", wt, n["here"], wh, n["here"] }' \
 	  "$$base/rows" && \
+	awk 'function med(a, n,  i, j, v) { for (i = 2; i <= n; i++) { v = a[i]; \
+	       for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]; a[j + 1] = v } \
+	       return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 } \
+	     NR == FNR { name[++m] = $$1; better[$$1] = $$2; bound[$$1] = $$3; next } \
+	     { k = ++n[$$1, $$3]; v[$$1, $$3, k] = $$4 } \
+	     END { for (r = 1; r <= m; r++) { x = name[r]; \
+	         for (s = 0; s < 2; s++) { side = s ? "here" : "base"; c = n[side, x]; \
+	           for (k = 1; k <= c; k++) a[k] = v[side, x, k]; md[side] = med(a, c) } \
+	         b = md["base"]; h = md["here"]; ratio = b ? h / b : 1; \
+	         gain = b ? (h - b) / (b < 0 ? -b : b) : 0; if (better[x] == "lower") gain = -gain; \
+	         printf "e2e %-24s median base %12.6g  here %12.6g  here/base %6.3f  bound %.2f%s\n", \
+	           x, b, h, ratio, bound[x], gain < -bound[x] ? "  PAST BOUND" : "" } }' \
+	  "$$base/bounds" "$$base/metrics" && \
 	"$$base/_build/default/benchmark/main.exe" --workload $(W) --seed $(SEED) \
 	  --seconds 0.001 --trace 0 > "$$base/base.min" && \
 	./_build/default/benchmark/main.exe --workload $(W) --seed $(SEED) \

@@ -9,6 +9,20 @@
    place and a read gathers into the one buffer it returns, so
    appending to a file never copies the blocks before its tail.
 
+   Same-filled blocks are stored once per filesystem, much as Linux
+   zram stores a same-filled page as one value: a write chunk that
+   covers a whole block with one byte value points the page at [t]'s
+   shared block of that byte (at most 256, built on first use, never
+   written) instead of filling a private page.  Anything else written
+   into a shared block, and a truncate that zeroes its tail, copies it
+   first; reads copy out of it as out of any page.  PostMark's files
+   are constant-filled, so their full blocks cost nothing per file.
+   Only whole-block write chunks are checked: scanning the pages an
+   append completes as well was measured to churn copy-on-write on the
+   database's record-by-record pages (equal-work peak heap 2.05 ->
+   2.29 MB, 4.35 -> 4.39 words/op; 2.40 MB and 4.41 when any write
+   that completes a page was scanned).
+
    Pages are not pooled.  A pool of freed pages was measured: fewer
    words allocated, but retained free pages grew PostMark's peak heap
    by more than half, whatever the page size.  Nor is the last page
@@ -60,6 +74,9 @@ type t = {
   (* allocation accounting, checked by fsck against the inodes' block
      maps and [meta_blocks]: which disk blocks are in use *)
   bitmap : unit Ksim.Int_table.t;
+  (* [same.(c)]: the shared block of byte [c] (see the header), built
+     on first use, [Bytes.empty] until then; never written *)
+  same : Bytes.t array;
 }
 
 let root_ino = 1
@@ -75,6 +92,7 @@ let create ?image kernel =
       next_block = 64;
       meta_blocks = [||];
       bitmap = Ksim.Int_table.create 4096;
+      same = Array.make 256 Bytes.empty;
     }
   in
   Ksim.Int_table.replace t.inodes root_ino
@@ -285,6 +303,46 @@ let getattr t ~ino =
 
 (* --- paged file data ----------------------------------------------- *)
 
+let same_block t c =
+  let b = t.same.(c) in
+  if Bytes.length b > 0 then b
+  else begin
+    let b = Bytes.make Block_dev.block_size (Char.chr c) in
+    t.same.(c) <- b;
+    b
+  end
+
+(* [p] is one of [t]'s shared blocks *)
+let is_shared t p =
+  Bytes.length p = Block_dev.block_size
+  && p == t.same.(Char.code (Bytes.unsafe_get p 0))
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* The byte all of [buf.[pos .. pos + bs - 1]] holds, or -1 if they
+   differ: word by word on unboxed 64-bit loads ([bs] is a multiple of
+   8). *)
+let uniform buf pos bs =
+  if pos < 0 || pos > Bytes.length buf - bs then invalid_arg "Memfs.uniform";
+  let c = Char.code (Bytes.unsafe_get buf pos) in
+  let w = Int64.mul (Int64.of_int c) 0x0101010101010101L in
+  let i = ref 0 in
+  while !i < bs && get64u buf (pos + !i) = w do
+    i := !i + 8
+  done;
+  if !i >= bs then c else -1
+
+(* Page [k] of [inode] made safe to write: a shared block is replaced
+   by a private copy first. *)
+let private_page t inode k =
+  let p = inode.pages.(k) in
+  if is_shared t p then begin
+    let q = Bytes.copy p in
+    inode.pages.(k) <- q;
+    q
+  end
+  else p
+
 (* [p] copied into a fresh zeroed page of [len] bytes *)
 let grown_page p len =
   let q = Bytes.make len '\000' in
@@ -294,7 +352,8 @@ let grown_page p len =
 (* Make [inode]'s pages hold [size] bytes, keeping the page shape: the
    old last page, if no longer last, becomes a full block; a new last
    page holds exactly what it needs; a last page that stays last at
-   least doubles, up to one block.  Every new byte is zero. *)
+   least doubles, up to one block.  Every new byte is zero.  Only a
+   page shorter than a block grows, so no shared block ever does. *)
 let ensure_pages inode ~bs size =
   let n = Array.length inode.pages in
   let need = (size + bs - 1) / bs in
@@ -317,15 +376,23 @@ let ensure_pages inode ~bs size =
       inode.pages.(n - 1) <- grown_page last (Int.min bs (Int.max tail (2 * have)))
   end
 
-(* Move [len] bytes between [buf] at [pos] and the file at [off]. *)
-let transfer inode ~bs ~off ~len buf pos ~to_file =
+(* Move [len] bytes between [buf] at [pos] and the file at [off].  A
+   write chunk that covers a whole block with one byte value points the
+   page at that byte's shared block; any other chunk lands in a private
+   page. *)
+let transfer t inode ~bs ~off ~len buf pos ~to_file =
   let done_ = ref 0 in
   while !done_ < len do
     let at = off + !done_ in
-    let page = inode.pages.(at / bs) and o = at mod bs in
+    let k = at / bs and o = at mod bs in
     let n = Int.min (len - !done_) (bs - o) in
-    if to_file then Bytes.blit buf (pos + !done_) page o n
-    else Bytes.blit page o buf (pos + !done_) n;
+    let p = pos + !done_ in
+    if not to_file then Bytes.blit inode.pages.(k) o buf p n
+    else begin
+      let c = if n = bs then uniform buf p bs else -1 in
+      if c >= 0 then inode.pages.(k) <- same_block t c
+      else Bytes.blit buf p (private_page t inode k) o n
+    end;
     done_ := !done_ + n
   done
 
@@ -344,7 +411,7 @@ let read_into t ~ino ~off ~len ~into ~pos =
         if pos < 0 || pos > Bytes.length into - n then
           invalid_arg "Memfs.read_into";
         if n > 0 then charge_data_io t inode ~off ~len:n ~write:false;
-        transfer inode ~bs:Block_dev.block_size ~off ~len:n into pos
+        transfer t inode ~bs:Block_dev.block_size ~off ~len:n into pos
           ~to_file:false;
         Ok n
       end
@@ -369,7 +436,7 @@ let write t ~ino ~off ~data =
       else begin
         let len = Bytes.length data and bs = Block_dev.block_size in
         ensure_pages inode ~bs (off + len);
-        transfer inode ~bs ~off ~len data 0 ~to_file:true;
+        transfer t inode ~bs ~off ~len data 0 ~to_file:true;
         if off + len > inode.size then inode.size <- off + len;
         inode.mtime <- Ksim.Kernel.now t.kernel;
         if len > 0 then charge_data_io t inode ~off ~len ~write:true;
@@ -387,14 +454,15 @@ let truncate t ~ino ~size =
         if size >= inode.size then ensure_pages inode ~bs size
         else begin
           (* drop the pages past the new end, zero the new last page's
-             bytes past it *)
+             bytes past it (a private copy, if it was shared) *)
           let need = (size + bs - 1) / bs in
           if need < Array.length inode.pages then
             inode.pages <- Array.sub inode.pages 0 need;
           if need > 0 then begin
-            let last = inode.pages.(need - 1) in
             let from = size - ((need - 1) * bs) in
-            Bytes.fill last from (Bytes.length last - from) '\000'
+            let zeros = Bytes.length inode.pages.(need - 1) - from in
+            if zeros > 0 then
+              Bytes.fill (private_page t inode (need - 1)) from zeros '\000'
           end
         end;
         inode.size <- size;
@@ -462,6 +530,17 @@ let ops t =
   }
 
 let inode_count t = Ksim.Int_table.length t.inodes
+
+let shared_blocks t =
+  Array.fold_left (fun n b -> if Bytes.length b > 0 then n + 1 else n) 0 t.same
+
+let private_page_bytes t =
+  Ksim.Int_table.fold
+    (fun _ i acc ->
+      Array.fold_left
+        (fun acc p -> if is_shared t p then acc else acc + Bytes.length p)
+        acc i.pages)
+    t.inodes 0
 
 let max_chain t =
   Int.max
@@ -551,6 +630,12 @@ let fsck t =
       end;
       page_shape i (fun s -> errs := s :: !errs))
     inos;
+  Array.iteri
+    (fun c b ->
+      if Bytes.length b > 0
+         && (Bytes.length b <> Block_dev.block_size || uniform b 0 (Bytes.length b) <> c)
+      then err "shared block %d is not a full block of byte %d" c c)
+    t.same;
   if Hashtbl.length no_children > 0 then
     err "the shared empty children table has %d entries"
       (Hashtbl.length no_children);

@@ -3,8 +3,10 @@
     File data lives in block-sized pages: every page but the last is
     one full block, the last grows geometrically up to one block, and
     every byte at or past the file size is zero.  Writes blit into the
-    pages in place; a read gathers into the one buffer it returns.
-    Pages are never pooled: a free-page pool was measured to cut
+    pages in place; a read gathers into the one buffer it returns.  A
+    write that covers a whole block with one byte value shares the
+    filesystem's one block of that byte instead (copied before
+    anything else is written into it).  Pages are never pooled: a free-page pool was measured to cut
     allocation but to grow PostMark's peak heap by over half.  Every
     data and metadata access charges the block device (inodes pack 32
     to a metadata block, as in Ext2).  Directories are hash tables with
@@ -52,6 +54,16 @@ val rename :
 val fsync : t -> ino:int -> (unit, Vtypes.errno) result
 val inode_count : t -> int
 
+(** Bytes held in the live files' private pages: every page but the
+    shared same-filled blocks, which each [t] stores once per byte
+    value. *)
+val private_page_bytes : t -> int
+
+(** The shared same-filled blocks [t] holds, one per byte value some
+    whole-block write carried (at most 256); each filesystem keeps its
+    own. *)
+val shared_blocks : t -> int
+
 (** The longest bucket chain in memfs's inode table and block bitmap
     (see {!Ksim.Int_table.max_chain}). *)
 val max_chain : t -> int
@@ -62,7 +74,8 @@ val max_chain : t -> int
     with the live inodes' block maps and the metadata blocks (so no
     blocks held for dead inodes), and every file's
     pages in shape (as many as its size needs, all full blocks but the
-    last, zeros past the size).  Returns
+    last, zeros past the size), and every shared block still a full
+    block of its own byte.  Returns
     human-readable complaints; [[]] means clean.  Charges a metadata
     read per directory, like a real fsck pass over the inode table. *)
 val fsck : t -> string list

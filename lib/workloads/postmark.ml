@@ -47,11 +47,114 @@ type phase =
   | Cleanup of int list  (* ids left to delete, sorted *)
   | Finished
 
+(* The live file ids.  [nth k] is the [k]-th id [Hashtbl.iter] would
+   visit in an [(int, unit) Hashtbl.t] built by the same [replace] and
+   [remove] calls: PostMark has always picked files that way, and every
+   digest and cycle count follows the picks.  So the buckets are
+   stdlib's: newest-first id chains at [Hashtbl.hash id land (nb - 1)],
+   [nb] starting at the power of two >= max 16 [files] and doubling once
+   the size passes [2 * nb], each chain split in order.  A Fenwick tree
+   over the chain lengths finds the chain holding position [k] in
+   O(log nb) steps, where a walk of the table took O(live). *)
+module Live = struct
+  type t = {
+    mutable chains : int list array;
+    mutable fen : int array;  (* 1-based Fenwick tree over chain lengths *)
+    mutable size : int;
+  }
+
+  let rec pow2_above x n = if x >= n then x else pow2_above (2 * x) n
+
+  let create n =
+    let nb = pow2_above 16 n in
+    { chains = Array.make nb []; fen = Array.make (nb + 1) 0; size = 0 }
+
+  let length t = t.size
+
+  let bucket t id = Hashtbl.hash id land (Array.length t.chains - 1)
+
+  let rec mem (id : int) = function [] -> false | x :: r -> x = id || mem id r
+
+  (* [l] without its [id]; raises [Not_found] when [id] is not in it *)
+  let rec without (id : int) = function
+    | [] -> raise Not_found
+    | x :: r -> if x = id then r else x :: without id r
+
+  let bump t b d =
+    let fen = t.fen in
+    let i = ref (b + 1) in
+    while !i < Array.length fen do
+      fen.(!i) <- fen.(!i) + d;
+      i := !i + (!i land - !i)
+    done
+
+  (* Double the chains as [Hashtbl.resize] does, chain [b] split in
+     order into [b] and [b + nb]; rebuild the tree in linear time. *)
+  let resize t =
+    let nb = Array.length t.chains in
+    let chains = Array.make (2 * nb) [] in
+    Array.iteri
+      (fun b l ->
+        let lo, hi = List.partition (fun id -> Hashtbl.hash id land nb = 0) l in
+        chains.(b) <- lo;
+        chains.(b + nb) <- hi)
+      t.chains;
+    let fen = Array.make ((2 * nb) + 1) 0 in
+    Array.iteri (fun b l -> fen.(b + 1) <- List.length l) chains;
+    for i = 1 to 2 * nb do
+      let j = i + (i land -i) in
+      if j <= 2 * nb then fen.(j) <- fen.(j) + fen.(i)
+    done;
+    t.chains <- chains;
+    t.fen <- fen
+
+  (* [Hashtbl.replace t id ()] *)
+  let add t id =
+    let b = bucket t id in
+    if not (mem id t.chains.(b)) then begin
+      t.chains.(b) <- id :: t.chains.(b);
+      bump t b 1;
+      t.size <- t.size + 1;
+      if t.size > 2 * Array.length t.chains then resize t
+    end
+
+  (* [Hashtbl.remove t id] *)
+  let remove t id =
+    let b = bucket t id in
+    match without id t.chains.(b) with
+    | exception Not_found -> ()
+    | l ->
+        t.chains.(b) <- l;
+        bump t b (-1);
+        t.size <- t.size - 1
+
+  (* The [k]-th id of the iteration order, [0 <= k < length t]: descend
+     the tree to the chain whose prefix sums bracket [k], then walk it. *)
+  let nth t k =
+    if k < 0 || k >= t.size then invalid_arg "Postmark.Live.nth";
+    let fen = t.fen in
+    let pos = ref 0 and rem = ref k and step = ref (Array.length t.chains) in
+    while !step > 0 do
+      let j = !pos + !step in
+      if fen.(j) <= !rem then begin
+        pos := j;
+        rem := !rem - fen.(j)
+      end;
+      step := !step lsr 1
+    done;
+    List.nth t.chains.(!pos) !rem
+
+  (* every live id, ascending *)
+  let sorted t =
+    Array.fold_left (fun acc l -> List.rev_append l acc) [] t.chains
+    |> List.sort Int.compare
+end
+
 type t = {
   sys : Ksyscall.Systable.t;
   cfg : config;
   rng : Wutil.rng;
-  live : (int, unit) Hashtbl.t;
+  live : Live.t;
   mutable next_id : int;
   mutable phase : phase;
   mutable created : int;
@@ -97,7 +200,7 @@ let make ?(config = default_config) sys =
     sys;
     cfg = config;
     rng = Wutil.rng config.seed;
-    live = Hashtbl.create config.files;
+    live = Live.create config.files;
     next_id = 0;
     phase = (if config.files > 0 then Pool config.files
              else Trans config.transactions);
@@ -109,32 +212,21 @@ let make ?(config = default_config) sys =
     data_written = 0;
   }
 
+(* deterministic pick: a uniform position in the live set's order *)
 let pick_live t =
-  (* deterministic pick: nth of the current live set *)
-  let n = Hashtbl.length t.live in
-  if n = 0 then None
-  else begin
-    let k = Wutil.rand_int t.rng n in
-    let i = ref 0 in
-    let found = ref None in
-    Hashtbl.iter
-      (fun id () ->
-        if !i = k && !found = None then found := Some id;
-        incr i)
-      t.live;
-    !found
-  end
+  let n = Live.length t.live in
+  if n = 0 then None else Some (Live.nth t.live (Wutil.rand_int t.rng n))
 
 let create_one t =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
   t.data_written <- t.data_written + create_file t.sys t.cfg t.rng id;
-  Hashtbl.replace t.live id ();
+  Live.add t.live id;
   t.created <- t.created + 1
 
 let delete_one t id =
   ignore (Wutil.ok (Ksyscall.Usyscall.sys_unlink t.sys ~path:(file_name t.cfg id)));
-  Hashtbl.remove t.live id;
+  Live.remove t.live id;
   t.deleted <- t.deleted + 1
 
 let read_one t id =
@@ -161,8 +253,7 @@ let append_one t id =
   t.appended <- t.appended + 1
 
 let enter_cleanup t =
-  let remaining = Hashtbl.fold (fun id () acc -> id :: acc) t.live [] in
-  match List.sort compare remaining with
+  match Live.sorted t.live with
   | [] -> Finished
   | ids -> Cleanup ids
 
@@ -192,10 +283,10 @@ let step t =
       false
   | Cleanup (id :: rest) ->
       delete_one t id;
-      t.phase <- (if rest = [] then Finished else Cleanup rest);
+      t.phase <- (match rest with [] -> Finished | _ -> Cleanup rest);
       true
 
-let finished t = t.phase = Finished
+let finished t = match t.phase with Finished -> true | _ -> false
 
 let stats_of t times =
   {

@@ -136,6 +136,131 @@ let qcheck_paged_storage =
         ops;
       true)
 
+(* Shared same-filled blocks against a flat bytes model: two files on
+   one memfs, whole-block writes of one byte value (shared), the same
+   with one odd byte anywhere in a block (never shared), partial and
+   straddling writes of one byte or of mixed bytes (a shared block is
+   copied first), a different byte over a whole block, truncates that
+   shrink into or grow past a block, and reads.  After every step both
+   files must read back as their models and fsck must be clean (it
+   checks every shared block holds only its byte); at the end a fresh
+   whole-block write of each byte value must still read back as that
+   byte alone, and a second memfs must hold its own shared blocks. *)
+type share_op =
+  | S_fill of int * int * int * char  (* file, first block, blocks, byte *)
+  | S_odd of int * int * int * char   (* file, block, odd byte's position, byte *)
+  | S_write of int * int * int * char option  (* file, offset, length, byte or mixed *)
+  | S_truncate of int * int
+  | S_read of int * int * int
+
+let pp_share_op = function
+  | S_fill (f, b, n, c) -> Printf.sprintf "fill(%d,%d,%d,%C)" f b n c
+  | S_odd (f, b, pos, c) -> Printf.sprintf "odd(%d,%d,%d,%C)" f b pos c
+  | S_write (f, off, len, Some c) -> Printf.sprintf "write(%d,%d,%d,%C)" f off len c
+  | S_write (f, off, len, None) -> Printf.sprintf "write(%d,%d,%d,mixed)" f off len
+  | S_truncate (f, n) -> Printf.sprintf "truncate(%d,%d)" f n
+  | S_read (f, off, len) -> Printf.sprintf "read(%d,%d,%d)" f off len
+
+let qcheck_shared_blocks =
+  let bs = 4096 in
+  let byte = QCheck.Gen.oneofl [ '\000'; 'a'; 'b' ] and file = QCheck.Gen.int_bound 1 in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 4,
+            map (fun (f, (b, n), c) -> S_fill (f, b, n, c))
+              (triple file (pair (int_bound 4) (int_range 1 3)) byte) );
+          ( 2,
+            map (fun (f, (b, pos), c) -> S_odd (f, b, pos, c))
+              (triple file
+                 (pair (int_bound 4)
+                    (oneof [ int_bound 7; map (( + ) (bs - 8)) (int_bound 7); int_bound (bs - 1) ]))
+                 byte) );
+          ( 4,
+            map (fun (f, (off, len), c) -> S_write (f, off, len, c))
+              (triple file (pair (int_bound (5 * bs)) (int_bound (2 * bs))) (opt byte)) );
+          (2, map2 (fun f n -> S_truncate (f, n)) file (int_bound (6 * bs)));
+          ( 2,
+            map2 (fun f (off, len) -> S_read (f, off, len)) file
+              (pair (int_bound (6 * bs)) (int_bound (3 * bs))) );
+        ])
+  in
+  QCheck.Test.make ~name:"shared blocks = bytes model, fsck clean" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map pp_share_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let kernel = mk_kernel () in
+      let fs = Kvfs.Memfs.create kernel and other = Kvfs.Memfs.create kernel in
+      let root = Kvfs.Memfs.root_ino in
+      let create fs name =
+        check_ok "create" (Kvfs.Memfs.create_node fs ~dir:root ~name Kvfs.Vtypes.Regular)
+      in
+      let inos = [| create fs "f0"; create fs "f1" |] in
+      let models = [| Bytes.empty; Bytes.empty |] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let write f off data =
+        let len = Bytes.length data in
+        let n = check_ok "write" (Kvfs.Memfs.write fs ~ino:inos.(f) ~off ~data) in
+        if n <> len then fail "write returned %d, not %d" n len;
+        let m = Bytes.make (max (Bytes.length models.(f)) (off + len)) '\000' in
+        Bytes.blit models.(f) 0 m 0 (Bytes.length models.(f));
+        Bytes.blit data 0 m off len;
+        models.(f) <- m
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | S_fill (f, b, n, c) -> write f (b * bs) (Bytes.make (n * bs) c)
+          | S_odd (f, b, pos, c) ->
+              let data = Bytes.make bs c in
+              Bytes.set data pos (if c = 'a' then 'b' else 'a');
+              write f (b * bs) data
+          | S_write (f, off, len, Some c) -> write f off (Bytes.make len c)
+          | S_write (f, off, len, None) ->
+              write f off (Bytes.init len (fun i -> Char.chr (97 + ((off + i) mod 3))))
+          | S_truncate (f, size) ->
+              check_ok "truncate" (Kvfs.Memfs.truncate fs ~ino:inos.(f) ~size);
+              let m = Bytes.make size '\000' in
+              Bytes.blit models.(f) 0 m 0 (min size (Bytes.length models.(f)));
+              models.(f) <- m
+          | S_read (f, off, len) ->
+              let got = check_ok "read" (Kvfs.Memfs.read fs ~ino:inos.(f) ~off ~len) in
+              let n = max 0 (min len (Bytes.length models.(f) - off)) in
+              if not (Bytes.equal got (if n = 0 then Bytes.empty else Bytes.sub models.(f) off n))
+              then fail "%s: read differs from the model" (pp_share_op op));
+          Array.iteri
+            (fun f ino ->
+              let got = check_ok "read" (Kvfs.Memfs.read fs ~ino ~off:0 ~len:max_int) in
+              if not (Bytes.equal got models.(f)) then
+                fail "%s: file %d differs from its model" (pp_share_op op) f)
+            inos;
+          match Kvfs.Memfs.fsck fs with
+          | [] -> ()
+          | errs -> fail "%s: fsck: %s" (pp_share_op op) (String.concat "; " errs))
+        ops;
+      List.iter
+        (fun c ->
+          let ino = create fs "probe" in
+          let block = Bytes.make bs c in
+          ignore (check_ok "probe write" (Kvfs.Memfs.write fs ~ino ~off:0 ~data:block));
+          if not (Bytes.equal (check_ok "probe read" (Kvfs.Memfs.read fs ~ino ~off:0 ~len:bs)) block)
+          then fail "the shared block of %C holds other bytes" c;
+          check_ok "unlink" (Kvfs.Memfs.unlink fs ~dir:root ~name:"probe"))
+        [ '\000'; 'a'; 'b' ];
+      let shared = Kvfs.Memfs.shared_blocks fs in
+      if shared <> 3 then fail "%d shared blocks after every byte's probe" shared;
+      if Kvfs.Memfs.shared_blocks other <> 0 then fail "an untouched memfs holds shared blocks";
+      let ino = create other "g" in
+      ignore (check_ok "write" (Kvfs.Memfs.write other ~ino ~off:0 ~data:(Bytes.make bs 'z')));
+      if Kvfs.Memfs.shared_blocks other <> 1 || Kvfs.Memfs.shared_blocks fs <> 3 then
+        fail "shared blocks leak between filesystems";
+      (match Kvfs.Memfs.fsck fs @ Kvfs.Memfs.fsck other with
+      | [] -> ()
+      | errs -> fail "final fsck: %s" (String.concat "; " errs));
+      true)
+
 let test_memfs_unlink_rename () =
   let fs = Kvfs.Memfs.create (mk_kernel ()) in
   let root = Kvfs.Memfs.root_ino in
@@ -841,6 +966,7 @@ let () =
           Alcotest.test_case "unlink/rename" `Quick test_memfs_unlink_rename;
           Alcotest.test_case "readdir order" `Quick test_memfs_readdir_order;
           QCheck_alcotest.to_alcotest qcheck_paged_storage;
+          QCheck_alcotest.to_alcotest qcheck_shared_blocks;
         ] );
       ( "block-dev",
         [

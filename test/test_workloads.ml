@@ -52,6 +52,96 @@ let test_postmark_deterministic () =
   in
   Alcotest.(check bool) "bit-for-bit repeatable" true (run () = run ())
 
+(* The live set against the [(int, unit) Hashtbl.t] it replaced:
+   random adds (fresh ids, and now and then a live one, which replace
+   leaves in place), removes (live ids, and now and then an absent one)
+   and bursts of picks from an initial size of 1 to 2,000, with enough net adds
+   to pass four times the first bucket count, so every size sees two
+   resizes.  [nth k] must be the [k]-th id of [Hashtbl.iter] at every
+   pick, the lengths must agree at every step, and the whole order and
+   the sorted cleanup list at every 512th step and at the end. *)
+let qcheck_postmark_live_order =
+  let module L = Workloads.Postmark.Live in
+  QCheck.Test.make ~name:"live set = Hashtbl iteration order" ~count:25
+    QCheck.(pair (int_range 1 2000) int)
+    (fun (n0, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let live = L.create n0 and model = Hashtbl.create n0 in
+      (* the live ids in no particular order, for picking one in O(1) *)
+      let ids = ref (Array.make 64 0) and n = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let order () = Hashtbl.fold (fun id () acc -> id :: acc) model [] |> List.rev in
+      let check_all step =
+        if List.init !n (L.nth live) <> order () then
+          fail "step %d: iteration order differs" step;
+        if L.sorted live <> List.sort Int.compare (order ()) then
+          fail "step %d: cleanup list differs" step
+      in
+      let nb = ref 16 in
+      while !nb < n0 do nb := 2 * !nb done;
+      let next = ref 0 in
+      for step = 1 to (8 * !nb) + 64 do
+        (match Random.State.int rng 40 with
+        | r when r < 30 || !n = 0 ->
+            let id =
+              if r = 0 && !n > 0 then !ids.(Random.State.int rng !n)
+              else begin
+                incr next;
+                if !n = Array.length !ids then
+                  ids := Array.append !ids (Array.make !n 0);
+                !ids.(!n) <- !next;
+                incr n;
+                !next
+              end
+            in
+            L.add live id;
+            Hashtbl.replace model id ()
+        | r when r < 39 ->
+            let id =
+              if r = 30 then - step
+              else begin
+                let i = Random.State.int rng !n in
+                let id = !ids.(i) in
+                decr n;
+                !ids.(i) <- !ids.(!n);
+                id
+              end
+            in
+            L.remove live id;
+            Hashtbl.remove model id
+        | _ ->
+            (* picks at the first and last position and two anywhere *)
+            let want = Array.of_list (order ()) in
+            List.iter
+              (fun k ->
+                if L.nth live k <> want.(k) then fail "step %d: nth %d differs" step k)
+              [ 0; !n - 1; Random.State.int rng !n; Random.State.int rng !n ]);
+        if L.length live <> Hashtbl.length model then
+          fail "step %d: length %d, model %d" step (L.length live) (Hashtbl.length model);
+        if step mod 512 = 0 then check_all step
+      done;
+      if !n <= 4 * !nb then fail "only %d live for %d first buckets" !n !nb;
+      check_all 0;
+      true)
+
+(* Memory guard for the shared same-filled blocks: PostMark's files are
+   constant-filled, so a run on memfs holds in private pages only its
+   files' partial last pages and the pages appends completed.  Sampled
+   between transactions, the most the run holds must stay under a bound
+   set from the measured peak (142,503 bytes) with 40% margin; storing
+   every block privately (294,055 bytes) fails it. *)
+let test_postmark_private_pages () =
+  let kernel = Ksim.Kernel.create () in
+  let fs = Kvfs.Memfs.create kernel in
+  let sys = Ksyscall.Systable.create ~root_fs:(Kvfs.Memfs.ops fs) kernel in
+  let peak = ref 0 in
+  let pump () = peak := max !peak (Kvfs.Memfs.private_page_bytes fs) in
+  ignore (Workloads.Postmark.run ~config:{ pm_small with Workloads.Postmark.pump } sys);
+  Alcotest.(check bool) (Printf.sprintf "peak private page bytes %d" !peak) true
+    (!peak < 200_000);
+  Alcotest.(check int) "one shared block" 1 (Kvfs.Memfs.shared_blocks fs);
+  Alcotest.(check (list string)) "fsck clean" [] (Kvfs.Memfs.fsck fs)
+
 let test_amutils_user_dominated () =
   let t = Core.boot_with Core.Config.default in
   Workloads.Amutils.setup ~config:am_small (Core.sys t);
@@ -355,6 +445,8 @@ let () =
           Alcotest.test_case "runs+balances" `Quick test_postmark_runs_and_balances;
           Alcotest.test_case "deterministic" `Quick test_postmark_deterministic;
           Alcotest.test_case "file names" `Quick test_postmark_file_names;
+          QCheck_alcotest.to_alcotest qcheck_postmark_live_order;
+          Alcotest.test_case "private pages" `Quick test_postmark_private_pages;
         ] );
       ("amutils", [ Alcotest.test_case "user dominated" `Quick test_amutils_user_dominated ]);
       ( "cosy-apps",
