@@ -1,4 +1,4 @@
-.PHONY: all build test benchmark bench-compare bench-same bench-pairs host-profile net-lines bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
+.PHONY: all build test benchmark bench-compare bench-same bench-pairs host-profile net-lines qcheck-seeds bench-smoke bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 kperf-smoke kverify-smoke kopt-smoke kfault-smoke kcrash-smoke check clean
 
 all: build
 
@@ -187,6 +187,41 @@ net-lines:
 	    awk -v d="$$d/" '{ a += $$1; r += $$2 } \
 	      END { printf "%-7s +%d -%d net %+d\n", d, a, r, a - r }'; \
 	done
+
+# Statistical preconditions of the qcheck properties, swept: `make
+# qcheck-seeds N=200 [SUITE=test_workloads]` runs each suite in SUITE
+# (one name or several, e.g. SUITE="test_knet test_kring") once per
+# QCHECK_SEED 1..N, each run under a 600-s timeout, and prints every
+# failing seed with the tests it failed (a run that fails or times out
+# without naming a test says so), then how many seeds failed per
+# suite.  Exits 1 if any seed failed.  A failure replays
+# with `QCHECK_SEED=<seed> ./_build/default/test/<suite>.exe`.  Takes N
+# times a suite's run time (test_workloads: about 3 s), so it stays out
+# of `dune runtest` and `check`.
+SUITE ?= test_workloads
+qcheck-seeds:
+	@test -n "$(N)" || { echo "usage: make qcheck-seeds N=<seeds> [SUITE=test_workloads]"; exit 2; }
+	@dune build --root . --display quiet $(foreach s,$(SUITE),test/$(s).exe) && \
+	out=$$(mktemp -d "$(TMPDIR)/qcheck-seeds.XXXXXX") && \
+	trap 'rm -rf "$$out"' EXIT && \
+	status=0 && \
+	for s in $(SUITE); do \
+	  failed=0; \
+	  for i in $$(seq 1 $(N)); do \
+	    QCHECK_SEED=$$i timeout --preserve-status -s KILL 600 \
+	      ./_build/default/test/$$s.exe -o "$$out" > "$$out/run" 2>&1; \
+	    code=$$?; \
+	    test $$code = 0 && continue; \
+	    failed=$$((failed + 1)); status=1; \
+	    if [ $$code = 137 ]; then echo "$$s seed $$i: timed out after 600 s"; \
+	    elif grep -q '^> \[FAIL\]' "$$out/run"; then \
+	      sed -n 's/^> \[FAIL\] *//p' "$$out/run" | \
+	        while read -r t; do echo "$$s seed $$i: $$t"; done; \
+	    else echo "$$s seed $$i: exit $$code, no failing test named"; fi; \
+	  done; \
+	  echo "qcheck-seeds: $$s failed on $$failed of $(N) seeds"; \
+	done; \
+	exit $$status
 
 # Where one workload's host time goes: `make host-profile W=cosy_db
 # [SECS=20]` runs the benchmark untraced under gprofng's clock profiler

@@ -432,7 +432,6 @@ type t = {
   mutable seq : int;                 (* event insertion tiebreaker *)
   mutable next_id : int;
   traffic : port_state Int_table.t;  (* by port *)
-  mutable stage : Bytes.t;           (* shared transmit staging region *)
   pool : Pool.t;                     (* free queue storage *)
   memo : memo_entry list Int_table.t;
                                      (* finished streams by length *)
@@ -477,7 +476,6 @@ let create ?(rcvbuf = 16 * 1024) ?(sndbuf = 32 * 1024) kn =
     seq = 0;
     next_id = 1;
     traffic = Int_table.create 4;
-    stage = Bytes.create 0;
     pool = Pool.create ();
     memo = Int_table.create 64;
     memo_bytes = 0;
@@ -1038,27 +1036,34 @@ let send t ~sock ~data =
   | Error _ as e -> e |> Result.map (fun _ -> 0)
   | Ok c -> append_out t c data (Bytes.length data)
 
-(* Zero-copy transmit: the payload reaches the send queue through the
-   kernel-owned staging region instead of a user buffer, so no
-   copy_{from,to}_user bytes are charged (the DMA cost is the caller's,
-   mirroring Consolidated.service_sendfile). *)
-let send_kernel t ~sock data =
-  charge t;
+(* Zero-copy transmit: [fill] writes the payload straight into the send
+   queue's tail, so no user buffer and no copy_{from,to}_user bytes are
+   involved (the DMA cost is the caller's, mirroring
+   Consolidated.service_sendfile).  The queue's room is reserved first;
+   [net_op] is charged only after the fill, and only when it wrote a
+   byte, so the file read's charges come first. *)
+let send_kernel t ~sock ~len fill =
   match conn_of t sock with
   | Error _ as e -> e |> Result.map (fun _ -> 0)
   | Ok c ->
-      let len = Bytes.length data in
-      if Bytes.length t.stage < len then begin
-        let cap = max 4096 len in
-        t.stage <- Bytes.create cap
-      end;
-      Bytes.blit data 0 t.stage 0 len;
-      Kstats.set t.stats t.st_stage_hw len;
-      let r = append_out t c t.stage len in
-      (match r with
-      | Ok n -> Kstats.add t.stats t.st_sendfile_bytes n
-      | Error _ -> ());
-      r
+      let q = c.cn_send in
+      let room = min (t.sndbuf - Bq.length q) len in
+      if room <= 0 then Ok 0
+      else begin
+        Bq.reserve t.pool q room;
+        match fill q.Bq.buf (q.Bq.off + q.Bq.len) room with
+        | Error _ as e -> e
+        | Ok n when n < 0 || n > room ->
+            invalid_arg "Knet.send_kernel: fill wrote outside its room"
+        | Ok 0 -> Ok 0
+        | Ok n ->
+            charge t;
+            q.Bq.len <- q.Bq.len + n;
+            Kstats.set t.stats t.st_stage_hw n;
+            Kstats.add t.stats t.st_sendfile_bytes n;
+            schedule_drain t c;
+            Ok n
+      end
 
 (* ---------- epoll ---------- *)
 

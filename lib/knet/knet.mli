@@ -81,10 +81,27 @@ val send : t -> sock:int -> data:Bytes.t -> (int, Kvfs.Vtypes.errno) result
 (** Free bytes in the send buffer (0 for a full queue). *)
 val send_space : t -> sock:int -> (int, Kvfs.Vtypes.errno) result
 
-(** Kernel-internal send used by the socket sendfile path: the payload
-    was staged from the page cache through the shared transmit region,
-    so no user-copy bytes are charged; counted in [net.sendfile.bytes]. *)
-val send_kernel : t -> sock:int -> Bytes.t -> (int, Kvfs.Vtypes.errno) result
+(** Kernel-internal send used by the socket sendfile path:
+    [send_kernel t ~sock ~len fill] reserves [room = min len space]
+    bytes at the tail of the connection's send queue and calls
+    [fill buf pos room], which writes the payload straight into
+    [buf.[pos .. pos + room - 1]] (the page cache read lands in the
+    queue, no copy in between) and returns how many bytes it wrote.
+    Those bytes join the queue, count in [net.sendfile.bytes] and set
+    [net.sendfile.stage_high_water]; no user-copy bytes are charged.
+    [net_op] is charged after the fill, and only when it wrote a byte:
+    an empty room or a 0-byte fill returns [Ok 0] and charges nothing,
+    a fill error is returned as is.  A full queue is [Ok 0], not
+    [ENOBUFS].  [EBADF]/[ENOTSOCK] for a socket that is not an open
+    connection, without a call to [fill].
+    @raise Invalid_argument when [fill] reports more than [room] bytes
+    or a negative count. *)
+val send_kernel :
+  t ->
+  sock:int ->
+  len:int ->
+  (Bytes.t -> int -> int -> (int, Kvfs.Vtypes.errno) result) ->
+  (int, Kvfs.Vtypes.errno) result
 
 (** Close a socket, epoll instance or listener (idempotent).  Closing a
     listener releases its port and drops the queued connections. *)

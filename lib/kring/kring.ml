@@ -1,8 +1,9 @@
 (* io_uring-style batched syscall submission (after AnyCall, and the
    modern endpoint of the paper's §2 amortization argument).
 
-   User code marshals typed [Syscall.req]s into a submission queue
-   backed by the Cosy shared buffer (no crossing), then one
+   User code encodes typed [Syscall.req]s where their entries lie in a
+   submission queue backed by the Cosy shared buffer (no crossing, no
+   intermediate buffer), then one
    [sys_ring_enter]-style trap drains the whole queue in kernel mode
    through the same service routines ordinary syscalls use — under the
    Cosy preemption watchdog, since arbitrary batch lengths keep the CPU
@@ -46,10 +47,11 @@ type t = {
   cq : completion Queue.t;
   mutable sq_bytes : int;             (* bump pointer into [shared] *)
   mutable next_seq : int;
-  (* the admission stage: when set, each batch's decoded requests are
-     judged before execution; [Some plan] drains on the cheap
-     parse-in-place path (no per-entry copy_from_user, no watchdog).
-     [None] (the default) is today's path, bit-for-bit. *)
+  (* the admission stage: when set, each batch's requests are decoded
+     once and judged before execution; [Some plan] drains those very
+     requests on the cheap in-place path (no per-entry copy_from_user,
+     no second decode, no watchdog).  [None] (the default) is today's
+     path, bit-for-bit. *)
   mutable admit : (Syscall.req list -> plan option) option;
   mutable watchdog_elisions : int;
   mutable opt_fused : int;
@@ -138,27 +140,29 @@ let watchdog_elisions t = t.watchdog_elisions
 let fused_pairs t = t.opt_fused
 let cq_bytes_saved t = t.opt_cq_saved
 
-(* Queue one request (user mode, no crossing): marshal it into the
-   shared region and append an SQ entry.  Backpressure when either the
-   entry cap or the backing store is exhausted — the caller should
-   [enter] (and [reap]) and retry. *)
+(* Queue one request (user mode, no crossing): encode it where its
+   entry lies in the shared region and append an SQ entry.  Backpressure
+   when either the entry cap or the backing store is exhausted — the
+   caller should [enter] (and [reap]) and retry. *)
 let push t req =
   if Queue.length t.sq >= t.sq_entries then begin
     Kstats.incr t.kstats t.st_sq_full;
     Error `Sq_full
   end
   else
-    let wire = Syscall.encode_req req in
-    let len = Bytes.length wire in
+    let len = Syscall.req_wire_size req in
     if t.sq_bytes + len > Cosy.Shared_buffer.size t.shared then begin
       Kstats.incr t.kstats t.st_sq_full;
       Error `Sq_full
     end
     else begin
-      Cosy.Shared_buffer.write t.shared ~off:t.sq_bytes wire;
+      let off = t.sq_bytes in
+      Cosy.Shared_buffer.note_written t.shared ~off ~len;
+      ignore
+        (Syscall.encode_req_into (Cosy.Shared_buffer.data t.shared) ~pos:off req);
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
-      Queue.add (seq, t.sq_bytes, len) t.sq;
+      Queue.add (seq, off, len) t.sq;
       t.sq_bytes <- t.sq_bytes + len;
       Kstats.incr t.kstats t.st_submits;
       Ok seq
@@ -191,31 +195,47 @@ let drain t sys completed =
      no per-entry copy_from_user, the cheap [ring_verified_op] instead
      of a decode, and the watchdog elided (a straight-line batch of
      validated requests cannot run away) — plus whatever fusion and
-     coalescing its plan asks for.  Any batch the hook rejects — or
-     that fails to decode at admission — falls back to today's
-     watchdog path bit-for-bit. *)
-  let batch_plan =
+     coalescing its plan asks for.  An admitted batch dispatches the
+     very requests admission decoded and judged, so it decodes once,
+     and bytes rewritten in the shared region after the check cannot
+     change what runs.  Any batch the hook rejects — or that fails to
+     decode at admission — falls back to today's watchdog path
+     bit-for-bit, decoding each entry as it dispatches. *)
+  let batch_plan, admitted =
     match t.admit with
-    | None -> None
+    | None -> (None, [])
     | Some admit -> (
         match
           Queue.fold
             (fun acc (_, off, len) -> decode_entry t ~off ~len :: acc)
             [] t.sq
         with
-        | reqs -> admit (List.rev reqs)
-        | exception _ -> None)
+        | rev_reqs -> (
+            let reqs = List.rev rev_reqs in
+            match admit reqs with
+            | Some _ as plan -> (plan, reqs)
+            | None -> (None, []))
+        | exception _ -> (None, []))
   in
+  let admitted = ref admitted in
   let verified = Option.is_some batch_plan in
   if verified then t.watchdog_elisions <- t.watchdog_elisions + 1;
   Kstats.incr t.kstats t.st_enters;
   let out_bytes = ref 0 in
   let pos = ref 0 in
-  (* decode + dispatch + complete one SQ entry, sans per-entry cost
-     charges (the caller picked plain vs fused pricing) *)
+  (* dispatch + complete one SQ entry, sans per-entry cost charges (the
+     caller picked plain vs fused pricing).  The entry is read in place
+     either way: parsed here, or taken as admission parsed it. *)
   let dispatch_one () =
     let seq, off, len = Queue.peek t.sq in
-    let req = decode_entry t ~off ~len in
+    let req =
+      match !admitted with
+      | req :: rest ->
+          admitted := rest;
+          Cosy.Shared_buffer.note_read t.shared ~off ~len;
+          req
+      | [] -> decode_entry t ~off ~len
+    in
     let reply = Ksyscall.Usyscall.invoke_drained sys req in
     ignore (Queue.pop t.sq);
     Queue.add { seq; sysno = Syscall.sysno_of_req req; reply } t.cq;
@@ -360,6 +380,8 @@ let run_batch t reqs =
     done;
     acc := List.rev_append (reap_all t) !acc
   in
+  (* completions land in the CQ in seq order, so [acc] holds them newest
+     first *)
   List.iter
     (fun req ->
       let rec retry budget =
@@ -373,4 +395,4 @@ let run_batch t reqs =
       retry 2)
     reqs;
   drain ();
-  List.sort (fun a b -> compare a.seq b.seq) (List.rev !acc)
+  List.rev !acc

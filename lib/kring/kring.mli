@@ -33,7 +33,8 @@ val create :
   Ksyscall.Systable.t ->
   t
 
-(** Queue one request without crossing; [Error `Sq_full] is the
+(** Queue one request without crossing, encoded where its entry lies in
+    the shared region; [Error `Sq_full] is the
     backpressure signal (entry cap or backing store exhausted) — drain
     with {!enter} and retry.  Returns the completion sequence number. *)
 val push : t -> Ksyscall.Syscall.req -> (int, [ `Sq_full ]) result
@@ -80,9 +81,12 @@ type plan = {
 (** Install/remove the admission hook.  {!enter} decodes the queued
     requests and hands them to the hook before executing any of them;
     the hook charges its own admission costs.  [Some plan] admits the
-    batch under that {!plan}; [None] — or a batch that fails to decode —
-    falls back to today's watchdog path bit-for-bit.  [None] as the hook
-    (the default) disables admission entirely. *)
+    batch under that {!plan}, and the batch then dispatches exactly the
+    requests the hook judged — no second decode, so bytes changed in the
+    shared region after the check do not change what runs.  [None] — or
+    a batch that fails to decode — falls back to today's watchdog path
+    bit-for-bit, decoding each entry as it dispatches.  [None] as the
+    hook (the default) disables admission entirely. *)
 val set_admission :
   t -> (Ksyscall.Syscall.req list -> plan option) option -> unit
 

@@ -114,37 +114,28 @@ let service_recv_send sys ~sock ~len ~data =
       Ok (sent, received)
 
 (* sendfile to a socket (§2.3 technique): file pages are read on the
-   kernel side and staged through the shared transmit region straight
-   into the connection's send queue — the payload never crosses the
-   boundary, so the only user-visible bytes are the operands.  Only as
-   much as the send queue can take is read; the caller resumes at
-   [off + n] when the socket turns writable again. *)
+   kernel side straight into the tail of the connection's send queue —
+   the payload never crosses the boundary and is never copied on the
+   way, so the only user-visible bytes are the operands.  Only as much
+   as the send queue can take is read; the caller resumes at [off + n]
+   when the socket turns writable again. *)
 let service_sendfile_sock sys ~sock ~fd ~off ~len =
   Sys_file.check_kernel_mode sys;
   match sock_of_fd sys sock with
   | Error e -> Error e
   | Ok id -> (
-      match Knet.send_space (net sys) ~sock:id with
+      let fill into pos n =
+        Sys_file.service_pread_into sys ~fd ~off ~len:n ~into ~pos
+      in
+      match Knet.send_kernel (net sys) ~sock:id ~len fill with
       | Error e -> Error e
-      | Ok space ->
-          let want = min space len in
-          if want <= 0 then Ok 0
-          else begin
-            match Sys_file.service_pread sys ~fd ~off ~len:want with
-            | Error e -> Error e
-            | Ok data ->
-                if Bytes.length data = 0 then Ok 0
-                else begin
-                  match Knet.send_kernel (net sys) ~sock:id data with
-                  | Error e -> Error e
-                  | Ok n ->
-                      (* DMA from the page cache to the NIC: device
-                         time, as in Consolidated.service_sendfile *)
-                      let kernel = Systable.kernel sys in
-                      let cost = Ksim.Kernel.cost kernel in
-                      Ksim.Kernel.charge_io kernel
-                        (n * cost.Ksim.Cost_model.copy_per_byte
-                        / (4 * max 1 cost.Ksim.Cost_model.copy_byte_div));
-                      Ok n
-                end
-          end)
+      | Ok 0 -> Ok 0
+      | Ok n ->
+          (* DMA from the page cache to the NIC: device time, as in
+             Consolidated.service_sendfile *)
+          let kernel = Systable.kernel sys in
+          let cost = Ksim.Kernel.cost kernel in
+          Ksim.Kernel.charge_io kernel
+            (n * cost.Ksim.Cost_model.copy_per_byte
+            / (4 * max 1 cost.Ksim.Cost_model.copy_byte_div));
+          Ok n)

@@ -295,54 +295,58 @@ let get_bytes buf off =
     invalid_arg "Syscall.decode_req: truncated payload";
   (Bytes.sub buf off len, off + len)
 
+(* Encode [req] into [buf] at [pos], where a submission queue entry
+   lies; returns the offset just past it ([pos + req_wire_size req]).
+   Raises [Invalid_argument] when the encoding does not fit. *)
+let encode_req_into buf ~pos req =
+  Bytes.set buf pos (Char.chr (Sysno.to_int (sysno_of_req req)));
+  let off = pos + 1 in
+  match req with
+  | Open { path; flags } ->
+      let off = put_str buf off path in
+      put_int buf off (flags_to_int flags)
+  | Close { fd } -> put_int buf off fd
+  | Read { fd; len } -> put_int buf (put_int buf off fd) len
+  | Write { fd; data } -> put_bytes buf (put_int buf off fd) data
+  | Pread { fd; off = o; len } ->
+      put_int buf (put_int buf (put_int buf off fd) o) len
+  | Pwrite { fd; off = o; data } ->
+      put_bytes buf (put_int buf (put_int buf off fd) o) data
+  | Lseek { fd; off = o; whence } ->
+      put_int buf (put_int buf (put_int buf off fd) o) (whence_to_int whence)
+  | Stat { path } | Readdir { path } | Mkdir { path } | Unlink { path }
+  | Readdirplus { path } ->
+      put_str buf off path
+  | Fstat { fd } | Fsync { fd } -> put_int buf off fd
+  | Rename { src; dst } -> put_str buf (put_str buf off src) dst
+  | Getpid -> off
+  | Open_read_close { path; maxlen } -> put_int buf (put_str buf off path) maxlen
+  | Open_write_close { path; data; flags } ->
+      put_int buf (put_bytes buf (put_str buf off path) data) (flags_to_int flags)
+  | Sendfile { fd; off = o; len } ->
+      put_int buf (put_int buf (put_int buf off fd) o) len
+  | Open_fstat { path; flags } ->
+      put_int buf (put_str buf off path) (flags_to_int flags)
+  | Socket | Epoll_create -> off
+  | Bind { sock; port } -> put_int buf (put_int buf off sock) port
+  | Listen { sock; backlog } -> put_int buf (put_int buf off sock) backlog
+  | Accept { sock } -> put_int buf off sock
+  | Recv { sock; len } -> put_int buf (put_int buf off sock) len
+  | Send { sock; data } -> put_bytes buf (put_int buf off sock) data
+  | Epoll_ctl { ep; sock; add; mask; cookie } ->
+      let off = put_int buf (put_int buf off ep) sock in
+      let off = put_int buf off (if add then 1 else 0) in
+      put_int buf (put_int buf off mask) cookie
+  | Epoll_wait { ep; max } -> put_int buf (put_int buf off ep) max
+  | Accept_recv { sock; len } -> put_int buf (put_int buf off sock) len
+  | Recv_send { sock; len; data } ->
+      put_bytes buf (put_int buf (put_int buf off sock) len) data
+  | Sendfile_sock { sock; fd; off = o; len } ->
+      put_int buf (put_int buf (put_int buf (put_int buf off sock) fd) o) len
+
 let encode_req req =
   let buf = Bytes.create (req_wire_size req) in
-  Bytes.set buf 0 (Char.chr (Sysno.to_int (sysno_of_req req)));
-  let off = 1 in
-  let (_ : int) =
-    match req with
-    | Open { path; flags } ->
-        let off = put_str buf off path in
-        put_int buf off (flags_to_int flags)
-    | Close { fd } -> put_int buf off fd
-    | Read { fd; len } -> put_int buf (put_int buf off fd) len
-    | Write { fd; data } -> put_bytes buf (put_int buf off fd) data
-    | Pread { fd; off = o; len } ->
-        put_int buf (put_int buf (put_int buf off fd) o) len
-    | Pwrite { fd; off = o; data } ->
-        put_bytes buf (put_int buf (put_int buf off fd) o) data
-    | Lseek { fd; off = o; whence } ->
-        put_int buf (put_int buf (put_int buf off fd) o) (whence_to_int whence)
-    | Stat { path } | Readdir { path } | Mkdir { path } | Unlink { path }
-    | Readdirplus { path } ->
-        put_str buf off path
-    | Fstat { fd } | Fsync { fd } -> put_int buf off fd
-    | Rename { src; dst } -> put_str buf (put_str buf off src) dst
-    | Getpid -> off
-    | Open_read_close { path; maxlen } -> put_int buf (put_str buf off path) maxlen
-    | Open_write_close { path; data; flags } ->
-        put_int buf (put_bytes buf (put_str buf off path) data) (flags_to_int flags)
-    | Sendfile { fd; off = o; len } ->
-        put_int buf (put_int buf (put_int buf off fd) o) len
-    | Open_fstat { path; flags } ->
-        put_int buf (put_str buf off path) (flags_to_int flags)
-    | Socket | Epoll_create -> off
-    | Bind { sock; port } -> put_int buf (put_int buf off sock) port
-    | Listen { sock; backlog } -> put_int buf (put_int buf off sock) backlog
-    | Accept { sock } -> put_int buf off sock
-    | Recv { sock; len } -> put_int buf (put_int buf off sock) len
-    | Send { sock; data } -> put_bytes buf (put_int buf off sock) data
-    | Epoll_ctl { ep; sock; add; mask; cookie } ->
-        let off = put_int buf (put_int buf off ep) sock in
-        let off = put_int buf off (if add then 1 else 0) in
-        put_int buf (put_int buf off mask) cookie
-    | Epoll_wait { ep; max } -> put_int buf (put_int buf off ep) max
-    | Accept_recv { sock; len } -> put_int buf (put_int buf off sock) len
-    | Recv_send { sock; len; data } ->
-        put_bytes buf (put_int buf (put_int buf off sock) len) data
-    | Sendfile_sock { sock; fd; off = o; len } ->
-        put_int buf (put_int buf (put_int buf (put_int buf off sock) fd) o) len
-  in
+  ignore (encode_req_into buf ~pos:0 req);
   buf
 
 (* Decode one request starting at [off]; returns it plus the offset just

@@ -169,8 +169,8 @@ let run_cosy ?(config = default_config) sys =
                         response; accept_recv picks up a connection and
                         its first bytes together.
    - [Net_sendfile]     headers are sent normally but bodies go through
-                        sendfile(2)-to-socket: file pages staged through
-                        the kernel transmit region, zero user copies.
+                        sendfile(2)-to-socket: file pages read straight
+                        into the socket's send queue, zero user copies.
    - [Net_ring]         sendfile bodies, with the per-socket syscalls
                         batched through the kring submission ring: one
                         crossing drains a whole round of recvs or sends.

@@ -96,6 +96,39 @@ let test_bounded_sendq () =
   Alcotest.(check (result int errno)) "no space left" (Ok 0)
     (Knet.send_space net ~sock:conn)
 
+(* [send_kernel]'s contract: the fill is offered [min len space] bytes
+   and runs before [net_op] is charged; [net_op] is charged once after a
+   fill that wrote bytes, never after a 0-byte or failed fill; a full
+   queue returns [Ok 0] without calling the fill. *)
+let test_send_kernel_fill () =
+  let kernel, net = bare ~sndbuf:8 () in
+  let s = listener net in
+  let _cl = Knet.inject_connect net ~port:80 in
+  let conn = Result.get_ok (Knet.accept net ~sock:s) in
+  let net_op = (Ksim.Kernel.cost kernel).Ksim.Cost_model.net_op in
+  let send ~len result =
+    let t0 = Ksim.Kernel.now kernel and offered = ref (-1) in
+    let r =
+      Knet.send_kernel net ~sock:conn ~len (fun buf pos room ->
+          offered := room;
+          Alcotest.(check int) "the fill runs before net_op" t0 (Ksim.Kernel.now kernel);
+          Result.map (fun n -> Bytes.fill buf pos n 'x'; n) result)
+    in
+    (r, !offered, Ksim.Kernel.now kernel - t0)
+  in
+  let check name want got =
+    Alcotest.(check (triple (result int errno) int int)) name want got
+  in
+  check "a 0-byte fill charges nothing" (Ok 0, 5, 0) (send ~len:5 (Ok 0));
+  check "a failed fill charges nothing" (Error Kvfs.Vtypes.EIO, 5, 0)
+    (send ~len:5 (Error Kvfs.Vtypes.EIO));
+  check "a fill that writes charges net_op once" (Ok 6, 8, net_op)
+    (send ~len:20 (Ok 6));
+  check "the fill is offered the space left" (Ok 2, 2, net_op) (send ~len:4 (Ok 2));
+  check "a full queue is not filled" (Ok 0, -1, 0) (send ~len:4 (Ok 1));
+  Alcotest.(check int) "sendfile bytes" 8
+    (find_counter (Ksim.Kernel.stats kernel) "net.sendfile.bytes")
+
 (* The socket table is indexed by id: ids past its end, closed ids and
    the conns a closing listener still queues all read as absent. *)
 let test_socket_table () =
@@ -462,11 +495,11 @@ type sop =
   | S_accept_raw
   | S_inject of int * int       (* raw pick, length *)
   | S_recv of int * int         (* raw pick, length *)
-  | S_send of int * int * bool  (* raw pick, length, via send_kernel *)
+  | S_send of int * int * bool  (* raw pick, length, via [send_filled] *)
   | S_close of int
   | S_relisten                  (* close the raw listener, open a new one *)
   | S_accept
-  | S_serve of int * int * bool (* traffic pick, recv length, send_kernel *)
+  | S_serve of int * int * bool (* traffic pick, recv length, [send_filled] *)
   | S_step of int
 
 let pp_sop = function
@@ -527,6 +560,16 @@ let response ~conn ~req =
   Bytes.set_int64_le hdr 0 (Int64.of_int n);
   Bytes.to_string hdr
   ^ String.init n (fun k -> Char.chr (97 + ((conn + req + k) mod 26)))
+
+(* [data] through [Knet.send_kernel]'s fill: the bytes are written where
+   the send queue's tail lies, as sendfile's file read writes them.  The
+   fill writes at most 300 bytes, so it sometimes stops short of its
+   room, as a read at the end of a file does. *)
+let send_filled net ~sock data =
+  Knet.send_kernel net ~sock ~len:(Bytes.length data) (fun buf pos n ->
+      let n = min n 300 in
+      Bytes.blit data 0 buf pos n;
+      Ok n)
 
 let qcheck_pooled_storage =
   let conns = 5 and total = 3 in
@@ -591,7 +634,7 @@ let qcheck_pooled_storage =
         if v.v_open && v.v_pending <> "" then begin
           let data = Bytes.of_string v.v_pending in
           match
-            if kernel_send then Knet.send_kernel net ~sock:v.v_id data
+            if kernel_send then send_filled net ~sock:v.v_id data
             else Knet.send net ~sock:v.v_id ~data
           with
           | Ok n ->
@@ -661,7 +704,7 @@ let qcheck_pooled_storage =
               (fun r ->
                 let data = Bytes.of_string (fresh n) in
                 match
-                  if kernel_send then Knet.send_kernel net ~sock:r.r_id data
+                  if kernel_send then send_filled net ~sock:r.r_id data
                   else Knet.send net ~sock:r.r_id ~data
                 with
                 | Ok _ | Error Kvfs.Vtypes.ENOBUFS when r.r_live -> ()
@@ -884,6 +927,34 @@ let test_warm_alloc_per_response () =
   Alcotest.(check bool)
     (Printf.sprintf "under 75 words per response (got %.1f)" per)
     true (per < 75.)
+
+(* The same warm measurement for the ring server the c10k_ring_opt
+   benchmark runs: kopt on, recvs and sends batched through a kring,
+   bodies by sendfile.  A first run on the system warms the pool, the
+   memo and kopt's plan cache; the second run's words per response
+   include its listener, epoll set and ring (a 64 KB shared region,
+   about 20 words per response here).  Sendfile through a fresh read
+   buffer and a staging copy, a fresh wire buffer per SQ entry and a
+   second decode of every admitted entry read 820.2; filling the send
+   queue in place, encoding in place and decoding once, 450.7. *)
+let test_ring_alloc_per_response () =
+  let module Web = Workloads.Webserver in
+  let t = Core.boot_with { Core.Config.default with optimize = true } in
+  let sys = Core.sys t in
+  let config port =
+    { Web.net_default_config with
+      variant = Web.Net_ring; conns = 200; port;
+      make_ring = Some (fun _ -> Core.ring t) }
+  in
+  Web.net_setup ~config:(config 80) sys;
+  ignore (Web.run_net ~config:(config 80) sys);
+  let before = Host_words.now () in
+  let r = Web.run_net ~config:(config 81) sys in
+  let per = (Host_words.now () -. before) /. float_of_int r.Web.n_served in
+  Alcotest.(check int) "every client completed" 200 r.Web.n_completed;
+  Alcotest.(check bool)
+    (Printf.sprintf "under 600 words per response (got %.1f)" per)
+    true (per < 600.)
 
 (* --- the stream digest memo ----------------------------------------------- *)
 
@@ -1538,6 +1609,8 @@ let () =
           Alcotest.test_case "bind errors" `Quick test_bind_errors;
           Alcotest.test_case "backlog drops" `Quick test_backlog_drops;
           Alcotest.test_case "bounded send queue" `Quick test_bounded_sendq;
+          Alcotest.test_case "kernel send fills, then charges" `Quick
+            test_send_kernel_fill;
           Alcotest.test_case "id-indexed socket table" `Quick test_socket_table;
         ] );
       ( "epoll",
@@ -1561,6 +1634,8 @@ let () =
             test_traffic_alloc_per_response;
           Alcotest.test_case "warm allocation per response" `Quick
             test_warm_alloc_per_response;
+          Alcotest.test_case "ring allocation per response" `Quick
+            test_ring_alloc_per_response;
         ] );
       ( "digest memo",
         [

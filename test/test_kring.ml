@@ -54,17 +54,22 @@ let normalize_reply (r : Syscall.reply) : Syscall.reply =
       Ok (Syscall.R_fd_stat { fd; stat = zt stat })
   | r -> r
 
-let test_batch_matches_sequential () =
+(* [make] builds the ring: the default one, or one so small that the
+   batch wraps both rings and stops at a full CQ every other entry. *)
+let test_batch_matches_sequential make () =
   (* twin systems: same ops synchronously on one, batched on the other *)
   let _, sys_sync = mk_sys () in
   let sync_replies =
     List.map (fun req -> Ksyscall.Usyscall.invoke sys_sync req) mixed_reqs
   in
   let _, sys_ring = mk_sys () in
-  let ring = Kring.create sys_ring in
+  let ring = make sys_ring in
   let completions = Kring.run_batch ring mixed_reqs in
   Alcotest.(check int) "every op completed" (List.length mixed_reqs)
     (List.length completions);
+  Alcotest.(check (list int)) "completions in submission order"
+    (List.init (List.length mixed_reqs) Fun.id)
+    (List.map (fun (c : Kring.completion) -> c.Kring.seq) completions);
   List.iteri
     (fun i (req, (c : Kring.completion)) ->
       Alcotest.(check bool)
@@ -226,13 +231,75 @@ let test_empty_enter_is_free () =
   Alcotest.(check int) "no crossing" 0 (Ksim.Kernel.crossings kernel - c0);
   Alcotest.(check bool) "nothing to reap" true (Kring.reap ring = None)
 
+(* What runs is what admission judged: a hook that approves the batch
+   and then rewrites the second entry's bytes in the shared region (a
+   stat turned into a mkdir of the same wire size) must not change the
+   batch.  The completions are the admitted requests' — their sysnos and
+   the replies of the same requests run synchronously on a twin system —
+   and the rewritten request never runs.  The shared region counts every
+   entry written once by its push and read twice, once by admission and
+   once by its dispatch. *)
+let test_admitted_batch_runs_as_judged () =
+  let open Syscall in
+  let reqs =
+    [ Mkdir { path = "/d" }; Stat { path = "/d" }; Getpid; Readdir { path = "/" } ]
+  in
+  let forged = Mkdir { path = "/e" } in
+  let _, sys_sync = mk_sys () in
+  let sync_replies = List.map (Ksyscall.Usyscall.invoke sys_sync) reqs in
+  let kernel, sys = mk_sys () in
+  let stats = Ksim.Kernel.stats kernel in
+  Kstats.set_enabled stats true;
+  let ring = Kring.create sys in
+  let judged = ref [] in
+  Kring.set_admission ring
+    (Some
+       (fun batch ->
+         judged := batch;
+         let pos = req_wire_size (List.hd reqs) in
+         Alcotest.(check int) "forgery fits the entry" (req_wire_size (List.nth reqs 1))
+           (req_wire_size forged);
+         ignore
+           (encode_req_into (Cosy.Shared_buffer.data (Kring.shared ring)) ~pos forged);
+         Some { Kring.fuse_next = [||]; coalesce_cq = false }));
+  let completions = Kring.run_batch ring reqs in
+  Alcotest.(check bool) "admission judged the pushed requests" true (!judged = reqs);
+  let wire = List.fold_left (fun n r -> n + req_wire_size r) 0 reqs in
+  let counter name =
+    match Kstats.find stats name with Some (Kstats.Counter_v v) -> v | _ -> -1
+  in
+  Alcotest.(check int) "each entry written once" wire
+    (counter "cosy.shared.bytes_written");
+  Alcotest.(check int) "each entry read twice" (2 * wire)
+    (counter "cosy.shared.bytes_read");
+  Alcotest.(check int) "batch admitted" 1 (Kring.watchdog_elisions ring);
+  Alcotest.(check (list int)) "completions in submission order" [ 0; 1; 2; 3 ]
+    (List.map (fun (c : Kring.completion) -> c.Kring.seq) completions);
+  List.iteri
+    (fun i (req, (c : Kring.completion)) ->
+      Alcotest.(check bool)
+        (Fmt.str "op %d (%a): sysno" i pp_req req)
+        true
+        (Ksyscall.Sysno.equal c.Kring.sysno (sysno_of_req req));
+      Alcotest.(check bool)
+        (Fmt.str "op %d (%a): reply" i pp_req req)
+        true
+        (normalize_reply c.Kring.reply = normalize_reply (List.nth sync_replies i)))
+    (List.combine reqs completions);
+  match Ksyscall.Usyscall.invoke sys (Stat { path = "/e" }) with
+  | Error Kvfs.Vtypes.ENOENT -> ()
+  | _ -> Alcotest.fail "the rewritten entry ran"
+
 let () =
   Alcotest.run "kring"
     [
       ( "ring",
         [
           Alcotest.test_case "batch == sequential" `Quick
-            test_batch_matches_sequential;
+            (test_batch_matches_sequential (fun sys -> Kring.create sys));
+          Alcotest.test_case "batch == sequential, small rings" `Quick
+            (test_batch_matches_sequential (fun sys ->
+                 Kring.create ~sq_entries:3 ~cq_entries:2 sys));
           Alcotest.test_case "sq-full backpressure" `Quick
             test_sq_full_backpressure;
           Alcotest.test_case "batch-of-N is 2 crossings" `Quick
@@ -243,5 +310,7 @@ let () =
             test_watchdog_preempts_batch;
           Alcotest.test_case "empty enter is free" `Quick
             test_empty_enter_is_free;
+          Alcotest.test_case "an admitted batch runs as judged" `Quick
+            test_admitted_batch_runs_as_judged;
         ] );
     ]

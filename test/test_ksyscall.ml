@@ -202,10 +202,20 @@ let test_tracer () =
 
 (* --- typed descriptor wire codec ---------------------------------------- *)
 
+(* Also encodes [req] in place at offset 3 of a larger buffer, as a
+   ring entry is: the same bytes, the end offset returned, and the guard
+   bytes around it untouched. *)
 let roundtrip req =
   let wire = Ksyscall.Syscall.encode_req req in
   let req', consumed = Ksyscall.Syscall.decode_req wire ~off:0 in
-  req' = req && consumed = Bytes.length wire
+  let n = Bytes.length wire in
+  let buf = Bytes.make (n + 5) '#' in
+  let stop = Ksyscall.Syscall.encode_req_into buf ~pos:3 req in
+  req' = req && consumed = n && n = Ksyscall.Syscall.req_wire_size req
+  && stop = 3 + n
+  && Bytes.sub buf 3 n = wire
+  && Bytes.sub_string buf 0 3 = "###"
+  && Bytes.sub_string buf (3 + n) 2 = "##"
 
 (* One handcrafted example per syscall number, so every decoder arm is
    exercised deterministically. *)

@@ -55,9 +55,10 @@ let test_postmark_deterministic () =
 (* The live set against the [(int, unit) Hashtbl.t] it replaced:
    random adds (fresh ids, and now and then a live one, which replace
    leaves in place), removes (live ids, and now and then an absent one)
-   and bursts of picks from an initial size of 1 to 2,000, with enough net adds
-   to pass four times the first bucket count, so every size sees two
-   resizes.  [nth k] must be the [k]-th id of [Hashtbl.iter] at every
+   and bursts of picks from an initial size of 1 to 2,000, until the
+   live count passes four times the first bucket count, so every size
+   sees two resizes (a walk that has not got there after [64 * nb + 64]
+   steps fails).  [nth k] must be the [k]-th id of [Hashtbl.iter] at every
    pick, the lengths must agree at every step, and the whole order and
    the sorted cleanup list at every 512th step and at the end. *)
 let qcheck_postmark_live_order =
@@ -79,8 +80,14 @@ let qcheck_postmark_live_order =
       in
       let nb = ref 16 in
       while !nb < n0 do nb := 2 * !nb done;
-      let next = ref 0 in
-      for step = 1 to (8 * !nb) + 64 do
+      let next = ref 0 and step = ref 0 in
+      (* about 0.5 net adds a step: the walk passes [4 * nb] near step
+         [8 * nb]; the cap is far past any seed's need *)
+      while !n <= 4 * !nb do
+        incr step;
+        if !step > (64 * !nb) + 64 then
+          fail "only %d live for %d first buckets after %d steps" !n !nb (!step - 1);
+        let step = !step in
         (match Random.State.int rng 40 with
         | r when r < 30 || !n = 0 ->
             let id =
@@ -120,7 +127,6 @@ let qcheck_postmark_live_order =
           fail "step %d: length %d, model %d" step (L.length live) (Hashtbl.length model);
         if step mod 512 = 0 then check_all step
       done;
-      if !n <= 4 * !nb then fail "only %d live for %d first buckets" !n !nb;
       check_all 0;
       true)
 
