@@ -297,9 +297,6 @@ let () =
         [
           Alcotest.test_case "batch == sequential" `Quick
             (test_batch_matches_sequential (fun sys -> Kring.create sys));
-          Alcotest.test_case "batch == sequential, small rings" `Quick
-            (test_batch_matches_sequential (fun sys ->
-                 Kring.create ~sq_entries:3 ~cq_entries:2 sys));
           Alcotest.test_case "sq-full backpressure" `Quick
             test_sq_full_backpressure;
           Alcotest.test_case "batch-of-N is 2 crossings" `Quick
@@ -312,5 +309,8 @@ let () =
             test_empty_enter_is_free;
           Alcotest.test_case "an admitted batch runs as judged" `Quick
             test_admitted_batch_runs_as_judged;
+          Alcotest.test_case "batch == sequential, small rings" `Quick
+            (test_batch_matches_sequential (fun sys ->
+                 Kring.create ~sq_entries:3 ~cq_entries:2 sys));
         ] );
     ]
