@@ -91,8 +91,10 @@ bench-same:
 # $(TMPDIR), builds the benchmark in both trees, then runs N pairs, each
 # side `--workload W --seed SEED --seconds <run_seconds> --trace 0`; odd
 # pairs run base first, even pairs this tree first.  Prints every pair, then each side's median
-# and quartiles of host_throughput and host_peak_heap_mb, the pairs this
-# tree wins on each, and the runs' attempted counts.  Then, for every
+# and quartiles of host_throughput and host_peak_heap_mb (the heap row
+# with the side's median attempted count, since a 20-s peak heap grows
+# with the repetitions a run fits), the pairs this tree wins on each,
+# and the runs' attempted counts.  Then, for every
 # end-to-end metric in BENCHMARK.json, the median here/base ratio beside
 # the metric's bound, with `PAST BOUND` where the median moved the wrong
 # way by more than the bound (the rule `make bench-compare` applies), so
@@ -141,13 +143,14 @@ bench-pairs:
 	       return k >= n ? a[n] : a[k] + (x - k) * (a[k + 1] - a[k]) } \
 	     function sort(a, n,  i, j, v) { for (i = 2; i <= n; i++) { v = a[i]; \
 	       for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]; a[j + 1] = v } } \
-	     { n[$$1]++; t[$$1, n[$$1]] = $$3; h[$$1, n[$$1]] = $$4; at[$$1] = at[$$1] " " $$5; \
+	     { n[$$1]++; t[$$1, n[$$1]] = $$3; h[$$1, n[$$1]] = $$4; r[$$1, n[$$1]] = $$5; \
+	       at[$$1] = at[$$1] " " $$5; \
 	       if ($$1 == "base") { bt[$$2] = $$3; bh[$$2] = $$4 } else { ht[$$2] = $$3; hh[$$2] = $$4 } } \
 	     END { for (s = 0; s < 2; s++) { side = s ? "here" : "base"; m = n[side]; \
-	         for (k = 1; k <= m; k++) { x[k] = t[side, k]; y[k] = h[side, k] } \
-	         sort(x, m); sort(y, m); \
+	         for (k = 1; k <= m; k++) { x[k] = t[side, k]; y[k] = h[side, k]; z[k] = r[side, k] } \
+	         sort(x, m); sort(y, m); sort(z, m); \
 	         printf "%-4s host_throughput   median %9.1f  q1 %9.1f  q3 %9.1f\n", side, q(x, m, .5), q(x, m, .25), q(x, m, .75); \
-	         printf "%-4s host_peak_heap_mb median %9.2f  q1 %9.2f  q3 %9.2f\n", side, q(y, m, .5), q(y, m, .25), q(y, m, .75); \
+	         printf "%-4s host_peak_heap_mb median %9.2f  q1 %9.2f  q3 %9.2f  attempted median %.1f\n", side, q(y, m, .5), q(y, m, .25), q(y, m, .75), q(z, m, .5); \
 	         printf "%-4s attempted%s\n", side, at[side] } \
 	       for (i in bt) { wt += ht[i] > bt[i]; wh += hh[i] < bh[i] } \
 	       printf "here wins %d/%d pairs on host_throughput, %d/%d on host_peak_heap_mb\n", wt, n["here"], wh, n["here"] }' \

@@ -38,15 +38,18 @@ let header len =
 
 (* a blocking send for example purposes: when the send queue is full,
    step the network simulation (the NIC drain is what frees space) *)
-let rec send_all sys net ~sock data =
-  if Bytes.length data > 0 then
-    match Core.Syscall.sys_send sys ~sock ~data with
-    | Ok n when n = Bytes.length data -> ()
-    | Ok n -> send_all sys net ~sock (Bytes.sub data n (Bytes.length data - n))
-    | Error Kvfs.Vtypes.ENOBUFS ->
-        ignore (Knet.step net);
-        send_all sys net ~sock data
-    | Error e -> failwith (Fmt.str "send: %a" Kvfs.Vtypes.pp_errno e)
+let send_all sys net ~sock data =
+  let rec from off =
+    let len = Bytes.length data - off in
+    if len > 0 then
+      match Core.Syscall.sys_send sys ~sock ~data ~off ~len with
+      | Ok n -> from (off + n)
+      | Error Kvfs.Vtypes.ENOBUFS ->
+          ignore (Knet.step net);
+          from off
+      | Error e -> failwith (Fmt.str "send: %a" Kvfs.Vtypes.pp_errno e)
+  in
+  from 0
 
 let rec sendfile_all sys net ~sock ~fd ~off ~len =
   if len > 0 then

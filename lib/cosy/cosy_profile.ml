@@ -153,9 +153,3 @@ let advise ?(threshold = 10.) ?dynamic_counts (p : Minic.Ast.program) :
       end)
     p.Minic.Ast.funcs
   |> List.sort (fun a b -> compare b.score a.score)
-
-let pp_suggestion ppf s =
-  Fmt.pf ppf
-    "%s: score %.0f (%s) — mark lines %d..%d, ~%d crossings saved/run%s"
-    s.target s.score s.reason s.first_line s.last_line s.est_crossings_saved
-    (if s.compilable then "" else " [region needs manual adaptation]")

@@ -26,9 +26,6 @@ type suggestion = {
   reason : string;
 }
 
-(** All syscall call sites of one function, with loop depths. *)
-val function_sites : Minic.Ast.func -> call_site list
-
 (** Rank the program's functions.  [dynamic_counts] maps
     [(function, line)] to observed execution counts and overrides the
     static trip-count assumption; [threshold] (default 10) drops
@@ -38,5 +35,3 @@ val advise :
   ?dynamic_counts:(string * int, int) Hashtbl.t ->
   Minic.Ast.program ->
   suggestion list
-
-val pp_suggestion : Format.formatter -> suggestion -> unit

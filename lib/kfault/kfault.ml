@@ -50,8 +50,6 @@ let create ?stats ?(now = fun () -> 0)
     st_fires = None;
   }
 
-let is_armed t = t.armed
-
 (* splitmix64-style scramble on OCaml's native ints: good enough to
    decorrelate per-site streams and stable across runs. *)
 let scramble z =
@@ -87,7 +85,6 @@ let register t name =
         | None -> ());
       s
 
-let site_name s = s.s_name
 let sites t = List.rev t.sites_rev
 let site_names t = List.map (fun s -> s.s_name) (sites t)
 let find_site t name = Hashtbl.find_opt t.by_name name

@@ -68,8 +68,6 @@ val create :
     may stack several filesystems over one engine). *)
 val register : t -> string -> site
 
-val site_name : site -> string
-
 (** Registered site names, in registration order. *)
 val site_names : t -> string list
 
@@ -92,8 +90,6 @@ val arm : ?strict:bool -> t -> plan list -> unit
 (** Back to zero-impact: probes stop counting; counters keep their
     values for reading. *)
 val disarm : t -> unit
-
-val is_armed : t -> bool
 
 (** {1 The hot-path probe} *)
 

@@ -69,7 +69,5 @@ let unregister t ~name =
   t.callbacks <- List.filter (fun (n, _) -> n <> name) t.callbacks
 
 let enable_ring t = t.ring_enabled <- true
-let disable_ring t = t.ring_enabled <- false
 
 let events t = t.events
-let callback_count t = List.length t.callbacks

@@ -29,9 +29,6 @@ val register : t -> name:string -> callback -> unit
 
 val unregister : t -> name:string -> unit
 val enable_ring : t -> unit
-val disable_ring : t -> unit
 
 (** Events seen since creation. *)
 val events : t -> int
-
-val callback_count : t -> int

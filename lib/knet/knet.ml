@@ -1014,7 +1014,7 @@ let send_space t ~sock =
   | Error _ as e -> e |> Result.map (fun _ -> 0)
   | Ok c -> Ok (t.sndbuf - Bq.length c.cn_send)
 
-let append_out t c data len =
+let append_out t c data off len =
   let space = t.sndbuf - Bq.length c.cn_send in
   let n = min space len in
   if n = 0 && len > 0 then begin
@@ -1025,16 +1025,18 @@ let append_out t c data len =
   end
   else begin
     if n < len then Kstats.incr t.stats t.st_sendq_full;
-    Bq.push_bytes_sub t.pool c.cn_send data 0 n;
+    Bq.push_bytes_sub t.pool c.cn_send data off n;
     schedule_drain t c;
     Ok n
   end
 
-let send t ~sock ~data =
+let send t ~sock ~data ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length data - len then
+    invalid_arg "Knet.send";
   charge t;
   match conn_of t sock with
   | Error _ as e -> e |> Result.map (fun _ -> 0)
-  | Ok c -> append_out t c data (Bytes.length data)
+  | Ok c -> append_out t c data off len
 
 (* Zero-copy transmit: [fill] writes the payload straight into the send
    queue's tail, so no user buffer and no copy_{from,to}_user bytes are

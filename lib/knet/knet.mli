@@ -73,10 +73,16 @@ val accept : t -> sock:int -> (int, Kvfs.Vtypes.errno) result
     bytes yet. *)
 val recv : t -> sock:int -> len:int -> (Bytes.t, Kvfs.Vtypes.errno) result
 
-(** Queue bytes toward the peer; returns how many fit ([ENOBUFS] if the
-    send buffer is completely full — counted in [net.sendq_full].
-    Distinct from the would-block [EAGAIN] of {!recv}/{!accept}). *)
-val send : t -> sock:int -> data:Bytes.t -> (int, Kvfs.Vtypes.errno) result
+(** [send t ~sock ~data ~off ~len] queues [data]'s [len] bytes from
+    [off] toward the peer, copying them into the send queue; returns how
+    many fit, a prefix of the range ([ENOBUFS] if the send buffer is
+    completely full — counted in [net.sendq_full].  Distinct from the
+    would-block [EAGAIN] of {!recv}/{!accept}).  A caller that resends
+    the rest passes the same buffer at [off + n].
+    @raise Invalid_argument when [off, off + len) is not within [data]. *)
+val send :
+  t -> sock:int -> data:Bytes.t -> off:int -> len:int ->
+  (int, Kvfs.Vtypes.errno) result
 
 (** Free bytes in the send buffer (0 for a full queue). *)
 val send_space : t -> sock:int -> (int, Kvfs.Vtypes.errno) result

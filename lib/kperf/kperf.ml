@@ -217,19 +217,6 @@ let span_end t ~pid ~arg id =
         emit t ~kind:End ~id ~parent:(top_of t cpu) ~cat:frame.f_cat
           ~name:frame.f_name ~pid ~arg
 
-let with_span t ?(pid = 0) ?(arg = 0) ~cat ~name f =
-  if not t.enabled then f ()
-  else begin
-    let id = span_begin t ~pid ~arg ~cat ~name in
-    match f () with
-    | v ->
-        span_end t ~pid ~arg:0 id;
-        v
-    | exception e ->
-        span_end t ~pid ~arg:0 id;
-        raise e
-  end
-
 let instant t ~pid ~arg ~cat ~name =
   if t.enabled then
     let cpu = clamp_cpu t (t.cpu ()) in

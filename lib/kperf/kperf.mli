@@ -86,11 +86,6 @@ val span_begin : t -> pid:int -> arg:int -> cat:string -> name:string -> int
 
 val span_end : t -> pid:int -> arg:int -> int -> unit
 
-(** [with_span t ~cat ~name f]: [f] bracketed by a span (closed on
-    exception too). *)
-val with_span :
-  t -> ?pid:int -> ?arg:int -> cat:string -> name:string -> (unit -> 'a) -> 'a
-
 (** A point event, parented to the current span.  [pid] and [arg] are
     required for the same reason as {!span_begin}'s. *)
 val instant : t -> pid:int -> arg:int -> cat:string -> name:string -> unit

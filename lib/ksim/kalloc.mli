@@ -53,9 +53,6 @@ val kfree : t -> int -> unit
     otherwise it starts right after it (underflow detection). *)
 val vmalloc : ?guard:bool -> ?align_end:bool -> t -> int -> area
 
-(** O(1) area lookup via the vfree hash table; charges the probe cost. *)
-val find_area : t -> int -> area option
-
 (** @raise Invalid_argument if the address is not a live vmalloc. *)
 val vfree : t -> int -> unit
 

@@ -19,13 +19,7 @@ val advance : t -> int -> unit
 (** Reset to cycle 0. *)
 val reset : t -> unit
 
-(** Nominal clock rate used by {!to_seconds}. *)
-val hz : float
-
-(** Seconds elapsed on this clock at the nominal rate. *)
-val to_seconds : t -> float
-
-(** Convert a cycle count to seconds at the nominal rate. *)
+(** Convert a cycle count to seconds at the nominal 1.7 GHz rate. *)
 val cycles_to_seconds : int -> float
 
 val pp : Format.formatter -> t -> unit

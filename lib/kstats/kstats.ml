@@ -93,12 +93,6 @@ let set t g v =
     if v > g.g_max then g.g_max <- v
   end
 
-let gauge_add t g n =
-  if t.enabled then begin
-    g.g <- g.g + n;
-    if g.g > g.g_max then g.g_max <- g.g
-  end
-
 let bucket_of_value v =
   if v <= 1 then 0
   else begin
@@ -128,8 +122,6 @@ let observe t h v = if t.enabled then record_hist h v
 (* --- reading ----------------------------------------------------------- *)
 
 let counter_value (c : counter) = c.c
-let gauge_value (g : gauge) = g.g
-let gauge_max (g : gauge) = g.g_max
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum
 

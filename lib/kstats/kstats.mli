@@ -41,19 +41,14 @@ val add : t -> counter -> int -> unit
 (** [set] stores a level and tracks its peak. *)
 val set : t -> gauge -> int -> unit
 
-val gauge_add : t -> gauge -> int -> unit
-
 (** Record one sample (negative samples clamp to 0). *)
 val observe : t -> hist -> int -> unit
 
 (** {1 Reading} *)
 
 val counter_value : counter -> int
-val gauge_value : gauge -> int
-val gauge_max : gauge -> int
 val hist_count : hist -> int
 val hist_sum : hist -> int
-val hist_mean : hist -> float
 
 (** Upper bound of the log₂ bucket containing the given percentile
     rank, clamped to the observed min/max; 0 on an empty histogram. *)
@@ -106,8 +101,5 @@ val pp_report : Format.formatter -> t -> unit
 
 (** The registry as one JSON object keyed by metric name. *)
 val to_json : t -> string
-
-(** Append {!to_json} output to a buffer (for composing documents). *)
-val buffer_json : Buffer.t -> t -> unit
 
 val json_escape : string -> string

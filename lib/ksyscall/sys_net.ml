@@ -48,11 +48,11 @@ let service_recv sys ~sock ~len =
   | Error e -> Error e
   | Ok id -> Knet.recv (net sys) ~sock:id ~len
 
-let service_send sys ~sock ~data =
+let service_send sys ~sock ~data ~off ~len =
   Sys_file.check_kernel_mode sys;
   match sock_of_fd sys sock with
   | Error e -> Error e
-  | Ok id -> Knet.send (net sys) ~sock:id ~data
+  | Ok id -> Knet.send (net sys) ~sock:id ~data ~off ~len
 
 let service_epoll_create sys =
   Sys_file.check_kernel_mode sys;
@@ -107,7 +107,9 @@ let service_recv_send sys ~sock ~len ~data =
       let sent =
         if Bytes.length data = 0 then 0
         else
-          match Knet.send (net sys) ~sock:id ~data with
+          match
+            Knet.send (net sys) ~sock:id ~data ~off:0 ~len:(Bytes.length data)
+          with
           | Ok n -> n
           | Error _ -> 0
       in

@@ -42,7 +42,9 @@ type req =
   | Listen of { sock : int; backlog : int }
   | Accept of { sock : int }
   | Recv of { sock : int; len : int }
-  | Send of { sock : int; data : Bytes.t }
+  | Send of { sock : int; data : Bytes.t; off : int; len : int }
+      (* sends [data]'s [len] bytes from [off]; on the wire and in the
+         copy charge it is exactly those bytes *)
   | Epoll_create
   | Epoll_ctl of { ep : int; sock : int; add : bool; mask : int; cookie : int }
   | Epoll_wait of { ep : int; max : int }
@@ -141,7 +143,8 @@ let req_copy_bytes = function
   | Write { data; _ } | Pwrite { data; _ } -> Bytes.length data
   | Open_write_close { path; data; _ } -> path_bytes path + Bytes.length data
   | Rename { src; dst } -> path_bytes src + path_bytes dst
-  | Send { data; _ } | Recv_send { data; _ } -> Bytes.length data
+  | Send { len; _ } -> len
+  | Recv_send { data; _ } -> Bytes.length data
   | Close _ | Read _ | Pread _ | Lseek _ | Fstat _ | Fsync _ | Getpid
   | Sendfile _ | Socket | Bind _ | Listen _ | Accept _ | Recv _
   | Epoll_create | Epoll_ctl _ | Epoll_wait _ | Accept_recv _
@@ -261,7 +264,7 @@ let req_wire_size = function
   | Bind _ | Listen _ | Recv _ | Accept_recv _ | Epoll_wait _ ->
       1 + (2 * int_wire)
   | Accept _ -> 1 + int_wire
-  | Send { data; _ } -> 1 + int_wire + bytes_wire data
+  | Send { len; _ } -> 1 + (2 * int_wire) + len
   | Epoll_ctl _ -> 1 + (5 * int_wire)
   | Recv_send { data; _ } -> 1 + (2 * int_wire) + bytes_wire data
   | Sendfile_sock _ -> 1 + (4 * int_wire)
@@ -276,10 +279,13 @@ let put_str buf off s =
   Bytes.blit_string s 0 buf off (String.length s);
   off + String.length s
 
-let put_bytes buf off b =
-  let off = put_int buf off (Bytes.length b) in
-  Bytes.blit b 0 buf off (Bytes.length b);
-  off + Bytes.length b
+(* [len] bytes of [b] from [pos], encoded as if they were all of [b] *)
+let put_bytes_sub buf off b ~pos ~len =
+  let off = put_int buf off len in
+  Bytes.blit b pos buf off len;
+  off + len
+
+let put_bytes buf off b = put_bytes_sub buf off b ~pos:0 ~len:(Bytes.length b)
 
 let get_int buf off = (Int64.to_int (Bytes.get_int64_le buf off), off + int_wire)
 
@@ -332,7 +338,8 @@ let encode_req_into buf ~pos req =
   | Listen { sock; backlog } -> put_int buf (put_int buf off sock) backlog
   | Accept { sock } -> put_int buf off sock
   | Recv { sock; len } -> put_int buf (put_int buf off sock) len
-  | Send { sock; data } -> put_bytes buf (put_int buf off sock) data
+  | Send { sock; data; off = pos; len } ->
+      put_bytes_sub buf (put_int buf off sock) data ~pos ~len
   | Epoll_ctl { ep; sock; add; mask; cookie } ->
       let off = put_int buf (put_int buf off ep) sock in
       let off = put_int buf off (if add then 1 else 0) in
@@ -454,7 +461,7 @@ let decode_req buf ~off =
   | Sysno.Send ->
       let sock, off = get_int buf off in
       let data, off = get_bytes buf off in
-      (Send { sock; data }, off)
+      (Send { sock; data; off = 0; len = Bytes.length data }, off)
   | Sysno.Epoll_ctl ->
       let ep, off = get_int buf off in
       let sock, off = get_int buf off in

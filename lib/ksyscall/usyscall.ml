@@ -23,7 +23,9 @@
    call, a kring batch and a Cosy compound each occupy one, so a
    flow-gate kill, a watchdog expiry and a contained memory fault unwind
    the same way on every path.  The per-call functions at the bottom
-   are thin builders over [invoke].
+   are thin builders over [invoke]; [sys_read_into] is the one plain
+   call that passes its own service (a read landing in a caller
+   buffer) to the same core.
 
    These are the "expensive" calls whose overhead the paper's both
    techniques — consolidation (§2.2) and Cosy (§2.3) — exist to avoid;
@@ -87,7 +89,8 @@ let service sys (req : Syscall.req) : Syscall.reply =
   | Accept { sock } -> ok_int (Sys_net.service_accept sys ~sock)
   | Recv { sock; len } ->
       Result.map (fun b -> R_bytes b) (Sys_net.service_recv sys ~sock ~len)
-  | Send { sock; data } -> ok_int (Sys_net.service_send sys ~sock ~data)
+  | Send { sock; data; off; len } ->
+      ok_int (Sys_net.service_send sys ~sock ~data ~off ~len)
   | Epoll_create -> Ok (R_int (Sys_net.service_epoll_create sys))
   | Epoll_ctl { ep; sock; add; mask; cookie } ->
       ok_unit (Sys_net.service_epoll_ctl sys ~ep ~sock ~add ~mask ~cookie)
@@ -271,11 +274,12 @@ let injected sys req =
           Some Kvfs.Vtypes.EAGAIN
       | _ -> None)
 
-(* Count, gate, serve and record one request, in kernel mode.  A plain
-   call ([crossing]) also takes the injected boundary faults and pays
-   its own copies: the arguments in unless the request was refused
-   before copy-in, the results out. *)
-let serve sys ~crossing req =
+(* Count, gate, serve and record one request, in kernel mode: [service]
+   runs it once the gate allows it.  A plain call ([crossing]) also
+   takes the injected boundary faults and pays its own copies: the
+   arguments in unless the request was refused before copy-in, the
+   [copy_out reply] result bytes out. *)
+let serve sys ~crossing ~service ~copy_out req =
   let k = Systable.kernel sys in
   count_syscall k;
   let sysno = Syscall.sysno_of_req req in
@@ -288,52 +292,56 @@ let serve sys ~crossing req =
   let reply = match refused with Some e -> Error e | None -> service sys req in
   let bin =
     if crossing && Option.is_none refused then Syscall.req_copy_bytes req else 0
-  and bout = if crossing then Syscall.reply_copy_bytes reply else 0 in
+  and bout = if crossing then copy_out reply else 0 in
   if bin > 0 then Ksim.Kernel.charge_copy_from_user k bin;
   if bout > 0 then Ksim.Kernel.charge_copy_to_user k bout;
   Systable.record sys ~sysno ~req ~bytes_in:bin
     ~bytes_out:bout ~ok:(Result.is_ok reply);
   reply
 
-let serve_plain sys req = serve sys ~crossing:true req
+(* The core Plain and Ring share, for one [service] and its copy-out
+   count: a kperf span around [serve], then the latency histogram.  A
+   plain call wraps [serve] in its own stay, so its span covers the
+   whole round trip, entry trap to exit — its self time in a flamegraph
+   is exactly the boundary-crossing tax the paper's techniques exist to
+   amortize.  A ring entry already runs inside its batch's stay.
+   Applied to a service once, it gives a dispatcher whose calls
+   allocate no closure. *)
+let counted ~service ~copy_out =
+  let serve_plain sys req = serve sys ~crossing:true ~service ~copy_out req in
+  fun sys ~crossing req ->
+    let k = Systable.kernel sys in
+    let sysno = Syscall.sysno_of_req req in
+    let t0 = Ksim.Kernel.now k in
+    let perf = Ksim.Kernel.perf k in
+    let pid = (Ksim.Kernel.current k).Ksim.Kproc.pid in
+    let span =
+      Kperf.span_begin perf ~pid ~arg:0 ~cat:"syscall" ~name:(Sysno.to_string sysno)
+    in
+    let reply =
+      if crossing then begin
+        charge_stub k;
+        stay sys (plain sysno) ~span serve_plain req
+      end
+      else
+        match serve sys ~crossing:false ~service ~copy_out req with
+        | reply -> reply
+        | exception (Flow_violation _ as e) ->
+            (* the batch's stay unwinds it exactly like a watchdog expiry *)
+            Kperf.span_end perf ~pid ~arg:0 span;
+            raise e
+    in
+    Systable.observe_latency sys ~sysno ~cycles:(Ksim.Kernel.now k - t0);
+    Kperf.span_end perf ~pid ~arg:0 span;
+    reply
 
-(* The core Plain and Ring share: a kperf span around [serve], then the
-   latency histogram.  A plain call wraps [serve] in its own stay, so
-   its span covers the whole round trip, entry trap to exit — its self
-   time in a flamegraph is exactly the boundary-crossing tax the paper's
-   techniques exist to amortize.  A ring entry already runs inside its
-   batch's stay. *)
-let counted sys ~crossing req =
-  let k = Systable.kernel sys in
-  let sysno = Syscall.sysno_of_req req in
-  let t0 = Ksim.Kernel.now k in
-  let perf = Ksim.Kernel.perf k in
-  let pid = (Ksim.Kernel.current k).Ksim.Kproc.pid in
-  let span =
-    Kperf.span_begin perf ~pid ~arg:0 ~cat:"syscall" ~name:(Sysno.to_string sysno)
-  in
-  let reply =
-    if crossing then begin
-      charge_stub k;
-      stay sys (plain sysno) ~span serve_plain req
-    end
-    else
-      match serve sys ~crossing:false req with
-      | reply -> reply
-      | exception (Flow_violation _ as e) ->
-          (* the batch's stay unwinds it exactly like a watchdog expiry *)
-          Kperf.span_end perf ~pid ~arg:0 span;
-          raise e
-  in
-  Systable.observe_latency sys ~sysno ~cycles:(Ksim.Kernel.now k - t0);
-  Kperf.span_end perf ~pid ~arg:0 span;
-  reply
+let dispatch = counted ~service ~copy_out:Syscall.reply_copy_bytes
 
 (* Plain: one request, one round trip. *)
-let invoke sys req = counted sys ~crossing:true req
+let invoke sys req = dispatch sys ~crossing:true req
 
 (* Ring: one drained entry, inside its batch's stay. *)
-let invoke_drained sys req = counted sys ~crossing:false req
+let invoke_drained sys req = dispatch sys ~crossing:false req
 
 (* --- reply extractors --------------------------------------------------- *)
 
@@ -394,6 +402,20 @@ let int_bytes_ok = function
 let sys_open sys ~path ~flags = int_ok (invoke sys (Syscall.Open { path; flags }))
 let sys_close sys ~fd = unit_ok (invoke sys (Syscall.Close { fd }))
 let sys_read sys ~fd ~len = bytes_ok (invoke sys (Syscall.Read { fd; len }))
+
+(* [sys_read] whose bytes land in [into] at [pos] rather than in a fresh
+   reply: the same plain call (stub, crossing, gate, injected faults,
+   the bytes read copied out, a [Read { fd; len }] record and the
+   latency histogram), through the same core.  [Ok n] is the byte
+   count; bytes that do not fit at [pos] raise [Invalid_argument], so
+   a read is never cut short silently. *)
+let sys_read_into sys ~fd ~len ~into ~pos =
+  let service sys _ =
+    ok_int (Sys_file.service_read_into sys ~fd ~len ~into ~pos)
+  and copy_out = function Ok (Syscall.R_int n) -> n | _ -> 0 in
+  int_ok
+    (counted ~service ~copy_out sys ~crossing:true (Syscall.Read { fd; len }))
+
 let sys_write sys ~fd ~data = int_ok (invoke sys (Syscall.Write { fd; data }))
 
 let sys_pread sys ~fd ~off ~len =
@@ -451,7 +473,8 @@ let sys_listen sys ~sock ~backlog =
 
 let sys_accept sys ~sock = int_ok (invoke sys (Syscall.Accept { sock }))
 let sys_recv sys ~sock ~len = bytes_ok (invoke sys (Syscall.Recv { sock; len }))
-let sys_send sys ~sock ~data = int_ok (invoke sys (Syscall.Send { sock; data }))
+let sys_send sys ~sock ~data ~off ~len =
+  int_ok (invoke sys (Syscall.Send { sock; data; off; len }))
 
 let sys_epoll_create sys =
   match int_ok (invoke sys Syscall.Epoll_create) with

@@ -162,7 +162,10 @@ let run_cosy ?(config = default_config) sys =
 
    - [Net_naive]        open + read + close + send: every body crosses the
                         boundary twice (kernel->user on read, user->kernel
-                        on send), four-plus crossings per request.
+                        on send), four-plus crossings per request.  On
+                        the host the read lands behind the 8-byte header
+                        in one pooled response buffer, and sends leave
+                        from a moving offset in it.
    - [Net_consolidated] open_read_close collapses the file side into one
                         crossing; recv_send overlaps reading the next
                         pipelined request with sending the previous
@@ -262,6 +265,9 @@ let net_chunk = 4096  (* recv size per readiness event *)
 
 type pending =
   | Pbytes of Bytes.t
+  | Pbuf of { pb : Bytes.t; mutable pb_off : int; pb_stop : int }
+      (* a pooled response buffer (naive only): header and body lie in
+         [pb.[pb_off .. pb_stop - 1]]; a partial send moves [pb_off] *)
   | Pfile of { pf_fd : int; mutable pf_off : int; mutable pf_left : int }
 
 type nconn = {
@@ -283,6 +289,8 @@ type net_t = {
   mutable ndocs : (int * int) array;  (* doc -> (cached fd, size) *)
   npaths : string array;          (* doc -> path, built once *)
   nconns : (int, nconn) Hashtbl.t;    (* conn fd -> state *)
+  nbuf_size : int;                (* naive: header + the largest document *)
+  nfree : Bytes.t Stack.t;        (* naive: response buffers to reuse *)
   mutable ninit : bool;
   mutable nserved : int;          (* responses generated *)
   mutable nsent : int;            (* bytes queued into socket send buffers *)
@@ -312,6 +320,8 @@ let net_make ?(config = net_default_config) sys =
     ndocs = [||];
     npaths = Array.init config.docs.documents (doc_name config.docs);
     nconns = Hashtbl.create 64;
+    nbuf_size = 8 + config.docs.doc_size + config.docs.doc_size_spread;
+    nfree = Stack.create ();
     ninit = false;
     nserved = 0;
     nsent = 0;
@@ -449,11 +459,21 @@ let net_queue_response t cs idx =
       let fd =
         Wutil.ok (Ksyscall.Usyscall.sys_open sys ~path ~flags:[ Kvfs.Vfs.O_RDONLY ])
       in
-      let body = Wutil.ok (Ksyscall.Usyscall.sys_read sys ~fd ~len:max_int) in
+      (* the body lands behind the header's 8 bytes, in a response
+         buffer of [nbuf_size] bytes (no document [setup] writes is
+         longer); its last send puts it back on [nfree] *)
+      let b =
+        if Stack.is_empty t.nfree then Bytes.create t.nbuf_size
+        else Stack.pop t.nfree
+      in
+      let n =
+        Wutil.ok
+          (Ksyscall.Usyscall.sys_read_into sys ~fd ~len:max_int ~into:b ~pos:8)
+      in
       ignore (Wutil.ok (Ksyscall.Usyscall.sys_close sys ~fd));
+      Bytes.set_int64_le b 0 (Int64.of_int n);
       cs.nc_pending <-
-        cs.nc_pending
-        @ [ Pbytes (Bytes.cat (net_header (Bytes.length body)) body) ]
+        cs.nc_pending @ [ Pbuf { pb = b; pb_off = 0; pb_stop = 8 + n } ]
   | Net_consolidated ->
       let path = t.npaths.(idx) in
       let body =
@@ -506,7 +526,10 @@ let rec net_flush t cs =
   match cs.nc_pending with
   | [] -> if cs.nc_eof then net_close_conn t cs else net_set_out t cs false
   | Pbytes b :: rest -> (
-      match Ksyscall.Usyscall.sys_send t.nsys ~sock:cs.nc_fd ~data:b with
+      match
+        Ksyscall.Usyscall.sys_send t.nsys ~sock:cs.nc_fd ~data:b ~off:0
+          ~len:(Bytes.length b)
+      with
       | Ok n when n = Bytes.length b ->
           t.nsent <- t.nsent + n;
           cs.nc_pending <- rest;
@@ -514,6 +537,23 @@ let rec net_flush t cs =
       | Ok n ->
           t.nsent <- t.nsent + n;
           cs.nc_pending <- Pbytes (Bytes.sub b n (Bytes.length b - n)) :: rest;
+          net_set_out t cs true
+      | Error Kvfs.Vtypes.ENOBUFS -> net_set_out t cs true
+      | Error e -> net_fail e)
+  | Pbuf p :: rest -> (
+      let len = p.pb_stop - p.pb_off in
+      match
+        Ksyscall.Usyscall.sys_send t.nsys ~sock:cs.nc_fd ~data:p.pb
+          ~off:p.pb_off ~len
+      with
+      | Ok n when n = len ->
+          t.nsent <- t.nsent + n;
+          cs.nc_pending <- rest;
+          Stack.push p.pb t.nfree;
+          net_flush t cs
+      | Ok n ->
+          t.nsent <- t.nsent + n;
+          p.pb_off <- p.pb_off + n;
           net_set_out t cs true
       | Error Kvfs.Vtypes.ENOBUFS -> net_set_out t cs true
       | Error e -> net_fail e)
@@ -653,12 +693,14 @@ let net_step_ring t ring events =
       List.map
         (fun cs ->
           match cs.nc_pending with
-          | Pbytes b :: _ -> Ksyscall.Syscall.Send { sock = cs.nc_fd; data = b }
+          | Pbytes b :: _ ->
+              Ksyscall.Syscall.Send
+                { sock = cs.nc_fd; data = b; off = 0; len = Bytes.length b }
           | Pfile pf :: _ ->
               Ksyscall.Syscall.Sendfile_sock
                 { sock = cs.nc_fd; fd = pf.pf_fd; off = pf.pf_off;
                   len = pf.pf_left }
-          | [] -> assert false)
+          | Pbuf _ :: _ | [] -> assert false)
         !active
     in
     let comps = Kring.run_batch ring batch in

@@ -25,6 +25,10 @@ let listener ?(port = 80) ?(backlog = 4) net =
   | Error e -> Alcotest.failf "listen: %s" (Kvfs.Vtypes.errno_to_string e));
   s
 
+(* [Knet.send] of the whole of [data]. *)
+let send_bytes net ~sock data =
+  Knet.send net ~sock ~data ~off:0 ~len:(Bytes.length data)
+
 (* --- sockets and connections -------------------------------------------- *)
 
 let test_accept_recv_send () =
@@ -48,7 +52,7 @@ let test_accept_recv_send () =
     "recv returns the bytes"
     (Ok (Bytes.of_string "hello"))
     (Knet.recv net ~sock:conn ~len:64);
-  (match Knet.send net ~sock:conn ~data:(Bytes.of_string "world") with
+  (match send_bytes net ~sock:conn (Bytes.of_string "world") with
   | Ok 5 -> ()
   | _ -> Alcotest.fail "send should queue all 5 bytes");
   Knet.inject_fin net ~sock:conn;
@@ -84,13 +88,13 @@ let test_bounded_sendq () =
   let s = listener net in
   let _cl = Knet.inject_connect net ~port:80 in
   let conn = Result.get_ok (Knet.accept net ~sock:s) in
-  (match Knet.send net ~sock:conn ~data:(Bytes.make 16 'x') with
+  (match send_bytes net ~sock:conn (Bytes.make 16 'x') with
   | Ok 8 -> ()
   | Ok n -> Alcotest.failf "partial send took %d, want 8" n
   | Error e -> Alcotest.failf "send: %s" (Kvfs.Vtypes.errno_to_string e));
   Alcotest.(check (result int errno))
     "full queue would block" (Error Kvfs.Vtypes.ENOBUFS)
-    (Knet.send net ~sock:conn ~data:(Bytes.of_string "y"));
+    (send_bytes net ~sock:conn (Bytes.of_string "y"));
   Alcotest.(check bool) "sendq_full counted" true
     (find_counter (Ksim.Kernel.stats kernel) "net.sendq_full" >= 1);
   Alcotest.(check (result int errno)) "no space left" (Ok 0)
@@ -163,7 +167,7 @@ let test_socket_table () =
   Alcotest.(check (result bytes errno)) "recv after close" ebadf
     (Knet.recv net ~sock:conn ~len:8);
   Alcotest.(check (result int errno)) "send after close" ebadf
-    (Knet.send net ~sock:conn ~data:(Bytes.of_string "x"));
+    (send_bytes net ~sock:conn (Bytes.of_string "x"));
   Knet.close net ~sock:conn;
   Knet.close net ~sock:l;
   List.iter
@@ -571,6 +575,17 @@ let send_filled net ~sock data =
       Bytes.blit data 0 buf pos n;
       Ok n)
 
+(* [s] through [Knet.send]'s sub-range: the bytes lie inside a larger
+   buffer, between guard bytes, at an offset that varies with their
+   length, as a server's pooled response buffer holds them after a
+   partial send. *)
+let send_range net ~sock s =
+  let len = String.length s in
+  let off = len mod 11 in
+  let data = Bytes.make (off + len + 3) '\xff' in
+  Bytes.blit_string s 0 data off len;
+  Knet.send net ~sock ~data ~off ~len
+
 let qcheck_pooled_storage =
   let conns = 5 and total = 3 in
   QCheck.Test.make ~name:"pooled queues = string model, ownership rule holds"
@@ -632,10 +647,10 @@ let qcheck_pooled_storage =
           | Error e -> fail "serve recv: %s" (Kvfs.Vtypes.errno_to_string e)
         in
         if v.v_open && v.v_pending <> "" then begin
-          let data = Bytes.of_string v.v_pending in
           match
-            if kernel_send then send_filled net ~sock:v.v_id data
-            else Knet.send net ~sock:v.v_id ~data
+            if kernel_send then
+              send_filled net ~sock:v.v_id (Bytes.of_string v.v_pending)
+            else send_range net ~sock:v.v_id v.v_pending
           with
           | Ok n ->
               Buffer.add_string v.v_sent (String.sub v.v_pending 0 n);
@@ -702,10 +717,10 @@ let qcheck_pooled_storage =
         | S_send (p, n, kernel_send) ->
             Option.iter
               (fun r ->
-                let data = Bytes.of_string (fresh n) in
+                let s = fresh n in
                 match
-                  if kernel_send then send_filled net ~sock:r.r_id data
-                  else Knet.send net ~sock:r.r_id ~data
+                  if kernel_send then send_filled net ~sock:r.r_id (Bytes.of_string s)
+                  else send_range net ~sock:r.r_id s
                 with
                 | Ok _ | Error Kvfs.Vtypes.ENOBUFS when r.r_live -> ()
                 | Error Kvfs.Vtypes.EBADF when not r.r_live -> ()
@@ -800,7 +815,7 @@ let test_timeout_releases_stream () =
         match Knet.recv net ~sock:c ~len:64 with
         | Ok b when Bytes.length b > 0 ->
             let data = Bytes.of_string (response ~conn:0 ~req:0) in
-            ignore (Knet.send net ~sock:c ~data)
+            ignore (send_bytes net ~sock:c data)
         | Ok _ | Error _ -> ())
   done;
   Alcotest.(check int) "first response delivered" 1
@@ -853,7 +868,7 @@ let epoll_serve net ~port ~(bodies : Bytes.t array) =
         (fun ch ->
           if ch = '\n' then begin
             let data = bodies.(!sent mod Array.length bodies) in
-            (match Knet.send net ~sock:id ~data with
+            (match send_bytes net ~sock:id data with
             | Ok n when n = Bytes.length data -> ()
             | _ -> Alcotest.fail "response did not fit the send queue");
             incr sent
@@ -956,6 +971,58 @@ let test_ring_alloc_per_response () =
     (Printf.sprintf "under 600 words per response (got %.1f)" per)
     true (per < 600.)
 
+(* The same warm measurement for the naive server the c10k_naive
+   benchmark runs: open, a plain read, close and a plain send per
+   response, on kopt-off defaults.  Reading each body into a fresh
+   buffer, framing it with [Bytes.cat] and re-copying the tail of a
+   partial send read 753.0; reading into a pooled response buffer
+   behind its header and sending from a moving offset, 273.4. *)
+let test_naive_alloc_per_response () =
+  let module Web = Workloads.Webserver in
+  let t = Core.boot_with Core.Config.default in
+  let sys = Core.sys t in
+  let config port =
+    { Web.net_default_config with variant = Web.Net_naive; conns = 200; port }
+  in
+  Web.net_setup ~config:(config 80) sys;
+  ignore (Web.run_net ~config:(config 80) sys);
+  let before = Host_words.now () in
+  let r = Web.run_net ~config:(config 81) sys in
+  let per = (Host_words.now () -. before) /. float_of_int r.Web.n_served in
+  Alcotest.(check int) "every client completed" 200 r.Web.n_completed;
+  Alcotest.(check bool)
+    (Printf.sprintf "under 350 words per response (got %.1f)" per)
+    true (per < 350.)
+
+(* Two pipelined documents of 14-22 kB overflow a 32 kB send queue, so
+   the naive server's second response often leaves in several sends,
+   each resuming its pooled buffer where the last one stopped: the
+   clients receive the same bytes as from the sendfile server, which
+   resumes by file offset.  Every document fits an empty queue, so a
+   server that resent from the wrong place would still finish, with a
+   different digest. *)
+let test_naive_partial_sends () =
+  let module Web = Workloads.Webserver in
+  let run variant =
+    let t = Core.boot_with Core.Config.default in
+    Kstats.set_enabled (Core.stats t) true;
+    let config =
+      { Web.net_default_config with
+        variant; conns = 20;
+        docs =
+          { Web.net_default_config.Web.docs with
+            Web.documents = 6; doc_size = 14_000; doc_size_spread = 8_000 } }
+    in
+    Web.net_setup ~config (Core.sys t);
+    let r = Web.run_net ~config (Core.sys t) in
+    (r, find_counter (Core.stats t) "net.sendq_full")
+  in
+  let naive, partial = run Web.Net_naive and sendfile, _ = run Web.Net_sendfile in
+  Alcotest.(check bool) "some sends were partial" true (partial > 0);
+  Alcotest.(check int) "every client completed" 20 naive.Web.n_completed;
+  Alcotest.(check string) "the same bytes on the wire" sendfile.Web.n_digest
+    naive.Web.n_digest
+
 (* --- the stream digest memo ----------------------------------------------- *)
 
 (* An 8-byte little-endian length, then the body. *)
@@ -978,7 +1045,7 @@ let expected_digest streams =
 let frame_serve net ~port ~(sends : string list array array) ~gaps =
   let partial = Hashtbl.create 64 in
   let send id s =
-    match Knet.send net ~sock:id ~data:(Bytes.of_string s) with
+    match send_bytes net ~sock:id (Bytes.of_string s) with
     | Ok n when n = String.length s -> ()
     | _ -> Alcotest.fail "response did not fit the send queue"
   in
@@ -1636,6 +1703,10 @@ let () =
             test_warm_alloc_per_response;
           Alcotest.test_case "ring allocation per response" `Quick
             test_ring_alloc_per_response;
+          Alcotest.test_case "naive allocation per response" `Quick
+            test_naive_alloc_per_response;
+          Alcotest.test_case "naive partial sends resume in place" `Quick
+            test_naive_partial_sends;
         ] );
       ( "digest memo",
         [

@@ -489,9 +489,11 @@ let test_ring_plan_fuses_recv_send () =
   let reqs =
     [
       Ksyscall.Syscall.Recv { sock = 5; len = 100 };
-      Ksyscall.Syscall.Send { sock = 5; data = Bytes.of_string "x" };
+      Ksyscall.Syscall.Send
+          { sock = 5; data = Bytes.of_string "x"; off = 0; len = 1 };
       Ksyscall.Syscall.Recv { sock = 6; len = 100 };
-      Ksyscall.Syscall.Send { sock = 7; data = Bytes.of_string "y" };
+      Ksyscall.Syscall.Send
+          { sock = 7; data = Bytes.of_string "y"; off = 0; len = 1 };
     ]
   in
   match Kopt.ring_plan ko reqs with
@@ -533,7 +535,8 @@ let echo_batch cfg =
     Kring.run_batch ring
       [
         Ksyscall.Syscall.Recv { sock = conn; len = 64 };
-        Ksyscall.Syscall.Send { sock = conn; data = Bytes.of_string "pong" };
+        Ksyscall.Syscall.Send
+          { sock = conn; data = Bytes.of_string "pong"; off = 0; len = 4 };
       ]
   in
   (t, ring, List.map (fun (c : Kring.completion) -> c.Kring.reply) comps)

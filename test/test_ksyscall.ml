@@ -253,7 +253,7 @@ let test_req_roundtrip_all_sysnos () =
       Listen { sock = 3; backlog = 128 };
       Accept { sock = 3 };
       Recv { sock = 4; len = 4096 };
-      Send { sock = 4; data = Bytes.of_string "HTTP/1.0 200\r\n\r\n" };
+      Send { sock = 4; data = Bytes.of_string "HTTP/1.0 200\r\n\r\n"; off = 0; len = 16 };
       Epoll_create;
       Epoll_ctl { ep = 5; sock = 4; add = true; mask = 3; cookie = 42 };
       Epoll_wait { ep = 5; max = 64 };
@@ -347,7 +347,9 @@ let gen_req =
   | Ksyscall.Sysno.Recv ->
       map2 (fun sock len -> Recv { sock; len }) gen_fd gen_len
   | Ksyscall.Sysno.Send ->
-      map2 (fun sock data -> Send { sock; data }) gen_fd gen_data
+      map2
+        (fun sock data -> Send { sock; data; off = 0; len = Bytes.length data })
+        gen_fd gen_data
   | Ksyscall.Sysno.Epoll_create -> return Epoll_create
   | Ksyscall.Sysno.Epoll_ctl ->
       map3
@@ -374,6 +376,150 @@ let qcheck_req_roundtrip =
        ~print:(fun r -> Fmt.str "%a" Ksyscall.Syscall.pp_req r)
        gen_req)
     roundtrip
+
+(* A [Send] of a sub-range encodes, sizes and charges exactly as a
+   [Send] of those bytes alone: the range lies at a random offset in a
+   larger buffer between guard bytes, and decoding gives the exact
+   form back. *)
+let qcheck_send_range_wire =
+  QCheck.Test.make ~name:"send sub-range on the wire = exact bytes" ~count:500
+    QCheck.(quad (int_range 0 1024) (string_of_size Gen.(int_range 0 64))
+              (int_range 0 20) (int_range 0 20))
+    (fun (sock, body, head, tail) ->
+      let open Ksyscall.Syscall in
+      let len = String.length body in
+      let data = Bytes.make (head + len + tail) '\xa5' in
+      Bytes.blit_string body 0 data head len;
+      let sub = Send { sock; data; off = head; len } in
+      let exact = Send { sock; data = Bytes.of_string body; off = 0; len } in
+      let wire = encode_req sub in
+      wire = encode_req exact
+      && req_wire_size sub = Bytes.length wire
+      && req_copy_bytes sub = len
+      && fst (decode_req wire ~off:0) = exact)
+
+(* --- sys_read_into ------------------------------------------------------ *)
+
+(* One read scenario, run on twin systems: [size] file bytes, the fd
+   positioned at [seek], two reads of [len] (0, past the end of file
+   and [max_int] included) on a good or a bad fd, under an optional
+   gate that denies every read and an optional EINTR plan.  [pos] is
+   where [sys_read_into] lands the bytes. *)
+type rd_case = {
+  size : int;
+  seek : int;
+  len : int;
+  bad_fd : bool;
+  deny : bool;
+  eintr : Kfault.trigger option;
+  pos : int;
+}
+
+let pp_rd_case c =
+  Printf.sprintf "size=%d seek=%d len=%d bad_fd=%b deny=%b eintr=%s pos=%d"
+    c.size c.seek c.len c.bad_fd c.deny
+    (match c.eintr with
+    | None -> "-"
+    | Some (Kfault.One_shot k) -> Printf.sprintf "once:%d" k
+    | Some (Kfault.Every_nth k) -> Printf.sprintf "nth:%d" k
+    | Some _ -> "?")
+    c.pos
+
+let gen_rd_case =
+  QCheck.Gen.(
+    int_range 0 9000 >>= fun size ->
+    int_range 0 (size + 100) >>= fun seek ->
+    frequency
+      [ (1, return 0); (3, int_range 1 (size + 10)); (1, return (size + 5000));
+        (2, return max_int) ]
+    >>= fun len ->
+    map3
+      (fun (bad_fd, deny) eintr pos -> { size; seek; len; bad_fd; deny; eintr; pos })
+      (pair (map (fun n -> n = 0) (int_bound 5)) (map (fun n -> n = 0) (int_bound 5)))
+      (frequency
+         [ (4, return None);
+           (1, map (fun k -> Some (Kfault.One_shot k)) (int_range 1 3));
+           (1, return (Some (Kfault.Every_nth 1))) ])
+      (int_bound 16))
+
+(* Everything a read leaves behind on one system: each read's bytes or
+   errno, the clock, crossings, copied bytes, the kstats dump and the
+   tracer's records. *)
+let read_twin c read =
+  let kernel = Ksim.Kernel.create () in
+  Kstats.set_enabled (Ksim.Kernel.stats kernel) true;
+  let sys = Ksyscall.Systable.create kernel in
+  let trace = ref [] in
+  Ksyscall.Systable.set_tracer sys (fun r -> trace := r :: !trace);
+  let data = Bytes.init c.size (fun i -> Char.chr ((i * 7) land 255)) in
+  ignore
+    (ok (Ksyscall.Usyscall.sys_open_write_close sys ~path:"/f" ~data ~flags:[ Kvfs.Vfs.O_RDWR; Kvfs.Vfs.O_CREAT ]));
+  let fd = ok (Ksyscall.Usyscall.sys_open sys ~path:"/f" ~flags:[ Kvfs.Vfs.O_RDONLY ]) in
+  ignore (ok (Ksyscall.Usyscall.sys_lseek sys ~fd ~off:c.seek ~whence:Kvfs.Vfs.SEEK_SET));
+  let fd = if c.bad_fd then fd + 100 else fd in
+  if c.deny then
+    Ksyscall.Systable.set_gate sys (fun ~pid:_ ~sysno ->
+        if sysno = Ksyscall.Sysno.Read then Ksyscall.Systable.Gate_deny Kvfs.Vtypes.EPERM
+        else Ksyscall.Systable.Gate_allow);
+  Option.iter
+    (fun trigger ->
+      Kfault.arm (Ksim.Kernel.fault kernel) [ { Kfault.site = "syscall.eintr"; trigger } ])
+    c.eintr;
+  let results = List.init 2 (fun _ -> read sys ~fd) in
+  ( results,
+    ( Ksim.Kernel.now kernel,
+      Ksim.Kernel.crossings kernel,
+      Ksim.Kernel.bytes_to_user kernel,
+      Ksim.Kernel.bytes_from_user kernel ),
+    Kstats.dump (Ksim.Kernel.stats kernel),
+    List.rev !trace )
+
+let qcheck_read_into =
+  QCheck.Test.make ~name:"sys_read_into = sys_read" ~count:300
+    (QCheck.make ~print:pp_rd_case gen_rd_case)
+    (fun c ->
+      let plain sys ~fd =
+        Result.map Bytes.to_string (Ksyscall.Usyscall.sys_read sys ~fd ~len:c.len)
+      in
+      (* the bytes land at [pos] of a guarded buffer that just fits the
+         file; nothing around them moves *)
+      let into sys ~fd =
+        let into = Bytes.make (c.pos + c.size + 3) '#' in
+        match Ksyscall.Usyscall.sys_read_into sys ~fd ~len:c.len ~into ~pos:c.pos with
+        | Error _ as e ->
+            if Bytes.exists (fun ch -> ch <> '#') into then
+              QCheck.Test.fail_report "a failed read wrote the buffer";
+            e
+        | Ok n ->
+            let rest = Bytes.length into - c.pos - n in
+            if Bytes.sub_string into 0 c.pos <> String.make c.pos '#'
+               || Bytes.sub_string into (c.pos + n) rest <> String.make rest '#'
+            then QCheck.Test.fail_report "bytes landed outside their range";
+            Ok (Bytes.sub_string into c.pos n)
+      in
+      let r1, m1, s1, t1 = read_twin c plain and r2, m2, s2, t2 = read_twin c into in
+      let fail what = QCheck.Test.fail_reportf "%s differ" what in
+      if r1 <> r2 then fail "results";
+      if m1 <> m2 then fail "clock, crossings or copied bytes";
+      if s1 <> s2 then fail "kstats dumps";
+      if t1 <> t2 then fail "trace records";
+      true)
+
+(* A read whose bytes do not fit at [pos] fails loudly, before any byte
+   moves: never a silent short read. *)
+let test_read_into_no_truncation () =
+  let _, sys = mk_sys () in
+  let data = Bytes.make 100 'd' in
+  ignore
+    (ok (Ksyscall.Usyscall.sys_open_write_close sys ~path:"/f" ~data ~flags:[ Kvfs.Vfs.O_RDWR; Kvfs.Vfs.O_CREAT ]));
+  let fd = ok (Ksyscall.Usyscall.sys_open sys ~path:"/f" ~flags:[ Kvfs.Vfs.O_RDONLY ]) in
+  let into = Bytes.make 107 '#' in
+  (match Ksyscall.Usyscall.sys_read_into sys ~fd ~len:max_int ~into ~pos:8 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a body one byte too long must not be cut short");
+  Alcotest.(check string) "nothing written" (String.make 107 '#') (Bytes.to_string into);
+  Alcotest.(check int) "and the position did not move" 100
+    (ok (Ksyscall.Usyscall.sys_read_into sys ~fd ~len:max_int ~into ~pos:7))
 
 (* --- the file path's id tables ------------------------------------------ *)
 
@@ -631,6 +777,13 @@ let () =
           Alcotest.test_case "wire roundtrip, all sysnos" `Quick
             test_req_roundtrip_all_sysnos;
           QCheck_alcotest.to_alcotest qcheck_req_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_send_range_wire;
+        ] );
+      ( "read_into",
+        [
+          QCheck_alcotest.to_alcotest qcheck_read_into;
+          Alcotest.test_case "a read that does not fit raises" `Quick
+            test_read_into_no_truncation;
         ] );
       ( "file-path",
         [
